@@ -26,7 +26,7 @@ use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::Tuple;
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::{DeltaBatch, DeltaKind, DeltaSet};
+use mvmqo_storage::delta::DeltaSet;
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::index::IndexKind;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -423,19 +423,11 @@ pub fn execute_epoch_faults(
         }
 
         // 3. Apply the base delta for this (relation, kind).
-        let batch = match kind {
-            DeltaKind::Insert => {
-                DeltaBatch::new(deltas.side(table, DeltaKind::Insert).to_vec(), vec![])
-            }
-            DeltaKind::Delete => {
-                DeltaBatch::new(vec![], deltas.side(table, DeltaKind::Delete).to_vec())
-            }
-        };
+        let rows = deltas.side(table, kind);
         let width = catalog.table(table).schema.row_width();
-        let batch_len = batch.inserts.len() + batch.deletes.len();
         faults.hit("exec:apply-base-delta")?;
-        rt.db.apply_base_delta(table, &batch)?;
-        rt.meter.charge_seq(&model, batch_len, width);
+        rt.db.apply_base_side(table, kind, rows)?;
+        rt.meter.charge_seq(&model, rows.len(), width);
 
         // 4. Invalidate stale temporaries; maintained results stay fresh.
         rt.invalidate_depending(table, &maintained);

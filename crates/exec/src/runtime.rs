@@ -41,6 +41,7 @@ use mvmqo_storage::table::StoredTable;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrder};
+use std::sync::Arc;
 
 /// Hidden per-group accumulator state for a maintained aggregate view
 /// (footnote 1 of the paper: counts must be kept to apply deletions).
@@ -310,12 +311,20 @@ impl DistinctState {
 /// materializations and their indices are *reused*, not rebuilt. Node ids
 /// are only meaningful for the DAG/program the state was built under — drop
 /// the state whenever the engine re-optimizes.
+///
+/// Cloning (how a transactional epoch stages its working copy) is
+/// O(#stored results): every [`StoredTable`] is a handle copy and the
+/// support states are shared. The clone's writes then copy what they
+/// touch — a merged table's columns and indices, and the group/count map
+/// of each support state a merge folds into — and nothing else.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeState {
     pub(crate) mats: HashMap<EqId, StoredTable>,
     pub(crate) fresh: HashSet<EqId>,
-    pub(crate) agg_states: HashMap<EqId, AggState>,
-    pub(crate) distinct_states: HashMap<EqId, DistinctState>,
+    /// Behind `Arc` so a staged clone shares them; a merge
+    /// `Arc::make_mut`s only the state it folds into.
+    pub(crate) agg_states: HashMap<EqId, Arc<AggState>>,
+    pub(crate) distinct_states: HashMap<EqId, Arc<DistinctState>>,
     /// Maintained aggregate/distinct results whose hidden support state has
     /// absorbed merges the stored image has not: the stored table is
     /// rebuilt from the state *once*, at the first read (or at epoch end),
@@ -357,12 +366,12 @@ impl RuntimeState {
 
     /// Hidden aggregate support state of a stored result, if any.
     pub fn agg_state(&self, e: EqId) -> Option<&AggState> {
-        self.agg_states.get(&e)
+        self.agg_states.get(&e).map(Arc::as_ref)
     }
 
     /// Hidden DISTINCT support state of a stored result, if any.
     pub fn distinct_state(&self, e: EqId) -> Option<&DistinctState> {
-        self.distinct_states.get(&e)
+        self.distinct_states.get(&e).map(Arc::as_ref)
     }
 
     /// True while some stored image lags its hidden support state (a
@@ -420,12 +429,12 @@ impl RuntimeState {
 
     /// Install recovered aggregate support state for a stored result.
     pub fn install_agg_state(&mut self, e: EqId, state: AggState) {
-        self.agg_states.insert(e, state);
+        self.agg_states.insert(e, Arc::new(state));
     }
 
     /// Install recovered DISTINCT support state for a stored result.
     pub fn install_distinct_state(&mut self, e: EqId, state: DistinctState) {
-        self.distinct_states.insert(e, state);
+        self.distinct_states.insert(e, Arc::new(state));
     }
 
     /// Keep only the listed stored results (and their hidden
@@ -710,14 +719,14 @@ impl<'a> Runtime<'a> {
                 let mut state = AggState::new(group_by, aggs, input_schema);
                 state.fold_batch(&eval_batch, DeltaKind::Insert);
                 let batch = state.output_batch(&schema);
-                self.state.agg_states.insert(e, state);
+                self.state.agg_states.insert(e, Arc::new(state));
                 batch
             }
             RootKind::Distinct => {
                 let mut state = DistinctState::default();
                 state.fold_batch(&eval_batch, &schema, DeltaKind::Insert);
                 let batch = state.output_batch(&schema);
-                self.state.distinct_states.insert(e, state);
+                self.state.distinct_states.insert(e, Arc::new(state));
                 batch
             }
         };
@@ -876,7 +885,7 @@ impl<'a> Runtime<'a> {
             self.state.agg_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("aggregate state for {e} not stored"))
             })?;
-        let needs_recompute = state.fold_batch(&input, kind);
+        let needs_recompute = Arc::make_mut(state).fold_batch(&input, kind);
         if needs_recompute {
             // Affected-group recompute, realized as a full refresh (§3.1.2's
             // "significant extra work"; the cost model charges the same).
@@ -911,7 +920,7 @@ impl<'a> Runtime<'a> {
             self.state.distinct_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("distinct state for {e} not stored"))
             })?;
-        state.fold_batch(&input, &schema, kind);
+        Arc::make_mut(state).fold_batch(&input, &schema, kind);
         self.state.deferred.insert(e);
         self.state.fresh.insert(e);
         Ok(())

@@ -27,8 +27,10 @@ use std::sync::Arc;
 /// Entries are unique (interning dedups), each carries its precomputed
 /// [`str_hash`] image, and an internal hash index makes `intern`/`code_of`
 /// O(1) amortized. The dictionary sits behind an `Arc` on the column, so
-/// gathers and clones share it; mutation (interning during append) clones
-/// it copy-on-write only when actually shared.
+/// gathers and clones share it; appends look a string up through the
+/// shared handle first ([`Dictionary::intern_shared`]) and copy the
+/// dictionary only when a string is genuinely new *and* the handle is
+/// shared.
 #[derive(Debug, Clone, Default)]
 pub struct Dictionary {
     values: Vec<Arc<str>>,
@@ -61,10 +63,7 @@ impl Dictionary {
         &self.values
     }
 
-    /// The code of `s`, if interned. Because entries are unique, equal
-    /// codes ⇔ equal strings for codes of the same dictionary.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
-        let h = str_hash(s);
+    fn find(&self, h: u64, s: &str) -> Option<u32> {
         self.index
             .get(&h)?
             .iter()
@@ -72,19 +71,70 @@ impl Dictionary {
             .find(|&c| &*self.values[c as usize] == s)
     }
 
-    /// Intern `s`, returning its (possibly new) code.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        let h = str_hash(s);
-        let bucket = self.index.entry(h).or_default();
-        if let Some(&c) = bucket.iter().find(|&&c| &*self.values[c as usize] == s) {
-            return c;
-        }
+    fn push_new(&mut self, h: u64, s: &str) -> u32 {
         let c = u32::try_from(self.values.len()).expect("dictionary overflow");
-        bucket.push(c);
+        self.index.entry(h).or_default().push(c);
         self.values.push(Arc::from(s));
         self.hashes.push(h);
         c
     }
+
+    /// The code of `s`, if interned. Because entries are unique, equal
+    /// codes ⇔ equal strings for codes of the same dictionary.
+    pub fn code_of(&self, s: &str) -> Option<u32> {
+        self.find(str_hash(s), s)
+    }
+
+    /// Intern `s`, returning its (possibly new) code.
+    pub fn intern(&mut self, s: &str) -> u32 {
+        let h = str_hash(s);
+        match self.find(h, s) {
+            Some(c) => c,
+            None => self.push_new(h, s),
+        }
+    }
+
+    /// Intern through a possibly shared handle: the lookup runs on the
+    /// shared, read-only dictionary, and only a miss pays
+    /// [`Arc::make_mut`] (a deep copy when other columns or a staged clone
+    /// still hold the handle). Appending already-known strings therefore
+    /// never copies a dictionary.
+    pub fn intern_shared(this: &mut Arc<Dictionary>, s: &str) -> u32 {
+        let h = str_hash(s);
+        match this.find(h, s) {
+            Some(c) => c,
+            None => Arc::make_mut(this).push_new(h, s),
+        }
+    }
+}
+
+/// Stored string columns shorter than this are always dictionary-encoded.
+pub const DICT_MIN_ROWS: usize = 256;
+
+/// The storage encoding rule for string columns: a dictionary pays for
+/// itself unless the column is long (≥ [`DICT_MIN_ROWS`] rows) *and*
+/// near-unique (more than half as many dictionary entries as rows) — such
+/// a column gains nothing from code space, and every new string appended
+/// through a staged clone would deep-copy an O(rows) dictionary.
+pub fn dict_pays(rows: usize, entries: usize) -> bool {
+    rows < DICT_MIN_ROWS || entries * 2 <= rows
+}
+
+/// Dictionary-encode `strs` unless [`dict_pays`] says not to (bails out as
+/// soon as the growing dictionary crosses the threshold).
+fn try_dict(strs: &[Arc<str>]) -> Option<ColumnData> {
+    let mut dict = Dictionary::default();
+    let mut codes = Vec::with_capacity(strs.len());
+    for s in strs {
+        codes.push(dict.intern(s));
+        if !dict_pays(strs.len(), dict.len()) {
+            return None;
+        }
+    }
+    Some(ColumnData::Dict {
+        codes,
+        dict: Arc::new(dict),
+    })
 }
 
 /// Physical storage of one column's values.
@@ -303,7 +353,7 @@ impl Column {
             (ColumnData::Date(c), Value::Date(x)) => c.push(*x),
             (ColumnData::Bool(c), Value::Bool(x)) => c.push(*x),
             (ColumnData::Dict { codes, dict }, Value::Str(x)) => {
-                codes.push(Arc::make_mut(dict).intern(x));
+                codes.push(Dictionary::intern_shared(dict, x));
             }
             (ColumnData::Mixed(c), v) => c.push(v.clone()),
             (data, Value::Null) if !matches!(data, ColumnData::Mixed(_)) => {
@@ -315,7 +365,7 @@ impl Column {
                     ColumnData::Date(c) => c.push(0),
                     ColumnData::Bool(c) => c.push(false),
                     ColumnData::Dict { codes, dict } => {
-                        codes.push(Arc::make_mut(dict).intern(""));
+                        codes.push(Dictionary::intern_shared(dict, ""));
                     }
                     ColumnData::Mixed(_) => unreachable!(),
                 }
@@ -525,19 +575,56 @@ impl Column {
                 if Arc::ptr_eq(dict, bd) {
                     codes.extend(idx.iter().map(|&i| bc[i as usize]));
                 } else {
-                    let d = Arc::make_mut(dict);
-                    codes.extend(idx.iter().map(|&i| d.intern(bd.value(bc[i as usize]))));
+                    codes.extend(
+                        idx.iter()
+                            .map(|&i| Dictionary::intern_shared(dict, bd.value(bc[i as usize]))),
+                    );
                 }
             }
             (ColumnData::Dict { codes, dict }, ColumnData::Str(b)) if no_nulls => {
-                let d = Arc::make_mut(dict);
-                codes.extend(idx.iter().map(|&i| d.intern(&b[i as usize])));
+                codes.extend(
+                    idx.iter()
+                        .map(|&i| Dictionary::intern_shared(dict, &b[i as usize])),
+                );
             }
+            (
+                ColumnData::Str(a),
+                ColumnData::Dict {
+                    codes: bc,
+                    dict: bd,
+                },
+            ) if no_nulls => a.extend(idx.iter().map(|&i| Arc::clone(bd.value(bc[i as usize])))),
             _ => {
                 for &i in idx {
                     self.push(&other.value(i as usize));
                 }
             }
+        }
+    }
+
+    /// Batched swap-remove: overwrite position `to` with the value at
+    /// `from` for every `(from, to)` move, then truncate to `new_len`.
+    /// Every `from` lies at or beyond `new_len` and every `to` below it
+    /// (see [`Batch::swap_remove_rows`]), so no move reads a slot another
+    /// move wrote.
+    fn swap_remove_moves(&mut self, moves: &[(u32, u32)], new_len: usize) {
+        fn apply<T>(v: &mut Vec<T>, moves: &[(u32, u32)], new_len: usize) {
+            for &(from, to) in moves {
+                v.swap(from as usize, to as usize);
+            }
+            v.truncate(new_len);
+        }
+        match &mut self.data {
+            ColumnData::Int(v) => apply(v, moves, new_len),
+            ColumnData::Float(v) => apply(v, moves, new_len),
+            ColumnData::Str(v) => apply(v, moves, new_len),
+            ColumnData::Date(v) => apply(v, moves, new_len),
+            ColumnData::Bool(v) => apply(v, moves, new_len),
+            ColumnData::Dict { codes, .. } => apply(codes, moves, new_len),
+            ColumnData::Mixed(v) => apply(v, moves, new_len),
+        }
+        if let Some(n) = self.nulls.as_mut() {
+            apply(n, moves, new_len);
         }
     }
 
@@ -567,6 +654,41 @@ impl Column {
             },
             nulls: self.nulls.clone(),
         }
+    }
+
+    /// The representation a *stored* image keeps this column in, by the
+    /// [`dict_pays`] rule: a plain `Str` column is dictionary-encoded
+    /// unless it is long and near-unique, and a `Dict` column is checked
+    /// by [`Column::sparse_dict_rebuilt`]. `None` means the column already
+    /// has its stored representation (non-strings always do).
+    pub fn stored_encoding(&self) -> Option<Column> {
+        match &self.data {
+            ColumnData::Str(v) => try_dict(v).map(|data| Column {
+                data,
+                nulls: self.nulls.clone(),
+            }),
+            _ => self.sparse_dict_rebuilt(),
+        }
+    }
+
+    /// A `Dict` column whose dictionary no longer pays ([`dict_pays`] on
+    /// its entry count — an O(1) check) rebuilt from its strings: plain
+    /// `Str` when the column really is near-unique, a compact dictionary
+    /// of its own when it only shared an oversized one (a join output
+    /// gathered from a much longer base column). `None` for every column
+    /// that stays as it is.
+    pub fn sparse_dict_rebuilt(&self) -> Option<Column> {
+        let ColumnData::Dict { codes, dict } = &self.data else {
+            return None;
+        };
+        if dict_pays(codes.len(), dict.len()) {
+            return None;
+        }
+        let strs: Vec<Arc<str>> = codes.iter().map(|&c| Arc::clone(dict.value(c))).collect();
+        Some(Column {
+            data: try_dict(&strs).unwrap_or(ColumnData::Str(strs)),
+            nulls: self.nulls.clone(),
+        })
     }
 
     /// Decode a dict column back to plain `Str` values (identity clone for
@@ -856,26 +978,6 @@ impl Batch {
         self.rows += idx.len();
     }
 
-    /// Append row-major tuples (storage delta application). Like
-    /// [`Batch::append`], any selection is compacted first so the appended
-    /// values land densely.
-    pub fn append_rows(&mut self, rows: &[Tuple]) {
-        if rows.is_empty() {
-            return;
-        }
-        if self.sel.is_some() {
-            let compacted = std::mem::replace(self, Batch::empty(Schema::default())).compact();
-            *self = compacted;
-        }
-        for row in rows {
-            debug_assert_eq!(row.len(), self.columns.len());
-            for (col, v) in self.columns.iter_mut().zip(row) {
-                Arc::make_mut(col).push(v);
-            }
-        }
-        self.rows += rows.len();
-    }
-
     /// Logical positions of `self` surviving the multiset difference
     /// `self ∸ other` (one occurrence removed per matching `other` row).
     /// Keys are hashed and compared *by column position* — neither side is
@@ -948,9 +1050,7 @@ impl Batch {
     }
 
     /// Dense batch holding the rows at the given *physical* positions, in
-    /// order (one typed gather per column). Pairs with
-    /// [`Batch::minus_positions`] so callers that also need the surviving
-    /// position list (index remapping) hash the table once, not twice.
+    /// order (one typed gather per column).
     pub fn gather_physical(&self, positions: &[u32]) -> Batch {
         let columns = self
             .columns
@@ -1031,20 +1131,38 @@ impl Batch {
         }
     }
 
-    /// Dictionary-encode every plain `Str` column (the storage-image
-    /// representation). Non-string, already-encoded, and `Mixed` columns
-    /// are reference-shared untouched.
+    /// Dictionary-encode every plain `Str` column, unconditionally.
+    /// Non-string, already-encoded, and `Mixed` columns are
+    /// reference-shared untouched. Stored images use
+    /// [`Batch::stored_encoding`], which applies the encoding rule.
     pub fn dict_encoded(&self) -> Batch {
+        self.map_columns(|c| matches!(c.data(), ColumnData::Str(_)).then(|| c.dict_encode()))
+    }
+
+    /// The storage-image representation: every string column encoded as
+    /// [`Column::stored_encoding`] decides; columns already in their
+    /// stored representation are reference-shared untouched.
+    pub fn stored_encoding(&self) -> Batch {
+        self.map_columns(Column::stored_encoding)
+    }
+
+    /// Re-check dictionary columns after an append grew them
+    /// ([`Column::sparse_dict_rebuilt`]; O(width) unless one trips).
+    pub fn rebuild_sparse_dicts(&mut self) {
+        for col in &mut self.columns {
+            if let Some(rebuilt) = col.sparse_dict_rebuilt() {
+                *col = Arc::new(rebuilt);
+            }
+        }
+    }
+
+    /// New batch with each column replaced by `f`'s result, or shared
+    /// as-is where `f` returns `None`.
+    fn map_columns(&self, f: impl Fn(&Column) -> Option<Column>) -> Batch {
         let columns = self
             .columns
             .iter()
-            .map(|c| {
-                if matches!(c.data(), ColumnData::Str(_)) {
-                    Arc::new(c.dict_encode())
-                } else {
-                    Arc::clone(c)
-                }
-            })
+            .map(|c| f(c).map_or_else(|| Arc::clone(c), Arc::new))
             .collect();
         Batch {
             schema: self.schema.clone(),
@@ -1052,6 +1170,39 @@ impl Batch {
             rows: self.rows,
             sel: self.sel.clone(),
         }
+    }
+
+    /// Remove the rows at the given physical positions from a dense batch
+    /// by batched swap-remove: every victim below the new length is
+    /// overwritten by a surviving row from the tail, then the columns are
+    /// truncated — O(|victims| × width), independent of the row count.
+    /// `victims` must be distinct; it is sorted in place. Returns the
+    /// `(from, to)` moves performed so position-holding structures
+    /// (indices) can follow. Row order afterwards is unspecified.
+    pub fn swap_remove_rows(&mut self, victims: &mut [u32]) -> Vec<(u32, u32)> {
+        assert!(self.sel.is_none(), "swap_remove_rows needs a dense batch");
+        victims.sort_unstable();
+        debug_assert!(victims.windows(2).all(|w| w[0] < w[1]));
+        let new_len = self.rows - victims.len();
+        // Victims already in the doomed tail need no filler; the others
+        // are holes, filled from the tail's survivors.
+        let split = victims.partition_point(|&v| (v as usize) < new_len);
+        let (holes, tail_victims) = victims.split_at(split);
+        let mut doomed = tail_victims.iter().copied().peekable();
+        let survivors = (new_len as u32..self.rows as u32).filter(|p| {
+            let dead = doomed.peek() == Some(p);
+            if dead {
+                doomed.next();
+            }
+            !dead
+        });
+        let moves: Vec<(u32, u32)> = survivors.zip(holes.iter().copied()).collect();
+        debug_assert_eq!(moves.len(), holes.len());
+        for col in &mut self.columns {
+            Arc::make_mut(col).swap_remove_moves(&moves, new_len);
+        }
+        self.rows = new_len;
+        moves
     }
 
     /// Hash the key columns of physical row `phys` ([`Value::hash`]
@@ -1481,23 +1632,6 @@ mod tests {
         for (row, c) in &got {
             assert_eq!(expected.get(row.as_slice()), Some(c), "row {row:?}");
         }
-    }
-
-    #[test]
-    fn append_rows_extends_and_compacts() {
-        let s = schema(&[(0, DataType::Int)]);
-        let mut b = Batch::from_rows(s, &int_rows(&[&[1], &[2], &[3]]));
-        b.retain(|p| p != 1);
-        b.append_rows(&[vec![Value::Int(9)], vec![Value::Null]]);
-        assert_eq!(
-            b.to_rows(),
-            vec![
-                vec![Value::Int(1)],
-                vec![Value::Int(3)],
-                vec![Value::Int(9)],
-                vec![Value::Null]
-            ]
-        );
     }
 
     #[test]

@@ -6,21 +6,24 @@
 //! here), and helpers to apply update batches. The optimizer reads only
 //! statistics; the executor reads and mutates the stored rows.
 
-use crate::delta::{DeltaBatch, DeltaSet};
+use crate::delta::{DeltaBatch, DeltaKind, DeltaSet};
 use crate::error::StorageError;
 use crate::index::IndexKind;
 use crate::table::StoredTable;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::stats::RelStats;
+use mvmqo_relalg::tuple::Tuple;
 use std::collections::HashMap;
 
 /// In-memory database instance.
 ///
 /// Cloning is cheap: every [`StoredTable`] clones as a handle copy
-/// (columns, row caches, and indices are `Arc`-shared and copy-on-write),
-/// so a full-database clone is O(tables × width). Transactional epochs
-/// rely on this to stage the next state and install it by swap.
+/// (columns, dictionaries, row caches, and indices are `Arc`-shared), so
+/// a full-database clone is O(tables × width) and copies no data.
+/// Transactional epochs stage the next state on such a clone and install
+/// it by swap; the data copied is what the epoch's writes then touch —
+/// see [`StoredTable`] for exactly what that is.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     base: HashMap<TableId, StoredTable>,
@@ -99,6 +102,18 @@ impl Database {
         delta: &DeltaBatch,
     ) -> Result<(), StorageError> {
         self.base_mut(id)?.apply_delta(delta);
+        Ok(())
+    }
+
+    /// Apply one borrowed side of a relation's delta (the maintenance
+    /// executor's step: one relation, one update kind at a time, §3.2.2).
+    pub fn apply_base_side(
+        &mut self,
+        id: TableId,
+        kind: DeltaKind,
+        rows: &[Tuple],
+    ) -> Result<(), StorageError> {
+        self.base_mut(id)?.apply_side(kind, rows);
         Ok(())
     }
 

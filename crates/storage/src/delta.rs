@@ -73,6 +73,17 @@ impl DeltaSet {
         }
     }
 
+    /// Append `batch` onto whatever is already queued for `table`, in
+    /// place (an empty batch queues nothing).
+    pub fn extend(&mut self, table: TableId, batch: DeltaBatch) {
+        if batch.is_empty() {
+            return;
+        }
+        let queued = self.batches.entry(table).or_default();
+        queued.inserts.extend(batch.inserts);
+        queued.deletes.extend(batch.deletes);
+    }
+
     pub fn get(&self, table: TableId) -> Option<&DeltaBatch> {
         self.batches.get(&table)
     }
@@ -123,6 +134,19 @@ mod tests {
         assert!(ds.is_empty());
         ds.insert(TableId(1), DeltaBatch::new(vec![t(1)], vec![]));
         assert_eq!(ds.len(), 1);
+    }
+
+    #[test]
+    fn extend_appends_to_the_queued_batch() {
+        let mut ds = DeltaSet::new();
+        ds.extend(TableId(0), DeltaBatch::default());
+        assert!(ds.is_empty());
+        ds.extend(TableId(0), DeltaBatch::new(vec![t(1)], vec![]));
+        ds.extend(TableId(0), DeltaBatch::new(vec![t(2)], vec![t(1)]));
+        assert_eq!(
+            ds.get(TableId(0)),
+            Some(&DeltaBatch::new(vec![t(1), t(2)], vec![t(1)]))
+        );
     }
 
     #[test]

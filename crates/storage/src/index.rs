@@ -6,6 +6,20 @@
 //! materialize"). This module provides the runtime structures: hash indices
 //! for equality lookups and B-tree indices for ordered access; both map a
 //! single key attribute to row positions in the owning table.
+//!
+//! **Posting layout.** A key's positions are a `Postings` value: the
+//! single-position case is stored inline (`One(u32)`), and only keys with
+//! two or more rows own a heap `Vec`. A unique-key index (every primary
+//! key) is therefore one flat map — its copy-on-write clone for a staged
+//! epoch, and the drop of the version it replaces, allocate and free
+//! nothing per key.
+//!
+//! **Maintenance.** Indices follow the owning table's deltas posting by
+//! posting: an append inserts the new positions, a delete drops each
+//! victim's posting and repoints the posting of every row the table's
+//! swap-remove moved (`Index::remove` / `Index::repoint`) — O(|δ|),
+//! never a pass over the entries. The order of positions under one key is
+//! unspecified.
 
 use mvmqo_relalg::batch::Column;
 use mvmqo_relalg::schema::AttrId;
@@ -33,14 +47,64 @@ impl fmt::Display for IndexKind {
     }
 }
 
+/// The row positions under one key: inline while there is exactly one,
+/// a heap vector (of at least two) otherwise.
+#[derive(Debug, Clone)]
+enum Postings {
+    One(u32),
+    Many(Vec<u32>),
+}
+
+impl Postings {
+    fn as_slice(&self) -> &[u32] {
+        match self {
+            Postings::One(p) => std::slice::from_ref(p),
+            Postings::Many(ps) => ps,
+        }
+    }
+
+    fn push(&mut self, pos: u32) {
+        match self {
+            Postings::One(p) => *self = Postings::Many(vec![*p, pos]),
+            Postings::Many(ps) => ps.push(pos),
+        }
+    }
+
+    /// Drop `pos`; returns `true` when nothing is left under the key.
+    fn remove(&mut self, pos: u32) -> bool {
+        match self {
+            Postings::One(p) => *p == pos,
+            Postings::Many(ps) => {
+                if let Some(i) = ps.iter().position(|&p| p == pos) {
+                    ps.swap_remove(i);
+                }
+                if let [last] = ps[..] {
+                    *self = Postings::One(last);
+                }
+                false
+            }
+        }
+    }
+
+    fn repoint(&mut self, from: u32, to: u32) {
+        let slots = match self {
+            Postings::One(p) => std::slice::from_mut(p),
+            Postings::Many(ps) => ps.as_mut_slice(),
+        };
+        if let Some(p) = slots.iter_mut().find(|p| **p == from) {
+            *p = to;
+        }
+    }
+}
+
 /// An index over one attribute of a stored relation, mapping key values to
 /// row positions.
 #[derive(Debug, Clone)]
 pub struct Index {
     pub attr: AttrId,
     pub kind: IndexKind,
-    hash: HashMap<Value, Vec<u32>>,
-    tree: BTreeMap<Value, Vec<u32>>,
+    hash: HashMap<Value, Postings>,
+    tree: BTreeMap<Value, Postings>,
 }
 
 impl Index {
@@ -73,29 +137,48 @@ impl Index {
         idx
     }
 
-    /// Rewrite every stored position through `map` (old physical position →
-    /// new, with `u32::MAX` marking a removed row). This is how an index
-    /// follows a columnar delete compaction without re-hashing any key:
-    /// O(entries) pointer updates instead of an O(table) rebuild.
-    pub(crate) fn remap_positions(&mut self, map: &[u32]) {
-        fn remap_list(ps: &mut Vec<u32>, map: &[u32]) -> bool {
-            ps.retain_mut(|p| {
-                let new = map[*p as usize];
-                *p = new;
-                new != u32::MAX
-            });
-            !ps.is_empty()
-        }
+    pub(crate) fn insert(&mut self, key: &Value, pos: u32) {
         match self.kind {
-            IndexKind::Hash => self.hash.retain(|_, ps| remap_list(ps, map)),
-            IndexKind::BTree => self.tree.retain(|_, ps| remap_list(ps, map)),
+            IndexKind::Hash => match self.hash.get_mut(key) {
+                Some(ps) => ps.push(pos),
+                None => {
+                    self.hash.insert(key.clone(), Postings::One(pos));
+                }
+            },
+            IndexKind::BTree => match self.tree.get_mut(key) {
+                Some(ps) => ps.push(pos),
+                None => {
+                    self.tree.insert(key.clone(), Postings::One(pos));
+                }
+            },
         }
     }
 
-    pub(crate) fn insert(&mut self, key: &Value, pos: u32) {
+    /// Drop the posting `pos` under `key` (a deleted row); the key goes
+    /// with its last posting.
+    pub(crate) fn remove(&mut self, key: &Value, pos: u32) {
         match self.kind {
-            IndexKind::Hash => self.hash.entry(key.clone()).or_default().push(pos),
-            IndexKind::BTree => self.tree.entry(key.clone()).or_default().push(pos),
+            IndexKind::Hash => {
+                if self.hash.get_mut(key).is_some_and(|ps| ps.remove(pos)) {
+                    self.hash.remove(key);
+                }
+            }
+            IndexKind::BTree => {
+                if self.tree.get_mut(key).is_some_and(|ps| ps.remove(pos)) {
+                    self.tree.remove(key);
+                }
+            }
+        }
+    }
+
+    /// Follow a row the table moved from position `from` to `to`.
+    pub(crate) fn repoint(&mut self, key: &Value, from: u32, to: u32) {
+        let ps = match self.kind {
+            IndexKind::Hash => self.hash.get_mut(key),
+            IndexKind::BTree => self.tree.get_mut(key),
+        };
+        if let Some(ps) = ps {
+            ps.repoint(from, to);
         }
     }
 
@@ -105,7 +188,7 @@ impl Index {
             IndexKind::Hash => self.hash.get(key),
             IndexKind::BTree => self.tree.get(key),
         };
-        hit.map(|v| v.as_slice()).unwrap_or(&[])
+        hit.map(Postings::as_slice).unwrap_or(&[])
     }
 
     /// Row positions with keys in `[lo, hi]` bounds (B-tree only; a hash
@@ -121,7 +204,7 @@ impl Index {
         };
         iter.into_iter()
             .flatten()
-            .flat_map(|(_, v)| v.iter().copied())
+            .flat_map(|(_, ps)| ps.as_slice().iter().copied())
     }
 
     /// Number of distinct keys.
@@ -135,8 +218,8 @@ impl Index {
     /// Total indexed entries.
     pub fn entries(&self) -> usize {
         match self.kind {
-            IndexKind::Hash => self.hash.values().map(Vec::len).sum(),
-            IndexKind::BTree => self.tree.values().map(Vec::len).sum(),
+            IndexKind::Hash => self.hash.values().map(|ps| ps.as_slice().len()).sum(),
+            IndexKind::BTree => self.tree.values().map(|ps| ps.as_slice().len()).sum(),
         }
     }
 }
@@ -188,6 +271,28 @@ mod tests {
             idx.lookup_range(Bound::Unbounded, Bound::Unbounded).count(),
             0
         );
+    }
+
+    #[test]
+    fn postings_follow_remove_and_repoint() {
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let mut idx = Index::build(AttrId(0), kind, &rows(), 0);
+            // Key 1 holds two positions, keys 2 and 3 one (inline) each.
+            idx.remove(&Value::Int(1), 0);
+            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[2]);
+            idx.repoint(&Value::Int(1), 2, 0);
+            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0]);
+            idx.insert(&Value::Int(1), 7);
+            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0, 7]);
+            // A key leaves with its last posting; a posting that is not
+            // there leaves the key alone.
+            idx.remove(&Value::Int(2), 9);
+            assert_eq!(idx.lookup_eq(&Value::Int(2)), &[1]);
+            idx.remove(&Value::Int(2), 1);
+            assert!(idx.lookup_eq(&Value::Int(2)).is_empty());
+            assert_eq!(idx.distinct_keys(), 2);
+            assert_eq!(idx.entries(), 3);
+        }
     }
 
     #[test]

@@ -284,4 +284,53 @@ mod tests {
             t.probe(AttrId(0), &Value::Int(1))
         );
     }
+
+    /// A stored image mixing both string encodings (and NULLs in each)
+    /// survives the codec with contents, encodings and index intact.
+    #[test]
+    fn stored_table_mixing_dict_and_plain_strings_roundtrips() {
+        use mvmqo_relalg::batch::ColumnData;
+        let schema = Schema::new(vec![
+            Attribute {
+                id: AttrId(0),
+                name: "t.tag".into(),
+                data_type: DataType::Str,
+            },
+            Attribute {
+                id: AttrId(1),
+                name: "t.body".into(),
+                data_type: DataType::Str,
+            },
+        ]);
+        let rows: Vec<_> = (0..300)
+            .map(|i| {
+                let cell = |null: bool, s: String| if null { Value::Null } else { Value::str(s) };
+                vec![
+                    cell(i % 17 == 0, format!("tag{}", i % 5)),
+                    cell(i % 19 == 0, format!("body {i}")),
+                ]
+            })
+            .collect();
+        let mut t = StoredTable::with_rows(schema, rows.clone());
+        t.create_index(AttrId(1), IndexKind::BTree);
+        assert!(matches!(
+            t.batch().column(0).data(),
+            ColumnData::Dict { .. }
+        ));
+        assert!(matches!(t.batch().column(1).data(), ColumnData::Str(_)));
+
+        let mut e = Enc::new();
+        encode_stored_table(&mut e, &t);
+        let bytes = e.into_bytes();
+        let got = decode_stored_table(&mut Dec::new(&bytes)).unwrap();
+        assert_eq!(got.batch(), t.batch());
+        assert_eq!(got.rows(), rows.as_slice());
+        assert!(matches!(
+            got.batch().column(0).data(),
+            ColumnData::Dict { .. }
+        ));
+        assert!(matches!(got.batch().column(1).data(), ColumnData::Str(_)));
+        assert_eq!(got.probe(AttrId(1), &Value::str("body 7")).unwrap(), &[7]);
+        assert_eq!(got.probe(AttrId(1), &Value::Null).unwrap().len(), 16);
+    }
 }

@@ -9,38 +9,72 @@
 //!
 //! Storage is **batch-native**: the primary representation is the columnar
 //! [`Batch`] the vectorized executor consumes, and deltas mutate the
-//! columns *in place* (appends extend the typed vectors; deletes compact
-//! them through one gather and remap index positions). The row-major view
-//! is derived lazily and only exists for user-facing output and the
+//! columns *in place*, at a cost proportional to the delta. The row-major
+//! view is derived lazily and only exists for user-facing output and the
 //! row-at-a-time reference paths — the maintenance hot path never
 //! round-trips through `Vec<Tuple>`.
+//!
+//! **Appends** extend the typed vectors and insert the new positions into
+//! every index. A string that a dictionary column already knows is looked
+//! up through the shared dictionary handle; only a genuinely new string
+//! copies a dictionary that a staged clone still shares.
+//!
+//! **Deletes** run one kernel ([`StoredTable::apply_batch_delta`] and
+//! [`StoredTable::apply_delta`] both end in it). Victims are *located*
+//! through the table's most selective index — one probe per deleted row,
+//! each candidate confirmed by a full-row comparison, one distinct stored
+//! position claimed per listed occurrence — or, for a table with no index,
+//! by the [`Batch::minus_positions`] hash scan. They are then *removed* by
+//! batched swap-remove: each victim slot is overwritten by a surviving row
+//! from the tail and the columns are truncated, the victim's posting is
+//! dropped from every index and the moved row's posting repointed. With an
+//! index the whole delete is O(|δ| × (width + #indices)).
+//!
+//! **Row order is unspecified.** Swap-remove moves rows; nothing in the
+//! engine depends on stored order (every consumer is a bag operator, and
+//! every suite compares as bags).
+//!
+//! **String encoding.** A stored string column is dictionary-encoded
+//! unless it is long and near-unique — the one rule is
+//! [`dict_pays`](mvmqo_relalg::batch::dict_pays): at least
+//! [`DICT_MIN_ROWS`](mvmqo_relalg::batch::DICT_MIN_ROWS) rows *and* more
+//! than half as many dictionary entries as rows means plain `Str`. It is
+//! applied wherever a stored image is built (`with_rows`, `from_batch`,
+//! `replace_*`) and re-checked after each append, so a column grown from
+//! empty crosses over once it is both long and near-unique.
 
 use crate::blocks::BlockConfig;
-use crate::delta::DeltaBatch;
+use crate::delta::{DeltaBatch, DeltaKind};
 use crate::index::{Index, IndexKind};
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::Tuple;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// An in-memory multiset relation with optional secondary indices.
 ///
-/// Cloning a `StoredTable` is cheap — a handle copy, not a data copy: the
-/// columnar image `Arc`-shares its columns, the derived row cache and the
-/// indices are `Arc`-shared wholesale, and mutation copy-on-writes only
-/// what it touches ([`Arc::make_mut`] on indices, a fresh cell for the row
-/// cache). This is what makes staging a whole [`Database`](crate::Database)
-/// for a transactional epoch affordable.
+/// Cloning a `StoredTable` is a handle copy, not a data copy: columns,
+/// the dictionaries behind string columns, the derived row cache and the
+/// indices are all `Arc`-shared. What a mutation of the clone then copies
+/// is what it touches, once: each column it writes (a flat vector copy —
+/// every column, for a row append or delete), each index (one flat map
+/// copy; single-position postings are inline, so no per-key allocation),
+/// and a dictionary only when a string new to it is appended. The row
+/// cache is replaced by a fresh cell, never copied. This is what a
+/// transactional epoch pays to stage a [`Database`](crate::Database):
+/// memcpy of the touched tables' columns and indices, nothing per row
+/// beyond that.
 #[derive(Debug, Clone)]
 pub struct StoredTable {
     schema: Schema,
     /// Primary columnar image (always dense: no selection vector). String
-    /// columns are dictionary-encoded on construction, so scans, joins,
-    /// and aggregations over them run in `u32` code space; delta appends
-    /// intern into the existing dictionaries. Columns are `Arc`-shared
-    /// with scans, so handing the image to the executor is O(width);
-    /// mutation copy-on-writes only the touched columns.
+    /// columns are dictionary-encoded unless long and near-unique (module
+    /// docs), so scans, joins, and aggregations over repetitive strings
+    /// run in `u32` code space; delta appends intern into the existing
+    /// dictionaries. Columns are `Arc`-shared with scans, so handing the
+    /// image to the executor is O(width); mutation copy-on-writes only
+    /// the touched columns.
     batch: Batch,
     /// Lazily derived row-major view for user-facing output and legacy
     /// row consumers; invalidated (replaced with a fresh shared cell, so
@@ -58,9 +92,9 @@ impl Default for StoredTable {
 impl StoredTable {
     pub fn new(schema: Schema) -> Self {
         StoredTable {
-            // Even the empty image is dict-encoded so the first appended
-            // rows intern instead of landing in a plain string vector.
-            batch: Batch::empty(schema.clone()).dict_encoded(),
+            // Short columns are always dict-encoded, the empty image
+            // included, so the first appended rows intern.
+            batch: Batch::empty(schema.clone()).stored_encoding(),
             schema,
             rows: Arc::new(OnceLock::new()),
             indices: HashMap::new(),
@@ -69,7 +103,7 @@ impl StoredTable {
 
     pub fn with_rows(schema: Schema, rows: Vec<Tuple>) -> Self {
         debug_assert!(rows.iter().all(|r| r.len() == schema.len()));
-        let batch = Batch::from_rows(schema.clone(), &rows).dict_encoded();
+        let batch = Batch::from_rows(schema.clone(), &rows).stored_encoding();
         let cache = OnceLock::new();
         let _ = cache.set(rows);
         StoredTable {
@@ -82,9 +116,9 @@ impl StoredTable {
 
     /// Adopt an already-columnar result (the executor's install path — no
     /// row materialization). Any selection is compacted away so the stored
-    /// image is dense, and string columns are dictionary-encoded.
+    /// image is dense, and string columns take their stored encoding.
     pub fn from_batch(batch: Batch) -> Self {
-        let batch = batch.compact().dict_encoded();
+        let batch = batch.compact().stored_encoding();
         StoredTable {
             schema: batch.schema().clone(),
             batch,
@@ -114,7 +148,7 @@ impl StoredTable {
 
     /// Replace the full contents (recomputation path of view refresh).
     pub fn replace_rows(&mut self, rows: Vec<Tuple>) {
-        self.batch = Batch::from_rows(self.schema.clone(), &rows).dict_encoded();
+        self.batch = Batch::from_rows(self.schema.clone(), &rows).stored_encoding();
         let cache = OnceLock::new();
         let _ = cache.set(rows);
         self.rows = Arc::new(cache);
@@ -124,42 +158,33 @@ impl StoredTable {
     /// Replace the full contents with a columnar result.
     pub fn replace_batch(&mut self, batch: Batch) {
         debug_assert_eq!(batch.schema().ids(), self.schema.ids());
-        self.batch = batch.compact().dict_encoded();
+        self.batch = batch.compact().stored_encoding();
         self.rows = Arc::new(OnceLock::new());
         self.rebuild_indices();
     }
 
-    /// Apply a delta batch: append inserts, remove one occurrence per delete
-    /// (multiset semantics), keeping indices in sync.
-    ///
-    /// Both sides are columnar-incremental. Inserts extend the typed column
-    /// vectors and absorb into indices at their appended positions —
-    /// O(batch). Deletes hash the stored rows against the (small) delete
-    /// multiset by borrowed column keys, gather the surviving positions
-    /// into dense columns in one pass, and *remap* index positions through
-    /// the compaction (O(entries), no re-hash) — the table is never
+    /// Apply a delta batch: remove one occurrence per delete (multiset
+    /// semantics; a delete with no stored occurrence left is a no-op), then
+    /// append the inserts, keeping indices in sync. Both sides cost in
+    /// proportion to the batch (module docs); the table is never
     /// materialized as rows on either path.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) {
-        if delta.inserts.is_empty() && delta.deletes.is_empty() {
-            return; // nothing changed: keep the columnar image as-is
+        self.apply_side(DeltaKind::Delete, &delta.deletes);
+        self.apply_side(DeltaKind::Insert, &delta.inserts);
+    }
+
+    /// Apply one side of a delta, borrowed: `rows` are appended
+    /// ([`DeltaKind::Insert`]) or removed one occurrence each
+    /// ([`DeltaKind::Delete`]).
+    pub fn apply_side(&mut self, kind: DeltaKind, rows: &[Tuple]) {
+        if rows.is_empty() {
+            return; // nothing changed: keep the image and the row cache
         }
-        if !delta.deletes.is_empty() {
-            let deletes = Batch::from_rows(self.schema.clone(), &delta.deletes);
-            self.delete_batch(&deletes);
+        let delta = Batch::from_rows(self.schema.clone(), rows);
+        match kind {
+            DeltaKind::Insert => self.apply_batch_delta(Some(&delta), None),
+            DeltaKind::Delete => self.apply_batch_delta(None, Some(&delta)),
         }
-        if !delta.inserts.is_empty() {
-            let start = self.batch.num_rows();
-            self.batch.append_rows(&delta.inserts);
-            let attrs: Vec<AttrId> = self.indices.keys().copied().collect();
-            for attr in attrs {
-                let pos = self.schema.position_of(attr).expect("index attr in schema");
-                let idx = Arc::make_mut(self.indices.get_mut(&attr).expect("listed index"));
-                for (k, row) in delta.inserts.iter().enumerate() {
-                    idx.insert(&row[pos], (start + k) as u32);
-                }
-            }
-        }
-        self.rows = Arc::new(OnceLock::new());
     }
 
     /// Columnar-side delta application: the maintained-result merge path.
@@ -177,37 +202,88 @@ impl StoredTable {
             self.batch.append(inserts);
             for idx in self.indices.values_mut() {
                 let idx = Arc::make_mut(idx);
-                let pos = self
-                    .schema
-                    .position_of(idx.attr)
-                    .expect("index attr in schema");
+                let pos = key_position(&self.schema, idx);
                 for i in 0..inserts.num_rows() {
                     let phys = inserts.physical(i) as usize;
                     idx.insert(&inserts.column(pos).value(phys), (start + i) as u32);
                 }
             }
+            self.batch.rebuild_sparse_dicts();
             self.rows = Arc::new(OnceLock::new());
         }
     }
 
-    /// Shared delete kernel: one hash scan produces the surviving
-    /// positions, indices follow through a position remap, and the columns
-    /// are gathered once. Returns whether anything was removed.
+    /// The delete kernel: locate one stored position per deleted
+    /// occurrence, then swap-remove them from every column and follow in
+    /// every index. Returns whether anything was removed.
     fn delete_batch(&mut self, deletes: &Batch) -> bool {
         debug_assert_eq!(deletes.schema().ids(), self.schema.ids());
-        let keep = self.batch.minus_positions(deletes);
-        if keep.len() == self.batch.num_rows() {
+        // The most selective index (most distinct keys; ties by attribute
+        // id so the choice is deterministic) yields the fewest candidates
+        // per probe.
+        let probe = self
+            .indices
+            .values()
+            .max_by_key(|idx| (idx.distinct_keys(), std::cmp::Reverse(idx.attr)));
+        let mut victims = match probe {
+            Some(idx) => self.locate_by_index(idx, deletes),
+            None => self.locate_by_scan(deletes),
+        };
+        if victims.is_empty() {
             return false;
         }
-        let mut map = vec![u32::MAX; self.batch.num_rows()];
-        for (new, &old) in keep.iter().enumerate() {
-            map[old as usize] = new as u32;
-        }
+        // Victims' postings go first, keyed from the still-intact columns…
         for idx in self.indices.values_mut() {
-            Arc::make_mut(idx).remap_positions(&map);
+            let idx = Arc::make_mut(idx);
+            let col = self.batch.column(key_position(&self.schema, idx));
+            for &v in &victims {
+                idx.remove(&col.value(v as usize), v);
+            }
         }
-        self.batch = self.batch.gather_physical(&keep);
+        // …then the columns compact, and each moved row's posting follows
+        // it (its key now reads at the destination).
+        let moves = self.batch.swap_remove_rows(&mut victims);
+        for idx in self.indices.values_mut() {
+            let idx = Arc::make_mut(idx);
+            let col = self.batch.column(key_position(&self.schema, idx));
+            for &(from, to) in &moves {
+                idx.repoint(&col.value(to as usize), from, to);
+            }
+        }
         true
+    }
+
+    /// Victim locator for indexed tables: probe `idx` with each deleted
+    /// row's key and claim the first candidate position, not yet claimed,
+    /// whose full row equals the deleted row — so `k` listed occurrences
+    /// claim at most `k` distinct positions, and a row with no stored
+    /// occurrence left claims none.
+    fn locate_by_index(&self, idx: &Index, deletes: &Batch) -> Vec<u32> {
+        let key_pos = key_position(&self.schema, idx);
+        let cols: Vec<usize> = (0..self.schema.len()).collect();
+        let mut claimed: HashSet<u32> = HashSet::with_capacity(deletes.num_rows());
+        for i in 0..deletes.num_rows() {
+            let phys = deletes.physical(i);
+            let key = deletes.column(key_pos).value(phys as usize);
+            let hit = idx.lookup_eq(&key).iter().copied().find(|&cand| {
+                !claimed.contains(&cand) && self.batch.keys_eq(cand, &cols, deletes, phys, &cols)
+            });
+            if let Some(cand) = hit {
+                claimed.insert(cand);
+            }
+        }
+        claimed.into_iter().collect()
+    }
+
+    /// Victim locator for tables with no index: one hash scan of the
+    /// stored rows against the delete multiset; the victims are the
+    /// positions it does not keep.
+    fn locate_by_scan(&self, deletes: &Batch) -> Vec<u32> {
+        let keep = self.batch.minus_positions(deletes);
+        let mut kept = keep.iter().copied().peekable();
+        (0..self.batch.num_rows() as u32)
+            .filter(|p| kept.next_if_eq(p).is_none())
+            .collect()
     }
 
     /// The columnar image of the relation — the primary representation,
@@ -286,7 +362,7 @@ impl StoredTable {
 
     fn rebuild_indices(&mut self) {
         // Full-content replacement is the one path that still rebuilds
-        // wholesale; delta application remaps/extends indices in place. The
+        // wholesale; delta application maintains indices posting by posting. The
         // *cost model* charges incremental index maintenance analytically
         // (see mvmqo-core::cost), so this choice does not leak into the
         // experiments.
@@ -300,6 +376,11 @@ impl StoredTable {
             );
         }
     }
+}
+
+/// Column position of an index's key attribute in its table's schema.
+fn key_position(schema: &Schema, idx: &Index) -> usize {
+    schema.position_of(idx.attr).expect("index attr in schema")
 }
 
 #[cfg(test)]
@@ -467,7 +548,7 @@ mod tests {
         let del_b = mvmqo_relalg::batch::Batch::from_rows(schema(), &del);
         batch_side.apply_batch_delta(Some(&ins_b), Some(&del_b));
         assert!(bag_eq(row_side.rows(), batch_side.rows()));
-        // Index stayed consistent through remap + append.
+        // Index stayed consistent through swap-remove + append.
         let idx = batch_side.index_on(AttrId(0)).unwrap();
         assert_eq!(idx.entries(), batch_side.len());
         for k in [1i64, 2, 3, 4] {
@@ -509,6 +590,152 @@ mod tests {
             .unwrap()
             .lookup_eq(&Value::Int(1))
             .is_empty());
+    }
+
+    fn str_schema() -> Schema {
+        Schema::new(vec![
+            Attribute {
+                id: AttrId(0),
+                name: "t.k".into(),
+                data_type: DataType::Int,
+            },
+            Attribute {
+                id: AttrId(1),
+                name: "t.s".into(),
+                data_type: DataType::Str,
+            },
+        ])
+    }
+
+    fn ts(k: i64, s: &str) -> Tuple {
+        vec![Value::Int(k), Value::str(s)]
+    }
+
+    fn dict_of(tab: &StoredTable) -> &Arc<mvmqo_relalg::batch::Dictionary> {
+        tab.batch().column(1).dict().expect("dict-encoded").1
+    }
+
+    #[test]
+    fn clone_is_copy_on_write_for_string_columns() {
+        let original = {
+            let mut tab = StoredTable::with_rows(str_schema(), vec![ts(1, "a"), ts(2, "b")]);
+            tab.create_index(AttrId(1), IndexKind::Hash);
+            tab
+        };
+        let shared = Arc::clone(dict_of(&original));
+
+        // An already-interned string appended through a staged clone finds
+        // its code in the shared dictionary: no dictionary copy.
+        let mut staged = original.clone();
+        staged.apply_delta(&DeltaBatch::new(vec![ts(3, "a")], vec![]));
+        assert!(Arc::ptr_eq(dict_of(&staged), &shared));
+        assert!(Arc::ptr_eq(dict_of(&original), &shared));
+        assert_eq!(staged.probe(AttrId(1), &Value::str("a")).unwrap().len(), 2);
+        assert_eq!(
+            original.probe(AttrId(1), &Value::str("a")).unwrap().len(),
+            1
+        );
+
+        // A new string copies the dictionary on write: the original's
+        // dictionary and index never see it.
+        let mut staged = original.clone();
+        staged.apply_batch_delta(Some(&Batch::from_rows(str_schema(), &[ts(4, "z")])), None);
+        assert!(!Arc::ptr_eq(dict_of(&staged), &shared));
+        assert_eq!(dict_of(&staged).code_of("z"), Some(2));
+        assert!(Arc::ptr_eq(dict_of(&original), &shared));
+        assert_eq!(shared.code_of("z"), None);
+        assert_eq!(shared.len(), 2);
+        assert!(original
+            .probe(AttrId(1), &Value::str("z"))
+            .unwrap()
+            .is_empty());
+        assert_eq!(staged.probe(AttrId(1), &Value::str("z")).unwrap(), &[2]);
+        assert!(bag_eq(original.rows(), &[ts(1, "a"), ts(2, "b")]));
+
+        // Deleting through a clone leaves the original's rows and postings.
+        let mut staged = original.clone();
+        staged.apply_delta(&DeltaBatch::new(vec![], vec![ts(1, "a")]));
+        assert!(bag_eq(staged.rows(), &[ts(2, "b")]));
+        assert_eq!(staged.probe(AttrId(1), &Value::str("b")).unwrap(), &[0]);
+        assert_eq!(original.probe(AttrId(1), &Value::str("a")).unwrap(), &[0]);
+        assert_eq!(original.probe(AttrId(1), &Value::str("b")).unwrap(), &[1]);
+    }
+
+    /// Rows whose string column holds `distinct` different values.
+    fn str_rows(n: usize, distinct: usize) -> Vec<Tuple> {
+        (0..n)
+            .map(|i| ts(i as i64, &format!("s{}", i % distinct)))
+            .collect()
+    }
+
+    fn is_dict(tab: &StoredTable) -> bool {
+        tab.batch().column(1).dict().is_some()
+    }
+
+    #[test]
+    fn string_encoding_rule_on_both_sides_of_its_threshold() {
+        use mvmqo_relalg::batch::{dict_pays, DICT_MIN_ROWS};
+        assert_eq!(DICT_MIN_ROWS, 256);
+        assert!(dict_pays(255, 255), "short columns always encode");
+        assert!(dict_pays(256, 128), "exactly half distinct still encodes");
+        assert!(!dict_pays(256, 129));
+
+        // Every way a stored image is built applies the rule.
+        assert!(is_dict(&StoredTable::with_rows(
+            str_schema(),
+            str_rows(255, 255)
+        )));
+        assert!(is_dict(&StoredTable::with_rows(
+            str_schema(),
+            str_rows(256, 128)
+        )));
+        assert!(!is_dict(&StoredTable::with_rows(
+            str_schema(),
+            str_rows(256, 129)
+        )));
+        let unique = Batch::from_rows(str_schema(), &str_rows(300, 300));
+        assert!(!is_dict(&StoredTable::from_batch(unique.clone())));
+        assert!(!is_dict(&StoredTable::from_batch(unique.dict_encoded())));
+        let mut tab = StoredTable::new(str_schema());
+        tab.replace_rows(str_rows(300, 300));
+        assert!(!is_dict(&tab));
+        tab.replace_batch(Batch::from_rows(str_schema(), &str_rows(300, 10)));
+        assert!(is_dict(&tab));
+        tab.replace_batch(Batch::from_rows(str_schema(), &str_rows(300, 151)));
+        assert!(!is_dict(&tab));
+
+        // A column sharing an oversized dictionary (a join output gathered
+        // from a longer base column) gets a compact one of its own.
+        let wide = Batch::from_rows(str_schema(), &str_rows(2000, 1000)).dict_encoded();
+        let narrow = StoredTable::from_batch(wide.gather_physical(&(0..300).collect::<Vec<_>>()));
+        assert!(!is_dict(&narrow), "300 distinct in 300 rows");
+        let mut picks: Vec<u32> = (0..100).collect();
+        picks.extend(0..100);
+        picks.extend(0..100);
+        let narrow = StoredTable::from_batch(wide.gather_physical(&picks));
+        assert_eq!(dict_of(&narrow).len(), 100);
+
+        // A table grown from empty by appends stays dict-encoded while
+        // short, and crosses to plain strings with the append that makes
+        // it both long and near-unique — contents and index unaffected.
+        let mut grown = StoredTable::new(str_schema());
+        grown.create_index(AttrId(1), IndexKind::Hash);
+        let rows = str_rows(300, 300);
+        grown.apply_delta(&DeltaBatch::new(rows[..255].to_vec(), vec![]));
+        assert!(is_dict(&grown));
+        grown.apply_delta(&DeltaBatch::new(rows[255..256].to_vec(), vec![]));
+        assert!(!is_dict(&grown));
+        grown.apply_delta(&DeltaBatch::new(rows[256..].to_vec(), vec![]));
+        assert!(!is_dict(&grown));
+        assert!(bag_eq(grown.rows(), &rows));
+        assert_eq!(grown.probe(AttrId(1), &Value::str("s299")).unwrap(), &[299]);
+        // Repetitive appends keep a grown column encoded.
+        let mut grown = StoredTable::new(str_schema());
+        for chunk in str_rows(600, 20).chunks(100) {
+            grown.apply_delta(&DeltaBatch::new(chunk.to_vec(), vec![]));
+        }
+        assert!(is_dict(&grown));
+        assert_eq!(dict_of(&grown).len(), 20);
     }
 
     #[test]

@@ -386,10 +386,7 @@ impl Warehouse {
                 *avail.entry(row.clone()).or_insert(0) -= 1;
             }
         }
-        let mut merged = self.pending.get(table).cloned().unwrap_or_default();
-        merged.inserts.extend(batch.inserts);
-        merged.deletes.extend(batch.deletes);
-        self.pending.insert(table, merged);
+        self.pending.extend(table, batch);
         self.ingested_since_plan += n;
         Ok(n)
     }
@@ -521,9 +518,10 @@ impl Warehouse {
             None => None,
         };
 
-        // Stage: run the whole epoch against clones. Stored tables are
-        // copy-on-write (`Arc`-shared rows and indices), so the clones are
-        // O(#tables), not O(#rows).
+        // Stage: run the whole epoch against clones. Both are handle
+        // copies — columns, dictionaries, indices and support states are
+        // `Arc`-shared — so cloning is O(#tables); the executor's writes
+        // then copy what they touch (see `StoredTable`, `RuntimeState`).
         let plan = self.plan.as_ref().expect("views exist, so a plan exists");
         let mut staged_db = self.db.clone();
         let mut staged_state = plan.state.clone();
@@ -631,15 +629,23 @@ impl Warehouse {
             entry.1 = 0.5 * entry.1 + 0.5 * del;
         }
         self.observed.retain(|_, (i, d)| *i >= 0.25 || *d >= 0.25);
-        self.pending = DeltaSet::new();
         // The availability cache tracks stored + queued multiplicities, and
         // ingest keeps it current; applying the epoch moves queued counts
         // into stored counts without changing the totals, so the cache
-        // stays exact across epochs. Only prune dead entries — rebuilding
-        // it would re-hash every base tuple each epoch.
-        for cache in self.avail_cache.values_mut() {
-            cache.retain(|_, c| *c > 0);
+        // stays exact across epochs. Only dead entries are pruned, and only
+        // a delete can have brought a count to zero — so the keys of this
+        // epoch's queued deletes are the only ones to look at.
+        for &t in &present {
+            if let (Some(cache), Some(batch)) = (self.avail_cache.get_mut(&t), self.pending.get(t))
+            {
+                for row in &batch.deletes {
+                    if cache.get(row).is_some_and(|c| *c <= 0) {
+                        cache.remove(row);
+                    }
+                }
+            }
         }
+        self.pending = DeltaSet::new();
         self.epoch += 1;
         self.history.push(report);
     }

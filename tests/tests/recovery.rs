@@ -646,6 +646,95 @@ fn recovery_after_save_resumes_warm_and_keeps_logging() {
 }
 
 // ======================================================================
+// Mixed string encodings through snapshot + WAL replay
+// ======================================================================
+
+/// A base table holding both string encodings — a repetitive column
+/// (dictionary) and a near-unique one of ≥ 256 rows (plain strings) —
+/// survives checkpoint, a WAL tail that appends and deletes through both,
+/// and `recover`: same rows, same encodings, views still exact.
+#[test]
+fn mixed_string_encodings_survive_snapshot_and_recovery() {
+    use mvmqo_relalg::batch::ColumnData;
+    use mvmqo_relalg::catalog::{Catalog, ColumnSpec};
+    use mvmqo_relalg::tuple::bag_eq;
+    use mvmqo_relalg::types::DataType;
+    use mvmqo_storage::database::Database;
+    use mvmqo_storage::table::StoredTable;
+
+    let mut catalog = Catalog::new();
+    let docs = catalog.add_table(
+        "docs",
+        vec![
+            ColumnSpec::key("id", DataType::Int),
+            ColumnSpec::with_distinct("tag", DataType::Str, 4.0),
+            ColumnSpec::with_distinct("body", DataType::Str, 400.0),
+        ],
+        400.0,
+        &["id"],
+    );
+    let doc = |i: i64| -> Tuple {
+        vec![
+            Value::Int(i),
+            Value::str(format!("tag{}", i % 4)),
+            Value::str(format!("body of document {i}")),
+        ]
+    };
+    let schema = catalog.table(docs).schema.clone();
+    let tag = schema.attrs()[1].id;
+    let mut db = Database::new();
+    db.put_base(
+        docs,
+        StoredTable::with_rows(schema, (0..400).map(doc).collect()),
+    );
+    let mut wh = Warehouse::new(catalog, db);
+    wh.register_view(ViewDef::new(
+        "tag1",
+        LogicalExpr::select(
+            LogicalExpr::scan(docs),
+            Predicate::from_expr(ScalarExpr::col_cmp_lit(tag, CmpOp::Eq, "tag1")),
+        ),
+    ))
+    .unwrap();
+
+    let encodings = |wh: &Warehouse| -> (bool, bool) {
+        let batch = wh.database().base(docs).unwrap().batch();
+        (
+            matches!(batch.column(1).data(), ColumnData::Dict { .. }),
+            matches!(batch.column(2).data(), ColumnData::Str(_)),
+        )
+    };
+    assert_eq!(encodings(&wh), (true, true));
+
+    let tmp = TempDir::new("mixed-strings");
+    wh.enable_wal(tmp.path()).unwrap();
+    let round = |wh: &mut Warehouse, ins: std::ops::Range<i64>, del: std::ops::Range<i64>| {
+        wh.ingest(
+            docs,
+            DeltaBatch::new(ins.map(doc).collect(), del.map(doc).collect()),
+        )
+        .unwrap();
+        wh.run_epoch().unwrap();
+    };
+    round(&mut wh, 400..450, 0..30);
+    wh.save().unwrap();
+    round(&mut wh, 450..470, 100..140); // the WAL tail recovery must replay
+    let want: Vec<Tuple> = (30..100).chain(140..470).map(doc).collect();
+    assert!(bag_eq(wh.database().base(docs).unwrap().rows(), &want));
+    let view_before = wh.query("tag1").unwrap().rows;
+    drop(wh);
+
+    let recovered = Warehouse::recover(tmp.path()).unwrap();
+    assert!(bag_eq(
+        recovered.database().base(docs).unwrap().rows(),
+        &want
+    ));
+    assert_eq!(encodings(&recovered), (true, true));
+    assert!(bag_eq(&recovered.query("tag1").unwrap().rows, &view_before));
+    assert!(recovered.verify("tag1").unwrap());
+}
+
+// ======================================================================
 // Column codec: round trips pinned on logical Batch equality
 // ======================================================================
 
