@@ -337,10 +337,18 @@ impl RuntimeState {
         RuntimeState::default()
     }
 
-    /// Rows of a stored result, if present (warehouse `query` reads served
-    /// from the maintained materializations).
-    pub fn mat_rows(&self, e: EqId) -> Option<&[Tuple]> {
-        self.mats.get(&e).map(|t| t.rows())
+    /// The stored result `e`, if present and current (warehouse `query`
+    /// and `verify` read the maintained materializations through this).
+    /// `None` while `e` has a deferred rebuild pending: its support state
+    /// has absorbed merges the stored image has not, and serving that
+    /// image would answer with stale contents. [`Runtime::take_state`]
+    /// realizes every deferred rebuild, so the state an epoch hands back
+    /// never holds one.
+    pub fn mat(&self, e: EqId) -> Option<&StoredTable> {
+        if self.deferred.contains(&e) {
+            return None;
+        }
+        self.mats.get(&e)
     }
 
     /// Number of stored results.
@@ -622,18 +630,6 @@ impl<'a> Runtime<'a> {
             table.create_index(attr, IndexKind::Hash);
         }
         self.state.mats.insert(e, table);
-    }
-
-    /// Rows of a materialized result (test/report access; does not
-    /// compute). Returns `None` while `e` has a *deferred* rebuild
-    /// pending (its support state absorbed merges the stored image has
-    /// not) — serving the stale image silently would be a trap; use
-    /// [`Runtime::materialize`] to realize and read.
-    pub fn mat_rows(&self, e: EqId) -> Option<&[Tuple]> {
-        if self.state.deferred.contains(&e) {
-            return None;
-        }
-        self.state.mats.get(&e).map(|t| t.rows())
     }
 
     /// Ensure a materialized result exists, is fresh, and its stored image
@@ -2646,7 +2642,7 @@ mod tests {
         assert_eq!(state.total_tuples(), 0);
         let e = EqId(0);
         assert!(!state.is_fresh(e));
-        assert!(state.mat_rows(e).is_none());
+        assert!(state.mat(e).is_none());
         state.mats.insert(
             e,
             StoredTable::with_rows(schema(&[1]), vec![vec![Value::Int(5)]]),
@@ -2655,7 +2651,55 @@ mod tests {
         assert_eq!(state.mat_count(), 1);
         assert_eq!(state.total_tuples(), 1);
         assert!(state.is_fresh(e));
-        assert_eq!(state.mat_rows(e).unwrap().len(), 1);
+        assert_eq!(state.mat(e).unwrap().len(), 1);
+    }
+
+    /// An aggregate merge folds into the support state and defers the
+    /// stored rebuild; until that rebuild runs, `mat` must not serve the
+    /// stale stored image.
+    #[test]
+    fn mat_withholds_an_image_with_a_deferred_rebuild() {
+        let input = schema(&[0, 1]);
+        let out = schema(&[0, 5]);
+        let spec = AggSpec::new(
+            mvmqo_relalg::agg::AggFunc::Sum,
+            ScalarExpr::Col(AttrId(1)),
+            AttrId(5),
+        );
+        let mut agg = AggState::new(vec![AttrId(0)], vec![spec], input.clone());
+        agg.fold(&[vec![Value::Int(1), Value::Int(10)]], DeltaKind::Insert);
+        let e = EqId(0);
+        let mut state = RuntimeState::new();
+        state
+            .mats
+            .insert(e, StoredTable::from_batch(agg.output_batch(&out)));
+        state.fresh.insert(e);
+        state.install_agg_state(e, agg);
+
+        let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaSet::new());
+        let mut db = Database::new();
+        let mut rt = Runtime::with_state(
+            &dag,
+            &catalog,
+            CostModel::default(),
+            &mut db,
+            &deltas,
+            BTreeMap::new(),
+            HashMap::new(),
+            state,
+        );
+        let delta = Batch::from_rows(input, &[vec![Value::Int(1), Value::Int(5)]]);
+        assert!(!rt.merge_aggregate(e, delta, DeltaKind::Insert).unwrap());
+        // Hand the state back *without* the epoch-end realization.
+        let mut state = std::mem::take(&mut rt.state);
+        assert!(state.has_deferred());
+        assert!(state.mat(e).is_none(), "stale image served");
+        state.realize_deferred();
+        let current = state.mat(e).expect("realized image");
+        assert_eq!(
+            current.batch().to_rows(),
+            vec![vec![Value::Int(1), Value::Float(15.0)]]
+        );
     }
 
     #[test]

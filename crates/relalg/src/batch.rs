@@ -404,6 +404,47 @@ impl Column {
         }
     }
 
+    /// Append this column's cell at each position of `sel` (every position
+    /// in order when `None`) to the matching row of `rows` — one typed loop
+    /// per representation, the column-major half of [`Batch::to_rows`].
+    fn push_cells(&self, rows: &mut [Tuple], sel: Option<&[u32]>) {
+        fn cells<T>(
+            rows: &mut [Tuple],
+            sel: Option<&[u32]>,
+            nulls: Option<&[bool]>,
+            vals: &[T],
+            cell: impl Fn(&T) -> Value,
+        ) {
+            let at = |p: usize| match nulls {
+                Some(n) if n[p] => Value::Null,
+                _ => cell(&vals[p]),
+            };
+            match sel {
+                None => rows
+                    .iter_mut()
+                    .enumerate()
+                    .for_each(|(p, row)| row.push(at(p))),
+                Some(sel) => rows
+                    .iter_mut()
+                    .zip(sel)
+                    .for_each(|(row, &p)| row.push(at(p as usize))),
+            }
+        }
+        let nulls = self.nulls.as_deref();
+        match &self.data {
+            ColumnData::Int(v) => cells(rows, sel, nulls, v, |&x| Value::Int(x)),
+            ColumnData::Float(v) => cells(rows, sel, nulls, v, |&x| Value::Float(x)),
+            ColumnData::Str(v) => cells(rows, sel, nulls, v, |s| Value::Str(Arc::clone(s))),
+            ColumnData::Date(v) => cells(rows, sel, nulls, v, |&x| Value::Date(x)),
+            ColumnData::Bool(v) => cells(rows, sel, nulls, v, |&x| Value::Bool(x)),
+            ColumnData::Dict { codes, dict } => cells(rows, sel, nulls, codes, |&c| {
+                Value::Str(Arc::clone(dict.value(c)))
+            }),
+            // NULLs are inline values here; a Mixed column has no mask.
+            ColumnData::Mixed(v) => cells(rows, sel, None, v, Value::clone),
+        }
+    }
+
     /// Hash the value at `i` exactly as [`Value::hash`] would (so `Int(2)`
     /// and `Float(2.0)` collide, NULL has its own tag) — the contract the
     /// borrowed-key hash join relies on. Strings hash through their
@@ -878,14 +919,21 @@ impl Batch {
         scratch.extend(self.columns.iter().map(|c| c.value(phys as usize)));
     }
 
-    /// Materialize all logical rows as tuples.
+    /// Materialize all logical rows as tuples — the one row-producing
+    /// kernel. Column-major: every row `Vec` is allocated once at full
+    /// width, then one typed loop per column appends its cells over the
+    /// selected positions. To emit another column order or a subset of
+    /// the columns, [`Batch::align`] or [`Batch::project`] first (O(width),
+    /// no cell is touched).
     pub fn to_rows(&self) -> Vec<Tuple> {
-        let mut out = Vec::with_capacity(self.num_rows());
-        for i in 0..self.num_rows() {
-            let p = self.physical(i) as usize;
-            out.push(self.columns.iter().map(|c| c.value(p)).collect());
+        let width = self.columns.len();
+        let mut rows: Vec<Tuple> = (0..self.num_rows())
+            .map(|_| Vec::with_capacity(width))
+            .collect();
+        for col in &self.columns {
+            col.push_cells(&mut rows, self.sel.as_deref());
         }
-        out
+        rows
     }
 
     /// Materialize one logical row as a tuple (columnar point read; avoids

@@ -64,9 +64,10 @@ fn tmp_path(path: &Path) -> PathBuf {
     path.with_file_name(name)
 }
 
-/// Read and verify a framed file, returning its body.
+/// Read and verify a framed file, returning its body — the read buffer
+/// itself, header drained and trailing bytes cut, never a copy.
 pub fn read_framed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, RecoveryError> {
-    let bytes = std::fs::read(path)
+    let mut bytes = std::fs::read(path)
         .map_err(|e| RecoveryError::Io(format!("reading {}: {e}", path.display())))?;
     let corrupt = |why: &str| RecoveryError::Corrupt {
         file: path.display().to_string(),
@@ -83,11 +84,12 @@ pub fn read_framed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, RecoveryErro
     if bytes.len() - 16 < len {
         return Err(corrupt("truncated body"));
     }
-    let body = &bytes[16..16 + len];
-    if crc32(body) != crc {
+    if crc32(&bytes[16..16 + len]) != crc {
         return Err(corrupt("body CRC mismatch"));
     }
-    Ok(body.to_vec())
+    bytes.truncate(16 + len);
+    bytes.drain(..16);
+    Ok(bytes)
 }
 
 /// Names the current snapshot and the WAL segment to replay on top of it.
@@ -239,6 +241,23 @@ mod tests {
             Manifest::load(&dir),
             Err(RecoveryError::Corrupt { .. })
         ));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn read_framed_returns_exactly_the_body() {
+        let dir = tmpdir("framed");
+        let path = dir.join("x.img");
+        write_framed_atomic(&path, SNAPSHOT_MAGIC, b"payload").unwrap();
+        assert_eq!(read_framed(&path, SNAPSHOT_MAGIC).unwrap(), b"payload");
+        // Bytes past the framed length are not part of the body.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        f.write_all(b"junk").unwrap();
+        drop(f);
+        assert_eq!(read_framed(&path, SNAPSHOT_MAGIC).unwrap(), b"payload");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

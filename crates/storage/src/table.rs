@@ -9,10 +9,14 @@
 //!
 //! Storage is **batch-native**: the primary representation is the columnar
 //! [`Batch`] the vectorized executor consumes, and deltas mutate the
-//! columns *in place*, at a cost proportional to the delta. The row-major
-//! view is derived lazily and only exists for user-facing output and the
-//! row-at-a-time reference paths — the maintenance hot path never
-//! round-trips through `Vec<Tuple>`.
+//! columns *in place*, at a cost proportional to the delta. No engine path
+//! round-trips through `Vec<Tuple>`: the warehouse serves queries by
+//! converting the columnar image straight into the caller's answer, and
+//! checks ingested deletes with the delete kernel's own locator
+//! ([`StoredTable::present`]). [`StoredTable::rows`] is a reference/test
+//! accessor — the row-at-a-time reference executor, test oracles and
+//! benchmark fingerprints read it — and nothing in the engine fills its
+//! lazy cell.
 //!
 //! **Appends** extend the typed vectors and insert the new positions into
 //! every index. A string that a dictionary column already knows is looked
@@ -76,9 +80,9 @@ pub struct StoredTable {
     /// image to the executor is O(width); mutation copy-on-writes only
     /// the touched columns.
     batch: Batch,
-    /// Lazily derived row-major view for user-facing output and legacy
-    /// row consumers; invalidated (replaced with a fresh shared cell, so
-    /// clones keep theirs) by every mutation.
+    /// Lazily derived row-major view for the reference executor and tests
+    /// (no engine path fills it); invalidated (replaced with a fresh
+    /// shared cell, so clones keep theirs) by every mutation.
     rows: Arc<OnceLock<Vec<Tuple>>>,
     indices: HashMap<AttrId, Arc<Index>>,
 }
@@ -131,9 +135,9 @@ impl StoredTable {
         &self.schema
     }
 
-    /// Row-major view, derived from the columnar image on first use. This
-    /// is the *user-facing/reference* accessor; maintenance code paths
-    /// should stay on [`StoredTable::batch`].
+    /// Row-major view, derived from the columnar image on first use and
+    /// cached until the next mutation. A *reference/test* accessor: engine
+    /// paths stay on [`StoredTable::batch`].
     pub fn rows(&self) -> &[Tuple] {
         self.rows.get_or_init(|| self.batch.to_rows())
     }
@@ -217,18 +221,7 @@ impl StoredTable {
     /// occurrence, then swap-remove them from every column and follow in
     /// every index. Returns whether anything was removed.
     fn delete_batch(&mut self, deletes: &Batch) -> bool {
-        debug_assert_eq!(deletes.schema().ids(), self.schema.ids());
-        // The most selective index (most distinct keys; ties by attribute
-        // id so the choice is deterministic) yields the fewest candidates
-        // per probe.
-        let probe = self
-            .indices
-            .values()
-            .max_by_key(|idx| (idx.distinct_keys(), std::cmp::Reverse(idx.attr)));
-        let mut victims = match probe {
-            Some(idx) => self.locate_by_index(idx, deletes),
-            None => self.locate_by_scan(deletes),
-        };
+        let mut victims = self.locate(deletes);
         if victims.is_empty() {
             return false;
         }
@@ -251,6 +244,33 @@ impl StoredTable {
             }
         }
         true
+    }
+
+    /// How many rows of `rows` (a multiset in this table's layout; a
+    /// selection vector may repeat a position) find a distinct stored
+    /// occurrence — exactly the number [`StoredTable::apply_batch_delta`]
+    /// would remove for them, found by the same locator. One index probe
+    /// per row, or one hash scan of the table when it has no index.
+    pub fn present(&self, rows: &Batch) -> usize {
+        self.locate(rows).len()
+    }
+
+    /// The victim locator shared by the delete kernel and
+    /// [`StoredTable::present`]: one distinct stored position per listed
+    /// occurrence that has one.
+    fn locate(&self, deletes: &Batch) -> Vec<u32> {
+        debug_assert_eq!(deletes.schema().ids(), self.schema.ids());
+        // The most selective index (most distinct keys; ties by attribute
+        // id so the choice is deterministic) yields the fewest candidates
+        // per probe.
+        let probe = self
+            .indices
+            .values()
+            .max_by_key(|idx| (idx.distinct_keys(), std::cmp::Reverse(idx.attr)));
+        match probe {
+            Some(idx) => self.locate_by_index(idx, deletes),
+            None => self.locate_by_scan(deletes),
+        }
     }
 
     /// Victim locator for indexed tables: probe `idx` with each deleted

@@ -7,7 +7,8 @@
 //! `apply_batch_delta` sequences. After every step each table must be
 //! bag-equal to the row model (`bag_minus` then concat), every index must
 //! hold exactly one posting per row under that row's key, and the two
-//! victim locators (index probe / hash scan) must agree.
+//! victim locators (index probe / hash scan) must agree — including when
+//! only counting through `present`, the ingest-side delete check.
 
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
@@ -167,17 +168,26 @@ proptest! {
             let last_row = (!tables[2].is_empty())
                 .then(|| tables[2].tuple_at(tables[2].len() as u32 - 1));
             let delta = delta_for(seed, &model, last_row);
+            // `present` counts what the delete would remove — also through
+            // a selection that lists every deleted row twice.
+            let del = Batch::from_rows(schema(), &delta.deletes);
+            let mut twice = del.clone();
+            twice.set_selection((0..del.num_rows() as u32).flat_map(|p| [p, p]).collect());
+            let present = model.len() - bag_minus(&model, &delta.deletes).len();
+            let doubled = [delta.deletes.clone(), delta.deletes.clone()].concat();
+            let present_twice = model.len() - bag_minus(&model, &doubled).len();
             model = bag_minus(&model, &delta.deletes);
             model.extend(delta.inserts.iter().cloned());
 
             for (t, table) in tables.iter_mut().enumerate() {
                 let context = format!("step {step} (seed {seed}) table {t}");
+                prop_assert_eq!(table.present(&del), present, "{}: present", context);
+                prop_assert_eq!(table.present(&twice), present_twice, "{}: present ×2", context);
                 // Alternate the row and the columnar entry point.
                 if (seed >> 8) & 1 == 0 {
                     table.apply_delta(&delta);
                 } else {
                     let ins = Batch::from_rows(schema(), &delta.inserts);
-                    let del = Batch::from_rows(schema(), &delta.deletes);
                     table.apply_batch_delta(Some(&ins), Some(&del));
                 }
                 prop_assert_eq!(table.len(), model.len(), "{}", context);

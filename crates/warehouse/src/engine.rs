@@ -22,8 +22,8 @@ use mvmqo_core::session::{Optimizer, PlanMode};
 use mvmqo_core::update::UpdateModel;
 use mvmqo_core::EqId;
 use mvmqo_exec::{
-    align_rows, eval_logical, execute_epoch_faults, index_plan_from_report, panic_message,
-    ExecOptions, IndexPlan, RuntimeState,
+    eval_logical, execute_epoch_faults, index_plan_from_report, panic_message, ExecOptions,
+    IndexPlan, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::logical::ViewDef;
@@ -140,6 +140,9 @@ pub struct AbortInfo {
 /// A served query: rows plus provenance and staleness.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
+    /// The view's contents in its declared column order. The engine keeps
+    /// no row-shaped copy of stored data: these rows are built per call,
+    /// straight from the stored columns, and belong to the caller.
     pub rows: Vec<Tuple>,
     /// True when deltas have been ingested but not yet applied by an epoch —
     /// the answer reflects the last refresh, not the latest ingest.
@@ -172,13 +175,6 @@ pub struct Warehouse {
     /// Exponentially-weighted per-table (inserts, deletes) observed per
     /// epoch; the update model for re-planning when no batch is pending.
     observed: BTreeMap<TableId, (f64, f64)>,
-    /// Per-table availability (stored multiplicity + queued inserts −
-    /// queued deletes), built lazily on the first delete-bearing ingest of
-    /// a table and updated incrementally on every later ingest — so
-    /// repeated ingests pay O(batch), not O(base table). Epoch application
-    /// moves queued counts into stored counts without changing totals, so
-    /// the cache persists across epochs (dead entries are pruned).
-    avail_cache: HashMap<TableId, HashMap<Tuple, i64>>,
     replans: Vec<ReplanRecord>,
     /// Present once `enable_wal` ran (or after `recover`): ingests are
     /// logged write-ahead and epochs append commit records.
@@ -221,7 +217,6 @@ impl Warehouse {
             epoch: 0,
             history: Vec::new(),
             observed: BTreeMap::new(),
-            avail_cache: HashMap::new(),
             replans: Vec::new(),
             durability: None,
             recovered: None,
@@ -363,28 +358,22 @@ impl Warehouse {
         if n == 0 {
             return Ok(0);
         }
-        self.check_delete_multiplicity(table, &batch)?;
+        // The delete side is encoded once, in the stored table's layout:
+        // the check probes it and the WAL record carries it.
+        let schema = self.db.base(table)?.schema().clone();
+        let deletes = Batch::from_rows(schema.clone(), &batch.deletes);
+        self.check_deletes(table, &batch, &deletes)?;
         // Write-ahead: the batch must be durable before the engine commits
         // it to any in-memory state. An append failure rejects the ingest
         // whole, leaving both the log and the engine unchanged.
         if self.durability.is_some() {
-            let schema = self.catalog.table(table).schema.clone();
             let rec = WalRecord::Ingest {
                 epoch: self.epoch + 1,
                 table,
-                inserts: Batch::from_rows(schema.clone(), &batch.inserts),
-                deletes: Batch::from_rows(schema, &batch.deletes),
+                inserts: Batch::from_rows(schema, &batch.inserts),
+                deletes,
             };
             self.wal_append(&rec)?;
-        }
-        // Commit the batch to the availability cache (if built) and queue.
-        if let Some(avail) = self.avail_cache.get_mut(&table) {
-            for row in &batch.inserts {
-                *avail.entry(row.clone()).or_insert(0) += 1;
-            }
-            for row in &batch.deletes {
-                *avail.entry(row.clone()).or_insert(0) -= 1;
-            }
         }
         self.pending.extend(table, batch);
         self.ingested_since_plan += n;
@@ -392,57 +381,64 @@ impl Warehouse {
     }
 
     /// Every delete must have a matching occurrence among stored rows plus
-    /// queued inserts (minus queued deletes). Base application saturates
-    /// (`bag_minus` drops only what exists) while incremental
-    /// aggregate/distinct maintenance subtracts unconditionally, so a
-    /// phantom delete would silently corrupt maintained views. Checked
-    /// against the incremental availability cache; the batch is not yet
-    /// committed, so rejection leaves no trace.
-    fn check_delete_multiplicity(
-        &mut self,
+    /// queued inserts (minus queued deletes), with this batch's inserts
+    /// landing before its deletes (§5.2). Base application saturates (it
+    /// drops only what exists) while incremental aggregate/distinct
+    /// maintenance subtracts unconditionally, so a phantom delete would
+    /// silently corrupt maintained views. The batch is not yet committed,
+    /// so rejection leaves no trace.
+    ///
+    /// Each distinct deleted row is first netted against this batch's
+    /// inserts and the table's queued batch — O(|batch| + |queued|); what
+    /// is still owed must be found in the stored table, counted in one
+    /// call by the delete kernel's own locator (`StoredTable::present`),
+    /// so the check and the epoch's delete agree by construction.
+    fn check_deletes(
+        &self,
         table: TableId,
         batch: &DeltaBatch,
+        deletes: &Batch,
     ) -> Result<(), WarehouseError> {
         if batch.deletes.is_empty() {
             return Ok(());
         }
-        let avail = self.ensure_avail(table)?;
-        // Simulate this batch only: inserts land before deletes (§5.2).
-        let mut delta: HashMap<&Tuple, i64> = HashMap::new();
-        for row in &batch.inserts {
-            *delta.entry(row).or_insert(0) += 1;
+        // Distinct deleted row → (a position holding it, occurrences owed
+        // to the stored table).
+        let mut owed: HashMap<&Tuple, (u32, i64)> = HashMap::new();
+        for (pos, row) in (0u32..).zip(&batch.deletes) {
+            owed.entry(row).or_insert((pos, 0)).1 += 1;
         }
-        for row in &batch.deletes {
-            let e = delta.entry(row).or_insert(0);
-            *e -= 1;
-            if avail.get(row).copied().unwrap_or(0) + *e < 0 {
-                return Err(StorageError::PhantomDelete { table }.into());
+        let mut settle = |row: &Tuple, by: i64| {
+            if let Some((_, n)) = owed.get_mut(row) {
+                *n -= by;
             }
+        };
+        for row in &batch.inserts {
+            settle(row, 1);
+        }
+        if let Some(queued) = self.pending.get(table) {
+            for row in &queued.inserts {
+                settle(row, 1);
+            }
+            for row in &queued.deletes {
+                settle(row, -1);
+            }
+        }
+        // One selected position per owed occurrence (a row owed k times
+        // repeats its position k times).
+        let needed: Vec<u32> = owed
+            .into_values()
+            .flat_map(|(pos, n)| std::iter::repeat_n(pos, n.max(0) as usize))
+            .collect();
+        if needed.is_empty() {
+            return Ok(());
+        }
+        let mut check = deletes.clone();
+        check.set_selection(needed);
+        if self.db.base(table)?.present(&check) < check.num_rows() {
+            return Err(StorageError::PhantomDelete { table }.into());
         }
         Ok(())
-    }
-
-    /// Build (once per epoch, on demand) the availability counts for a
-    /// table: stored multiplicities plus the already-queued batch.
-    // Invariant: the entry was inserted two lines above the lookup.
-    #[allow(clippy::expect_used)]
-    fn ensure_avail(&mut self, table: TableId) -> Result<&HashMap<Tuple, i64>, WarehouseError> {
-        if !self.avail_cache.contains_key(&table) {
-            let mut counts: HashMap<Tuple, i64> = HashMap::new();
-            for row in self.db.base(table)?.rows() {
-                *counts.entry(row.clone()).or_insert(0) += 1;
-            }
-            if let Some(p) = self.pending.get(table) {
-                for row in &p.inserts {
-                    *counts.entry(row.clone()).or_insert(0) += 1;
-                }
-                for row in &p.deletes {
-                    *counts.entry(row.clone()).or_insert(0) -= 1;
-                }
-            }
-            self.avail_cache.insert(table, counts);
-        }
-        Ok(self.avail_cache.get(&table).expect("just built"))
     }
 
     // ==================================================================
@@ -610,7 +606,7 @@ impl Warehouse {
 
     /// Bookkeeping common to every epoch: observed-rate EMA (tables absent
     /// from this epoch decay toward zero rather than pinning their last
-    /// rate forever), clearing the queue and availability cache, history.
+    /// rate forever), clearing the queue, history.
     fn finish_epoch(&mut self, report: EpochReport) {
         let present: BTreeSet<TableId> = self.pending.tables().collect();
         for (t, entry) in self.observed.iter_mut() {
@@ -629,22 +625,6 @@ impl Warehouse {
             entry.1 = 0.5 * entry.1 + 0.5 * del;
         }
         self.observed.retain(|_, (i, d)| *i >= 0.25 || *d >= 0.25);
-        // The availability cache tracks stored + queued multiplicities, and
-        // ingest keeps it current; applying the epoch moves queued counts
-        // into stored counts without changing the totals, so the cache
-        // stays exact across epochs. Only dead entries are pruned, and only
-        // a delete can have brought a count to zero — so the keys of this
-        // epoch's queued deletes are the only ones to look at.
-        for &t in &present {
-            if let (Some(cache), Some(batch)) = (self.avail_cache.get_mut(&t), self.pending.get(t))
-            {
-                for row in &batch.deletes {
-                    if cache.get(row).is_some_and(|c| *c <= 0) {
-                        cache.remove(row);
-                    }
-                }
-            }
-        }
         self.pending = DeltaSet::new();
         self.epoch += 1;
         self.history.push(report);
@@ -1135,24 +1115,12 @@ impl Warehouse {
             .find(|v| v.name == name)
             .ok_or_else(|| WarehouseError::UnknownView(name.to_string()))?;
         let stale = !self.pending.is_empty();
-        if let Some(plan) = self.plan.as_ref() {
-            if let Some(root) = mvmqo_exec::view_root(&plan.report.program, name) {
-                if let Some(rows) = plan.state.mat_rows(root) {
-                    // Stored rows use the DAG node's canonical column order;
-                    // serve them in the view's declared schema so both
-                    // provenances agree.
-                    let rows = align_rows(
-                        rows.to_vec(),
-                        &self.optimizer.dag().eq(root).schema,
-                        &view.expr.schema(&self.catalog),
-                    );
-                    return Ok(QueryResult {
-                        rows,
-                        stale,
-                        from_materialization: true,
-                    });
-                }
-            }
+        if let Some(rows) = self.materialized_rows(view) {
+            return Ok(QueryResult {
+                rows,
+                stale,
+                from_materialization: true,
+            });
         }
         let rows = eval_logical(&view.expr, &self.catalog, &self.db);
         Ok(QueryResult {
@@ -1160,6 +1128,19 @@ impl Warehouse {
             stale,
             from_materialization: false,
         })
+    }
+
+    /// A view's maintained materialization as rows in the view's declared
+    /// column order (the stored image keeps the DAG node's canonical
+    /// order), so both provenances of `query` agree. The only place the
+    /// engine builds rows from stored columns: the alignment is a column
+    /// reorder, and the cells are converted once, straight into the
+    /// answer. `None` when the view has no current materialization.
+    fn materialized_rows(&self, view: &ViewDef) -> Option<Vec<Tuple>> {
+        let plan = self.plan.as_ref()?;
+        let root = mvmqo_exec::view_root(&plan.report.program, &view.name)?;
+        let stored = plan.state.mat(root)?.batch().clone();
+        Some(stored.align(&view.expr.schema(&self.catalog)).to_rows())
     }
 
     /// Consistency check: the maintained materialization must equal
@@ -1175,22 +1156,11 @@ impl Warehouse {
         if !self.pending.is_empty() {
             return Ok(true);
         }
-        let Some(plan) = self.plan.as_ref() else {
-            return Ok(true);
-        };
-        let Some(root) = mvmqo_exec::view_root(&plan.report.program, name) else {
-            return Ok(true);
-        };
-        let Some(stored) = plan.state.mat_rows(root) else {
+        let Some(stored) = self.materialized_rows(view) else {
             return Ok(true);
         };
         let expected = eval_logical(&view.expr, &self.catalog, &self.db);
-        let expected = align_rows(
-            expected,
-            &view.expr.schema(&self.catalog),
-            &self.optimizer.dag().eq(root).schema,
-        );
-        Ok(bag_eq_approx(stored, &expected, 1e-9))
+        Ok(bag_eq_approx(&stored, &expected, 1e-9))
     }
 
     /// Human-readable description of the current plan and policy state.
