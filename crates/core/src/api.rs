@@ -3,6 +3,7 @@
 
 use crate::cost::CostModel;
 use crate::dag::{add_subsumption_derivations, Dag, EqId, SubsumptionReport};
+use crate::diff::DiffProps;
 use crate::opt::{
     run_greedy, Candidate, CostEngine, GreedyOptions, MatSet, Mode, RefreshStrategy, StoredRef,
 };
@@ -11,7 +12,7 @@ use crate::update::UpdateModel;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::schema::AttrId;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// The input to the optimizer.
 #[derive(Debug, Clone)]
@@ -82,6 +83,34 @@ pub struct IndexChoice {
     pub benefit: f64,
 }
 
+/// Wall-clock time of one plan's phases, in the order they run.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PlanPhases {
+    /// Differential properties (§5.2): a full pass when cold, the dirty-bit
+    /// refresh when incremental.
+    pub stat_refresh: Duration,
+    /// Memo slots: the bottom-up recompute when cold, dirty propagation
+    /// from the saved memo when incremental.
+    pub memo: Duration,
+    /// Greedy selection (§6), revalidation of an inherited selection
+    /// included.
+    pub greedy: Duration,
+    /// Maintenance-program extraction.
+    pub extract: Duration,
+}
+
+impl PlanPhases {
+    /// The phases under their span names.
+    pub fn spans(&self) -> [(&'static str, Duration); 4] {
+        [
+            ("core.stat_refresh", self.stat_refresh),
+            ("core.memo_resume", self.memo),
+            ("core.greedy", self.greedy),
+            ("core.extract", self.extract),
+        ]
+    }
+}
+
 /// Everything the optimizer reports back.
 #[derive(Debug, Clone)]
 pub struct OptimizerReport {
@@ -102,9 +131,11 @@ pub struct OptimizerReport {
     pub benefit_evaluations: usize,
     pub full_slot_recomputes: u64,
     pub diff_slot_recomputes: u64,
-    pub optimization_time: std::time::Duration,
+    pub optimization_time: Duration,
     /// The executable maintenance program.
     pub program: Program,
+    /// Where `optimization_time` went.
+    pub phases: PlanPhases,
 }
 
 /// Build the DAG for a set of views (exposed for tests and tools).
@@ -198,6 +229,7 @@ pub fn optimize_workload(
     let n_views = all_views.len();
     all_views.extend(queries.iter().map(|q| q.query.clone()));
     let (dag, subsumption) = build_dag(catalog, &all_views);
+    let mut phases = PlanPhases::default();
     let mut initial = MatSet::default();
     // Only the first n_views roots are materialized views; the rest are
     // query roots that contribute weighted evaluation cost.
@@ -214,7 +246,19 @@ pub fn optimize_workload(
             }
         }
     }
-    let mut engine = CostEngine::new(&dag, catalog, &problem.updates, problem.cost_model, initial);
+    let t = Instant::now();
+    let props = DiffProps::compute(&dag, catalog, &problem.updates);
+    phases.stat_refresh = t.elapsed();
+    let t = Instant::now();
+    let mut engine = CostEngine::from_props(
+        &dag,
+        catalog,
+        &problem.updates,
+        problem.cost_model,
+        initial,
+        props,
+    );
+    phases.memo = t.elapsed();
     engine.query_workload = dag
         .roots()
         .iter()
@@ -222,15 +266,19 @@ pub fn optimize_workload(
         .zip(queries)
         .map(|(r, q)| (r.eq, q.frequency))
         .collect();
+    let t = Instant::now();
     let greedy = run_greedy(&mut engine, &problem.options);
+    phases.greedy = t.elapsed();
     let query_cost: f64 = engine
         .query_workload
         .clone()
         .iter()
         .map(|(root, w)| w * engine.c_full(*root))
         .sum();
+    let t = Instant::now();
     let program = extract_program(&engine);
-    let mut report = summarize(&dag, &engine, &greedy, subsumption, program, start);
+    phases.extract = t.elapsed();
+    let mut report = summarize(&dag, &engine, &greedy, subsumption, program, start, phases);
     // view_strategies of query roots are meaningless; keep only real views.
     report.view_strategies.truncate(n_views);
     (report, query_cost)
@@ -245,6 +293,7 @@ pub(crate) fn summarize(
     subsumption: SubsumptionReport,
     program: Program,
     start: Instant,
+    phases: PlanPhases,
 ) -> OptimizerReport {
     let mut chosen_mats = Vec::new();
     let mut chosen_diffs = Vec::new();
@@ -306,6 +355,7 @@ pub(crate) fn summarize(
         diff_slot_recomputes: engine.stats.diff_slot_recomputes,
         optimization_time: start.elapsed(),
         program,
+        phases,
     }
 }
 

@@ -13,15 +13,15 @@
 //! at insertion. Hashing-based duplicate detection of repeated operations
 //! (Volcano's scheme) is the op memo.
 
-use crate::dag::node::{DerivedSig, EqId, EqNode, OpId, OpKind, OpNode, SemKey};
+use crate::dag::node::{DerivedSig, EqId, EqNode, OpFacts, OpId, OpKind, OpNode, SemKey};
 use mvmqo_relalg::agg::AggSpec;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::expr::Predicate;
+use mvmqo_relalg::hash::FxHashMap;
 use mvmqo_relalg::logical::LogicalExpr;
 use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
 use mvmqo_relalg::stats;
 use mvmqo_relalg::stats::RelStats;
-use std::collections::HashMap;
 
 /// A named root of the DAG (one per view).
 #[derive(Debug, Clone)]
@@ -44,8 +44,10 @@ pub struct DagRoot {
 pub struct Dag {
     eqs: Vec<EqNode>,
     ops: Vec<OpNode>,
-    eq_memo: HashMap<SemKey, EqId>,
-    op_memo: HashMap<(OpKind, Vec<EqId>), OpId>,
+    eq_memo: FxHashMap<SemKey, EqId>,
+    op_memo: FxHashMap<(OpKind, Vec<EqId>), OpId>,
+    /// Base-relation node per table id (`None` when absent or collected).
+    base_eqs: Vec<Option<EqId>>,
     roots: Vec<DagRoot>,
     /// Base tables mentioned anywhere in the live DAG, sorted.
     base_tables: Vec<TableId>,
@@ -130,12 +132,7 @@ impl Dag {
 
     /// The equivalence node of a base relation, if present.
     pub fn base_eq(&self, table: TableId) -> Option<EqId> {
-        self.eq_memo
-            .get(&SemKey::Spj {
-                tables: vec![table],
-                preds: Predicate::true_(),
-            })
-            .copied()
+        self.base_eqs.get(table.0 as usize).copied().flatten()
     }
 
     /// Look up an equivalence node by semantic key.
@@ -202,6 +199,11 @@ impl Dag {
         // do not resolve to tombstones.
         self.eq_memo.retain(|_, id| eq_live[id.0 as usize]);
         self.op_memo.retain(|_, id| op_live[id.0 as usize]);
+        for slot in &mut self.base_eqs {
+            if slot.is_some_and(|e| !eq_live[e.0 as usize]) {
+                *slot = None;
+            }
+        }
         // Live nodes may still list dead consumers; prune so upward walks
         // (incremental cost propagation) never enter dead territory. A live
         // eq's own alternative ops are live by construction.
@@ -282,9 +284,13 @@ impl Dag {
             return *id;
         }
         let schema = spj_schema(catalog, &tables);
-        let stats_old = spj_stats(catalog, &tables, &preds, &|t| {
-            catalog.table(t).stats.clone()
-        });
+        // Statistics are those of the tables folded in id order; a
+        // multi-table node's are set below, once its inputs exist.
+        let stats_old = if tables.len() == 1 {
+            stats::derive_select(&catalog.table(tables[0]).stats, &preds)
+        } else {
+            RelStats::empty()
+        };
         let id = self.new_eq(key, schema, tables.clone(), stats_old);
 
         if tables.len() == 1 {
@@ -326,9 +332,17 @@ impl Dag {
                         .all(|a| all_attrs.contains(a)),
                     "join conjuncts must be covered by the union of sides"
                 );
+                let last_only = right.len() == 1 && right[0] == tables[tables.len() - 1];
                 let l = self.ensure_spj(catalog, left, left_preds);
                 let r = self.ensure_spj(catalog, right, right_preds);
-                self.add_op(OpKind::Join { pred: join_pred }, vec![l, r], id);
+                let op = self.add_op(OpKind::Join { pred: join_pred }, vec![l, r], id);
+                if last_only {
+                    // The fold's prefix joined with its last table.
+                    let stats = join_stats(&self.eq(l).stats_old, &self.eq(r).stats_old, op, self);
+                    let node = &mut self.eqs[id.0 as usize];
+                    node.stats_old = stats;
+                    node.stats_join = Some(op);
+                }
             }
         }
         id
@@ -496,15 +510,32 @@ impl Dag {
                 self.base_tables.insert(pos, *t);
             }
         }
+        let relation = match &key {
+            SemKey::Spj { tables, preds } if tables.len() == 1 && preds.is_true() => {
+                Some(tables[0])
+            }
+            _ => None,
+        };
+        if let Some(t) = relation {
+            let slot = t.0 as usize;
+            if self.base_eqs.len() <= slot {
+                self.base_eqs.resize(slot + 1, None);
+            }
+            self.base_eqs[slot] = Some(id);
+        }
         self.eq_memo.insert(key.clone(), id);
         self.eqs.push(EqNode {
             id,
             key,
             children: Vec::new(),
             parents: Vec::new(),
+            width: schema.row_width(),
             schema,
             base_tables,
             stats_old,
+            relation,
+            grouped: false,
+            stats_join: None,
         });
         id
     }
@@ -534,11 +565,16 @@ impl Dag {
             return (*existing, false);
         }
         let id = OpId(self.ops.len() as u32);
+        let facts = self.op_facts(&kind, &children);
+        if matches!(kind, OpKind::Aggregate { .. } | OpKind::Distinct) {
+            self.eqs[parent.0 as usize].grouped = true;
+        }
         self.ops.push(OpNode {
             id,
             kind,
             children: children.clone(),
             parent,
+            facts,
         });
         self.op_memo.insert(memo_key, id);
         self.eqs[parent.0 as usize].children.push(id);
@@ -546,6 +582,33 @@ impl Dag {
             self.eqs[c.0 as usize].parents.push(id);
         }
         (id, true)
+    }
+
+    /// The static costing facts of a new op (see [`OpFacts`]).
+    fn op_facts(&self, kind: &OpKind, children: &[EqId]) -> OpFacts {
+        match kind {
+            OpKind::Join { pred } => {
+                let l = &self.eq(children[0]).schema;
+                let r = &self.eq(children[1]).schema;
+                OpFacts {
+                    join_keys: [oriented_keys(pred, l, r), oriented_keys(pred, r, l)],
+                    ..Default::default()
+                }
+            }
+            OpKind::Select { pred } => OpFacts {
+                ranges: pred
+                    .conjuncts()
+                    .iter()
+                    .filter_map(|c| {
+                        let single = Predicate::from_conjuncts(vec![c.clone()]);
+                        let (attr, _, _) = single.as_single_attr_range()?;
+                        Some((attr, single))
+                    })
+                    .collect(),
+                ..Default::default()
+            },
+            _ => OpFacts::default(),
+        }
     }
 
     /// Live equivalence nodes in a bottom-up (children before parents)
@@ -590,6 +653,23 @@ pub fn spj_schema(catalog: &Catalog, tables: &[TableId]) -> Schema {
     Schema::new(attrs)
 }
 
+/// Equi-join key pairs of `pred` oriented as (attr of `first`, attr of
+/// `second`); pairs not split across the two schemas are dropped.
+fn oriented_keys(pred: &Predicate, first: &Schema, second: &Schema) -> Vec<(AttrId, AttrId)> {
+    let has = |s: &Schema, a: AttrId| s.position_of(a).is_some();
+    pred.equijoin_pairs()
+        .filter_map(|(a, b)| {
+            if has(first, a) && has(second, b) {
+                Some((a, b))
+            } else if has(first, b) && has(second, a) {
+                Some((b, a))
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
 /// All attribute ids provided by a set of base tables.
 fn side_attrs(catalog: &Catalog, tables: &[TableId]) -> Vec<AttrId> {
     let mut out = Vec::new();
@@ -599,35 +679,13 @@ fn side_attrs(catalog: &Catalog, tables: &[TableId]) -> Vec<AttrId> {
     out
 }
 
-/// Statistics of an SPJ result given a base-stats source — used both for
-/// the pre-update state and for every intermediate state of the update
-/// sequence (§5.2's "logical properties of the full result after updates
-/// 1..i−1 have been propagated").
-pub fn spj_stats(
-    catalog: &Catalog,
-    tables: &[TableId],
-    preds: &Predicate,
-    base: &dyn Fn(TableId) -> RelStats,
-) -> RelStats {
-    assert!(!tables.is_empty());
-    let mut acc = base(tables[0]);
-    let mut seen_attrs = side_attrs(catalog, &tables[..1]);
-    // Apply single-table conjuncts as we fold tables in, join conjuncts as
-    // soon as both sides are present.
-    let (covered, mut remaining) = preds.split_covered(&seen_attrs);
-    acc = stats::derive_select(&acc, &covered);
-    for t in &tables[1..] {
-        let tstats = base(*t);
-        let t_attrs = catalog.table(*t).schema.ids();
-        let (t_local, rest) = remaining.split_covered(&t_attrs);
-        let t_filtered = stats::derive_select(&tstats, &t_local);
-        seen_attrs.extend(t_attrs);
-        let (joinable, rest2) = rest.split_covered(&seen_attrs);
-        acc = stats::derive_join(&acc, &t_filtered, &joinable);
-        remaining = rest2;
+/// Statistics of the join op `op` (an SPJ node's `stats_join`) over its
+/// inputs' statistics `left` and `right`.
+pub(crate) fn join_stats(left: &RelStats, right: &RelStats, op: OpId, dag: &Dag) -> RelStats {
+    match &dag.op(op).kind {
+        OpKind::Join { pred } => stats::derive_join(left, right, pred),
+        other => unreachable!("statistics join through a {} op", other.name()),
     }
-    debug_assert!(remaining.is_true(), "all conjuncts must be consumed");
-    acc
 }
 
 #[cfg(test)]
@@ -911,9 +969,20 @@ mod tests {
             ScalarExpr::col_eq_col(a_id, b_aid),
             ScalarExpr::col_cmp_lit(a_x, mvmqo_relalg::expr::CmpOp::Eq, 1i64),
         ]);
-        let st = spj_stats(&c, &[a, b], &preds, &|t| c.table(t).stats.clone());
+        let mut dag = Dag::new();
+        let root = dag.insert_expr(
+            &c,
+            &LogicalExpr::select(
+                LogicalExpr::join(
+                    LogicalExpr::scan(a),
+                    LogicalExpr::scan(b),
+                    Predicate::true_(),
+                ),
+                preds,
+            ),
+        );
         // |A|/50 rows of A survive the filter; FK-like join with B gives
         // 5000/50 = 100.
-        assert!((st.rows - 100.0).abs() < 1.0);
+        assert!((dag.eq(root).stats_old.rows - 100.0).abs() < 1.0);
     }
 }

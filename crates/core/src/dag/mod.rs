@@ -6,7 +6,8 @@ pub mod build;
 pub mod node;
 pub mod subsume;
 
-pub use build::{spj_schema, spj_stats, Dag, DagRoot};
+pub(crate) use build::join_stats;
+pub use build::{spj_schema, Dag, DagRoot};
 pub use node::{DerivedSig, EqId, EqNode, OpId, OpKind, OpNode, SemKey};
 pub use subsume::{
     add_subsumption_derivations, add_subsumption_derivations_incremental, SubsumeState,

@@ -90,6 +90,24 @@ pub struct OpNode {
     pub children: Vec<EqId>,
     /// The equivalence node this operation computes.
     pub parent: EqId,
+    /// What physical costing reads off the op's predicate, derived once.
+    pub(crate) facts: OpFacts,
+}
+
+/// Static facts about an operation: functions of its kind and its
+/// children's schemas, derived once when the op is created. Physical
+/// costing (§5.1) visits every alternative op on every slot recompute; it
+/// reads these instead of re-deriving them from the predicate.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OpFacts {
+    /// Join: the equi-join key pairs, in conjunct order, oriented
+    /// `(left attr, right attr)` at index 0 and `(right attr, left attr)` at
+    /// index 1 (left/right = the op's canonical child order).
+    pub(crate) join_keys: [Vec<(AttrId, AttrId)>; 2],
+    /// Select: each single-attribute range conjunct (`attr <op> literal`)
+    /// as a one-conjunct predicate, in conjunct order — the sargable paths
+    /// an index selection can probe.
+    pub(crate) ranges: Vec<(AttrId, Predicate)>,
 }
 
 /// Semantic key of an equivalence node — the identity that hashing-based
@@ -146,15 +164,27 @@ pub struct EqNode {
     pub base_tables: Vec<TableId>,
     /// Statistics of the result in the *pre-update* database state.
     pub stats_old: RelStats,
+    /// Row width of `schema` in bytes — the width every cost formula of
+    /// this node takes.
+    pub(crate) width: usize,
+    /// The base table this node *is* (scan result, no predicate).
+    pub(crate) relation: Option<TableId>,
+    /// True for aggregate/distinct results, which are stored keyed by
+    /// groups (merge behaviour and delta costing differ, §3.1.2).
+    pub(crate) grouped: bool,
+    /// SPJ nodes over two or more tables: the join op whose inputs their
+    /// statistics derive from — the node over all tables but the last
+    /// (with the conjuncts those cover) joined with the last table's
+    /// selection. Statistics fold tables in id order, so joining the two
+    /// inputs' statistics *is* that fold; the state sequence of §5.2
+    /// re-derives one join per state instead of folding every table.
+    pub(crate) stats_join: Option<OpId>,
 }
 
 impl EqNode {
     /// True if this node *is* a base relation (scan result, no predicate).
     pub fn is_base_relation(&self) -> bool {
-        matches!(
-            &self.key,
-            SemKey::Spj { tables, preds } if tables.len() == 1 && preds.is_true()
-        )
+        self.relation.is_some()
     }
 
     /// True if the node depends on `table`.
@@ -164,14 +194,7 @@ impl EqNode {
 
     /// The single base table, when this is a base relation node.
     pub fn as_base_table(&self) -> Option<TableId> {
-        if self.is_base_relation() {
-            match &self.key {
-                SemKey::Spj { tables, .. } => Some(tables[0]),
-                _ => None,
-            }
-        } else {
-            None
-        }
+        self.relation
     }
 }
 

@@ -19,9 +19,9 @@ use crate::dag::node::{DerivedSig, EqId, OpKind, SemKey};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
+use mvmqo_relalg::hash::{FxHashMap, FxHashSet};
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::types::Value;
-use std::collections::{HashMap, HashSet};
 
 /// Statistics of what subsumption added (surfaced in optimizer reports).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -50,14 +50,19 @@ impl SubsumptionReport {
 /// attributes for the introduced union-grouping node — re-considering a
 /// pair would create a *different* node each pass. The state remembers
 /// which aggregate pairs have been examined.
+///
+/// The passes walk Fx-hashed groupings: the order they visit groups in
+/// decides the ids of the ops and attributes they create, and with them
+/// enumeration order and tie-breaks downstream, so it must be a function
+/// of the DAG alone.
 #[derive(Debug, Clone, Default)]
 pub struct SubsumeState {
-    rollup_pairs: HashSet<(EqId, EqId)>,
+    rollup_pairs: FxHashSet<(EqId, EqId)>,
     /// Union-grouping nodes this machinery introduced. They never pair
     /// with later aggregates (matching the one-shot pass, which collects
     /// candidates before creating any union node) — without this, every
     /// incremental pass would stack roll-ups of roll-ups.
-    introduced: HashSet<EqId>,
+    introduced: FxHashSet<EqId>,
 }
 
 impl SubsumeState {
@@ -103,8 +108,8 @@ pub fn add_subsumption_derivations_incremental(
 
 fn add_select_derivations(dag: &mut Dag, first_new: EqId, report: &mut SubsumptionReport) {
     // Group SPJ nodes by table set.
-    let mut groups: HashMap<Vec<mvmqo_relalg::catalog::TableId>, Vec<(EqId, Predicate)>> =
-        HashMap::new();
+    let mut groups: FxHashMap<Vec<mvmqo_relalg::catalog::TableId>, Vec<(EqId, Predicate)>> =
+        FxHashMap::default();
     for id in dag.eq_ids() {
         if let SemKey::Spj { tables, preds } = &dag.eq(id).key {
             groups
@@ -237,7 +242,7 @@ pub fn implies(p: &ScalarExpr, q: &ScalarExpr) -> bool {
 }
 
 /// (aggregate node, group-by attrs, agg specs) collected per shared input.
-type AggNodesByChild = HashMap<EqId, Vec<(EqId, Vec<AttrId>, Vec<AggSpec>)>>;
+type AggNodesByChild = FxHashMap<EqId, Vec<(EqId, Vec<AttrId>, Vec<AggSpec>)>>;
 
 fn add_aggregate_rollups(
     dag: &mut Dag,
@@ -248,7 +253,7 @@ fn add_aggregate_rollups(
 ) {
     // Collect aggregate nodes grouped by input child (introduced
     // union-grouping nodes excluded — see `SubsumeState::introduced`).
-    let mut by_child: AggNodesByChild = HashMap::new();
+    let mut by_child = AggNodesByChild::default();
     for id in dag.eq_ids() {
         if state.introduced.contains(&id) {
             continue;
@@ -314,7 +319,7 @@ fn add_aggregate_rollups(
                 // Introduce the union-grouping node with fresh outputs, one
                 // per distinct (func, input) pair across both originals.
                 let mut union_specs: Vec<AggSpec> = Vec::new();
-                let mut spec_of: HashMap<(AggFunc, ScalarExpr), AttrId> = HashMap::new();
+                let mut spec_of: FxHashMap<(AggFunc, ScalarExpr), AttrId> = FxHashMap::default();
                 for s in a1.iter().chain(a2.iter()) {
                     let k = (base_func(s.func), s.input.clone());
                     if !spec_of.contains_key(&k) {

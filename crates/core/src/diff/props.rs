@@ -14,9 +14,10 @@
 //! the expensive combinatorial delta expressions of §3.2.1 never need to be
 //! built.
 
-use crate::dag::{Dag, DerivedSig, EqId, SemKey};
+use crate::dag::{join_stats, Dag, DerivedSig, EqId, OpId, SemKey};
 use crate::update::{UpdateId, UpdateModel};
 use mvmqo_relalg::catalog::{Catalog, TableId};
+use mvmqo_relalg::hash::FxHashSet;
 use mvmqo_relalg::stats::{self, ColStats, RelStats};
 use std::sync::Arc;
 
@@ -43,9 +44,9 @@ impl DiffProps {
             state: vec![Vec::new(); dag.eq_arena_size()],
             delta: vec![Vec::new(); dag.eq_arena_size()],
         };
-        let order = dag.topo_order();
-        for e in order {
-            props.compute_node(dag, catalog, updates, e);
+        let base = BaseStats::new(dag, catalog, updates);
+        for e in dag.topo_order() {
+            props.compute_node(dag, catalog, updates, &base, e);
         }
         props
     }
@@ -71,13 +72,14 @@ impl DiffProps {
         catalog: &Catalog,
         updates: &UpdateModel,
         changed_tables: &[TableId],
-        force: &std::collections::HashSet<EqId>,
+        force: &FxHashSet<EqId>,
     ) -> Vec<EqId> {
         self.ensure_capacity(dag);
         let structural = updates.len() != self.n_updates;
         self.n_updates = updates.len();
+        let base = BaseStats::new(dag, catalog, updates);
         let mut changed: Vec<EqId> = Vec::new();
-        let mut changed_set: std::collections::HashSet<EqId> = Default::default();
+        let mut changed_flag = vec![false; dag.eq_arena_size()];
         for e in dag.topo_order() {
             let node = dag.eq(e);
             let idx = e.0 as usize;
@@ -89,20 +91,20 @@ impl DiffProps {
                 || matches!(
                     &node.key,
                     SemKey::Derived { children, .. }
-                        if children.iter().any(|c| changed_set.contains(c))
+                        if children.iter().any(|c| changed_flag[c.0 as usize])
                 );
             if !needs {
                 continue;
             }
             let old_state = std::mem::take(&mut self.state[idx]);
             let old_delta = std::mem::take(&mut self.delta[idx]);
-            self.compute_node(dag, catalog, updates, e);
+            self.compute_node(dag, catalog, updates, &base, e);
             let same = !fresh
                 && stats_seq_eq(&old_state, &self.state[idx])
                 && stats_seq_eq(&old_delta, &self.delta[idx]);
             if !same {
                 changed.push(e);
-                changed_set.insert(e);
+                changed_flag[idx] = true;
             }
         }
         changed
@@ -146,81 +148,85 @@ impl DiffProps {
         self.n_updates
     }
 
-    fn compute_node(&mut self, dag: &Dag, catalog: &Catalog, updates: &UpdateModel, e: EqId) {
+    fn compute_node(
+        &mut self,
+        dag: &Dag,
+        catalog: &Catalog,
+        updates: &UpdateModel,
+        base: &BaseStats,
+        e: EqId,
+    ) {
         let node = dag.eq(e);
         let n = self.n_updates;
         let mut states: Vec<Arc<RelStats>> = Vec::with_capacity(n + 1);
         let mut deltas: Vec<Arc<RelStats>> = Vec::with_capacity(n);
-        match &node.key {
-            SemKey::Spj { tables, preds } => {
-                for k in 0..=n {
-                    // state[k] differs from state[k−1] only if update k−1
-                    // touches one of this node's tables — for a node over a
-                    // few tables most of the 2n+1 states are verbatim
-                    // repeats, so reuse instead of re-deriving.
-                    if k > 0 {
-                        let step = updates.step(UpdateId((k - 1) as u16));
-                        if step.rows <= 0.0 || !tables.contains(&step.table) {
-                            let prev = states[k - 1].clone();
-                            states.push(prev);
-                            continue;
-                        }
-                    }
-                    states.push(Arc::new(crate::dag::spj_stats(
-                        catalog,
-                        tables,
-                        preds,
-                        &|t| base_stats_at(catalog, updates, t, UpdateId(k as u16)),
-                    )));
+        for k in 0..=n {
+            // state[k] differs from state[k−1] only if update k−1 touches
+            // one of this node's tables — for a node over a few tables most
+            // of the 2n+1 states are verbatim repeats (of its inputs' states
+            // too, for a derived node), so reuse instead of re-deriving.
+            if k > 0 {
+                let step = updates.step(UpdateId((k - 1) as u16));
+                if step.rows <= 0.0 || !node.depends_on(step.table) {
+                    let prev = states[k - 1].clone();
+                    states.push(prev);
+                    continue;
                 }
-                for u in 0..n {
-                    let step = updates.step(UpdateId(u as u16));
-                    if !node.depends_on(step.table) || step.rows <= 0.0 {
-                        deltas.push(Arc::new(RelStats::empty()));
-                        continue;
-                    }
-                    if fk_prunes_delta(catalog, updates, tables, preds, step) {
-                        // §5.3: joins of a parent relation's insert delta
-                        // with child relations that cannot yet reference the
-                        // new keys are provably empty.
-                        deltas.push(Arc::new(RelStats::empty()));
-                        continue;
-                    }
-                    let d = crate::dag::spj_stats(catalog, tables, preds, &|t| {
-                        if t == step.table {
-                            base_delta_stats(catalog, step.table, step.rows)
+            }
+            let st = match (&node.key, node.stats_join) {
+                (SemKey::Spj { tables, preds }, None) => {
+                    debug_assert_eq!(tables.len(), 1, "SPJ join without a statistics join");
+                    stats::derive_select(base.state(tables[0], k), preds)
+                }
+                (SemKey::Spj { .. }, Some(op)) => {
+                    let [l, r] = join_inputs(dag, op);
+                    join_stats(self.state_at(l, k), self.state_at(r, k), op, dag)
+                }
+                (SemKey::Derived { sig, children }, _) => self.derive_state(sig, children, k),
+            };
+            states.push(Arc::new(st));
+        }
+        for u in 0..n {
+            let step = updates.step(UpdateId(u as u16));
+            if !node.depends_on(step.table) || step.rows <= 0.0 {
+                deltas.push(Arc::new(RelStats::empty()));
+                continue;
+            }
+            let d = match (&node.key, node.stats_join) {
+                (SemKey::Spj { tables, preds }, _)
+                    if fk_prunes_delta(catalog, updates, tables, preds, step) =>
+                {
+                    // §5.3: joins of a parent relation's insert delta with
+                    // child relations that cannot yet reference the new keys
+                    // are provably empty.
+                    RelStats::empty()
+                }
+                (SemKey::Spj { preds, .. }, None) => stats::derive_select(&base.delta[u], preds),
+                (SemKey::Spj { .. }, Some(op)) => {
+                    // δ(L ⋈ R) = δL ⋈ R (or L ⋈ δR) for the input holding the
+                    // updated table. That input's delta is not FK-pruned: the
+                    // conjunct pruning it would have pruned this node's above.
+                    let side = |c: EqId| {
+                        if dag.eq(c).depends_on(step.table) {
+                            self.delta(c, UpdateId(u as u16))
                         } else {
-                            base_stats_at(catalog, updates, t, UpdateId(u as u16))
+                            self.state_at(c, u)
                         }
-                    });
-                    deltas.push(Arc::new(d));
+                    };
+                    let [l, r] = join_inputs(dag, op);
+                    join_stats(side(l), side(r), op, dag)
                 }
-            }
-            SemKey::Derived { sig, children } => {
-                // Children are already computed (topological order).
-                for k in 0..=n {
-                    states.push(Arc::new(self.derive_state(dag, sig, children, k)));
+                (SemKey::Derived { sig, children }, _) => {
+                    self.derive_delta(sig, children, UpdateId(u as u16))
                 }
-                for u in 0..n {
-                    let step = updates.step(UpdateId(u as u16));
-                    if !node.depends_on(step.table) || step.rows <= 0.0 {
-                        deltas.push(Arc::new(RelStats::empty()));
-                        continue;
-                    }
-                    deltas.push(Arc::new(self.derive_delta(
-                        dag,
-                        sig,
-                        children,
-                        UpdateId(u as u16),
-                    )));
-                }
-            }
+            };
+            deltas.push(Arc::new(d));
         }
         self.state[e.0 as usize] = states;
         self.delta[e.0 as usize] = deltas;
     }
 
-    fn derive_state(&self, _dag: &Dag, sig: &DerivedSig, children: &[EqId], k: usize) -> RelStats {
+    fn derive_state(&self, sig: &DerivedSig, children: &[EqId], k: usize) -> RelStats {
         let c0 = self.state_at(children[0], k);
         match sig {
             DerivedSig::Select(p) => stats::derive_select(c0, p),
@@ -235,13 +241,7 @@ impl DiffProps {
         }
     }
 
-    fn derive_delta(
-        &self,
-        _dag: &Dag,
-        sig: &DerivedSig,
-        children: &[EqId],
-        u: UpdateId,
-    ) -> RelStats {
+    fn derive_delta(&self, sig: &DerivedSig, children: &[EqId], u: UpdateId) -> RelStats {
         let d0 = self.delta(children[0], u);
         match sig {
             DerivedSig::Select(p) => stats::derive_select(d0, p),
@@ -270,6 +270,54 @@ impl DiffProps {
             }
             DerivedSig::Distinct => stats::derive_distinct(d0),
         }
+    }
+}
+
+/// The two inputs of an SPJ node's statistics join.
+fn join_inputs(dag: &Dag, op: OpId) -> [EqId; 2] {
+    let children = &dag.op(op).children;
+    [children[0], children[1]]
+}
+
+/// Base-table statistics of one property pass, derived once and shared by
+/// the single-table nodes (every other SPJ node derives from its inputs)
+/// instead of being re-derived per node, per state.
+struct BaseStats {
+    /// `state[t][k]`: table `t` (by id) after updates `< k`, for the DAG's
+    /// base tables (empty elsewhere). States no update of `t` separates
+    /// share one `Arc`.
+    state: Vec<Vec<Arc<RelStats>>>,
+    /// `delta[u]`: the batch of update `u`.
+    delta: Vec<RelStats>,
+}
+
+impl BaseStats {
+    fn new(dag: &Dag, catalog: &Catalog, updates: &UpdateModel) -> BaseStats {
+        let n = updates.len();
+        let slots = dag.base_tables().last().map_or(0, |t| t.0 as usize + 1);
+        let mut state = vec![Vec::new(); slots];
+        for &t in dag.base_tables() {
+            let seq: &mut Vec<Arc<RelStats>> = &mut state[t.0 as usize];
+            for k in 0..=n {
+                if k > 0 && updates.step(UpdateId((k - 1) as u16)).table != t {
+                    let prev = seq[k - 1].clone();
+                    seq.push(prev);
+                } else {
+                    let st = base_stats_at(catalog, updates, t, UpdateId(k as u16));
+                    seq.push(Arc::new(st));
+                }
+            }
+        }
+        let delta = updates
+            .steps()
+            .iter()
+            .map(|s| base_delta_stats(catalog, s.table, s.rows))
+            .collect();
+        BaseStats { state, delta }
+    }
+
+    fn state(&self, t: TableId, k: usize) -> &RelStats {
+        &self.state[t.0 as usize][k]
     }
 }
 
@@ -306,7 +354,7 @@ fn fk_prunes_delta(
         return false;
     }
     let parent_def = catalog.table(step.table);
-    for (a, b) in preds.equijoin_keys() {
+    for (a, b) in preds.equijoin_pairs() {
         for (child_attr, parent_attr) in [(a, b), (b, a)] {
             if !parent_def.primary_key.contains(&parent_attr) {
                 continue;

@@ -31,16 +31,26 @@
 //! differential changes only the matching differential slot. Every change
 //! is recorded in an undo log so a candidate can be *trialed* and rolled
 //! back in O(changed nodes).
+//!
+//! A slot recompute is the optimizer's innermost loop (a greedy benefit
+//! evaluation recomputes hundreds of them), so it is pure arithmetic: the
+//! alternatives of every op fold into a running minimum, and everything
+//! that depends only on the DAG — row widths, join keys, sargable
+//! conjuncts, groupedness — is read off the nodes, where it was derived
+//! once at insertion (the ops' `OpFacts`). Propagation bookkeeping is
+//! dense per-eq flags reused across trials.
 
 use crate::cost::CostModel;
 use crate::dag::{Dag, EqId, OpId, OpKind, SemKey};
 use crate::diff::DiffProps;
 use crate::update::{UpdateId, UpdateModel};
 use mvmqo_relalg::catalog::{Catalog, TableId};
-use mvmqo_relalg::expr::Predicate;
+use mvmqo_relalg::hash::{FxHashMap, FxHashSet};
 use mvmqo_relalg::schema::AttrId;
+use mvmqo_relalg::stats;
 use mvmqo_storage::delta::DeltaKind;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// A stored relation a plan can probe or scan directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -94,13 +104,20 @@ pub enum Alg {
     DistinctAlg,
 }
 
+/// A set of eq nodes (the greedy loop's per-trial affected set, the
+/// session's dirty sets). Fx-hashed, so iteration order — which reaches
+/// cost sums — is a function of the insert sequence alone.
+pub type EqSet = FxHashSet<EqId>;
+
 /// The set of materialized results and available indices — the `M` of the
-/// paper's formulas, plus index state.
+/// paper's formulas, plus index state. Fx-hashed throughout: the total
+/// cost sums over these sets, so their iteration order must not depend on
+/// a per-set random seed.
 #[derive(Debug, Clone, Default)]
 pub struct MatSet {
-    pub full: HashSet<EqId>,
-    pub diffs: HashSet<(EqId, UpdateId)>,
-    pub indices: HashSet<(StoredRef, AttrId)>,
+    pub full: EqSet,
+    pub diffs: FxHashSet<(EqId, UpdateId)>,
+    pub indices: IndexSet,
 }
 
 impl MatSet {
@@ -110,7 +127,79 @@ impl MatSet {
 
     /// Number of secondary indices on a stored relation.
     pub fn index_count(&self, target: StoredRef) -> usize {
-        self.indices.iter().filter(|(t, _)| *t == target).count()
+        self.indices.count(target)
+    }
+}
+
+/// The available indices, with a per-relation count kept alongside so
+/// `mergeCost`'s index-upkeep term does not scan the set.
+#[derive(Debug, Clone, Default)]
+pub struct IndexSet {
+    set: FxHashSet<(StoredRef, AttrId)>,
+    per_target: FxHashMap<StoredRef, usize>,
+}
+
+impl IndexSet {
+    /// Add an index; false if it was already present.
+    pub fn insert(&mut self, index: (StoredRef, AttrId)) -> bool {
+        let new = self.set.insert(index);
+        if new {
+            *self.per_target.entry(index.0).or_default() += 1;
+        }
+        new
+    }
+
+    /// Drop an index; false if it was absent.
+    pub fn remove(&mut self, index: &(StoredRef, AttrId)) -> bool {
+        let present = self.set.remove(index);
+        if present {
+            uncount(&mut self.per_target, index.0);
+        }
+        present
+    }
+
+    pub fn contains(&self, index: &(StoredRef, AttrId)) -> bool {
+        self.set.contains(index)
+    }
+
+    /// Keep only the indices `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&(StoredRef, AttrId)) -> bool) {
+        let per_target = &mut self.per_target;
+        self.set.retain(|index| {
+            let kept = keep(index);
+            if !kept {
+                uncount(per_target, index.0);
+            }
+            kept
+        });
+    }
+
+    /// Indices on `target`.
+    pub fn count(&self, target: StoredRef) -> usize {
+        self.per_target.get(&target).copied().unwrap_or(0)
+    }
+
+    pub fn iter(&self) -> impl Iterator<Item = &(StoredRef, AttrId)> + '_ {
+        self.set.iter()
+    }
+}
+
+fn uncount(per_target: &mut FxHashMap<StoredRef, usize>, target: StoredRef) {
+    if let Some(n) = per_target.get_mut(&target) {
+        *n -= 1;
+        if *n == 0 {
+            per_target.remove(&target);
+        }
+    }
+}
+
+impl FromIterator<(StoredRef, AttrId)> for IndexSet {
+    fn from_iter<I: IntoIterator<Item = (StoredRef, AttrId)>>(iter: I) -> Self {
+        let mut set = IndexSet::default();
+        for index in iter {
+            set.insert(index);
+        }
+        set
     }
 }
 
@@ -126,6 +215,11 @@ struct SlotState {
     cost: f64,
     best: Option<(OpId, Alg)>,
 }
+
+const BLANK: SlotState = SlotState {
+    cost: f64::INFINITY,
+    best: None,
+};
 
 /// One undo-log entry.
 #[derive(Debug, Clone)]
@@ -200,6 +294,9 @@ pub struct CostEngine<'a> {
     diff: Vec<Vec<SlotState>>,
     topo: Vec<EqId>,
     rank: Vec<usize>,
+    dirty: DirtySet,
+    /// The undo-log buffer of the last rolled-back trial, reused.
+    spare_changes: Vec<Change>,
     pub stats: EngineStats,
 }
 
@@ -214,6 +311,19 @@ impl<'a> CostEngine<'a> {
         initial_mats: MatSet,
     ) -> Self {
         let props = DiffProps::compute(dag, catalog, updates);
+        Self::from_props(dag, catalog, updates, model, initial_mats, props)
+    }
+
+    /// [`CostEngine::new`] over already-computed differential properties:
+    /// the whole memo is computed bottom-up.
+    pub fn from_props(
+        dag: &'a Dag,
+        catalog: &'a Catalog,
+        updates: &'a UpdateModel,
+        model: CostModel,
+        initial_mats: MatSet,
+        props: DiffProps,
+    ) -> Self {
         let mut engine = Self::assemble(dag, catalog, updates, model, initial_mats, props, None);
         engine.recompute_all();
         engine
@@ -234,7 +344,7 @@ impl<'a> CostEngine<'a> {
         mats: MatSet,
         props: DiffProps,
         saved: SavedMemo,
-        dirty: &HashSet<EqId>,
+        dirty: &EqSet,
     ) -> (Self, Vec<EqId>) {
         let structural = saved.n_updates != updates.len();
         // A dirty set covering most of the DAG (statistics drift touches
@@ -248,15 +358,14 @@ impl<'a> CostEngine<'a> {
             let all: Vec<EqId> = engine.dag.eq_ids().collect();
             return (engine, all);
         }
-        let mut set = DirtySet::new(updates.len());
         for &e in dirty {
             if !dag.eq_is_live(e) {
                 continue;
             }
-            set.mark_full(e);
-            set.mark_all_diffs(e);
+            engine.dirty.mark_full(e, engine.rank[e.0 as usize]);
+            engine.dirty.mark_all_diffs(e, engine.rank[e.0 as usize]);
         }
-        let changes = engine.propagate(set);
+        let changes = engine.propagate();
         let mut changed: Vec<EqId> = changes.iter().map(|c| c.eq).collect();
         changed.sort_unstable();
         changed.dedup();
@@ -278,18 +387,14 @@ impl<'a> CostEngine<'a> {
             rank[e.0 as usize] = i;
         }
         let n = updates.len();
-        let blank = SlotState {
-            cost: f64::INFINITY,
-            best: None,
-        };
         let (mut full, mut diff) = match saved {
             Some(s) => (s.full, s.diff),
             None => (Vec::new(), Vec::new()),
         };
-        full.resize(dag.eq_arena_size(), blank.clone());
-        diff.resize(dag.eq_arena_size(), vec![blank.clone(); n]);
+        full.resize(dag.eq_arena_size(), BLANK);
+        diff.resize(dag.eq_arena_size(), vec![BLANK; n]);
         for d in &mut diff {
-            d.resize(n, blank.clone());
+            d.resize(n, BLANK);
         }
         CostEngine {
             dag,
@@ -304,6 +409,8 @@ impl<'a> CostEngine<'a> {
             diff,
             topo,
             rank,
+            dirty: DirtySet::new(dag.eq_arena_size(), n),
+            spare_changes: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -358,8 +465,8 @@ impl<'a> CostEngine<'a> {
     /// Recompute the entire memo bottom-up (initial pass; also the
     /// non-incremental ablation path).
     pub fn recompute_all(&mut self) {
-        let order = self.topo.clone();
-        for e in order {
+        for i in 0..self.topo.len() {
+            let e = self.topo[i];
             let full = self.compute_full_slot(e);
             self.full[e.0 as usize] = full;
             for u in 0..self.updates.len() {
@@ -367,6 +474,11 @@ impl<'a> CostEngine<'a> {
                 self.diff[e.0 as usize][u] = d;
             }
         }
+    }
+
+    /// Position of `e` in the engine's bottom-up order (children first).
+    pub fn topo_rank(&self, e: EqId) -> usize {
+        self.rank[e.0 as usize]
     }
 
     // ==================================================================
@@ -450,6 +562,7 @@ impl<'a> CostEngine<'a> {
         let idx_count = self.mats.index_count(StoredRef::Mat(e));
         let has_locator = grouped || idx_count > 0;
         let result_rows = self.props.new_state(e).rows;
+        let width = self.width(e);
         let mut total = 0.0;
         for step in self.updates.steps() {
             let d = self.props.delta(e, step.id);
@@ -460,11 +573,9 @@ impl<'a> CostEngine<'a> {
                 DeltaKind::Insert => (d.rows, 0.0),
                 DeltaKind::Delete => (0.0, d.rows),
             };
-            total += self
-                .model
-                .merge_into(ins, del, self.width(e), idx_count, grouped);
+            total += self.model.merge_into(ins, del, width, idx_count, grouped);
             if del > 0.0 && !has_locator {
-                total += self.model.scan(result_rows, self.width(e));
+                total += self.model.scan(result_rows, width);
             }
         }
         total
@@ -532,7 +643,7 @@ impl<'a> CostEngine<'a> {
         for &(e, u) in &self.mats.diffs {
             total += self.cost_diff_result(e, u);
         }
-        for &(target, _) in &self.mats.indices {
+        for &(target, _) in self.mats.indices.iter() {
             total += self.cost_index(target).0;
         }
         for &(root, weight) in &self.query_workload {
@@ -549,11 +660,7 @@ impl<'a> CostEngine<'a> {
     /// slot changes lie inside `affected`, so
     /// `partial_cost(before) − partial_cost(after)` equals the full
     /// `total_cost` difference at a fraction of the sweep.
-    pub fn partial_cost(
-        &self,
-        affected: &HashSet<EqId>,
-        index: Option<(StoredRef, AttrId)>,
-    ) -> f64 {
+    pub fn partial_cost(&self, affected: &EqSet, index: Option<(StoredRef, AttrId)>) -> f64 {
         let mut total = 0.0;
         for &e in affected {
             if self.mats.full.contains(&e) {
@@ -591,18 +698,16 @@ impl<'a> CostEngine<'a> {
             !self.mats.full.remove(&e)
         };
         debug_assert!(!was, "redundant full-mat toggle on {e}");
-        let mut dirty = DirtySet::new(self.updates.len());
         // Ancestors see a changed C(e): full and all differential slots.
-        self.mark_parents(e, &mut dirty, true, None);
+        self.mark_parents(e, true, None);
         // Aggregate/Distinct nodes' own differential cost depends on their
         // own materialization (§3.1.2: deltas of materialized aggregates are
         // cheap; otherwise affected groups must be recomputed).
         if self.is_grouped(e) {
-            dirty.mark_all_diffs(e);
+            self.dirty.mark_all_diffs(e, self.rank[e.0 as usize]);
         }
-        let changes = self.propagate(dirty);
         Trial {
-            changes,
+            changes: self.propagate(),
             mat_undo: MatUndo::Full(e, on),
         }
     }
@@ -614,11 +719,9 @@ impl<'a> CostEngine<'a> {
         } else {
             self.mats.diffs.remove(&(e, u));
         }
-        let mut dirty = DirtySet::new(self.updates.len());
-        self.mark_parents(e, &mut dirty, false, Some(u));
-        let changes = self.propagate(dirty);
+        self.mark_parents(e, false, Some(u));
         Trial {
-            changes,
+            changes: self.propagate(),
             mat_undo: MatUndo::Diff(e, u, on),
         }
     }
@@ -630,17 +733,15 @@ impl<'a> CostEngine<'a> {
         } else {
             self.mats.indices.remove(&(target, attr));
         }
-        let mut dirty = DirtySet::new(self.updates.len());
         let eq = match target {
             StoredRef::Base(t) => self.dag.base_eq(t),
             StoredRef::Mat(e) => Some(e),
         };
         if let Some(e) = eq {
-            self.mark_parents(e, &mut dirty, true, None);
+            self.mark_parents(e, true, None);
         }
-        let changes = self.propagate(dirty);
         Trial {
-            changes,
+            changes: self.propagate(),
             mat_undo: MatUndo::Index(target, attr, on),
         }
     }
@@ -648,12 +749,14 @@ impl<'a> CostEngine<'a> {
     /// Roll back a trial (restores both the materialized set and all memo
     /// slots).
     pub fn rollback(&mut self, trial: Trial) {
-        for ch in trial.changes.into_iter().rev() {
+        let mut changes = trial.changes;
+        for ch in changes.drain(..).rev() {
             match ch.slot {
                 Slot::Full => self.full[ch.eq.0 as usize] = ch.prev,
                 Slot::Diff(u) => self.diff[ch.eq.0 as usize][u.0 as usize] = ch.prev,
             }
         }
+        self.spare_changes = changes;
         match trial.mat_undo {
             MatUndo::Full(e, on) => {
                 if on {
@@ -679,97 +782,89 @@ impl<'a> CostEngine<'a> {
         }
     }
 
-    fn mark_parents(&self, e: EqId, dirty: &mut DirtySet, full_changed: bool, u: Option<UpdateId>) {
-        for &op in &self.dag.eq(e).parents {
-            let p = self.dag.op(op).parent;
+    /// Dirty the consumers of `e`: every slot when its full result
+    /// changed, else the one differential slot `u`.
+    fn mark_parents(&mut self, e: EqId, full_changed: bool, u: Option<UpdateId>) {
+        let dag = self.dag;
+        for &op in &dag.eq(e).parents {
+            let p = dag.op(op).parent;
+            let rank = self.rank[p.0 as usize];
             if full_changed {
-                dirty.mark_full(p);
-                dirty.mark_all_diffs(p);
+                self.dirty.mark_full(p, rank);
+                self.dirty.mark_all_diffs(p, rank);
             } else if let Some(u) = u {
-                dirty.mark_diff(p, u);
+                self.dirty.mark_diff(p, u, rank);
             }
         }
     }
 
-    /// Propagate dirty slots upward in topological order, recomputing and
-    /// recording changes; stops climbing where costs are unchanged
+    /// Recompute one slot and record it in the undo log if it moved.
+    fn settle(&mut self, e: EqId, slot: Slot, changes: &mut Vec<Change>) -> bool {
+        let (new, cur) = match slot {
+            Slot::Full => (self.compute_full_slot(e), &mut self.full[e.0 as usize]),
+            Slot::Diff(u) => (
+                self.compute_diff_slot(e, u),
+                &mut self.diff[e.0 as usize][u.0 as usize],
+            ),
+        };
+        if slot_eq(&new, cur) {
+            return false;
+        }
+        changes.push(Change {
+            eq: e,
+            slot,
+            prev: std::mem::replace(cur, new),
+        });
+        true
+    }
+
+    /// Propagate the dirty slots upward in topological order, recomputing
+    /// and recording changes; stops climbing where costs are unchanged
     /// (the §6.2 incremental cost update).
-    fn propagate(&mut self, mut dirty: DirtySet) -> Vec<Change> {
+    fn propagate(&mut self) -> Vec<Change> {
+        let mut changes = std::mem::take(&mut self.spare_changes);
+        let n = self.updates.len();
         if !self.incremental {
             // Ablation path: recompute everything, record every change.
-            let mut changes = Vec::new();
-            let order = self.topo.clone();
-            for e in order {
-                let new_full = self.compute_full_slot(e);
-                if !slot_eq(&new_full, &self.full[e.0 as usize]) {
-                    changes.push(Change {
-                        eq: e,
-                        slot: Slot::Full,
-                        prev: std::mem::replace(&mut self.full[e.0 as usize], new_full),
-                    });
-                }
-                for u in 0..self.updates.len() {
-                    let nd = self.compute_diff_slot(e, UpdateId(u as u16));
-                    if !slot_eq(&nd, &self.diff[e.0 as usize][u]) {
-                        changes.push(Change {
-                            eq: e,
-                            slot: Slot::Diff(UpdateId(u as u16)),
-                            prev: std::mem::replace(&mut self.diff[e.0 as usize][u], nd),
-                        });
-                    }
+            self.dirty.clear();
+            for i in 0..self.topo.len() {
+                let e = self.topo[i];
+                self.settle(e, Slot::Full, &mut changes);
+                for u in 0..n {
+                    self.settle(e, Slot::Diff(UpdateId(u as u16)), &mut changes);
                 }
             }
             return changes;
         }
 
-        let mut changes = Vec::new();
-        let mut queue: BTreeSet<(usize, EqId)> = dirty
-            .nodes()
-            .map(|e| (self.rank[e.0 as usize], e))
-            .collect();
-        while let Some((_, e)) = queue.pop_first() {
-            let flags = dirty.take(e);
-            let mut full_changed = false;
-            let mut diff_changed: Vec<UpdateId> = Vec::new();
-            if flags.full {
-                let new_full = self.compute_full_slot(e);
-                if !slot_eq(&new_full, &self.full[e.0 as usize]) {
-                    changes.push(Change {
-                        eq: e,
-                        slot: Slot::Full,
-                        prev: std::mem::replace(&mut self.full[e.0 as usize], new_full),
-                    });
-                    full_changed = true;
-                }
-            }
-            for u in flags.diff_ids() {
-                let nd = self.compute_diff_slot(e, u);
-                if !slot_eq(&nd, &self.diff[e.0 as usize][u.0 as usize]) {
-                    changes.push(Change {
-                        eq: e,
-                        slot: Slot::Diff(u),
-                        prev: std::mem::replace(&mut self.diff[e.0 as usize][u.0 as usize], nd),
-                    });
+        let dag = self.dag;
+        let mut diff_changed = std::mem::take(&mut self.dirty.diff_changed);
+        while let Some(Reverse((_, id))) = self.dirty.queue.pop() {
+            let e = EqId(id);
+            let full = self.dirty.take_full(e);
+            let full_changed = full && self.settle(e, Slot::Full, &mut changes);
+            diff_changed.clear();
+            for u in 0..n {
+                let u = UpdateId(u as u16);
+                if self.dirty.take_diff(e, u) && self.settle(e, Slot::Diff(u), &mut changes) {
                     diff_changed.push(u);
                 }
             }
             if full_changed || !diff_changed.is_empty() {
-                for &op in &self.dag.eq(e).parents {
-                    let p = self.dag.op(op).parent;
-                    let mut newly = false;
+                for &op in &dag.eq(e).parents {
+                    let p = dag.op(op).parent;
+                    let rank = self.rank[p.0 as usize];
                     if full_changed {
-                        newly |= dirty.mark_full(p);
-                        newly |= dirty.mark_all_diffs(p);
+                        self.dirty.mark_full(p, rank);
+                        self.dirty.mark_all_diffs(p, rank);
                     }
                     for &u in &diff_changed {
-                        newly |= dirty.mark_diff(p, u);
-                    }
-                    if newly {
-                        queue.insert((self.rank[p.0 as usize], p));
+                        self.dirty.mark_diff(p, u, rank);
                     }
                 }
             }
         }
+        self.dirty.diff_changed = diff_changed;
         changes
     }
 
@@ -779,68 +874,57 @@ impl<'a> CostEngine<'a> {
 
     fn compute_full_slot(&mut self, e: EqId) -> SlotState {
         self.stats.full_slot_recomputes += 1;
-        let mut best = SlotState {
-            cost: f64::INFINITY,
-            best: None,
-        };
-        let ops: Vec<OpId> = self.dag.eq(e).children.clone();
-        for op in ops {
-            for (cost, alg) in self.full_op_alternatives(op) {
-                if cost < best.cost - EPS {
-                    best = SlotState {
-                        cost,
-                        best: Some((op, alg)),
-                    };
-                }
-            }
-        }
-        if self.dag.eq(e).children.is_empty() {
+        let node = self.dag.eq(e);
+        if node.children.is_empty() {
             // No alternatives: treat as stored (defensive; base relations
             // always have a Scan op so this should not trigger).
-            best = SlotState {
+            return SlotState {
                 cost: self.reuse_full(e),
                 best: None,
             };
         }
-        best
+        let mut best = Best::new();
+        for &op in &node.children {
+            best.op = op;
+            self.full_op_alternatives(op, &mut best);
+        }
+        best.slot
     }
 
-    /// All (cost, algorithm) alternatives for computing the full result of
-    /// one op, using post-update statistics (recomputation happens after
-    /// updates are applied).
-    fn full_op_alternatives(&self, op_id: OpId) -> Vec<(f64, Alg)> {
+    /// Offer every (cost, algorithm) alternative for computing the full
+    /// result of one op, using post-update statistics (recomputation
+    /// happens after updates are applied).
+    fn full_op_alternatives(&self, op_id: OpId, best: &mut Best) {
         let op = self.dag.op(op_id);
         let parent = op.parent;
         let out_rows = self.props.new_state(parent).rows;
         let m = &self.model;
-        let mut alts = Vec::with_capacity(4);
         match &op.kind {
-            OpKind::Scan(t) => {
-                alts.push((m.scan(out_rows, self.table_width(*t)), Alg::Scan));
+            OpKind::Scan(_) => {
+                best.offer(m.scan(out_rows, self.width(parent)), Alg::Scan);
             }
-            OpKind::Select { pred } => {
+            OpKind::Select { .. } => {
                 let child = op.children[0];
                 let in_rows = self.props.new_state(child).rows;
-                alts.push((self.c_full(child) + m.filter(in_rows), Alg::Filter));
+                best.offer(self.c_full(child) + m.filter(in_rows), Alg::Filter);
                 // Index selection directly against a stored relation.
-                if let Some((target, attr, matching)) = self.index_select_path(child, pred) {
-                    let total = self.props.new_state(child).rows;
-                    alts.push((
-                        m.index_select(matching, self.width(child), total) + m.filter(matching),
+                if let Some((target, attr, matching)) = self.index_select_path(child, op_id) {
+                    best.offer(
+                        m.index_select(matching, self.width(child), in_rows) + m.filter(matching),
                         Alg::IndexSelect { target, attr },
-                    ));
+                    );
                 }
             }
             OpKind::Project { .. } => {
                 let child = op.children[0];
                 let in_rows = self.props.new_state(child).rows;
-                alts.push((self.c_full(child) + m.filter(in_rows), Alg::Project));
+                best.offer(self.c_full(child) + m.filter(in_rows), Alg::Project);
             }
-            OpKind::Join { pred } => {
+            OpKind::Join { .. } => {
                 let l = op.children[0];
                 let r = op.children[1];
                 self.join_alternatives(
-                    &mut alts,
+                    best,
                     JoinSide {
                         eq: l,
                         rows: self.props.new_state(l).rows,
@@ -853,17 +937,17 @@ impl<'a> CostEngine<'a> {
                         width: self.width(r),
                         cost: self.c_full(r),
                     },
-                    pred,
+                    &op.facts.join_keys,
                     out_rows,
                 );
             }
             OpKind::Aggregate { .. } => {
                 let child = op.children[0];
                 let in_rows = self.props.new_state(child).rows;
-                alts.push((
+                best.offer(
                     self.c_full(child) + m.hash_aggregate(in_rows, out_rows, self.width(parent)),
                     Alg::HashAgg,
-                ));
+                );
             }
             OpKind::UnionAll => {
                 let total: f64 = op.children.iter().map(|c| self.c_full(*c)).sum();
@@ -872,12 +956,12 @@ impl<'a> CostEngine<'a> {
                     .iter()
                     .map(|c| self.props.new_state(*c).rows)
                     .sum();
-                alts.push((total + m.union_all(rows), Alg::Union));
+                best.offer(total + m.union_all(rows), Alg::Union);
             }
             OpKind::Minus => {
                 let l = op.children[0];
                 let r = op.children[1];
-                alts.push((
+                best.offer(
                     self.c_full(l)
                         + self.c_full(r)
                         + m.minus(
@@ -886,68 +970,72 @@ impl<'a> CostEngine<'a> {
                             self.width(r),
                         ),
                     Alg::MinusAlg,
-                ));
+                );
             }
             OpKind::Distinct => {
                 let child = op.children[0];
                 let in_rows = self.props.new_state(child).rows;
-                alts.push((
+                best.offer(
                     self.c_full(child) + m.distinct(in_rows, out_rows, self.width(parent)),
                     Alg::DistinctAlg,
-                ));
+                );
             }
         }
-        alts
     }
 
-    /// Enumerate join algorithms for given side descriptions.
+    /// Offer the join algorithms for given side descriptions. `keys` are
+    /// the op's equi-join keys in both orientations (see
+    /// `OpFacts::join_keys`).
     fn join_alternatives(
         &self,
-        alts: &mut Vec<(f64, Alg)>,
+        best: &mut Best,
         left: JoinSide,
         right: JoinSide,
-        pred: &Predicate,
+        keys: &[Vec<(AttrId, AttrId)>; 2],
         out_rows: f64,
     ) {
         let m = &self.model;
         // Hash join, both build sides.
-        alts.push((
+        best.offer(
             left.cost
                 + right.cost
                 + m.hash_join(left.rows, left.width, right.rows, right.width, out_rows),
             Alg::HashJoin { build_left: true },
-        ));
-        alts.push((
+        );
+        best.offer(
             left.cost
                 + right.cost
                 + m.hash_join(right.rows, right.width, left.rows, left.width, out_rows),
             Alg::HashJoin { build_left: false },
-        ));
+        );
         // Merge join (sorts charged).
-        alts.push((
+        best.offer(
             left.cost
                 + right.cost
                 + m.sort(left.rows, left.width)
                 + m.sort(right.rows, right.width)
                 + m.merge_join(left.rows, right.rows, out_rows),
             Alg::MergeJoin,
-        ));
+        );
         // Block nested loops.
-        alts.push((
+        best.offer(
             left.cost
                 + right.cost
                 + m.block_nl_join(left.rows, left.width, right.rows, right.width),
             Alg::BlockNl,
-        ));
+        );
         // Index nested loops, each side as the probed inner.
-        for (outer, inner, outer_left) in [(&left, &right, true), (&right, &left, false)] {
-            for (okey, ikey) in self.join_keys_for(pred, outer.eq, inner.eq) {
+        for (outer, inner, outer_left, keys) in [
+            (&left, &right, true, &keys[0]),
+            (&right, &left, false, &keys[1]),
+        ] {
+            for &(okey, ikey) in keys {
                 if let Some((target, probe_rows)) = self.probe_path(inner.eq, ikey, outer.rows) {
                     let cost = outer.cost
                         + m.index_nl_join(outer.rows, probe_rows, inner.rows, inner.width)
                         + m.filter(probe_rows)
                         + out_rows * m.cpu_tuple;
-                    alts.push((
+                    best.offer(
                         cost,
                         Alg::IndexNl {
                             outer_left,
@@ -955,30 +1043,10 @@ impl<'a> CostEngine<'a> {
                             outer_key: okey,
                             inner_key: ikey,
                         },
-                    ));
+                    );
                 }
             }
         }
-    }
-
-    /// Join key pairs oriented as (outer attr, inner attr).
-    fn join_keys_for(&self, pred: &Predicate, outer: EqId, inner: EqId) -> Vec<(AttrId, AttrId)> {
-        let inner_schema = &self.dag.eq(inner).schema;
-        let outer_schema = &self.dag.eq(outer).schema;
-        pred.equijoin_keys()
-            .into_iter()
-            .filter_map(|(a, b)| {
-                if outer_schema.position_of(a).is_some() && inner_schema.position_of(b).is_some() {
-                    Some((a, b))
-                } else if outer_schema.position_of(b).is_some()
-                    && inner_schema.position_of(a).is_some()
-                {
-                    Some((b, a))
-                } else {
-                    None
-                }
-            })
-            .collect()
     }
 
     /// Can `inner` be probed via an index on `key`? Returns the stored
@@ -1023,8 +1091,10 @@ impl<'a> CostEngine<'a> {
         None
     }
 
-    /// Sargable index path for a Select op over `child` with `pred`.
-    fn index_select_path(&self, child: EqId, pred: &Predicate) -> Option<(StoredRef, AttrId, f64)> {
+    /// Sargable index path for the Select op `select` over `child`: the
+    /// first range conjunct on an indexed attribute, with the rows it
+    /// matches.
+    fn index_select_path(&self, child: EqId, select: OpId) -> Option<(StoredRef, AttrId, f64)> {
         let node = self.dag.eq(child);
         let target = if let Some(t) = node.as_base_table() {
             StoredRef::Base(t)
@@ -1033,18 +1103,15 @@ impl<'a> CostEngine<'a> {
         } else {
             return None;
         };
-        // Find an equality or range conjunct on an indexed attribute.
-        for c in pred.conjuncts() {
-            let single = Predicate::from_conjuncts(vec![c.clone()]);
-            if let Some((attr, _, _)) = single.as_single_attr_range() {
-                if self.mats.has_index(target, attr) {
-                    let st = self.props.new_state(child);
-                    let filtered = mvmqo_relalg::stats::derive_select(st, &single);
-                    return Some((target, attr, filtered.rows));
-                }
-            }
-        }
-        None
+        let (attr, single) = self
+            .dag
+            .op(select)
+            .facts
+            .ranges
+            .iter()
+            .find(|(attr, _)| self.mats.has_index(target, *attr))?;
+        let matching = stats::select_rows(self.props.new_state(child), single);
+        Some((target, *attr, matching))
     }
 
     // ==================================================================
@@ -1064,43 +1131,31 @@ impl<'a> CostEngine<'a> {
             // Differential of a base relation: read the delta log.
             let d = self.props.delta(e, u);
             return SlotState {
-                cost: self.model.scan(d.rows, self.width(e)),
+                cost: self.model.scan(d.rows, node.width),
                 best: Some((node.children[0], Alg::Scan)),
             };
         }
-        let mut best = SlotState {
-            cost: f64::INFINITY,
-            best: None,
-        };
-        let ops: Vec<OpId> = node.children.clone();
-        for op in ops {
-            for (cost, alg) in self.diff_op_alternatives(op, u) {
-                if cost < best.cost - EPS {
-                    best = SlotState {
-                        cost,
-                        best: Some((op, alg)),
-                    };
-                }
-            }
+        let mut best = Best::new();
+        for &op in &node.children {
+            best.op = op;
+            self.diff_op_alternatives(op, u, &mut best);
         }
-        best
+        best.slot
     }
 
-    /// Alternatives for computing δ(parent, u) through one op.
-    fn diff_op_alternatives(&self, op_id: OpId, u: UpdateId) -> Vec<(f64, Alg)> {
+    /// Offer the alternatives for computing δ(parent, u) through one op.
+    fn diff_op_alternatives(&self, op_id: OpId, u: UpdateId, best: &mut Best) {
         let op = self.dag.op(op_id);
         let parent = op.parent;
-        let step = self.updates.step(u);
-        let table = step.table;
+        let table = self.updates.step(u).table;
         let m = &self.model;
         let out_delta_rows = self.props.delta(parent, u).rows;
-        let mut alts = Vec::with_capacity(4);
         match &op.kind {
             OpKind::Scan(_) => { /* handled in compute_diff_slot */ }
             OpKind::Select { .. } | OpKind::Project { .. } => {
                 let child = op.children[0];
                 if !self.dag.eq(child).depends_on(table) {
-                    return alts; // this path contributes no delta
+                    return; // this path contributes no delta
                 }
                 let d_rows = self.props.delta(child, u).rows;
                 let alg = if matches!(op.kind, OpKind::Select { .. }) {
@@ -1108,35 +1163,26 @@ impl<'a> CostEngine<'a> {
                 } else {
                     Alg::Project
                 };
-                alts.push((self.c_diff(child, u) + m.filter(d_rows), alg));
+                best.offer(self.c_diff(child, u) + m.filter(d_rows), alg);
             }
-            OpKind::Join { pred } => {
+            OpKind::Join { .. } => {
                 let l = op.children[0];
                 let r = op.children[1];
                 let l_dep = self.dag.eq(l).depends_on(table);
                 let r_dep = self.dag.eq(r).depends_on(table);
+                let keys = &op.facts.join_keys;
                 match (l_dep, r_dep) {
                     (true, false) => {
-                        self.delta_join_alternatives(
-                            &mut alts,
-                            op_id,
-                            u,
-                            l,
-                            r,
-                            true,
-                            pred,
-                            out_delta_rows,
-                        );
+                        self.delta_join_alternatives(best, u, l, r, true, &keys[0], out_delta_rows);
                     }
                     (false, true) => {
                         self.delta_join_alternatives(
-                            &mut alts,
-                            op_id,
+                            best,
                             u,
                             r,
                             l,
                             false,
-                            pred,
+                            &keys[1],
                             out_delta_rows,
                         );
                     }
@@ -1161,7 +1207,7 @@ impl<'a> CostEngine<'a> {
                                 out_delta_rows,
                             )
                             + m.union_all(out_delta_rows);
-                        alts.push((cost, Alg::HashJoin { build_left: true }));
+                        best.offer(cost, Alg::HashJoin { build_left: true });
                     }
                     (false, false) => {}
                 }
@@ -1169,35 +1215,35 @@ impl<'a> CostEngine<'a> {
             OpKind::Aggregate { .. } => {
                 let child = op.children[0];
                 if !self.dag.eq(child).depends_on(table) {
-                    return alts;
+                    return;
                 }
                 if self.is_grouped(child) {
                     // Roll-up derivation (subsumption): its delta would be a
                     // re-aggregation of partial-aggregate records; the
                     // executor maintains aggregates from raw input deltas
                     // instead, so only the direct op offers a delta plan.
-                    return alts;
+                    return;
                 }
                 let d_in = self.props.delta(child, u).rows;
                 if self.mats.full.contains(&parent) {
                     // Materialized aggregate: aggregate the input delta into
                     // merge records (§3.1.2).
-                    alts.push((
+                    best.offer(
                         self.c_diff(child, u)
                             + m.hash_aggregate(d_in, out_delta_rows, self.width(parent)),
                         Alg::HashAgg,
-                    ));
+                    );
                 } else {
                     // Unmaterialized: recompute the affected groups, which
                     // requires the full input (§3.1.2 "significant extra
                     // work").
                     let full_in = self.props.state_at(child, u.0 as usize).rows;
-                    alts.push((
+                    best.offer(
                         self.c_diff(child, u)
                             + self.c_full(child)
                             + m.hash_aggregate(full_in, out_delta_rows, self.width(parent)),
                         Alg::HashAgg,
-                    ));
+                    );
                 }
             }
             OpKind::UnionAll => {
@@ -1207,52 +1253,51 @@ impl<'a> CostEngine<'a> {
                         cost += self.c_diff(c, u);
                     }
                 }
-                alts.push((cost, Alg::Union));
+                best.offer(cost, Alg::Union);
             }
             OpKind::Minus => {
                 // Incremental maintenance of multiset difference is not
                 // supported (§3.1.2 covers only restricted cases);
                 // recomputation is forced by an infinite differential cost.
-                alts.push((f64::INFINITY, Alg::MinusAlg));
+                best.offer(f64::INFINITY, Alg::MinusAlg);
             }
             OpKind::Distinct => {
                 let child = op.children[0];
                 if !self.dag.eq(child).depends_on(table) {
-                    return alts;
+                    return;
                 }
                 let d_in = self.props.delta(child, u).rows;
                 if self.mats.full.contains(&parent) {
-                    alts.push((
+                    best.offer(
                         self.c_diff(child, u)
                             + m.distinct(d_in, out_delta_rows, self.width(parent)),
                         Alg::DistinctAlg,
-                    ));
+                    );
                 } else {
                     let full_in = self.props.state_at(child, u.0 as usize).rows;
-                    alts.push((
+                    best.offer(
                         self.c_diff(child, u)
                             + self.c_full(child)
                             + m.distinct(full_in, out_delta_rows, self.width(parent)),
                         Alg::DistinctAlg,
-                    ));
+                    );
                 }
             }
         }
-        alts
     }
 
     /// Alternatives for a one-sided delta join: δ(diff side) ⋈ full side.
-    /// `diff_is_left` records which canonical child streams the delta.
+    /// `diff_is_left` records which canonical child streams the delta;
+    /// `keys` are the equi-join keys oriented (diff attr, full attr).
     #[allow(clippy::too_many_arguments)]
     fn delta_join_alternatives(
         &self,
-        alts: &mut Vec<(f64, Alg)>,
-        _op: OpId,
+        best: &mut Best,
         u: UpdateId,
         d_child: EqId,
         f_child: EqId,
         diff_is_left: bool,
-        pred: &Predicate,
+        keys: &[(AttrId, AttrId)],
         out_rows: f64,
     ) {
         let m = &self.model;
@@ -1260,29 +1305,22 @@ impl<'a> CostEngine<'a> {
         let f_rows = self.props.state_at(f_child, u.0 as usize).rows;
         let d_cost = self.c_diff(d_child, u);
         let f_cost = self.c_full(f_child);
+        let f_width = self.width(f_child);
         // Hash join: build the (usually tiny) delta side.
-        alts.push((
-            d_cost
-                + f_cost
-                + m.hash_join(
-                    d_rows,
-                    self.width(d_child),
-                    f_rows,
-                    self.width(f_child),
-                    out_rows,
-                ),
+        best.offer(
+            d_cost + f_cost + m.hash_join(d_rows, self.width(d_child), f_rows, f_width, out_rows),
             Alg::HashJoin {
                 build_left: diff_is_left,
             },
-        ));
+        );
         // Index nested loops: stream the delta, probe the stored full side.
         // This is the plan §3.2.3 motivates: (δA ⋈ B) via B's index instead
         // of computing B ⋈ C.
-        for (okey, ikey) in self.join_keys_for(pred, d_child, f_child) {
+        for &(okey, ikey) in keys {
             if let Some((target, probe_rows)) = self.probe_path(f_child, ikey, d_rows) {
-                alts.push((
+                best.offer(
                     d_cost
-                        + m.index_nl_join(d_rows, probe_rows, f_rows, self.width(f_child))
+                        + m.index_nl_join(d_rows, probe_rows, f_rows, f_width)
                         + m.filter(probe_rows)
                         + out_rows * m.cpu_tuple,
                     Alg::IndexNl {
@@ -1291,7 +1329,7 @@ impl<'a> CostEngine<'a> {
                         outer_key: okey,
                         inner_key: ikey,
                     },
-                ));
+                );
             }
         }
     }
@@ -1302,22 +1340,41 @@ impl<'a> CostEngine<'a> {
 
     /// Row width of an eq node's result.
     pub fn width(&self, e: EqId) -> usize {
-        self.dag.eq(e).schema.row_width()
-    }
-
-    fn table_width(&self, t: TableId) -> usize {
-        self.catalog.table(t).schema.row_width()
+        self.dag.eq(e).width
     }
 
     /// True for nodes whose stored form is keyed by groups (aggregate /
     /// distinct), which changes merge behaviour and cost.
     pub fn is_grouped(&self, e: EqId) -> bool {
-        self.dag.eq(e).children.iter().any(|op| {
-            matches!(
-                self.dag.op(*op).kind,
-                OpKind::Aggregate { .. } | OpKind::Distinct
-            )
-        })
+        self.dag.eq(e).grouped
+    }
+}
+
+/// The running minimum of one slot recompute. Alternatives are offered in
+/// enumeration order, and one replaces the incumbent only when it is
+/// cheaper by more than `EPS` — so among near-ties the first offered wins.
+struct Best {
+    slot: SlotState,
+    /// The op whose alternatives are being offered.
+    op: OpId,
+}
+
+impl Best {
+    fn new() -> Best {
+        Best {
+            slot: BLANK,
+            op: OpId(0),
+        }
+    }
+
+    #[inline]
+    fn offer(&mut self, cost: f64, alg: Alg) {
+        if cost < self.slot.cost - EPS {
+            self.slot = SlotState {
+                cost,
+                best: Some((self.op, alg)),
+            };
+        }
     }
 }
 
@@ -1333,78 +1390,80 @@ fn slot_eq(a: &SlotState, b: &SlotState) -> bool {
     (a.cost - b.cost).abs() <= EPS && a.best == b.best
 }
 
-/// Dirty-slot bookkeeping for incremental propagation.
+/// Dirty-slot bookkeeping for incremental propagation: dense per-eq flags
+/// and a rank-ordered queue of the eqs that have any, reused by every
+/// trial of one engine. An eq is queued at most once at a time; popping it
+/// (lowest topological rank first) takes its flags.
+#[derive(Debug, Default)]
 struct DirtySet {
     n_updates: usize,
-    map: HashMap<EqId, DirtyFlags>,
-}
-
-#[derive(Clone)]
-struct DirtyFlags {
-    full: bool,
+    /// Full-slot flag per eq id.
+    full: Vec<bool>,
+    /// Differential-slot flags, `n_updates` per eq id.
     diffs: Vec<bool>,
+    /// Whether an eq id is in `queue`.
+    queued: Vec<bool>,
+    /// Min-queue of (topological rank, eq id).
+    queue: BinaryHeap<Reverse<(usize, u32)>>,
+    /// Scratch: the differential slots of the eq being settled that moved.
+    diff_changed: Vec<UpdateId>,
 }
 
 impl DirtySet {
-    fn new(n_updates: usize) -> Self {
+    fn new(arena: usize, n_updates: usize) -> Self {
         DirtySet {
             n_updates,
-            map: HashMap::new(),
+            full: vec![false; arena],
+            diffs: vec![false; arena * n_updates],
+            queued: vec![false; arena],
+            queue: BinaryHeap::new(),
+            diff_changed: Vec::new(),
         }
     }
 
-    fn entry(&mut self, e: EqId) -> &mut DirtyFlags {
-        let n = self.n_updates;
-        self.map.entry(e).or_insert_with(|| DirtyFlags {
-            full: false,
-            diffs: vec![false; n],
-        })
-    }
-
-    fn mark_full(&mut self, e: EqId) -> bool {
-        let f = self.entry(e);
-        let newly = !f.full;
-        f.full = true;
-        newly
-    }
-
-    fn mark_diff(&mut self, e: EqId, u: UpdateId) -> bool {
-        let f = self.entry(e);
-        let newly = !f.diffs[u.0 as usize];
-        f.diffs[u.0 as usize] = true;
-        newly
-    }
-
-    fn mark_all_diffs(&mut self, e: EqId) -> bool {
-        let f = self.entry(e);
-        let mut newly = false;
-        for d in f.diffs.iter_mut() {
-            newly |= !*d;
-            *d = true;
+    fn enqueue(&mut self, e: EqId, rank: usize) {
+        let queued = &mut self.queued[e.0 as usize];
+        if !*queued {
+            *queued = true;
+            self.queue.push(Reverse((rank, e.0)));
         }
-        newly
     }
 
-    fn nodes(&self) -> impl Iterator<Item = EqId> + '_ {
-        self.map.keys().copied()
+    fn mark_full(&mut self, e: EqId, rank: usize) {
+        self.full[e.0 as usize] = true;
+        self.enqueue(e, rank);
     }
 
-    fn take(&mut self, e: EqId) -> DirtyFlags {
-        self.map.remove(&e).unwrap_or(DirtyFlags {
-            full: false,
-            diffs: vec![false; self.n_updates],
-        })
+    fn mark_diff(&mut self, e: EqId, u: UpdateId, rank: usize) {
+        self.diffs[e.0 as usize * self.n_updates + u.0 as usize] = true;
+        self.enqueue(e, rank);
     }
-}
 
-impl DirtyFlags {
-    fn diff_ids(&self) -> Vec<UpdateId> {
-        self.diffs
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| **d)
-            .map(|(i, _)| UpdateId(i as u16))
-            .collect()
+    fn mark_all_diffs(&mut self, e: EqId, rank: usize) {
+        let at = e.0 as usize * self.n_updates;
+        self.diffs[at..at + self.n_updates].fill(true);
+        self.enqueue(e, rank);
+    }
+
+    /// Take the full-slot flag of a popped eq (also un-queues it).
+    fn take_full(&mut self, e: EqId) -> bool {
+        self.queued[e.0 as usize] = false;
+        std::mem::take(&mut self.full[e.0 as usize])
+    }
+
+    fn take_diff(&mut self, e: EqId, u: UpdateId) -> bool {
+        std::mem::take(&mut self.diffs[e.0 as usize * self.n_updates + u.0 as usize])
+    }
+
+    /// Drop every pending flag (the ablation path recomputes everything).
+    fn clear(&mut self) {
+        while let Some(Reverse((_, id))) = self.queue.pop() {
+            let e = EqId(id);
+            self.take_full(e);
+            for u in 0..self.n_updates {
+                self.take_diff(e, UpdateId(u as u16));
+            }
+        }
     }
 }
 
@@ -1412,7 +1471,7 @@ impl DirtyFlags {
 mod tests {
     use super::*;
     use mvmqo_relalg::catalog::ColumnSpec;
-    use mvmqo_relalg::expr::ScalarExpr;
+    use mvmqo_relalg::expr::{Predicate, ScalarExpr};
     use mvmqo_relalg::logical::LogicalExpr;
     use mvmqo_relalg::types::DataType;
 
@@ -1482,7 +1541,7 @@ mod tests {
         }
     }
 
-    fn pk_indices(f: &Fixture) -> HashSet<(StoredRef, AttrId)> {
+    fn pk_indices(f: &Fixture) -> IndexSet {
         [f.a, f.b, f.c]
             .iter()
             .map(|t| (StoredRef::Base(*t), f.catalog.table(*t).primary_key[0]))

@@ -18,12 +18,12 @@
 //!    re-evaluation of every candidate each round.
 
 use crate::dag::{Dag, EqId, OpKind, SemKey};
-use crate::opt::costing::{CostEngine, StoredRef};
+use crate::opt::costing::{CostEngine, EqSet, StoredRef};
 use crate::update::UpdateId;
+use mvmqo_relalg::hash::{FxHashMap, FxHashSet};
 use mvmqo_relalg::schema::AttrId;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::collections::{HashMap, HashSet};
 
 /// What the greedy loop may materialize.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -121,27 +121,28 @@ pub struct GreedyResult {
 /// re-evaluates a candidate before committing it, a stale seed costs at
 /// most one extra evaluation; what it saves is the full initial
 /// benefit-evaluation sweep, the dominant term of optimization time on
-/// large view sets.
+/// large view sets. Its maps are Fx-hashed (see [`mvmqo_relalg::hash`]):
+/// nothing here may depend on a per-map random seed.
 #[derive(Debug, Clone, Default)]
 pub struct WarmStart {
     /// Extra materializations chosen by the previous plan, still present in
     /// the engine's `MatSet`.
     pub prior_chosen: Vec<Candidate>,
     /// Last fresh benefit observed per candidate (updated in place).
-    pub benefits: HashMap<Candidate, f64>,
+    pub benefits: FxHashMap<Candidate, f64>,
     /// Eq nodes whose cost context changed since `benefits` was cached —
     /// the *downward closure* of every changed node (a candidate's benefit
     /// flows through its ancestors, so it is stale exactly when a changed
     /// node sits above it). `None` means no warm information: every
     /// candidate is evaluated fresh (the cold path).
-    pub stale: Option<HashSet<EqId>>,
+    pub stale: Option<EqSet>,
 }
 
 impl WarmStart {
     /// The set of anchors whose cached benefit cannot be trusted: the
     /// changed nodes plus everything below them.
-    pub fn stale_closure(dag: &Dag, changed: impl IntoIterator<Item = EqId>) -> HashSet<EqId> {
-        let mut out: HashSet<EqId> = HashSet::new();
+    pub fn stale_closure(dag: &Dag, changed: impl IntoIterator<Item = EqId>) -> EqSet {
+        let mut out = EqSet::default();
         let mut stack: Vec<EqId> = changed.into_iter().collect();
         while let Some(e) = stack.pop() {
             if !out.insert(e) {
@@ -194,8 +195,6 @@ pub fn run_greedy_warm(
     warm: &mut WarmStart,
 ) -> GreedyResult {
     engine.incremental = options.incremental_cost_update;
-    let trace0 = std::env::var_os("MVMQO_GREEDY_TRACE").is_some();
-    let tinit = std::time::Instant::now();
     let prior: Vec<Candidate> = std::mem::take(&mut warm.prior_chosen)
         .into_iter()
         .filter(|c| candidate_live(engine, *c))
@@ -209,6 +208,8 @@ pub fn run_greedy_warm(
         benefit_evaluations: 0,
         space_used_blocks: 0.0,
     };
+    // The set a benefit evaluation differences over, reused by every trial.
+    let mut affected = EqSet::default();
     if options.mode == Mode::NoGreedy {
         // Baseline never materializes extras; demote anything inherited.
         for &cand in prior.iter().rev() {
@@ -234,7 +235,7 @@ pub fn run_greedy_warm(
     let mut baseline = entry_total;
     for cand in prior {
         let keep_benefit = if warm.is_stale(engine, cand) {
-            -evaluate_benefit_toggle(engine, cand, false, &mut result)
+            -evaluate_benefit_toggle(engine, cand, false, &mut affected, &mut result)
         } else {
             warm.benefits[&cand]
         };
@@ -253,24 +254,7 @@ pub fn run_greedy_warm(
     }
     result.initial_cost = baseline;
 
-    let trace = trace0;
-    if trace {
-        eprintln!(
-            "greedy: initial+revalidate ({} prior) took {:?}",
-            result.chosen.len(),
-            tinit.elapsed()
-        );
-    }
-    let t0 = std::time::Instant::now();
     let mut candidates = enumerate_candidates(engine, options);
-    if trace {
-        eprintln!(
-            "greedy: {} candidates enumerated in {:?} ({} prior kept)",
-            candidates.len(),
-            t0.elapsed(),
-            result.chosen.len()
-        );
-    }
 
     if options.monotonicity {
         // Lazy greedy: heap of (stale benefit, candidate index). Warm runs
@@ -286,7 +270,7 @@ pub fn run_greedy_warm(
                     // its heap *position* is approximate.
                     Some(&cached) if cached > 1e-9 => cached,
                     _ => {
-                        let fresh = evaluate_benefit(engine, cand, &mut result);
+                        let fresh = evaluate_benefit(engine, cand, &mut affected, &mut result);
                         warm.benefits.insert(cand, fresh);
                         fresh
                     }
@@ -298,23 +282,16 @@ pub fn run_greedy_warm(
                 heap.push(HeapEntry { benefit: b, idx: i });
             }
         }
-        if trace {
-            eprintln!(
-                "greedy: heap built at {:?} ({} evals so far)",
-                t0.elapsed(),
-                result.benefit_evaluations
-            );
-        }
-        let mut selected: HashSet<usize> = HashSet::new();
+        let mut selected = vec![false; candidates.len()];
         while let Some(top) = heap.pop() {
             if result.chosen.len() >= options.max_selections {
                 break;
             }
-            if selected.contains(&top.idx) {
+            if selected[top.idx] {
                 continue;
             }
             let cand = candidates[top.idx];
-            let fresh = evaluate_benefit(engine, cand, &mut result);
+            let fresh = evaluate_benefit(engine, cand, &mut affected, &mut result);
             warm.benefits.insert(cand, fresh);
             let next_stale = heap.peek().map(|e| e.benefit).unwrap_or(f64::NEG_INFINITY);
             if fresh >= next_stale - 1e-9 {
@@ -323,11 +300,11 @@ pub fn run_greedy_warm(
                     break; // Figure 2: stop when max benefit is non-positive
                 }
                 if !fits_budget(engine, cand, options, &mut result) {
-                    selected.insert(top.idx); // skipped for good: over budget
+                    selected[top.idx] = true; // skipped for good: over budget
                     continue;
                 }
                 commit(engine, cand, options);
-                selected.insert(top.idx);
+                selected[top.idx] = true;
                 result.chosen.push((cand, fresh));
             } else {
                 heap.push(HeapEntry {
@@ -344,7 +321,7 @@ pub fn run_greedy_warm(
             }
             let mut best: Option<(usize, f64)> = None;
             for (i, &cand) in candidates.iter().enumerate() {
-                let b = evaluate_benefit(engine, cand, &mut result);
+                let b = evaluate_benefit(engine, cand, &mut affected, &mut result);
                 warm.benefits.insert(cand, b);
                 if b.is_finite() && best.map(|(_, bb)| b > bb).unwrap_or(true) {
                     best = Some((i, b));
@@ -363,14 +340,6 @@ pub fn run_greedy_warm(
             }
         }
     }
-    if trace {
-        eprintln!(
-            "greedy: loop done at {:?} ({} evals, {} chosen)",
-            t0.elapsed(),
-            result.benefit_evaluations,
-            result.chosen.len()
-        );
-    }
     result.final_cost = engine.total_cost();
     warm.prior_chosen = result.chosen.iter().map(|(c, _)| *c).collect();
     result
@@ -388,12 +357,14 @@ fn candidate_live(engine: &CostEngine<'_>, cand: Candidate) -> bool {
 /// propagation actually touched (plus the candidate's own anchor) — every
 /// other member's contribution is identical on both sides and cancels, so
 /// one evaluation costs O(changed slots), not O(all materializations).
+/// `affected` is scratch space, reused across evaluations.
 fn evaluate_benefit(
     engine: &mut CostEngine<'_>,
     cand: Candidate,
+    affected: &mut EqSet,
     result: &mut GreedyResult,
 ) -> f64 {
-    evaluate_benefit_toggle(engine, cand, true, result)
+    evaluate_benefit_toggle(engine, cand, true, affected, result)
 }
 
 /// Benefit of toggling `cand` to `on` (rolled back): cost before the
@@ -402,11 +373,13 @@ fn evaluate_benefit_toggle(
     engine: &mut CostEngine<'_>,
     cand: Candidate,
     on: bool,
+    affected: &mut EqSet,
     result: &mut GreedyResult,
 ) -> f64 {
     result.benefit_evaluations += 1;
     let trial = apply(engine, cand, on);
-    let mut affected: HashSet<EqId> = trial.changed_eqs().collect();
+    affected.clear();
+    affected.extend(trial.changed_eqs());
     if let Some(a) = WarmStart::anchor(engine, cand) {
         affected.insert(a);
     }
@@ -414,9 +387,9 @@ fn evaluate_benefit_toggle(
         Candidate::Index(t, a) => Some((t, a)),
         _ => None,
     };
-    let after = engine.partial_cost(&affected, index);
+    let after = engine.partial_cost(affected, index);
     engine.rollback(trial);
-    let before = engine.partial_cost(&affected, index);
+    let before = engine.partial_cost(affected, index);
     before - after
 }
 
@@ -506,8 +479,8 @@ pub fn enumerate_candidates(engine: &CostEngine<'_>, options: &GreedyOptions) ->
             if options.index_candidates && !engine.is_grouped(e) {
                 // Locator index for delete-merges, should this node be
                 // chosen and maintained.
-                if let Some(first) = node.schema.ids().first() {
-                    out.push(Candidate::Index(StoredRef::Mat(e), *first));
+                if let Some(first) = node.schema.attrs().first() {
+                    out.push(Candidate::Index(StoredRef::Mat(e), first.id));
                 }
             }
         }
@@ -533,10 +506,9 @@ pub fn enumerate_candidates(engine: &CostEngine<'_>, options: &GreedyOptions) ->
         // Locator indices for the user views themselves.
         for &e in &engine.mats.full {
             if !engine.is_grouped(e) {
-                if let Some(first) = dag.eq(e).schema.ids().first() {
-                    let cand = Candidate::Index(StoredRef::Mat(e), *first);
-                    if !engine.mats.has_index(StoredRef::Mat(e), *first) {
-                        out.push(cand);
+                if let Some(first) = dag.eq(e).schema.attrs().first() {
+                    if !engine.mats.has_index(StoredRef::Mat(e), first.id) {
+                        out.push(Candidate::Index(StoredRef::Mat(e), first.id));
                     }
                 }
             }
@@ -558,7 +530,7 @@ pub fn enumerate_candidates(engine: &CostEngine<'_>, options: &GreedyOptions) ->
 /// selection attributes on base tables.
 fn enumerate_index_candidates(engine: &CostEngine<'_>) -> Vec<Candidate> {
     let dag = engine.dag;
-    let mut seen: HashSet<(StoredRef, AttrId)> = HashSet::new();
+    let mut seen: FxHashSet<(StoredRef, AttrId)> = FxHashSet::default();
     let mut out = Vec::new();
     let mut push = |target: StoredRef, attr: AttrId, engine: &CostEngine<'_>| {
         if engine.mats.has_index(target, attr) {
@@ -571,18 +543,10 @@ fn enumerate_index_candidates(engine: &CostEngine<'_>) -> Vec<Candidate> {
     for op_id in dag.op_ids() {
         let op = dag.op(op_id);
         match &op.kind {
-            OpKind::Join { pred } => {
-                for (a, b) in pred.equijoin_keys() {
-                    for (side, attr) in [
-                        (op.children[0], a),
-                        (op.children[0], b),
-                        (op.children[1], a),
-                        (op.children[1], b),
-                    ] {
+            OpKind::Join { .. } => {
+                for &(l_attr, r_attr) in &op.facts.join_keys[0] {
+                    for (side, attr) in [(op.children[0], l_attr), (op.children[1], r_attr)] {
                         let node = dag.eq(side);
-                        if node.schema.position_of(attr).is_none() {
-                            continue;
-                        }
                         if let Some(t) = node.as_base_table() {
                             push(StoredRef::Base(t), attr, engine);
                         } else if let SemKey::Spj { tables, .. } = &node.key {
@@ -598,14 +562,11 @@ fn enumerate_index_candidates(engine: &CostEngine<'_>) -> Vec<Candidate> {
                     }
                 }
             }
-            OpKind::Select { pred } => {
+            OpKind::Select { .. } => {
                 let child = op.children[0];
                 if let Some(t) = dag.eq(child).as_base_table() {
-                    for c in pred.conjuncts() {
-                        let single = mvmqo_relalg::expr::Predicate::from_conjuncts(vec![c.clone()]);
-                        if let Some((attr, _, _)) = single.as_single_attr_range() {
-                            push(StoredRef::Base(t), attr, engine);
-                        }
+                    for (attr, _) in &op.facts.ranges {
+                        push(StoredRef::Base(t), *attr, engine);
                     }
                 }
             }

@@ -6,7 +6,9 @@
 pub mod costing;
 pub mod greedy;
 
-pub use costing::{Alg, CostEngine, EngineStats, MatSet, SavedMemo, Slot, StoredRef, Trial};
+pub use costing::{
+    Alg, CostEngine, EngineStats, EqSet, IndexSet, MatSet, SavedMemo, Slot, StoredRef, Trial,
+};
 pub use greedy::{
     candidate_blocks, classify_refresh, describe_candidate, enumerate_candidates, run_greedy,
     run_greedy_warm, Candidate, GreedyOptions, GreedyResult, Mode, RefreshStrategy, WarmStart,

@@ -240,7 +240,7 @@ pub fn extract_program(engine: &CostEngine<'_>) -> Program {
         views: dag.roots().iter().map(|r| (r.name.clone(), r.eq)).collect(),
         ..Default::default()
     };
-    let view_set: std::collections::HashSet<EqId> = program.views.iter().map(|(_, e)| *e).collect();
+    let view_set: crate::opt::EqSet = program.views.iter().map(|(_, e)| *e).collect();
 
     // Full plans + temp/perm classification for every materialized result.
     for &e in &engine.mats.full {
@@ -285,8 +285,7 @@ pub fn extract_program(engine: &CostEngine<'_>) -> Program {
             .filter(|(_, u)| *u == step.id)
             .map(|(e, _)| *e)
             .collect();
-        let order = dag.topo_order();
-        diff_mats.sort_by_key(|e| order.iter().position(|x| x == e));
+        diff_mats.sort_by_key(|e| engine.topo_rank(*e));
         for e in diff_mats {
             if engine.props.delta_is_empty(e, step.id) {
                 continue;

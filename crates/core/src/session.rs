@@ -35,20 +35,22 @@
 //! time benchmark (`figures opt-bench`) checks selected-plan cost against
 //! a cold replan on every run.
 
-use crate::api::{summarize, OptimizerReport};
+use crate::api::{summarize, OptimizerReport, PlanPhases};
 use crate::cost::CostModel;
 use crate::dag::{
     add_subsumption_derivations_incremental, Dag, EqId, SubsumeState, SubsumptionReport,
 };
+use crate::diff::DiffProps;
 use crate::opt::{
-    run_greedy_warm, Candidate, CostEngine, GreedyOptions, MatSet, SavedMemo, StoredRef, WarmStart,
+    run_greedy_warm, Candidate, CostEngine, EqSet, GreedyOptions, MatSet, SavedMemo, StoredRef,
+    WarmStart,
 };
 use crate::plan::extract_program;
 use crate::update::UpdateModel;
 use mvmqo_relalg::catalog::{Catalog, TableId};
+use mvmqo_relalg::hash::{FxHashMap, FxHashSet};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::schema::AttrId;
-use std::collections::HashSet;
 use std::time::Instant;
 
 /// How a [`Optimizer::plan`] call obtained its result.
@@ -93,30 +95,30 @@ pub struct Optimizer {
     options: GreedyOptions,
     initial_indices: Vec<(TableId, AttrId)>,
     mats: MatSet,
-    props: Option<crate::diff::DiffProps>,
+    props: Option<DiffProps>,
     memo: Option<SavedMemo>,
     warm: WarmStart,
     /// Nodes whose memo slots must be recomputed at the next plan (new
     /// nodes, nodes that gained alternatives, nodes whose physical-design
     /// inputs — materializations, indices — changed under them).
-    dirty: HashSet<EqId>,
+    dirty: EqSet,
     /// Surviving nodes whose cached *benefits* (not slots) went stale —
     /// e.g. descendants of a removed view root that lost sharing.
-    benefit_stale: HashSet<EqId>,
+    benefit_stale: EqSet,
     /// Structural seeds for benefit staleness: genuinely new nodes and
     /// nodes whose physical-design membership changed. Narrower than
     /// `dirty` — a node that merely gained an alternative whose slot value
     /// did not move leaves benefits below it intact (materialization only
     /// ever lowers other paths' costs, so an alternative that loses at
     /// rest keeps losing under any trial outside its own cone).
-    seed_dirty: HashSet<EqId>,
+    seed_dirty: EqSet,
     /// Tables whose update-model row estimates changed since the last plan.
     drift_tables: Vec<TableId>,
     /// Catalog base-table row counts the persisted properties were computed
     /// against — a caller that refreshes catalog statistics between plans
     /// (the warehouse folds live row counts in before every replan) gets
     /// the affected tables picked up as drift automatically.
-    last_base_rows: std::collections::HashMap<TableId, f64>,
+    last_base_rows: FxHashMap<TableId, f64>,
     /// True when some base table's catalog row count moved by more than
     /// ~10% since the last plan. The trust-the-cached-benefits drift
     /// approximation is justified only for bounded drift; a severe shift
@@ -319,8 +321,8 @@ impl Optimizer {
     /// affected relations' consumers. Following §7.1, user views carry a
     /// locator index exactly when any initial index exists.
     pub fn set_initial_indices(&mut self, indices: Vec<(TableId, AttrId)>) {
-        let old: HashSet<(TableId, AttrId)> = self.initial_indices.iter().copied().collect();
-        let new: HashSet<(TableId, AttrId)> = indices.iter().copied().collect();
+        let old: FxHashSet<(TableId, AttrId)> = self.initial_indices.iter().copied().collect();
+        let new: FxHashSet<(TableId, AttrId)> = indices.iter().copied().collect();
         for &(t, a) in old.difference(&new) {
             self.mats.indices.remove(&(StoredRef::Base(t), a));
             if let Some(e) = self.dag.base_eq(t) {
@@ -401,20 +403,24 @@ impl Optimizer {
                 self.severe_drift = true;
             }
         }
-        let structural_dirty: HashSet<EqId> = self
+        let structural_dirty: EqSet = self
             .dirty
             .iter()
             .copied()
             .filter(|e| self.dag.eq_is_live(*e))
             .collect();
+        let mut phases = PlanPhases::default();
         let cold = self.memo.is_none() || self.props.is_none();
         let (mut engine, mode, slot_changed) = if cold {
-            let engine = CostEngine::new(
+            let props = DiffProps::compute(&self.dag, catalog, &self.updates);
+            phases.stat_refresh = start.elapsed();
+            let engine = CostEngine::from_props(
                 &self.dag,
                 catalog,
                 &self.updates,
                 self.cost_model,
                 self.mats.clone(),
+                props,
             );
             (engine, PlanMode::Cold, Vec::new())
         } else {
@@ -426,13 +432,7 @@ impl Optimizer {
                 &self.drift_tables,
                 &structural_dirty,
             );
-            if std::env::var_os("MVMQO_SESSION_TRACE").is_some() {
-                eprintln!(
-                    "session refresh: {:?} ({} stat-changed)",
-                    start.elapsed(),
-                    stat_changed.len()
-                );
-            }
+            phases.stat_refresh = start.elapsed();
             let mut memo_dirty = structural_dirty.clone();
             memo_dirty.extend(stat_changed);
             let (engine, slot_changed) = CostEngine::resume(
@@ -447,12 +447,13 @@ impl Optimizer {
             );
             (engine, PlanMode::Incremental, slot_changed)
         };
+        phases.memo = start.elapsed() - phases.stat_refresh;
 
         let mut warm = std::mem::take(&mut self.warm);
         warm.stale = match mode {
             PlanMode::Cold => None,
             PlanMode::Incremental => {
-                let mut seeds: HashSet<EqId> = self
+                let mut seeds: EqSet = self
                     .seed_dirty
                     .drain()
                     .filter(|e| self.dag.eq_is_live(*e))
@@ -477,10 +478,12 @@ impl Optimizer {
             }
         };
 
-        let t_setup = start.elapsed();
+        let t_greedy = Instant::now();
         let greedy = run_greedy_warm(&mut engine, &self.options, &mut warm);
-        let t_greedy = start.elapsed();
+        phases.greedy = t_greedy.elapsed();
+        let t_extract = Instant::now();
         let program = extract_program(&engine);
+        phases.extract = t_extract.elapsed();
         let report = summarize(
             &self.dag,
             &engine,
@@ -488,16 +491,8 @@ impl Optimizer {
             self.subsumption,
             program,
             start,
+            phases,
         );
-        if std::env::var_os("MVMQO_SESSION_TRACE").is_some() {
-            eprintln!(
-                "session plan [{mode}]: setup {:?}, greedy {:?} ({} benefit evals), extract {:?}",
-                t_setup,
-                t_greedy - t_setup,
-                greedy.benefit_evaluations,
-                start.elapsed() - t_greedy
-            );
-        }
         let (mats, props, memo) = engine.into_memo();
         self.mats = mats;
         self.props = Some(props);

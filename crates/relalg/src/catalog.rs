@@ -5,7 +5,7 @@
 //! [`AttrAllocator`] so every column in the database has a unique [`AttrId`].
 
 use crate::schema::{AttrAllocator, AttrId, Attribute, Schema};
-use crate::stats::{ColStats, RelStats};
+use crate::stats::{ColMap, ColStats, RelStats};
 use crate::types::DataType;
 use std::collections::HashMap;
 use std::fmt;
@@ -130,7 +130,7 @@ impl Catalog {
         );
         let id = TableId(self.tables.len() as u32);
         let mut attrs = Vec::with_capacity(columns.len());
-        let mut col_stats = HashMap::with_capacity(columns.len());
+        let mut col_stats = ColMap::with_capacity_and_hasher(columns.len(), Default::default());
         for spec in &columns {
             let attr_id = self.attr_alloc.fresh();
             attrs.push(Attribute {

@@ -18,7 +18,7 @@ use crate::catalog::{Catalog, ForeignKey, TableDef, TableId};
 use crate::expr::{ArithOp, CmpOp, Predicate, ScalarExpr};
 use crate::logical::{LogicalExpr, ViewDef};
 use crate::schema::{AttrId, Attribute, Schema};
-use crate::stats::{ColStats, RelStats};
+use crate::stats::{ColMap, ColStats, RelStats};
 use crate::types::{DataType, Value};
 use std::fmt;
 use std::sync::Arc;
@@ -754,7 +754,7 @@ pub fn encode_rel_stats(e: &mut Enc, s: &RelStats) {
 pub fn decode_rel_stats(d: &mut Dec) -> Result<RelStats, CodecError> {
     let rows = d.f64()?;
     let n = d.count(13)?;
-    let mut cols = std::collections::HashMap::with_capacity(n);
+    let mut cols = ColMap::with_capacity_and_hasher(n, Default::default());
     for _ in 0..n {
         let a = AttrId(d.u32()?);
         cols.insert(a, decode_col_stats(d)?);

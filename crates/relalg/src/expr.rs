@@ -396,20 +396,22 @@ impl Predicate {
 
     /// Equi-join key pairs `(a, b)` from conjuncts of the form `col = col`.
     pub fn equijoin_keys(&self) -> Vec<(AttrId, AttrId)> {
-        let mut out = Vec::new();
-        for c in &self.conjuncts {
-            if let ScalarExpr::Cmp {
+        self.equijoin_pairs().collect()
+    }
+
+    /// [`Predicate::equijoin_keys`] without collecting, in conjunct order.
+    pub fn equijoin_pairs(&self) -> impl Iterator<Item = (AttrId, AttrId)> + '_ {
+        self.conjuncts.iter().filter_map(|c| match c {
+            ScalarExpr::Cmp {
                 op: CmpOp::Eq,
                 lhs,
                 rhs,
-            } = c
-            {
-                if let (ScalarExpr::Col(a), ScalarExpr::Col(b)) = (lhs.as_ref(), rhs.as_ref()) {
-                    out.push((*a, *b));
-                }
-            }
-        }
-        out
+            } => match (lhs.as_ref(), rhs.as_ref()) {
+                (ScalarExpr::Col(a), ScalarExpr::Col(b)) => Some((*a, *b)),
+                _ => None,
+            },
+            _ => None,
+        })
     }
 
     /// If the whole predicate is a single `col <op> literal` conjunct,

@@ -1,24 +1,31 @@
-//! Fast non-cryptographic hashing for the executor's internal hash tables.
+//! Fast non-cryptographic hashing for the engine's internal hash tables.
 //!
 //! Every columnar hash table in the engine (join build sides, group-by
 //! buckets, distinct/bag-difference candidate maps) pairs a *bucket hash*
 //! with a full column-wise equality check, so the hash only has to be
-//! consistent within one operation — never stable across runs, processes,
-//! or collision-resistant against adversaries. That frees these paths from
-//! SipHash (std's DoS-resistant default), whose per-row cost dominates
-//! hashing-heavy operators on wide tables.
+//! consistent within one operation — never collision-resistant against
+//! adversaries. That frees these paths from SipHash (std's DoS-resistant
+//! default), whose per-row cost dominates hashing-heavy operators on wide
+//! tables.
 //!
 //! [`FxHasher`] is the rustc-style multiply-xor fold (the idiom used by
 //! `rustc-hash`, reimplemented here because the build is offline).
 //! [`U64Map`] additionally avoids re-hashing already-hashed `u64` bucket
 //! keys through SipHash by finishing them with a single Fibonacci multiply.
 //!
+//! [`FxHashMap`] / [`FxHashSet`] serve the optimizer's id-keyed state
+//! (materialized sets, statistics column maps, benefit caches). Besides
+//! being cheaper than SipHash on small keys, the hasher has no per-map
+//! random seed: two maps built by the same sequence of inserts and removes
+//! iterate in the same order, so float sums and tie-breaks over them — and
+//! with them the chosen plans — are reproducible.
+//!
 //! Neither hasher is used for anything user-visible or persisted; the
 //! `Value`-semantics contract (`Int(2)` and `Float(2.0)` hash equal, NULL
 //! has its own tag) lives in the *byte stream* the caller feeds in (see
 //! `Column::hash_value`), not in the hasher.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
@@ -92,6 +99,15 @@ impl Hasher for FxHasher {
         self.fold(v as u64);
     }
 }
+
+/// `BuildHasher` of [`FxHasher`] (stateless: every map hashes alike).
+pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
+
+/// Hash map on [`FxHasher`] (see the module docs for where it is used).
+pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// Hash set on [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 /// Standalone string hash: the canonical 64-bit image of a string's bytes
 /// used by `Value::hash` and `Column::hash_value`. Dictionary-encoded

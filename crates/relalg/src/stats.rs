@@ -14,8 +14,8 @@
 //! accuracy, is what matters.
 
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
+use crate::hash::FxHashMap;
 use crate::schema::AttrId;
-use std::collections::HashMap;
 
 /// Default selectivity for predicates we cannot analyze.
 pub const DEFAULT_SELECTIVITY: f64 = 1.0 / 3.0;
@@ -40,19 +40,22 @@ impl ColStats {
     }
 }
 
+/// Per-attribute statistics of one result. Fx-hashed: the optimizer
+/// derives these maps for every DAG node at every update state, and their
+/// iteration order reaches float products ([`derive_distinct`]), so it must
+/// not depend on a per-map random seed.
+pub type ColMap = FxHashMap<AttrId, ColStats>;
+
 /// Statistics of one relation-valued result.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct RelStats {
     pub rows: f64,
-    pub cols: HashMap<AttrId, ColStats>,
+    pub cols: ColMap,
 }
 
 impl RelStats {
     pub fn empty() -> Self {
-        RelStats {
-            rows: 0.0,
-            cols: HashMap::new(),
-        }
+        RelStats::default()
     }
 
     /// Distinct count for an attribute, bounded by the row count; falls back
@@ -169,6 +172,12 @@ pub fn predicate_selectivity(stats: &RelStats, pred: &Predicate) -> f64 {
     sel.clamp(0.0, 1.0)
 }
 
+/// Row count after a selection: the `rows` of [`derive_select`], without
+/// deriving (and allocating) the column statistics.
+pub fn select_rows(input: &RelStats, pred: &Predicate) -> f64 {
+    (input.rows * predicate_selectivity(input, pred)).max(0.0)
+}
+
 /// Statistics after a selection.
 pub fn derive_select(input: &RelStats, pred: &Predicate) -> RelStats {
     let sel = predicate_selectivity(input, pred);
@@ -208,7 +217,7 @@ pub fn derive_select(input: &RelStats, pred: &Predicate) -> RelStats {
 /// Statistics after projecting onto `attrs` (multiset projection: row count
 /// unchanged).
 pub fn derive_project(input: &RelStats, attrs: &[AttrId]) -> RelStats {
-    let mut cols = HashMap::with_capacity(attrs.len());
+    let mut cols = ColMap::with_capacity_and_hasher(attrs.len(), Default::default());
     for a in attrs {
         if let Some(c) = input.cols.get(a) {
             cols.insert(*a, c.clone());
@@ -232,7 +241,7 @@ pub fn derive_join(left: &RelStats, right: &RelStats, pred: &Predicate) -> RelSt
     let cross = left.rows * right.rows;
     let mut sel = 1.0;
     let mut handled = 0usize;
-    for (a, b) in pred.equijoin_keys() {
+    for (a, b) in pred.equijoin_pairs() {
         let da = if left.cols.contains_key(&a) {
             left.distinct(a)
         } else {
@@ -282,7 +291,7 @@ pub fn derive_aggregate(input: &RelStats, group_by: &[AttrId], agg_outs: &[AttrI
         }
         g_est.min(input.rows).max(1.0)
     };
-    let mut cols = HashMap::new();
+    let mut cols = ColMap::default();
     for g in group_by {
         if let Some(c) = input.cols.get(g) {
             let mut c = c.clone();
@@ -304,7 +313,7 @@ pub fn derive_aggregate(input: &RelStats, group_by: &[AttrId], agg_outs: &[AttrI
 
 /// Statistics after multiset union (additive).
 pub fn derive_union(left: &RelStats, right: &RelStats) -> RelStats {
-    let mut cols = HashMap::new();
+    let mut cols = ColMap::default();
     for (a, lc) in &left.cols {
         let distinct = match right.cols.get(a) {
             Some(rc) => (lc.distinct + rc.distinct) * 0.75, // overlap discount
@@ -358,7 +367,7 @@ mod tests {
 
     #[allow(clippy::type_complexity)]
     fn stats(rows: f64, entries: &[(u32, f64, Option<(f64, f64)>)]) -> RelStats {
-        let mut cols = HashMap::new();
+        let mut cols = ColMap::default();
         for (id, d, r) in entries {
             cols.insert(
                 AttrId(*id),

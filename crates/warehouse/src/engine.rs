@@ -1185,6 +1185,13 @@ impl Warehouse {
                     "estimated cycle cost {:.2}s (NoGreedy baseline {:.2}s), planned in {:?}\n",
                     r.total_cost, r.nogreedy_cost, r.optimization_time
                 ));
+                let phases: Vec<String> = r
+                    .phases
+                    .spans()
+                    .iter()
+                    .map(|(name, d)| format!("{name} {d:?}"))
+                    .collect();
+                out.push_str(&format!("plan phases: {}\n", phases.join(", ")));
                 out.push_str(&format!(
                     "epochs under this plan: {}, persisted results: {} ({} tuples)\n",
                     plan.epochs_run,
