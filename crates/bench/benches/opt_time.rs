@@ -47,7 +47,7 @@ fn bench_opt_time(c: &mut Criterion) {
     });
     // Forking the warmed session per iteration (Optimizer is Clone) keeps
     // the measured work to the incremental replan itself plus a cheap
-    // state copy; the authoritative numbers live in `figures opt-bench`.
+    // state copy.
     let (warm, warm_catalog) = warm_session(&views[..25]);
     g.bench_function("incremental_add_view_to_25", |b| {
         b.iter(|| {

@@ -1,31 +1,16 @@
 //! Regenerates every table and figure of the paper's evaluation (§7).
 //!
 //! ```text
-//! figures [section] [--test]
+//! figures [section]
 //!   fig3a | fig3b | fig4a | fig4b | fig5a | fig5b
-//!   opt-time | opt-bench | temp-vs-perm | buffer | ablation | exec-bench
+//!   opt-time | temp-vs-perm | buffer | ablation
 //!   all (default)
 //! ```
 //!
-//! `exec-bench` measures the vectorized executor (hash join, aggregation,
-//! full maintenance epochs at TPC-D sf 0.1 — override with
-//! `MVMQO_EXEC_BENCH_SF`) against the row-at-a-time baselines and writes
-//! `BENCH_exec.json`, the perf-trajectory record for this repository.
-//!
-//! `opt-bench` measures *optimization time* — cold pipeline rebuild vs the
-//! re-entrant optimizer session (incremental add-view and delta-drift
-//! replans) on the `many_views` scaling workload — and writes
-//! `BENCH_opt.json`. With `--test` it runs small view counts and fails on
-//! regression (the CI smoke job).
-//!
 //! Output is the series the paper plots: estimated maintenance plan cost
 //! ("Plan Cost (sec)") for NoGreedy vs Greedy across update percentages.
+//! An unknown section prints this usage and exits with status 2.
 
-use mvmqo_bench::exec_workloads::{
-    bag_fixture, columnar_agg_str, columnar_join_str, exec_fixture, rows_agg, rows_agg_str,
-    rows_join, rows_join_str, run_agg, run_agg_str, run_join, run_join_str, run_plan_threads,
-    str_batches, EpochFixture,
-};
 use mvmqo_bench::{
     format_series, run_point, run_series, temp_vs_perm, ExperimentConfig, Workload, PAPER_PERCENTS,
 };
@@ -33,14 +18,27 @@ use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::GreedyOptions;
 use std::time::Instant;
 
+const SECTIONS: [&str; 11] = [
+    "fig3a",
+    "fig3b",
+    "fig4a",
+    "fig4b",
+    "fig5a",
+    "fig5b",
+    "opt-time",
+    "temp-vs-perm",
+    "buffer",
+    "ablation",
+    "all",
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let test_mode = args.iter().any(|a| a == "--test");
-    let section = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let section = args.first().map_or("all", String::as_str);
+    if args.len() > 1 || !SECTIONS.contains(&section) {
+        eprintln!("usage: figures [{}]", SECTIONS.join("|"));
+        std::process::exit(2);
+    }
     let all = section == "all";
     if all || section == "fig3a" {
         let s = run_series(Workload::SingleJoin, &ExperimentConfig::default());
@@ -166,12 +164,6 @@ fn main() {
             }
         }
     }
-    if all || section == "opt-bench" {
-        mvmqo_bench::opt_bench::run(test_mode);
-    }
-    if all || section == "exec-bench" {
-        exec_bench(test_mode);
-    }
     if all || section == "ablation" {
         println!("== Ablation: optimizer configuration (ten views, 5% updates)");
         let configs: [(&str, GreedyOptions); 4] = [
@@ -218,323 +210,5 @@ fn main() {
                 r.optimization_time
             );
         }
-    }
-}
-
-/// Median wall-clock milliseconds of `reps` runs of `f`.
-fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut samples: Vec<f64> = (0..reps.max(1))
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Paired medians: the two workloads (`run(true)` / `run(false)`) are
-/// timed alternately within one loop, so both medians sample the same
-/// wall-clock window and drifting background load cannot skew the
-/// before/after ratio toward either side. One closure, so both workloads
-/// may borrow the same fixture.
-fn median_pair_ms(reps: usize, mut run: impl FnMut(bool)) -> (f64, f64) {
-    let mut fs: Vec<f64> = Vec::with_capacity(reps);
-    let mut gs: Vec<f64> = Vec::with_capacity(reps);
-    for _ in 0..reps.max(1) {
-        let start = Instant::now();
-        run(true);
-        fs.push(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        run(false);
-        gs.push(start.elapsed().as_secs_f64() * 1e3);
-    }
-    fs.sort_by(f64::total_cmp);
-    gs.sort_by(f64::total_cmp);
-    (fs[fs.len() / 2], gs[gs.len() / 2])
-}
-
-/// Medians recorded in `BENCH_exec.json` before this PR (the PR 4 state:
-/// vectorized executor over row-primary storage, same container) — the
-/// "before" of the current before/after record. The row bridges these
-/// numbers paid (columnar image rebuilt from rows after every mutation,
-/// `bag_minus` + index rebuild on every delete, per-row `Accumulator`
-/// aggregation) are what the batch-native storage PR removed.
-const PRE_PR_HASH_JOIN_MS: f64 = 29.57;
-const PRE_PR_AGGREGATION_MS: f64 = 42.49;
-const PRE_PR_BAG_MINUS_MS: f64 = 11.04;
-const PRE_PR_EPOCH_SF01_MS: f64 = 2345.91;
-
-/// Pre-vectorization (PR 2, commit f3d04d1) executor medians, kept so the
-/// full perf trajectory stays in one file. The in-tree `rows_*` baselines
-/// replicate that executor's algorithms so the comparison stays
-/// reproducible as hardware changes.
-const PRE_VEC_HASH_JOIN_MS: f64 = 88.4;
-const PRE_VEC_AGGREGATION_MS: f64 = 50.1;
-const PRE_VEC_EPOCH_SF01_MS: f64 = 6954.0;
-
-/// Perf-guard thresholds for the CI smoke job (`exec-bench --test`),
-/// checked into the repo next to this crate. Medians are from the
-/// reference container; the tolerance factor absorbs slower CI hardware
-/// while still catching order-of-magnitude regressions (a lost columnar
-/// fast path, an accidental row bridge).
-const EXEC_THRESHOLDS: &str = include_str!("../../exec_thresholds.json");
-
-/// Minimal `"key": number` extraction so the thresholds file needs no
-/// JSON dependency (the workspace builds offline).
-fn threshold(key: &str) -> f64 {
-    let pat = format!("\"{key}\":");
-    let rest = EXEC_THRESHOLDS
-        .split(&pat)
-        .nth(1)
-        .unwrap_or_else(|| panic!("exec_thresholds.json missing {key}"));
-    rest.trim_start()
-        .split([',', '}', '\n'])
-        .next()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or_else(|| panic!("exec_thresholds.json: bad number for {key}"))
-}
-
-/// Measure the executor and write `BENCH_exec.json`. With `test_mode`
-/// (CI smoke): a smaller fixture and epoch scale, no JSON overwrite, and
-/// a hard failure when the epoch or hash-join medians regress more than
-/// the checked-in tolerance over `exec_thresholds.json`.
-fn exec_bench(test_mode: bool) {
-    println!("== Executor benchmarks (vectorized batch engine)");
-    // In test mode the scale factor is pinned: the perf-guard thresholds
-    // are calibrated for sf 0.01, so honoring the env override there
-    // would compare an arbitrary-scale epoch against them.
-    let sf: f64 = if test_mode {
-        0.01
-    } else {
-        std::env::var("MVMQO_EXEC_BENCH_SF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.1)
-    };
-    let (dim_rows, fact_rows) = if test_mode {
-        (5_000, 50_000)
-    } else {
-        (20_000, 200_000)
-    };
-    let mut fixture = exec_fixture(dim_rows, fact_rows);
-
-    // Pin correctness before timing.
-    assert_eq!(run_join(&mut fixture), rows_join(&fixture));
-    assert_eq!(run_agg(&mut fixture), rows_agg(&fixture));
-    assert_eq!(run_join_str(&mut fixture), rows_join_str(&fixture));
-    assert_eq!(run_agg_str(&mut fixture), rows_agg_str(&fixture));
-    // The morsel-parallel operator paths must agree with the serial
-    // reference exactly (here: output cardinality; the property suite
-    // pins full batch equality).
-    for threads in [2, 4] {
-        let join_plan = fixture.join_plan.clone();
-        let agg_plan = fixture.agg_plan.clone();
-        let join_str_plan = fixture.join_str_plan.clone();
-        assert_eq!(
-            run_plan_threads(&mut fixture, &join_plan, threads),
-            rows_join(&fixture)
-        );
-        assert_eq!(
-            run_plan_threads(&mut fixture, &agg_plan, threads),
-            rows_agg(&fixture)
-        );
-        assert_eq!(
-            run_plan_threads(&mut fixture, &join_str_plan, threads),
-            rows_join_str(&fixture)
-        );
-    }
-    // Dict-encoded and decoded plain-string inputs produce identical
-    // results through the same columnar kernels.
-    let (dim_dict, fact_dict) = str_batches(&fixture, true);
-    let (dim_plain, fact_plain) = str_batches(&fixture, false);
-    assert_eq!(
-        columnar_join_str(&dim_dict, &fact_dict, 2, 3),
-        columnar_join_str(&dim_plain, &fact_plain, 2, 3)
-    );
-    assert_eq!(
-        columnar_agg_str(&fact_dict, 2, 1),
-        columnar_agg_str(&fact_plain, 2, 1)
-    );
-
-    // 15 reps for the operator micro-benches: 1-core container noise at
-    // 5 reps swings medians by ±20%, which is larger than the effects the
-    // before/after record tracks. The epoch bench stays at 3 reps (its
-    // runtime is long enough to be stable).
-    // Test mode still takes several reps: the CI guard asserts on these
-    // medians, and a single sample on a shared runner is all noise.
-    let micro_reps = if test_mode { 7 } else { 15 };
-    let (join_batch, join_rows) = median_pair_ms(micro_reps, |batch| {
-        if batch {
-            run_join(&mut fixture);
-        } else {
-            rows_join(&fixture);
-        }
-    });
-    let (agg_batch, agg_rows) = median_pair_ms(micro_reps, |batch| {
-        if batch {
-            run_agg(&mut fixture);
-        } else {
-            rows_agg(&fixture);
-        }
-    });
-    let (a, b) = bag_fixture(100_000);
-    let bag_schema = mvmqo_relalg::schema::Schema::new(
-        (0..2)
-            .map(|i| mvmqo_relalg::schema::Attribute {
-                id: mvmqo_relalg::schema::AttrId(i),
-                name: format!("bag.c{i}"),
-                data_type: mvmqo_relalg::types::DataType::Int,
-            })
-            .collect(),
-    );
-    let a_batch = mvmqo_relalg::batch::Batch::from_rows(bag_schema.clone(), &a);
-    let b_batch = mvmqo_relalg::batch::Batch::from_rows(bag_schema, &b);
-    // Paired: the engine's columnar Batch::minus (the shipped delete-path
-    // kernel) against the row-path reference it replaced.
-    let (batch_minus_ms, bag_ms) = median_pair_ms(micro_reps, |batch| {
-        if batch {
-            let d = a_batch.minus(&b_batch);
-            assert_eq!(d.num_rows(), a.len() - b.len());
-        } else {
-            let d = mvmqo_relalg::tuple::bag_minus(&a, &b);
-            assert_eq!(d.len(), a.len() - b.len());
-        }
-    });
-
-    // Dictionary-encoding axis: the same serial columnar kernels timed on
-    // dict-encoded vs decoded plain-string inputs (string join key /
-    // string group-by key) — the speedup the encoding buys on one thread.
-    let (dict_join_ms, plain_join_ms) = median_pair_ms(micro_reps, |dict| {
-        if dict {
-            columnar_join_str(&dim_dict, &fact_dict, 2, 3);
-        } else {
-            columnar_join_str(&dim_plain, &fact_plain, 2, 3);
-        }
-    });
-    let (dict_agg_ms, plain_agg_ms) = median_pair_ms(micro_reps, |dict| {
-        if dict {
-            columnar_agg_str(&fact_dict, 2, 1);
-        } else {
-            columnar_agg_str(&fact_plain, 2, 1);
-        }
-    });
-    // End-to-end engine runs of the string-keyed plans (dict-encoded
-    // storage) against their row-at-a-time baselines.
-    let (join_str_batch, join_str_rows) = median_pair_ms(micro_reps, |batch| {
-        if batch {
-            run_join_str(&mut fixture);
-        } else {
-            rows_join_str(&fixture);
-        }
-    });
-    let (agg_str_batch, agg_str_rows) = median_pair_ms(micro_reps, |batch| {
-        if batch {
-            run_agg_str(&mut fixture);
-        } else {
-            rows_agg_str(&fixture);
-        }
-    });
-
-    let mut serial = EpochFixture::new(sf, false);
-    serial.step(5.0); // setup epoch, untimed
-    let epoch_serial = median_ms(3, || {
-        serial.step(5.0);
-    });
-    let mut parallel = EpochFixture::new(sf, true);
-    parallel.step(5.0);
-    let epoch_parallel = median_ms(3, || {
-        parallel.step(5.0);
-    });
-    // Threads axis: full epochs with the parallel scheduler's worker
-    // budget pinned at 1, 2, and 4 (forced on, so the morsel code path is
-    // measured even when the host has one hardware thread — the recorded
-    // numbers are only meaningful relative to `hardware_threads`).
-    let mut epoch_threads: Vec<(usize, f64)> = Vec::new();
-    if !test_mode {
-        for t in [1usize, 2, 4] {
-            let mut fx = EpochFixture::with_threads(sf, true, t);
-            fx.step(5.0);
-            let ms = median_ms(3, || {
-                fx.step(5.0);
-            });
-            epoch_threads.push((t, ms));
-        }
-    }
-
-    println!(
-        "hash join    : batch {join_batch:.1} ms vs rows {join_rows:.1} ms ({:.2}x)",
-        join_rows / join_batch
-    );
-    println!(
-        "aggregation  : batch {agg_batch:.1} ms vs rows {agg_rows:.1} ms ({:.2}x)",
-        agg_rows / agg_batch
-    );
-    println!("bag_minus    : batch {batch_minus_ms:.1} ms vs rows {bag_ms:.1} ms (100k tuples)");
-    println!(
-        "str join     : dict {dict_join_ms:.1} ms vs plain {plain_join_ms:.1} ms ({:.2}x); \
-         engine {join_str_batch:.1} ms vs rows {join_str_rows:.1} ms",
-        plain_join_ms / dict_join_ms
-    );
-    println!(
-        "str group-by : dict {dict_agg_ms:.1} ms vs plain {plain_agg_ms:.1} ms ({:.2}x); \
-         engine {agg_str_batch:.1} ms vs rows {agg_str_rows:.1} ms",
-        plain_agg_ms / dict_agg_ms
-    );
-    for (t, ms) in &epoch_threads {
-        println!("epoch sf{sf}  : {t} thread(s) {ms:.0} ms (forced parallel scheduler)");
-    }
-    println!(
-        "epoch sf{sf}  : serial {epoch_serial:.0} ms, parallel {epoch_parallel:.0} ms \
-         ({:.2}x vs pre-PR {PRE_PR_EPOCH_SF01_MS:.0} ms, {:.2}x vs pre-vectorization \
-         {PRE_VEC_EPOCH_SF01_MS:.0} ms)",
-        PRE_PR_EPOCH_SF01_MS / epoch_serial,
-        PRE_VEC_EPOCH_SF01_MS / epoch_serial
-    );
-
-    if test_mode {
-        // CI regression guard: fail when the medians regress beyond the
-        // checked-in thresholds × tolerance. The smoke job must not
-        // overwrite the recorded trajectory, so return before the write.
-        let tol = threshold("tolerance_factor");
-        let join_limit = threshold("hash_join_batch_ms") * tol;
-        let epoch_limit = threshold("epoch_sf001_serial_ms") * tol;
-        assert!(
-            join_batch <= join_limit,
-            "hash join regressed: {join_batch:.1} ms > {join_limit:.1} ms \
-             (threshold × tolerance, see crates/bench/exec_thresholds.json)"
-        );
-        assert!(
-            epoch_serial <= epoch_limit,
-            "maintenance epoch regressed: {epoch_serial:.1} ms > {epoch_limit:.1} ms \
-             (threshold × tolerance, see crates/bench/exec_thresholds.json)"
-        );
-        println!(
-            "perf guard: hash join {join_batch:.1} <= {join_limit:.1} ms, \
-             epoch {epoch_serial:.1} <= {epoch_limit:.1} ms — ok"
-        );
-        return;
-    }
-
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let threads_json = epoch_threads
-        .iter()
-        .map(|(t, ms)| format!("\"{t}\": {ms:.2}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-    let json = format!(
-        "{{\n  \"generated_by\": \"figures exec-bench\",\n  \"units\": \"milliseconds, median\",\n  \"hardware_threads\": {threads},\n  \"hash_join\": {{\n    \"rows_baseline_ms\": {join_rows:.2},\n    \"batch_ms\": {join_batch:.2},\n    \"speedup_vs_rows\": {:.2},\n    \"pre_pr_ms\": {PRE_PR_HASH_JOIN_MS},\n    \"speedup_vs_pre_pr\": {:.2},\n    \"pre_vectorization_ms\": {PRE_VEC_HASH_JOIN_MS},\n    \"fixture_note\": \"fact table gained a fourth (string) column for the dict benches; pre_pr_ms measured the narrower 3-column fixture\"\n  }},\n  \"aggregation\": {{\n    \"rows_baseline_ms\": {agg_rows:.2},\n    \"batch_ms\": {agg_batch:.2},\n    \"speedup_vs_rows\": {:.2},\n    \"pre_pr_ms\": {PRE_PR_AGGREGATION_MS},\n    \"speedup_vs_pre_pr\": {:.2},\n    \"pre_vectorization_ms\": {PRE_VEC_AGGREGATION_MS}\n  }},\n  \"bag_minus_100k\": {{\n    \"rows_ms\": {bag_ms:.2},\n    \"batch_minus_ms\": {batch_minus_ms:.2},\n    \"pre_pr_ms\": {PRE_PR_BAG_MINUS_MS}\n  }},\n  \"string_join\": {{\n    \"plain_ms\": {plain_join_ms:.2},\n    \"dict_ms\": {dict_join_ms:.2},\n    \"dict_speedup\": {:.2},\n    \"engine_ms\": {join_str_batch:.2},\n    \"rows_baseline_ms\": {join_str_rows:.2}\n  }},\n  \"string_aggregation\": {{\n    \"plain_ms\": {plain_agg_ms:.2},\n    \"dict_ms\": {dict_agg_ms:.2},\n    \"dict_speedup\": {:.2},\n    \"engine_ms\": {agg_str_batch:.2},\n    \"rows_baseline_ms\": {agg_str_rows:.2}\n  }},\n  \"epoch\": {{\n    \"sf\": {sf},\n    \"update_percent\": 5.0,\n    \"workload\": \"five_join_views\",\n    \"serial_ms\": {epoch_serial:.2},\n    \"parallel_ms\": {epoch_parallel:.2},\n    \"forced_parallel_threads_ms\": {{ {threads_json} }},\n    \"pre_pr_ms\": {PRE_PR_EPOCH_SF01_MS},\n    \"speedup_vs_pre_pr\": {:.2},\n    \"pre_vectorization_ms\": {PRE_VEC_EPOCH_SF01_MS}\n  }}\n}}\n",
-        join_rows / join_batch,
-        PRE_PR_HASH_JOIN_MS / join_batch,
-        agg_rows / agg_batch,
-        PRE_PR_AGGREGATION_MS / agg_batch,
-        plain_join_ms / dict_join_ms,
-        plain_agg_ms / dict_agg_ms,
-        PRE_PR_EPOCH_SF01_MS / epoch_serial,
-    );
-    match std::fs::write("BENCH_exec.json", &json) {
-        Ok(()) => println!("wrote BENCH_exec.json"),
-        Err(e) => eprintln!("cannot write BENCH_exec.json: {e}"),
     }
 }

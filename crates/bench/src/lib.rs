@@ -9,9 +9,6 @@
 //! Each experiment builds a fresh TPC-D catalog at scale 0.1, constructs a
 //! workload, sweeps update percentages, and runs both optimizers.
 
-pub mod exec_workloads;
-pub mod opt_bench;
-
 use mvmqo_core::api::{optimize, MaintenanceProblem, OptimizerReport};
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::{GreedyOptions, Mode, RefreshStrategy};

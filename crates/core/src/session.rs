@@ -31,9 +31,9 @@
 //! heap with the cached benefits rather than re-evaluating every candidate
 //! — a candidate whose benefit was negative before the drift and would
 //! have turned positive can be missed. Drift is bounded by the re-plan
-//! policy (a quarter of the base rows by default), and the optimization-
-//! time benchmark (`figures opt-bench`) checks selected-plan cost against
-//! a cold replan on every run.
+//! policy (a quarter of the base rows by default), and the integration
+//! suite (`tests/tests/reoptimizer.rs`) checks warm add-view and drift
+//! replans against the cold plan of the same problem.
 
 use crate::api::{summarize, OptimizerReport, PlanPhases};
 use crate::cost::CostModel;

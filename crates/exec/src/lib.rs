@@ -41,7 +41,7 @@ pub use error::{panic_message, ExecError};
 pub use meter::Meter;
 pub use reference::eval_logical;
 pub use run::{
-    effective_parallel, execute_epoch, execute_epoch_faults, execute_epoch_opts, execute_program,
-    index_plan_from_report, scheduler_description, view_root, ExecOptions, ExecReport, IndexPlan,
+    execute_epoch_faults, execute_epoch_opts, index_plan_from_report, scheduler_description,
+    view_root, ExecOptions, ExecReport, IndexPlan,
 };
 pub use runtime::{align_rows, AggState, DistinctState, Runtime, RuntimeState};

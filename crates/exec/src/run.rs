@@ -1,18 +1,18 @@
 //! Maintenance-program execution (§3.2.2 semantics).
 //!
-//! [`execute_program`] drives one refresh cycle: populate the materialized
-//! results on the pre-update state, then propagate updates one relation and
-//! one kind at a time — computing temporary differentials, evaluating every
-//! merge's delta plan *before* any merge is applied (all plans must see the
-//! state with updates `< u`), merging, applying the base delta, and
-//! invalidating stale temporaries — and finally refreshing
+//! [`execute_epoch_faults`] drives one refresh cycle: populate the
+//! materialized results on the pre-update state, then propagate updates one
+//! relation and one kind at a time — computing temporary differentials,
+//! evaluating every merge's delta plan *before* any merge is applied (all
+//! plans must see the state with updates `< u`), merging, applying the base
+//! delta, and invalidating stale temporaries — and finally refreshing
 //! recompute-strategy views.
 //!
-//! [`execute_epoch`] is the long-lived variant: the caller owns a
-//! [`RuntimeState`] that carries the materialized results (and their hidden
-//! aggregate/distinct support state and indices) from one epoch to the
-//! next, so permanent materializations are maintained in place rather than
-//! rebuilt every cycle.
+//! The caller owns a [`RuntimeState`] that carries the materialized results
+//! (and their hidden aggregate/distinct support state and indices) from one
+//! epoch to the next, so permanent materializations are maintained in place
+//! rather than rebuilt every cycle; a fresh state makes the call a one-shot
+//! refresh. [`execute_epoch_opts`] is the same call with faults disarmed.
 
 use crate::error::ExecError;
 use crate::meter::Meter;
@@ -66,8 +66,8 @@ pub struct ExecOptions {
     /// every parallel evaluation reads the same pre-phase state, and all
     /// merges/stores are applied serially in program order.
     ///
-    /// On a single-hardware-thread host the request is ignored (see
-    /// [`effective_parallel`]): the scheduler's levelling overhead cannot
+    /// On a single-hardware-thread host the request is ignored unless
+    /// `force_parallel` is set: the scheduler's levelling overhead cannot
     /// be repaid without a second core.
     pub parallel: bool,
     /// Materialize every view's rows into [`ExecReport::view_rows`] at the
@@ -76,7 +76,7 @@ pub struct ExecOptions {
     /// columnar across epochs and rows are only built when a user asks.
     pub collect_view_rows: bool,
     /// Run the parallel scheduler even on a 1-thread host, bypassing the
-    /// [`effective_parallel`] auto-disable. For tests and benchmarks that
+    /// single-core auto-disable. For tests and benchmarks that
     /// must exercise the parallel code path regardless of the machine —
     /// without it, the parallel≡serial property test is vacuous on
     /// single-core CI.
@@ -103,26 +103,6 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    pub fn serial() -> Self {
-        ExecOptions::default()
-    }
-
-    pub fn parallel() -> Self {
-        ExecOptions {
-            parallel: true,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Parallel options pinned to an explicit worker count (`0` = auto).
-    pub fn parallel_with_threads(threads: usize) -> Self {
-        ExecOptions {
-            parallel: true,
-            threads,
-            ..ExecOptions::default()
-        }
-    }
-
     /// Resolve this option set to a concrete worker count for one epoch:
     /// `1` when the scheduler is serial (or auto-disabled on a 1-thread
     /// host and not forced), otherwise the explicit `threads` value or the
@@ -147,7 +127,7 @@ impl ExecOptions {
 /// Resolve a parallel-scheduler request against the host: with one
 /// hardware thread the epoch runs serially (the scheduler would only add
 /// levelling overhead — measured slower on 1-core containers).
-pub fn effective_parallel(requested: bool) -> bool {
+fn effective_parallel(requested: bool) -> bool {
     requested && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
 }
 
@@ -177,56 +157,15 @@ pub struct IndexPlan {
     pub mats: Vec<(EqId, AttrId)>,
 }
 
-/// Execute a maintenance program against `db`, applying `deltas`.
+/// Execute one maintenance epoch against `db`, applying `deltas`, resuming
+/// from (and persisting back into) `state`, with no faults armed.
 ///
-/// On return, `db` holds the post-update base tables, and every view has
+/// On return, `db` holds the post-update base tables and every view has
 /// been refreshed (incrementally or by recomputation, per the program).
-/// One-shot: materialized state is built and dropped within the call.
-pub fn execute_program(
-    dag: &Dag,
-    catalog: &Catalog,
-    model: CostModel,
-    db: &mut Database,
-    deltas: &DeltaSet,
-    program: &Program,
-    indices: &IndexPlan,
-) -> Result<ExecReport, ExecError> {
-    let mut state = RuntimeState::new();
-    execute_epoch(
-        dag, catalog, model, db, deltas, program, indices, &mut state,
-    )
-}
-
-/// Execute one maintenance epoch, resuming from (and persisting back into)
-/// `state`. Pass the same `state` across consecutive epochs of the same
-/// program so permanent materializations and view contents survive; drop
-/// the state whenever the program is re-optimized (node ids change).
-#[allow(clippy::too_many_arguments)]
-pub fn execute_epoch(
-    dag: &Dag,
-    catalog: &Catalog,
-    model: CostModel,
-    db: &mut Database,
-    deltas: &DeltaSet,
-    program: &Program,
-    indices: &IndexPlan,
-    state: &mut RuntimeState,
-) -> Result<ExecReport, ExecError> {
-    execute_epoch_opts(
-        dag,
-        catalog,
-        model,
-        db,
-        deltas,
-        program,
-        indices,
-        state,
-        ExecOptions::serial(),
-    )
-}
-
-/// [`execute_epoch`] with explicit scheduling options (the warehouse
-/// engine's serial-vs-parallel knob).
+/// Pass the same `state` across consecutive epochs of the same program so
+/// permanent materializations and view contents survive; drop it whenever
+/// the program is re-optimized (node ids change). A fresh
+/// [`RuntimeState`] makes the call a one-shot refresh.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_epoch_opts(
     dag: &Dag,

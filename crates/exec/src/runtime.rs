@@ -305,10 +305,10 @@ impl DistinctState {
 /// The materialized state a refresh cycle leaves behind: stored results,
 /// their freshness marks, and the hidden aggregate/distinct support state.
 ///
-/// For the one-shot pipeline this is created and dropped inside
-/// [`crate::run::execute_program`]; a long-lived warehouse engine instead
-/// keeps it across epochs (via [`crate::run::execute_epoch`]) so permanent
-/// materializations and their indices are *reused*, not rebuilt. Node ids
+/// A one-shot refresh passes a fresh state to
+/// [`crate::run::execute_epoch_opts`] and drops it; a long-lived warehouse
+/// engine instead keeps it across epochs so permanent materializations and
+/// their indices are *reused*, not rebuilt. Node ids
 /// are only meaningful for the DAG/program the state was built under — drop
 /// the state whenever the engine re-optimizes.
 ///

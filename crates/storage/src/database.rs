@@ -1,10 +1,10 @@
-//! The database: base tables, materialized results, and pending deltas.
+//! The database: base tables and delta application.
 //!
-//! [`Database`] is the runtime state a refresh cycle operates on: the base
-//! relations (by [`TableId`]), a store of materialized results (by name —
-//! user views, permanently materialized extras, and temporaries all live
-//! here), and helpers to apply update batches. The optimizer reads only
-//! statistics; the executor reads and mutates the stored rows.
+//! [`Database`] holds the base relations (by [`TableId`]) a refresh cycle
+//! operates on, plus helpers to apply update batches. The optimizer reads
+//! only statistics; the executor reads and mutates the stored rows. User
+//! views, permanently materialized extras and temporaries are not stored
+//! here: the executor's `RuntimeState` owns every materialization.
 
 use crate::delta::{DeltaBatch, DeltaKind, DeltaSet};
 use crate::error::StorageError;
@@ -27,7 +27,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     base: HashMap<TableId, StoredTable>,
-    mats: HashMap<String, StoredTable>,
 }
 
 impl Database {
@@ -55,27 +54,6 @@ impl Database {
 
     pub fn has_base(&self, id: TableId) -> bool {
         self.base.contains_key(&id)
-    }
-
-    /// Store a materialized result under `name`.
-    pub fn put_mat(&mut self, name: impl Into<String>, table: StoredTable) {
-        self.mats.insert(name.into(), table);
-    }
-
-    pub fn mat(&self, name: &str) -> Option<&StoredTable> {
-        self.mats.get(name)
-    }
-
-    pub fn mat_mut(&mut self, name: &str) -> Option<&mut StoredTable> {
-        self.mats.get_mut(name)
-    }
-
-    pub fn drop_mat(&mut self, name: &str) -> bool {
-        self.mats.remove(name).is_some()
-    }
-
-    pub fn mat_names(&self) -> impl Iterator<Item = &str> {
-        self.mats.keys().map(String::as_str)
     }
 
     /// Check that every tuple in `delta` matches the stored table's arity.
@@ -156,11 +134,9 @@ impl Database {
         stats
     }
 
-    /// Total stored tuples (bases + materialized results) — used by space
-    /// accounting and tests.
+    /// Total stored base tuples — used by space accounting and tests.
     pub fn total_tuples(&self) -> usize {
-        self.base.values().map(StoredTable::len).sum::<usize>()
-            + self.mats.values().map(StoredTable::len).sum::<usize>()
+        self.base.values().map(StoredTable::len).sum()
     }
 }
 
@@ -168,7 +144,6 @@ impl Database {
 mod tests {
     use super::*;
     use mvmqo_relalg::catalog::ColumnSpec;
-    use mvmqo_relalg::schema::{Attribute, Schema};
     use mvmqo_relalg::types::{DataType, Value};
 
     fn setup() -> (Catalog, TableId, Database) {
@@ -204,24 +179,6 @@ mod tests {
             .unwrap();
         let s = db.live_stats(&c, t);
         assert_eq!(s.rows, 5.0);
-    }
-
-    #[test]
-    fn mats_are_named_and_droppable() {
-        let (_, _, mut db) = setup();
-        let schema = Schema::new(vec![Attribute {
-            id: AttrId(100),
-            name: "m.x".into(),
-            data_type: DataType::Int,
-        }]);
-        db.put_mat(
-            "temp1",
-            StoredTable::with_rows(schema, vec![vec![Value::Int(1)]]),
-        );
-        assert_eq!(db.mat("temp1").unwrap().len(), 1);
-        assert!(db.drop_mat("temp1"));
-        assert!(db.mat("temp1").is_none());
-        assert!(!db.drop_mat("temp1"));
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Engine-wide fault injection.
 //!
-//! [`FailpointFile`](crate::FailpointFile) tears *byte streams* — it models
-//! what a crash leaves on disk. This module models what a fault does to a
-//! *live* engine: a [`FaultRegistry`] is threaded through the executor and
-//! the warehouse, and every interesting code path calls
+//! A crash leaves a clean prefix of the WAL on disk, then nothing; the
+//! recovery tests model that by truncating the log. This module models what
+//! a fault does to a *live* engine: a [`FaultRegistry`] is threaded through
+//! the executor and the warehouse, and every interesting code path calls
 //! [`FaultRegistry::hit`] with a static site name before doing its work.
 //! When a [`FaultPlan`] is armed, exactly one such hit fires — either as a
 //! typed [`FaultError`] (the path must propagate it as a `Result`) or as a

@@ -15,10 +15,9 @@
 //!   results + delta application,
 //! * [`error`] — typed errors for bad lookups and malformed batches, so
 //!   long-lived engines never abort on bad input,
-//! * [`crc`], [`wal`], [`snapshot`], [`failpoint`] — the durability layer:
-//!   CRC-framed write-ahead logging of delta batches, atomic columnar
-//!   snapshots with a recovery manifest, and deterministic fault injection
-//!   for crash-recovery tests,
+//! * [`crc`], [`wal`], [`snapshot`] — the durability layer: CRC-framed
+//!   write-ahead logging of delta batches and atomic columnar snapshots
+//!   with a recovery manifest,
 //! * [`faults`] — live fault injection: an ordinal-addressed registry of
 //!   named sites threaded through the executor and the warehouse, firing
 //!   armed faults as typed errors or panics for the chaos tests.
@@ -28,7 +27,6 @@ pub mod crc;
 pub mod database;
 pub mod delta;
 pub mod error;
-pub mod failpoint;
 pub mod faults;
 pub mod index;
 pub mod snapshot;
@@ -39,7 +37,6 @@ pub use blocks::BlockConfig;
 pub use database::Database;
 pub use delta::{DeltaBatch, DeltaKind, DeltaSet};
 pub use error::{RecoveryError, StorageError};
-pub use failpoint::FailpointFile;
 pub use faults::{FaultError, FaultMode, FaultPlan, FaultRegistry, FaultTrigger, FiredFault};
 pub use index::{Index, IndexKind};
 pub use snapshot::Manifest;

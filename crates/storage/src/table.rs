@@ -167,14 +167,15 @@ impl StoredTable {
         self.rebuild_indices();
     }
 
-    /// Apply a delta batch: remove one occurrence per delete (multiset
-    /// semantics; a delete with no stored occurrence left is a no-op), then
-    /// append the inserts, keeping indices in sync. Both sides cost in
-    /// proportion to the batch (module docs); the table is never
-    /// materialized as rows on either path.
+    /// Apply a delta batch: append the inserts, then remove one occurrence
+    /// per delete (multiset semantics; a delete with no stored occurrence
+    /// left is a no-op), keeping indices in sync — §5.2's δ⁺ before δ⁻, the
+    /// executor's step order, so a delete of a row the same batch inserts
+    /// finds it. Both sides cost in proportion to the batch (module docs);
+    /// the table is never materialized as rows on either path.
     pub fn apply_delta(&mut self, delta: &DeltaBatch) {
-        self.apply_side(DeltaKind::Delete, &delta.deletes);
         self.apply_side(DeltaKind::Insert, &delta.inserts);
+        self.apply_side(DeltaKind::Delete, &delta.deletes);
     }
 
     /// Apply one side of a delta, borrowed: `rows` are appended
@@ -193,13 +194,9 @@ impl StoredTable {
 
     /// Columnar-side delta application: the maintained-result merge path.
     /// `inserts`/`deletes` stay columnar end-to-end (no tuple bridges);
-    /// both must already be aligned to the table's schema layout.
+    /// both must already be aligned to the table's schema layout. Inserts
+    /// land before deletes, as in [`StoredTable::apply_delta`].
     pub fn apply_batch_delta(&mut self, inserts: Option<&Batch>, deletes: Option<&Batch>) {
-        if let Some(deletes) = deletes.filter(|d| d.num_rows() > 0) {
-            if self.delete_batch(deletes) {
-                self.rows = Arc::new(OnceLock::new());
-            }
-        }
         if let Some(inserts) = inserts.filter(|i| i.num_rows() > 0) {
             debug_assert_eq!(inserts.schema().ids(), self.schema.ids());
             let start = self.batch.num_rows();
@@ -214,6 +211,11 @@ impl StoredTable {
             }
             self.batch.rebuild_sparse_dicts();
             self.rows = Arc::new(OnceLock::new());
+        }
+        if let Some(deletes) = deletes.filter(|d| d.num_rows() > 0) {
+            if self.delete_batch(deletes) {
+                self.rows = Arc::new(OnceLock::new());
+            }
         }
     }
 
@@ -434,6 +436,10 @@ mod tests {
         let mut tab = StoredTable::with_rows(schema(), vec![t(1, 1), t(1, 1), t(2, 2)]);
         tab.apply_delta(&DeltaBatch::new(vec![t(3, 3)], vec![t(1, 1)]));
         assert!(bag_eq(tab.rows(), &[t(1, 1), t(2, 2), t(3, 3)]));
+        // (S + I) − D: a delete that only the batch's own insert makes
+        // valid removes that insert; the excess occurrence is a no-op.
+        tab.apply_delta(&DeltaBatch::new(vec![t(4, 4)], vec![t(4, 4), t(4, 4)]));
+        assert!(bag_eq(tab.rows(), &[t(1, 1), t(2, 2), t(3, 3)]));
     }
 
     #[test]
@@ -558,8 +564,9 @@ mod tests {
     #[test]
     fn apply_batch_delta_matches_row_delta() {
         let rows = vec![t(1, 1), t(1, 1), t(2, 2), t(3, 3)];
-        let ins = vec![t(4, 4), t(1, 1)];
-        let del = vec![t(1, 1), t(3, 3), t(9, 9)];
+        let ins = vec![t(4, 4), t(4, 4), t(1, 1)];
+        // (S + I) − D on both paths: one t(4, 4) exists only as an insert.
+        let del = vec![t(1, 1), t(3, 3), t(4, 4), t(9, 9)];
         let mut row_side = StoredTable::with_rows(schema(), rows.clone());
         row_side.apply_delta(&DeltaBatch::new(ins.clone(), del.clone()));
         let mut batch_side = StoredTable::with_rows(schema(), rows);
@@ -567,7 +574,9 @@ mod tests {
         let ins_b = mvmqo_relalg::batch::Batch::from_rows(schema(), &ins);
         let del_b = mvmqo_relalg::batch::Batch::from_rows(schema(), &del);
         batch_side.apply_batch_delta(Some(&ins_b), Some(&del_b));
-        assert!(bag_eq(row_side.rows(), batch_side.rows()));
+        let expected = [t(1, 1), t(1, 1), t(2, 2), t(4, 4)];
+        assert!(bag_eq(row_side.rows(), &expected));
+        assert!(bag_eq(batch_side.rows(), &expected));
         // Index stayed consistent through swap-remove + append.
         let idx = batch_side.index_on(AttrId(0)).unwrap();
         assert_eq!(idx.entries(), batch_side.len());

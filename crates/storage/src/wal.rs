@@ -148,8 +148,7 @@ impl WalWriter {
         Ok(w)
     }
 
-    /// Wrap an arbitrary sink (fault-injection tests pass a
-    /// [`crate::failpoint::FailpointFile`] here).
+    /// Wrap an arbitrary sink.
     pub fn from_sink(sink: Box<dyn Write + Send>) -> WalWriter {
         WalWriter {
             sink,

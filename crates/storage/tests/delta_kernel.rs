@@ -5,7 +5,8 @@
 //! column can cross from one to the other — under 0, 1 and 2 indices (hash
 //! and B-tree), driven through random interleaved `apply_delta` /
 //! `apply_batch_delta` sequences. After every step each table must be
-//! bag-equal to the row model (`bag_minus` then concat), every index must
+//! bag-equal to the row model `(S + I) − D` (concat, then `bag_minus`:
+//! inserts land before deletes), every index must
 //! hold exactly one posting per row under that row's key, and the two
 //! victim locators (index probe / hash scan) must agree — including when
 //! only counting through `present`, the ingest-side delete check.
@@ -114,7 +115,7 @@ fn delta_for(seed: u64, model: &[Tuple], last_row: Option<Tuple>) -> DeltaBatch 
         }
         // The victim is the last stored row (nothing moves into its slot).
         4 => DeltaBatch::new(rng.rows(3), last_row.into_iter().collect()),
-        // Delete then reinsert the same rows.
+        // Reinsert and delete the same rows: a no-op on the bag.
         _ => {
             let sample = rng.sample(model, 30);
             DeltaBatch::new(sample.clone(), sample)
@@ -176,8 +177,8 @@ proptest! {
             let present = model.len() - bag_minus(&model, &delta.deletes).len();
             let doubled = [delta.deletes.clone(), delta.deletes.clone()].concat();
             let present_twice = model.len() - bag_minus(&model, &doubled).len();
-            model = bag_minus(&model, &delta.deletes);
             model.extend(delta.inserts.iter().cloned());
+            model = bag_minus(&model, &delta.deletes);
 
             for (t, table) in tables.iter_mut().enumerate() {
                 let context = format!("step {step} (seed {seed}) table {t}");

@@ -2,7 +2,7 @@
 //! and the current maintenance plan.
 //!
 //! Where the paper's pipeline is one-shot (`optimize()` + a single
-//! `execute_program()`), [`Warehouse`] runs *continuously*: views register
+//! refresh), [`Warehouse`] runs *continuously*: views register
 //! and drop over time (each re-running the §6 selection over the whole
 //! set), arbitrary insert/delete batches stream in through [`Warehouse::ingest`]
 //! (mapped onto the §5.2 2n δ⁺/δ⁻ update numbering at epoch boundaries),
@@ -243,14 +243,8 @@ impl Warehouse {
 
     /// Select the epoch scheduler: `true` executes independent plan roots
     /// of each phase on scoped threads (results are bag-identical to
-    /// serial execution). Exposed on the CLI as `--parallel` and the
-    /// `parallel on|off` session command.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.exec_options.parallel = parallel;
-        self
-    }
-
-    /// Flip the scheduler between epochs.
+    /// serial execution). Takes effect from the next epoch; exposed on the
+    /// CLI as `--parallel` and the `parallel on|off` session command.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.exec_options.parallel = parallel;
     }
@@ -278,8 +272,8 @@ impl Warehouse {
     }
 
     /// Run the parallel scheduler even on a 1-thread host (test/benchmark
-    /// hook — see `ExecOptions::force_parallel`). Without it, the threads
-    /// axis of the executor benchmark is vacuous on single-core machines.
+    /// hook — see `ExecOptions::force_parallel`). Without it, a parallel
+    /// run on a single-core machine measures the serial path.
     pub fn set_force_parallel(&mut self, force: bool) {
         self.exec_options.force_parallel = force;
     }

@@ -8,7 +8,9 @@
 
 use mvmqo_core::api::MaintenanceProblem;
 use mvmqo_core::update::UpdateModel;
-use mvmqo_exec::{eval_logical, execute_program, index_plan_from_report};
+use mvmqo_exec::{
+    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState,
+};
 use mvmqo_relalg::tuple::bag_eq;
 use mvmqo_tpcd::{generate_database, generate_updates, tpcd_catalog};
 
@@ -54,7 +56,7 @@ fn main() {
 
     // 5. Execute the maintenance program.
     let index_plan = index_plan_from_report(&initial_indices, &report);
-    let exec = execute_program(
+    let exec = execute_epoch_opts(
         &dag,
         &tpcd.catalog,
         problem.cost_model,
@@ -62,6 +64,8 @@ fn main() {
         &deltas,
         &report.program,
         &index_plan,
+        &mut RuntimeState::new(),
+        ExecOptions::default(),
     )
     .expect("epoch execution");
     println!(

@@ -4,7 +4,9 @@
 
 use mvmqo_core::api::{MaintenanceProblem, OptimizerReport};
 use mvmqo_core::update::UpdateModel;
-use mvmqo_exec::{eval_logical, execute_program, index_plan_from_report, ExecReport};
+use mvmqo_exec::{
+    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, ExecReport, RuntimeState,
+};
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::tuple::{bag_eq_approx, Tuple};
@@ -204,7 +206,7 @@ pub fn optimize_execute_verify(
     let planned = mvmqo_core::api::plan_maintenance(&mut world.catalog, &problem);
     let (dag, report) = (planned.dag, planned.report);
     let index_plan = index_plan_from_report(&initial_indices, &report);
-    let exec = execute_program(
+    let exec = execute_epoch_opts(
         &dag,
         &world.catalog,
         problem.cost_model,
@@ -212,6 +214,8 @@ pub fn optimize_execute_verify(
         deltas,
         &report.program,
         &index_plan,
+        &mut RuntimeState::new(),
+        ExecOptions::default(),
     )
     .expect("epoch execution");
     // Ground truth: evaluate each view directly on the post-update state.

@@ -8,7 +8,7 @@
 //! flow):
 //!
 //! * `StoredTable::apply_delta` / `apply_batch_delta` (the `merge_plain`
-//!   kernel) ≡ `bag_minus` + append, with index consistency through the
+//!   kernel) ≡ append + `bag_minus`, with index consistency through the
 //!   position-remap delete path;
 //! * `AggState::fold_batch` / `output_batch` (the `merge_aggregate`
 //!   kernel) ≡ the row `fold`, for removable and non-removable aggregates
@@ -148,7 +148,7 @@ fn delete_rows(layout: Layout, base: &[Tuple], idx: &[usize], extra: &[(u8, u8)]
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Columnar `apply_delta` ≡ `bag_minus` + append, per layout, with
+    /// Columnar `apply_delta` ≡ append + `bag_minus`, per layout, with
     /// the index following the position-remapped compaction.
     #[test]
     fn apply_delta_matches_row_reference(
@@ -168,7 +168,7 @@ proptest! {
         table.create_index(AttrId(0), IndexKind::Hash);
         table.apply_delta(&DeltaBatch::new(ins_rows.clone(), del_rows.clone()));
 
-        let expected = bag_union(&bag_minus(&base_rows, &del_rows), &ins_rows);
+        let expected = bag_minus(&bag_union(&base_rows, &ins_rows), &del_rows);
         prop_assert!(
             bag_eq(table.rows(), &expected),
             "layout {layout:?}: got {:?} expected {expected:?}",

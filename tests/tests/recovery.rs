@@ -5,8 +5,8 @@
 //! the log — record boundaries and torn mid-record writes alike — must
 //! recover an engine that is tuple-identical, for every base table and
 //! every view, to replaying the surviving record prefix from the snapshot
-//! state. Torn writes are produced through the [`FailpointFile`] shim, the
-//! same primitive a crash leaves behind: a clean prefix, then nothing.
+//! state. A torn write is what a crash leaves behind: a clean prefix of the
+//! log, then nothing — so each crash is the WAL truncated at that byte.
 //!
 //! Alongside it: corruption tests (bit flips, zero-filled pages, truncated
 //! or corrupt snapshots) that must end in clean prefix recovery or a typed
@@ -25,10 +25,8 @@ use mvmqo_relalg::types::Value;
 use mvmqo_storage::delta::DeltaBatch;
 use mvmqo_storage::error::RecoveryError;
 use mvmqo_storage::wal::{scan_wal_bytes, WalRecord};
-use mvmqo_storage::FailpointFile;
 use mvmqo_warehouse::{PlanMode, ReoptTrigger, Warehouse, WarehouseError};
 use proptest::prelude::*;
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -256,19 +254,21 @@ fn fixture() -> &'static Fixture {
     })
 }
 
-/// Materialize the fixture as a durability directory whose WAL is written
-/// through a [`FailpointFile`] killed at `kill_at` — the on-disk state an
-/// actual crash at that byte would leave.
+/// Materialize the fixture as a durability directory whose WAL holds only
+/// the bytes before `kill_at` — the on-disk state an actual crash at that
+/// byte would leave.
 fn crashed_dir(fx: &Fixture, kill_at: u64, tag: &str) -> TempDir {
     let tmp = TempDir::new(tag);
     for (name, bytes) in &fx.files {
         std::fs::write(tmp.path().join(name), bytes).unwrap();
     }
-    let file = std::fs::File::create(tmp.path().join(&fx.wal_name)).unwrap();
-    let mut torn = FailpointFile::new(file, Some(kill_at));
-    torn.write_all(&fx.wal_bytes).unwrap();
-    torn.flush().unwrap();
-    assert_eq!(torn.persisted(), kill_at.min(fx.wal_bytes.len() as u64));
+    let torn = &fx.wal_bytes[..(kill_at as usize).min(fx.wal_bytes.len())];
+    let wal = tmp.path().join(&fx.wal_name);
+    std::fs::write(&wal, torn).unwrap();
+    assert_eq!(
+        std::fs::metadata(&wal).unwrap().len(),
+        kill_at.min(fx.wal_bytes.len() as u64)
+    );
     tmp
 }
 

@@ -5,6 +5,9 @@
 //! * Engine-level: a `DeltaDrift` replan of a 50-view warehouse is at
 //!   least 5× faster than a cold rebuild of the same planning problem,
 //!   with the plan's estimated cost no worse than the cold plan's.
+//! * Warm add-view: one view added to a planned `many_views` session and
+//!   replanned incrementally costs at most 1% more than cold-planning the
+//!   grown view set.
 
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::GreedyOptions;
@@ -251,5 +254,48 @@ fn delta_drift_replan_on_50_views_is_5x_faster_than_cold() {
         "drift plan cost {} vs cold {}",
         current.total_cost,
         cold.report.total_cost
+    );
+}
+
+/// 5% updates on every base table `views` reference, at catalog statistics.
+fn five_percent(catalog: &Catalog, views: &[ViewDef]) -> UpdateModel {
+    let mut tables: Vec<TableId> = views.iter().flat_map(|v| v.expr.base_tables()).collect();
+    tables.sort_unstable();
+    tables.dedup();
+    UpdateModel::percentage(tables, 5.0, |t| catalog.table(t).stats.rows)
+}
+
+/// A session over `views` at TPC-D sf 0.1 statistics, cold-planned.
+fn cold_session(views: &[ViewDef]) -> (Optimizer, Catalog, f64) {
+    let mut catalog = tpcd_catalog(0.1).catalog;
+    let mut s = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    s.set_initial_indices(mvmqo_core::api::pk_indices_for(&catalog, views));
+    s.set_update_model(five_percent(&catalog, views));
+    for v in views {
+        s.add_view(&mut catalog, v);
+    }
+    let out = s.plan(&mut catalog);
+    assert_eq!(out.mode, PlanMode::Cold);
+    (s, catalog, out.report.total_cost)
+}
+
+/// Adding a fifth view to a planned four-view `many_views` session and
+/// replanning warm must not cost more than 1% over the cold plan of the
+/// five views (warm starts may land in a better local optimum).
+#[test]
+fn add_view_replan_on_many_views_is_within_1pct_of_cold() {
+    let views = many_views(&tpcd_catalog(0.1), 5);
+    let (mut session, mut catalog, _) = cold_session(&views[..4]);
+    session.add_view(&mut catalog, &views[4]);
+    session.set_initial_indices(mvmqo_core::api::pk_indices_for(&catalog, &views));
+    session.set_update_model(five_percent(&catalog, &views));
+    let warm = session.plan(&mut catalog);
+    assert_eq!(warm.mode, PlanMode::Incremental);
+
+    let (_, _, cold_cost) = cold_session(&views);
+    assert!(
+        warm.report.total_cost <= cold_cost * 1.01,
+        "warm add-view plan cost {} vs cold {cold_cost}",
+        warm.report.total_cost
     );
 }

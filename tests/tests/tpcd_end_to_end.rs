@@ -7,7 +7,9 @@
 use mvmqo_core::api::MaintenanceProblem;
 use mvmqo_core::opt::{GreedyOptions, Mode};
 use mvmqo_core::update::UpdateModel;
-use mvmqo_exec::{eval_logical, execute_program, index_plan_from_report};
+use mvmqo_exec::{
+    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState,
+};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::tuple::bag_eq_approx;
 use mvmqo_tpcd::schema::Tpcd;
@@ -38,7 +40,7 @@ fn run_and_verify(
     let planned = mvmqo_core::api::plan_maintenance(&mut tpcd.catalog, &problem);
     let (dag, report) = (planned.dag, planned.report);
     let index_plan = index_plan_from_report(&initial_indices, &report);
-    let exec = execute_program(
+    let exec = execute_epoch_opts(
         &dag,
         &tpcd.catalog,
         problem.cost_model,
@@ -46,6 +48,8 @@ fn run_and_verify(
         &deltas,
         &report.program,
         &index_plan,
+        &mut RuntimeState::new(),
+        ExecOptions::default(),
     )
     .expect("epoch execution");
     for v in &views {

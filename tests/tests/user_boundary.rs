@@ -10,7 +10,9 @@
 //!   dictionary-encoded and a plain string column — with no index, a hash
 //!   index or a B-tree index, and with or without a registered view, under
 //!   random ingest sequences interleaved with epochs. A rejected ingest
-//!   must leave the queue and the WAL byte for byte as they were.
+//!   must leave the queue and the WAL byte for byte as they were, and
+//!   after each epoch the base table must hold the model's stored + queued
+//!   rows — whether the executor or the view-less path applied them.
 //! * **Query kernel.** What `query` serves — the stored batch's column
 //!   handles reordered into the declared schema (`Batch::align`), then
 //!   `Batch::to_rows` — must equal the old path (row-major conversion, then
@@ -271,7 +273,7 @@ proptest! {
         let mut wh = Warehouse::new(catalog, db);
         if with_view {
             // Permuted and narrower than the base table; it makes epochs
-            // run the executor (a table's inserts before its deletes) and
+            // run the executor rather than apply the queue directly, and
             // gives `query`/`verify` a materialization to serve.
             let expr = LogicalExpr::project(
                 LogicalExpr::select(
@@ -315,11 +317,11 @@ proptest! {
                 let expected = model.after_epoch();
                 wh.run_epoch().unwrap();
                 let stored = wh.database().base(t).unwrap().rows().to_vec();
+                // With or without a view, an epoch applies a table's
+                // inserts before its deletes, as the check assumes: every
+                // accepted delete removed exactly one occurrence.
+                prop_assert_eq!(sorted_debug(&stored), sorted_debug(&expected), "{}", context);
                 if with_view {
-                    // The executor applies a table's inserts before its
-                    // deletes, as the check assumes: every accepted delete
-                    // removed exactly one occurrence.
-                    prop_assert_eq!(sorted_debug(&stored), sorted_debug(&expected), "{}", context);
                     prop_assert!(wh.verify("vw").unwrap());
                     let served = wh.query("vw").unwrap();
                     prop_assert!(served.from_materialization);
