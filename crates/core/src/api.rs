@@ -5,7 +5,7 @@ use crate::cost::CostModel;
 use crate::dag::{add_subsumption_derivations, Dag, EqId, SubsumptionReport};
 use crate::diff::DiffProps;
 use crate::opt::{
-    run_greedy, Candidate, CostEngine, GreedyOptions, MatSet, Mode, RefreshStrategy, StoredRef,
+    run_greedy, Candidate, CostEngine, GreedyOptions, MatSet, RefreshStrategy, StoredRef,
 };
 use crate::plan::{extract_program, Program};
 use crate::update::UpdateModel;
@@ -192,19 +192,6 @@ pub fn optimize(catalog: &mut Catalog, problem: &MaintenanceProblem) -> Optimize
     plan_maintenance(catalog, problem).report
 }
 
-/// Convenience: run both Greedy and NoGreedy on the same problem and return
-/// (greedy report, nogreedy report) — the comparison every figure plots.
-pub fn optimize_both(
-    catalog: &mut Catalog,
-    problem: &MaintenanceProblem,
-) -> (OptimizerReport, OptimizerReport) {
-    let greedy = optimize(catalog, problem);
-    let mut nogreedy_problem = problem.clone();
-    nogreedy_problem.options.mode = Mode::NoGreedy;
-    let nogreedy = optimize(catalog, &nogreedy_problem);
-    (greedy, nogreedy)
-}
-
 /// A read-only query in a mixed workload: executed `frequency` times per
 /// refresh cycle.
 #[derive(Debug, Clone)]
@@ -362,6 +349,7 @@ pub(crate) fn summarize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opt::Mode;
     use mvmqo_relalg::catalog::ColumnSpec;
     use mvmqo_relalg::expr::{Predicate, ScalarExpr};
     use mvmqo_relalg::logical::LogicalExpr;
@@ -425,7 +413,10 @@ mod tests {
         let (mut c, views, tables) = setup();
         let updates = UpdateModel::percentage(tables, 5.0, |t| c.table(t).stats.rows);
         let problem = MaintenanceProblem::new(views, updates).with_pk_indices(&c);
-        let (greedy, nogreedy) = optimize_both(&mut c, &problem);
+        let greedy = optimize(&mut c, &problem);
+        let mut nogreedy_problem = problem.clone();
+        nogreedy_problem.options.mode = Mode::NoGreedy;
+        let nogreedy = optimize(&mut c, &nogreedy_problem);
         assert!(greedy.total_cost <= nogreedy.total_cost + 1e-6);
         assert!(greedy.total_cost.is_finite() && greedy.total_cost > 0.0);
         assert_eq!(greedy.view_strategies.len(), 2);

@@ -8,6 +8,11 @@
 //! delta, and invalidating stale temporaries — and finally refreshing
 //! recompute-strategy views.
 //!
+//! Everything runs in program order on the caller's thread except one
+//! step's merge-delta plans: they are independent by construction, so
+//! under a worker budget ([`ExecOptions::threads`]) they split it between
+//! them, and each operator spends what reaches it on morsels.
+//!
 //! The caller owns a [`RuntimeState`] that carries the materialized results
 //! (and their hidden aggregate/distinct support state and indices) from one
 //! epoch to the next, so permanent materializations are maintained in place
@@ -20,8 +25,7 @@ use crate::runtime::{Runtime, RuntimeState};
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::{Dag, EqId};
 use mvmqo_core::opt::StoredRef;
-use mvmqo_core::plan::{MergeKind, Program};
-use mvmqo_relalg::batch::Batch;
+use mvmqo_core::plan::{MergeKind, PhysPlan, Program};
 use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::Tuple;
@@ -61,30 +65,34 @@ pub struct ExecReport {
 /// Executor scheduling options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Execute independent plan roots of each epoch phase concurrently
-    /// (scoped threads). Results are bag-identical to serial execution:
-    /// every parallel evaluation reads the same pre-phase state, and all
-    /// merges/stores are applied serially in program order.
+    /// Give the epoch a worker budget ([`ExecOptions::threads`]): one
+    /// update step's merge-delta plans are evaluated concurrently (scoped
+    /// threads), and operators over more than one morsel split their input.
+    /// Results are identical to serial execution: the merge-delta plans all
+    /// read the same pre-step state, and every merge, store and setup or
+    /// final build runs serially in program order.
     ///
     /// On a single-hardware-thread host the request is ignored unless
-    /// `force_parallel` is set: the scheduler's levelling overhead cannot
-    /// be repaid without a second core.
+    /// `force_parallel` is set: extra workers cannot be repaid without a
+    /// second core.
     pub parallel: bool,
     /// Materialize every view's rows into [`ExecReport::view_rows`] at the
     /// end of the epoch. Long-lived engines that serve reads on demand
     /// (the warehouse `query` path) turn this off — view state then stays
     /// columnar across epochs and rows are only built when a user asks.
     pub collect_view_rows: bool,
-    /// Run the parallel scheduler even on a 1-thread host, bypassing the
-    /// single-core auto-disable. For tests and benchmarks that
-    /// must exercise the parallel code path regardless of the machine —
-    /// without it, the parallel≡serial property test is vacuous on
-    /// single-core CI.
+    /// Honour `parallel` even on a 1-thread host, bypassing the
+    /// single-core auto-disable. For tests and benchmarks that must
+    /// exercise the merge fan-out and the morsel paths regardless of the
+    /// machine — without it, the parallel≡serial property test is vacuous
+    /// on single-core CI.
     pub force_parallel: bool,
-    /// Worker-thread budget for the epoch when `parallel` is on: root-level
-    /// workers across independent plans plus morsel-level workers inside
-    /// operators (partitioned join build/probe, partition-parallel grouped
-    /// aggregation, parallel filters and delta scans). `0` means "auto" —
+    /// Worker-thread budget for the epoch when `parallel` is on. One update
+    /// step's merge-delta plans take up to one worker each, and the rest of
+    /// the budget flows into morsel-level workers inside their operators
+    /// (partitioned join build/probe, partition-parallel grouped
+    /// aggregation, parallel filters and delta scans); every other plan
+    /// gets the whole budget for its morsels. `0` means "auto" —
     /// use [`std::thread::available_parallelism`]. Ignored when `parallel`
     /// is off; the serial path always runs with one thread and is the
     /// reference the parallel path is property-tested against.
@@ -108,27 +116,20 @@ impl ExecOptions {
     /// host and not forced), otherwise the explicit `threads` value or the
     /// host's available parallelism for `0`/auto.
     pub fn resolved_threads(&self) -> usize {
-        let parallel = if self.force_parallel {
-            self.parallel
-        } else {
-            effective_parallel(self.parallel)
-        };
-        if !parallel {
+        if !self.parallel {
             return 1;
         }
-        if self.threads > 0 {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        // With one hardware thread a parallel request runs serially unless
+        // forced: workers cannot be repaid without a second core.
+        if host == 1 && !self.force_parallel {
+            1
+        } else if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            host
         }
     }
-}
-
-/// Resolve a parallel-scheduler request against the host: with one
-/// hardware thread the epoch runs serially (the scheduler would only add
-/// levelling overhead — measured slower on 1-core containers).
-fn effective_parallel(requested: bool) -> bool {
-    requested && std::thread::available_parallelism().map_or(1, |n| n.get()) > 1
 }
 
 /// One-line scheduler description for `explain`/CLI output, naming the
@@ -214,20 +215,6 @@ pub fn execute_epoch_faults(
     options: ExecOptions,
     faults: &FaultRegistry,
 ) -> Result<ExecReport, ExecError> {
-    // Resolve the scheduler once: a parallel request on a 1-thread host
-    // runs serially (see `effective_parallel`) unless explicitly forced
-    // (tests covering the parallel path on single-core machines), and the
-    // worker budget is pinned for the whole epoch so every phase sees the
-    // same thread count.
-    let threads = options.resolved_threads();
-    let options = ExecOptions {
-        parallel: if options.force_parallel {
-            options.parallel
-        } else {
-            effective_parallel(options.parallel)
-        },
-        ..options
-    };
     // Realize base indices. Skip ones that already exist: the storage
     // layer keeps indices in sync as deltas apply, so across epochs they
     // persist rather than being rebuilt.
@@ -250,23 +237,19 @@ pub fn execute_epoch_faults(
         mat_indices,
         std::mem::take(state),
     );
-    if options.parallel {
-        rt.set_threads(threads);
-    }
+    // The worker budget is resolved once and pinned for the whole epoch.
+    rt.set_threads(options.resolved_threads());
     rt.set_faults(faults);
 
     // ------------------------------------------------------------------
-    // Setup: populate views and permanent extras on the OLD state. Under
-    // the parallel scheduler, independent full plans of one dependency
-    // level are evaluated concurrently.
+    // Setup: populate views and permanent extras on the OLD state.
     // ------------------------------------------------------------------
-    let setup_targets: Vec<EqId> = program
-        .views
-        .iter()
-        .map(|(_, e)| *e)
-        .chain(program.permanent_mats.iter().copied())
-        .collect();
-    rt.materialize_many(&setup_targets, options.parallel)?;
+    for (_, e) in &program.views {
+        rt.materialize(*e)?;
+    }
+    for e in &program.permanent_mats {
+        rt.materialize(*e)?;
+    }
     let setup_meter = rt.meter.clone();
     let setup_seconds = setup_meter.seconds;
     let setup_builds = rt.full_builds;
@@ -290,66 +273,20 @@ pub fn execute_epoch_faults(
         let kind = step.update.kind;
         let table = step.update.table;
 
-        // 1. Temporarily materialized differentials (bottom-up order).
-        // A later differential may read an earlier one (`ReadDelta`), so
-        // the parallel scheduler levels them by those references and runs
-        // each level concurrently; stores stay in program order.
-        if options.parallel && step.temp_deltas.len() > 1 {
-            let temp_ids: Vec<EqId> = step.temp_deltas.iter().map(|(e, _)| *e).collect();
-            let plan_of: HashMap<EqId, &mvmqo_core::plan::PhysPlan> = step
-                .temp_deltas
-                .iter()
-                .map(|(e, plan)| (*e, plan))
-                .collect();
-            let in_set: HashSet<EqId> = temp_ids.iter().copied().collect();
-            let levels = crate::runtime::level_items(&temp_ids, |e| {
-                crate::runtime::delta_refs(plan_of[&e], u)
-                    .into_iter()
-                    .filter(|d| in_set.contains(d) && *d != e)
-                    .collect()
-            });
-            for level in levels {
-                for e in &level {
-                    rt.prepare(plan_of[e])?;
-                }
-                let plans: Vec<&mvmqo_core::plan::PhysPlan> =
-                    level.iter().map(|e| plan_of[e]).collect();
-                let results = crate::runtime::eval_parallel(&rt, &plans)?;
-                for (e, (batch, meter)) in level.into_iter().zip(results) {
-                    rt.meter.absorb(&meter);
-                    rt.store_delta(e, u, batch);
-                }
-            }
-        } else {
-            for (e, plan) in &step.temp_deltas {
-                let batch = rt.eval_batch(plan)?;
-                rt.store_delta(*e, u, batch);
-            }
+        // 1. Temporarily materialized differentials, in program order
+        // (bottom-up: a later one may read an earlier one's `ReadDelta`).
+        for (e, plan) in &step.temp_deltas {
+            let batch = rt.eval_batch(plan)?;
+            rt.store_delta(*e, u, batch);
         }
 
         // 2. Evaluate all merge deltas against the pre-step state (all of
         // them before any merge applies, so every plan sees updates < u;
         // that same independence is what lets them run concurrently)...
-        let mut merge_batches: Vec<(usize, Batch)> = Vec::with_capacity(step.merges.len());
-        if options.parallel && step.merges.len() > 1 {
-            for merge in &step.merges {
-                rt.prepare(&merge.delta_plan)?;
-            }
-            let plans: Vec<&mvmqo_core::plan::PhysPlan> =
-                step.merges.iter().map(|m| &m.delta_plan).collect();
-            let results = crate::runtime::eval_parallel(&rt, &plans)?;
-            for (i, (batch, meter)) in results.into_iter().enumerate() {
-                rt.meter.absorb(&meter);
-                merge_batches.push((i, batch));
-            }
-        } else {
-            for (i, merge) in step.merges.iter().enumerate() {
-                merge_batches.push((i, rt.eval_batch(&merge.delta_plan)?));
-            }
-        }
-        // ...then apply them, columnar end-to-end.
-        for (i, batch) in merge_batches {
-            let merge = &step.merges[i];
+        let plans: Vec<&PhysPlan> = step.merges.iter().map(|m| &m.delta_plan).collect();
+        let batches = rt.eval_merge_deltas(&plans)?;
+        // ...then apply them in program order, columnar end-to-end.
+        for (merge, batch) in step.merges.iter().zip(batches) {
             match &merge.kind {
                 MergeKind::Plain => rt.merge_plain(merge.target, batch, kind)?,
                 MergeKind::Aggregate { .. } => {
@@ -379,7 +316,9 @@ pub fn execute_epoch_faults(
     for e in &program.final_recomputes {
         rt.drop_mat(*e);
     }
-    rt.materialize_many(&program.final_recomputes, options.parallel)?;
+    for e in &program.final_recomputes {
+        rt.materialize(*e)?;
+    }
     for e in &program.temporary_mats {
         rt.drop_mat(*e);
     }

@@ -14,9 +14,9 @@
 //! 1. `Runtime::prepare` — the only *mutable* pass: materializes every
 //!    stored result the plan reads and creates any index it probes;
 //! 2. `EvalCtx::eval` — a read-only vectorized evaluator over columnar
-//!    [`Batch`]es. Because it only holds shared references, the epoch
-//!    scheduler can run independent plan roots on separate threads against
-//!    one prepared state.
+//!    [`Batch`]es. Because it only holds shared references, one update
+//!    step's merge-delta plans can run on separate threads against one
+//!    prepared state, and operators can split their input into morsels.
 
 use crate::error::{panic_message, ExecError};
 use crate::meter::Meter;
@@ -464,30 +464,6 @@ impl RuntimeState {
     }
 }
 
-/// How a full plan's root folds into stored state when materialized:
-/// grouped and distinct roots keep hidden support state (footnote 1), so
-/// the evaluator runs their *input* plan and the install step folds it.
-enum RootKind {
-    Plain,
-    Agg {
-        group_by: Vec<AttrId>,
-        aggs: Vec<AggSpec>,
-        input_schema: Schema,
-    },
-    Distinct,
-}
-
-/// One claimed materialization build: what to evaluate and how to install
-/// the result. Produced by `Runtime::claim_build`, consumed by
-/// `Runtime::install_build` — the shared halves of the serial and
-/// parallel materialization paths.
-struct MatWork {
-    e: EqId,
-    schema: Schema,
-    kind: RootKind,
-    eval_plan: PhysPlan,
-}
-
 /// The execution runtime for one maintenance cycle.
 pub struct Runtime<'a> {
     pub dag: &'a Dag,
@@ -500,9 +476,9 @@ pub struct Runtime<'a> {
     mat_indices: HashMap<EqId, Vec<AttrId>>,
     state: RuntimeState,
     delta_store: HashMap<(EqId, UpdateId), Batch>,
-    /// Worker-thread budget for plan evaluation (morsel-level parallelism
-    /// inside operators and root-level parallelism across independent
-    /// plans). `1` — the default — is the serial reference path.
+    /// Worker-thread budget for plan evaluation: one update step's
+    /// merge-delta plans split it, and the rest flows into morsels inside
+    /// operators. `1` — the default — is the serial reference path.
     threads: usize,
     /// Full results actually (re)computed this cycle — stays at zero for
     /// results served from a persisted [`RuntimeState`].
@@ -577,15 +553,10 @@ impl<'a> Runtime<'a> {
     /// Set the worker-thread budget for plan evaluation. `1` (the default)
     /// runs every operator on its serial reference path; larger budgets
     /// enable morsel-level parallelism inside scans, filters, hash joins,
-    /// and grouped aggregation, plus root-level parallelism across
-    /// independent plans of one scheduler level.
+    /// and grouped aggregation, plus one worker per merge-delta plan of an
+    /// update step (see `Runtime::eval_merge_deltas`).
     pub fn set_threads(&mut self, threads: usize) {
         self.threads = threads.max(1);
-    }
-
-    /// The current worker-thread budget.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Hand the materialized state back to the caller (end of an epoch).
@@ -639,9 +610,48 @@ impl<'a> Runtime<'a> {
             // A pending deferred rebuild is moot: the full rebuild below
             // replaces the stored image (and its support state) anyway.
             self.state.deferred.remove(&e);
-            let work = self.claim_build(e)?;
-            let batch = self.eval_batch(&work.eval_plan)?;
-            self.install_build(work, batch);
+            let plan = self
+                .full_plans
+                .get(&e)
+                .ok_or(ExecError::MissingPlan(e))?
+                .clone();
+            self.full_builds += 1;
+            let schema = plan.schema.clone();
+            // Grouped and distinct roots keep hidden support state
+            // (footnote 1 of the paper): evaluate their *input*, fold it,
+            // and re-emit the stored image from the state. Plain roots adopt
+            // the evaluated batch. Columnar end-to-end either way.
+            let batch = match plan.node {
+                PlanNode::HashAggregate {
+                    input,
+                    group_by,
+                    aggs,
+                } => {
+                    let folded = self.eval_batch(&input)?;
+                    let mut state = AggState::new(group_by, aggs, input.schema.clone());
+                    state.fold_batch(&folded, DeltaKind::Insert);
+                    let batch = state.output_batch(&schema);
+                    self.state.agg_states.insert(e, Arc::new(state));
+                    batch
+                }
+                PlanNode::Distinct { input } => {
+                    let folded = self.eval_batch(&input)?;
+                    let mut state = DistinctState::default();
+                    state.fold_batch(&folded, &schema, DeltaKind::Insert);
+                    let batch = state.output_batch(&schema);
+                    self.state.distinct_states.insert(e, Arc::new(state));
+                    batch
+                }
+                _ => self.eval_batch(&plan)?.align(&schema),
+            };
+            self.meter
+                .charge_seq(&self.model, batch.num_rows(), schema.row_width());
+            let mut table = StoredTable::from_batch(batch);
+            for attr in self.mat_indices.get(&e).cloned().unwrap_or_default() {
+                table.create_index(attr, IndexKind::Hash);
+            }
+            self.state.mats.insert(e, table);
+            self.state.fresh.insert(e);
         } else {
             self.realize_deferred(e);
         }
@@ -649,147 +659,6 @@ impl<'a> Runtime<'a> {
             .mats
             .get(&e)
             .ok_or_else(|| ExecError::invariant(format!("{e} absent after materialize")))
-    }
-
-    /// Claim one full build: count it, classify the plan root, and return
-    /// the plan the evaluator must actually run (the aggregate/distinct
-    /// *input* — so hidden accumulator state can be built from it,
-    /// footnote 1 of the paper — or the plan itself otherwise). Shared by
-    /// the serial and parallel materialization paths so their semantics
-    /// cannot drift.
-    fn claim_build(&mut self, e: EqId) -> Result<MatWork, ExecError> {
-        let plan = self
-            .full_plans
-            .get(&e)
-            .ok_or(ExecError::MissingPlan(e))?
-            .clone();
-        self.full_builds += 1;
-        let schema = plan.schema.clone();
-        Ok(match plan.node {
-            PlanNode::HashAggregate {
-                input,
-                group_by,
-                aggs,
-            } => MatWork {
-                e,
-                schema,
-                kind: RootKind::Agg {
-                    group_by,
-                    aggs,
-                    input_schema: input.schema.clone(),
-                },
-                eval_plan: *input,
-            },
-            PlanNode::Distinct { input } => MatWork {
-                e,
-                schema,
-                kind: RootKind::Distinct,
-                eval_plan: *input,
-            },
-            _ => MatWork {
-                e,
-                schema,
-                kind: RootKind::Plain,
-                eval_plan: plan,
-            },
-        })
-    }
-
-    /// Install one evaluated build: fold hidden aggregate/distinct support
-    /// state if the root needs it, charge the store, build the table with
-    /// its chosen indices, and mark it fresh. Columnar end-to-end: the
-    /// evaluated batch is adopted (plain roots) or folded and re-emitted
-    /// from the support state (grouped/distinct roots) without a row
-    /// detour.
-    fn install_build(&mut self, work: MatWork, eval_batch: Batch) {
-        let MatWork {
-            e, schema, kind, ..
-        } = work;
-        let batch = match kind {
-            RootKind::Plain => eval_batch.align(&schema),
-            RootKind::Agg {
-                group_by,
-                aggs,
-                input_schema,
-            } => {
-                let mut state = AggState::new(group_by, aggs, input_schema);
-                state.fold_batch(&eval_batch, DeltaKind::Insert);
-                let batch = state.output_batch(&schema);
-                self.state.agg_states.insert(e, Arc::new(state));
-                batch
-            }
-            RootKind::Distinct => {
-                let mut state = DistinctState::default();
-                state.fold_batch(&eval_batch, &schema, DeltaKind::Insert);
-                let batch = state.output_batch(&schema);
-                self.state.distinct_states.insert(e, Arc::new(state));
-                batch
-            }
-        };
-        self.meter
-            .charge_seq(&self.model, batch.num_rows(), schema.row_width());
-        let mut table = StoredTable::from_batch(batch);
-        for attr in self.mat_indices.get(&e).cloned().unwrap_or_default() {
-            table.create_index(attr, IndexKind::Hash);
-        }
-        self.state.mats.insert(e, table);
-        self.state.fresh.insert(e);
-    }
-
-    /// Materialize a set of results, optionally in parallel: the targets
-    /// are topologically levelled by their stored-result dependencies, and
-    /// within each level the full plans are evaluated concurrently by the
-    /// read-only vectorized evaluator (one scoped thread per plan root).
-    /// All state mutation — dependency preparation before a level, result
-    /// installation after — stays serial and in target order, so the
-    /// outcome is identical to calling [`Runtime::materialize`] in a loop.
-    pub fn materialize_many(&mut self, targets: &[EqId], parallel: bool) -> Result<(), ExecError> {
-        let mut seen = HashSet::new();
-        let todo: Vec<EqId> = targets
-            .iter()
-            .copied()
-            .filter(|e| seen.insert(*e) && !self.state.fresh.contains(e))
-            .collect();
-        if !parallel || todo.len() < 2 {
-            for e in todo {
-                self.materialize(e)?;
-            }
-            return Ok(());
-        }
-        let in_set: HashSet<EqId> = todo.iter().copied().collect();
-        let levels = level_items(&todo, |e| {
-            self.full_plans
-                .get(&e)
-                .map(|p| {
-                    mat_refs(p)
-                        .into_iter()
-                        .filter(|d| in_set.contains(d) && *d != e)
-                        .collect()
-                })
-                .unwrap_or_default()
-        });
-
-        for level in levels {
-            // Serial mutable pass: claim builds, prepare dependencies.
-            let mut work: Vec<MatWork> = Vec::with_capacity(level.len());
-            for &e in &level {
-                if self.state.fresh.contains(&e) {
-                    continue;
-                }
-                let w = self.claim_build(e)?;
-                self.prepare(&w.eval_plan)?;
-                work.push(w);
-            }
-            // Parallel read-only evaluation of the level's plan roots.
-            let plans: Vec<&PhysPlan> = work.iter().map(|w| &w.eval_plan).collect();
-            let results = eval_parallel(self, &plans)?;
-            // Serial installation, in target order.
-            for (w, (batch, meter)) in work.into_iter().zip(results) {
-                self.meter.absorb(&meter);
-                self.install_build(w, batch);
-            }
-        }
-        Ok(())
     }
 
     /// Drop a temporary materialization.
@@ -942,8 +811,39 @@ impl<'a> Runtime<'a> {
         Ok(batch)
     }
 
+    /// Evaluate one update step's merge-delta plans. They all read the
+    /// state with updates `< u`, so they are independent by construction:
+    /// root workers take the plans and the rest of the thread budget flows
+    /// into their operators as morsels. Batches and meter charges come back
+    /// in plan order, and so does the error: the first `Err` by plan, not
+    /// by which worker finished first.
+    pub(crate) fn eval_merge_deltas(
+        &mut self,
+        plans: &[&PhysPlan],
+    ) -> Result<Vec<Batch>, ExecError> {
+        for plan in plans {
+            self.prepare(plan)?;
+        }
+        let workers = plans.len().clamp(1, self.threads);
+        let ctx = EvalCtx {
+            threads: self.threads / workers,
+            ..self.eval_ctx()
+        };
+        let results = run_indexed(plans.len(), workers, |i| {
+            let mut meter = Meter::new();
+            ctx.eval(plans[i], &mut meter).map(|batch| (batch, meter))
+        })?;
+        let mut batches = Vec::with_capacity(plans.len());
+        for result in results {
+            let (batch, meter) = result?;
+            self.meter.absorb(&meter);
+            batches.push(batch);
+        }
+        Ok(batches)
+    }
+
     /// Read-only evaluation context over the runtime's current state.
-    /// `Copy`, so the epoch scheduler can hand one to each worker thread.
+    /// `Copy`, so the merge fan-out can hand one to each worker thread.
     pub(crate) fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
             model: &self.model,
@@ -958,7 +858,7 @@ impl<'a> Runtime<'a> {
 
     /// Mutable pre-pass: materialize every stored result the plan reads
     /// and create any index it probes, so that evaluation itself is
-    /// read-only (and therefore shareable across scheduler threads). This
+    /// read-only (and therefore shareable across worker threads). This
     /// is also what lets the index nested-loop join probe the stored inner
     /// relation in place instead of cloning it.
     pub(crate) fn prepare(&mut self, plan: &PhysPlan) -> Result<(), ExecError> {
@@ -1024,7 +924,9 @@ impl<'a> Runtime<'a> {
 /// plan can touch after [`Runtime::prepare`] ran. All operators fold over
 /// [`Batch`]es — filters/projections are selection/column updates, joins
 /// build borrowed-key hash tables over column positions and emit row-id
-/// pairs that are gathered into output columns once, at the end.
+/// pairs that are gathered into output columns once, at the end. One
+/// context serves one plan at a time; the merge fan-out hands a copy to
+/// each of its workers.
 #[derive(Clone, Copy)]
 pub(crate) struct EvalCtx<'r> {
     pub model: &'r CostModel,
@@ -1032,7 +934,8 @@ pub(crate) struct EvalCtx<'r> {
     pub deltas: &'r DeltaSet,
     pub mats: &'r HashMap<EqId, StoredTable>,
     pub delta_store: &'r HashMap<(EqId, UpdateId), Batch>,
-    /// Worker-thread budget for morsel-level parallelism inside operators.
+    /// Worker-thread budget for morsel-level parallelism inside operators:
+    /// the runtime's whole budget, or a merge worker's share of it.
     /// `1` is the serial reference path; parallel paths only engage past
     /// [`MORSEL_ROWS`] input rows, and always produce results identical to
     /// serial evaluation (morsel-order concatenation, hash-disjoint
@@ -1055,11 +958,12 @@ fn morsel_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Run `task` over `count` independent work items on up to `workers` scoped
-/// threads; results come back indexed by item, so callers concatenating in
-/// item order get output independent of thread scheduling.
+/// threads — the executor's one thread fan-out. Results come back in item
+/// order, so callers concatenating them get output independent of thread
+/// scheduling.
 ///
 /// A panicking task does not tear the process down: the worker catches it,
-/// flags cancellation so the remaining morsels are skipped, and the first
+/// flags cancellation so the remaining items are skipped, and the first
 /// panic (in join order) comes back as [`ExecError::WorkerPanic`]. The
 /// serial path runs uncaught — a panic there unwinds to the epoch boundary,
 /// where the warehouse catches it and aborts the epoch.
@@ -1067,15 +971,12 @@ fn run_indexed<T: Send>(
     count: usize,
     workers: usize,
     task: impl Fn(usize) -> T + Sync,
-) -> Result<Vec<Option<T>>, ExecError> {
+) -> Result<Vec<T>, ExecError> {
     let workers = workers.min(count).max(1);
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     if workers <= 1 {
-        for (i, slot) in slots.iter_mut().enumerate() {
-            *slot = Some(task(i));
-        }
-        return Ok(slots);
+        return Ok((0..count).map(task).collect());
     }
+    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
     let task = &task;
     let cancel = &AtomicBool::new(false);
     let mut first_panic: Option<String> = None;
@@ -1120,10 +1021,14 @@ fn run_indexed<T: Send>(
             }
         }
     });
-    match first_panic {
-        Some(message) => Err(ExecError::WorkerPanic { message }),
-        None => Ok(slots),
+    if let Some(message) = first_panic {
+        return Err(ExecError::WorkerPanic { message });
     }
+    // Without a panic nothing is cancelled, so every slot is filled.
+    slots
+        .into_iter()
+        .collect::<Option<Vec<T>>>()
+        .ok_or_else(|| ExecError::invariant("a fan-out item was not evaluated"))
 }
 
 /// Fault-injection site label for one operator evaluation — every operator
@@ -1174,7 +1079,7 @@ impl EvalCtx<'_> {
                         Batch::from_rows(plan.schema.clone(), &rows[ranges[m].clone()])
                     })?;
                     let mut out = Batch::empty(plan.schema.clone());
-                    for chunk in chunks.into_iter().flatten() {
+                    for chunk in chunks {
                         out.append(&chunk);
                     }
                     Ok(out)
@@ -1227,7 +1132,7 @@ impl EvalCtx<'_> {
                         }
                         keep
                     })?;
-                    let sel: Vec<u32> = kept.into_iter().flatten().flatten().collect();
+                    let sel: Vec<u32> = kept.into_iter().flatten().collect();
                     batch.set_selection(sel);
                 } else {
                     let mut scratch = Vec::new();
@@ -1831,12 +1736,12 @@ fn hash_join_pairs_parallel(
             })
             .collect::<Vec<_>>()
     })?;
-    let bh: Vec<(u32, u64, bool)> = bh_chunks.into_iter().flatten().flatten().collect();
+    let bh: Vec<(u32, u64, bool)> = bh_chunks.into_iter().flatten().collect();
     // Phase 2: hash-partitioned build, one worker per partition. Each
     // partition walks the precomputed hashes in scan order, so within any
     // bucket the candidate order equals the serial build's.
     let nparts = threads.max(1);
-    let tables = run_indexed(nparts, threads, |p| {
+    let tables: Vec<U64Map<Vec<u32>>> = run_indexed(nparts, threads, |p| {
         let mut t: U64Map<Vec<u32>> = u64_map_with_capacity(nb / nparts + 1);
         for &(phys, h, null) in &bh {
             if !null && (h % nparts as u64) as usize == p {
@@ -1845,7 +1750,6 @@ fn hash_join_pairs_parallel(
         }
         t
     })?;
-    let tables: Vec<U64Map<Vec<u32>>> = tables.into_iter().flatten().collect();
     // Phase 3: parallel probe by morsel; morsel-order concatenation.
     let pranges = morsel_ranges(probe_b.num_rows());
     let residual_live = !residual.is_true();
@@ -1874,7 +1778,7 @@ fn hash_join_pairs_parallel(
         }
         pairs
     })?;
-    Ok(chunks.into_iter().flatten().flatten().collect())
+    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Group-id assignment over an explicit physical row list: one id per row,
@@ -1957,12 +1861,12 @@ fn hash_aggregate_parallel(
             })
             .collect::<Vec<_>>()
     })?;
-    let hashed: Vec<(u32, u64)> = hashed.into_iter().flatten().flatten().collect();
+    let hashed: Vec<(u32, u64)> = hashed.into_iter().flatten().collect();
     // Phase 2: one worker per hash partition — group assignment plus every
     // aggregate kernel over that partition's rows (in global scan order, so
     // per-group accumulation order matches serial exactly).
     let nparts = threads.max(1);
-    let parts = run_indexed(nparts, threads, |p| {
+    let parts: Vec<(Vec<u32>, Vec<Column>)> = run_indexed(nparts, threads, |p| {
         let rows: Vec<u32> = hashed
             .iter()
             .filter(|&&(_, h)| (h % nparts as u64) as usize == p)
@@ -1976,7 +1880,6 @@ fn hash_aggregate_parallel(
             .collect();
         (reps, cols)
     })?;
-    let parts: Vec<(Vec<u32>, Vec<Column>)> = parts.into_iter().flatten().collect();
     // Merge: groups are disjoint across partitions; sort them all by key.
     let mut order: Vec<(usize, u32)> = parts
         .iter()
@@ -2296,218 +2199,6 @@ fn concat_row(left: &Batch, l: u32, right: &Batch, r: u32, buf: &mut Vec<Value>)
     }
 }
 
-// ======================================================================
-// Parallel scheduling support
-// ======================================================================
-
-/// Evaluate several plans concurrently against one prepared runtime state.
-/// The worker count comes from the runtime's configured thread budget
-/// ([`Runtime::set_threads`], surfaced as `ExecOptions::threads`), not from
-/// a hard-coded cap: a single plan gets the whole budget for morsel-level
-/// parallelism inside its operators, while multiple independent roots split
-/// the budget between root workers and intra-operator morsels. Results come
-/// back in plan order, each with its own meter so charges can be absorbed
-/// deterministically by the caller.
-pub(crate) fn eval_parallel(
-    rt: &Runtime<'_>,
-    plans: &[&PhysPlan],
-) -> Result<Vec<(Batch, Meter)>, ExecError> {
-    if plans.is_empty() {
-        return Ok(Vec::new());
-    }
-    if plans.len() == 1 {
-        let mut m = Meter::new();
-        let b = rt.eval_ctx().eval(plans[0], &mut m)?;
-        return Ok(vec![(b, m)]);
-    }
-    let threads = rt.threads().max(1);
-    let workers = plans.len().min(threads);
-    // Whatever budget is not consumed by root-level workers flows down into
-    // each plan's operators as morsel parallelism.
-    let ctx = EvalCtx {
-        threads: (threads / workers).max(1),
-        ..rt.eval_ctx()
-    };
-    let mut slots: Vec<Option<(Batch, Meter)>> = (0..plans.len()).map(|_| None).collect();
-    let cancel = &AtomicBool::new(false);
-    let mut first_err: Option<ExecError> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || -> Result<Vec<(usize, Batch, Meter)>, ExecError> {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < plans.len() {
-                        if cancel.load(AtomicOrder::Relaxed) {
-                            break;
-                        }
-                        let mut m = Meter::new();
-                        // A panicking operator (or an armed panic-mode
-                        // fault) must not tear the scope down: forward it
-                        // as an error and cancel the remaining roots.
-                        match catch_unwind(AssertUnwindSafe(|| ctx.eval(plans[i], &mut m))) {
-                            Ok(Ok(b)) => out.push((i, b, m)),
-                            Ok(Err(e)) => {
-                                cancel.store(true, AtomicOrder::Relaxed);
-                                return Err(e);
-                            }
-                            Err(payload) => {
-                                cancel.store(true, AtomicOrder::Relaxed);
-                                return Err(ExecError::WorkerPanic {
-                                    message: panic_message(payload.as_ref()),
-                                });
-                            }
-                        }
-                        i += workers;
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(chunk)) => {
-                    for (i, b, m) in chunk {
-                        slots[i] = Some((b, m));
-                    }
-                }
-                Ok(Err(e)) => {
-                    first_err.get_or_insert(e);
-                }
-                Err(payload) => {
-                    first_err.get_or_insert(ExecError::WorkerPanic {
-                        message: panic_message(payload.as_ref()),
-                    });
-                }
-            }
-        }
-    });
-    if let Some(e) = first_err {
-        return Err(e);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| s.ok_or_else(|| ExecError::invariant(format!("plan {i} was not evaluated"))))
-        .collect()
-}
-
-/// Stored materialized results a plan reads ([`PlanNode::ReadMat`], index
-/// scans over materializations, index-NL inners) — the dependency edges
-/// the parallel scheduler levels by.
-pub(crate) fn mat_refs(plan: &PhysPlan) -> Vec<EqId> {
-    fn walk(plan: &PhysPlan, out: &mut Vec<EqId>) {
-        match &plan.node {
-            PlanNode::ReadMat(e) => out.push(*e),
-            PlanNode::IndexScan { target, .. } => {
-                if let StoredRef::Mat(e) = target {
-                    out.push(*e);
-                }
-            }
-            PlanNode::IndexNlJoin { outer, inner, .. } => {
-                if let StoredRef::Mat(e) = inner {
-                    out.push(*e);
-                }
-                walk(outer, out);
-            }
-            PlanNode::ScanBase(_) | PlanNode::ScanDelta { .. } | PlanNode::ReadDelta(..) => {}
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::HashAggregate { input, .. }
-            | PlanNode::Distinct { input } => walk(input, out),
-            PlanNode::HashJoin { build, probe, .. } => {
-                walk(build, out);
-                walk(probe, out);
-            }
-            PlanNode::MergeJoin { left, right, .. }
-            | PlanNode::NlJoin { left, right, .. }
-            | PlanNode::Minus { left, right } => {
-                walk(left, out);
-                walk(right, out);
-            }
-            PlanNode::UnionAll(inputs) => {
-                for i in inputs {
-                    walk(i, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, &mut out);
-    out
-}
-
-/// Temporarily stored differentials of update `u` a plan reads
-/// ([`PlanNode::ReadDelta`]) — intra-step dependency edges.
-pub(crate) fn delta_refs(plan: &PhysPlan, u: UpdateId) -> Vec<EqId> {
-    fn walk(plan: &PhysPlan, u: UpdateId, out: &mut Vec<EqId>) {
-        match &plan.node {
-            PlanNode::ReadDelta(e, du) => {
-                if *du == u {
-                    out.push(*e);
-                }
-            }
-            PlanNode::ScanBase(_)
-            | PlanNode::ScanDelta { .. }
-            | PlanNode::ReadMat(_)
-            | PlanNode::IndexScan { .. } => {}
-            PlanNode::IndexNlJoin { outer, .. } => walk(outer, u, out),
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::HashAggregate { input, .. }
-            | PlanNode::Distinct { input } => walk(input, u, out),
-            PlanNode::HashJoin { build, probe, .. } => {
-                walk(build, u, out);
-                walk(probe, u, out);
-            }
-            PlanNode::MergeJoin { left, right, .. }
-            | PlanNode::NlJoin { left, right, .. }
-            | PlanNode::Minus { left, right } => {
-                walk(left, u, out);
-                walk(right, u, out);
-            }
-            PlanNode::UnionAll(inputs) => {
-                for i in inputs {
-                    walk(i, u, out);
-                }
-            }
-        }
-    }
-    let mut out = Vec::new();
-    walk(plan, u, &mut out);
-    out
-}
-
-/// Topologically level `items` by `deps_of` (edges must point at other
-/// items in the slice): every item lands in the first level after all of
-/// its dependencies. Falls back to one final level for any remainder (a
-/// cycle would be a planner bug; executing the remainder serially in one
-/// level keeps behaviour defined).
-pub(crate) fn level_items<F>(items: &[EqId], deps_of: F) -> Vec<Vec<EqId>>
-where
-    F: Fn(EqId) -> Vec<EqId>,
-{
-    let mut placed: HashSet<EqId> = HashSet::new();
-    let mut remaining: Vec<EqId> = items.to_vec();
-    let mut levels = Vec::new();
-    while !remaining.is_empty() {
-        let in_remaining: HashSet<EqId> = remaining.iter().copied().collect();
-        let (ready, rest): (Vec<EqId>, Vec<EqId>) = remaining.iter().copied().partition(|&e| {
-            deps_of(e)
-                .into_iter()
-                .all(|d| placed.contains(&d) || !in_remaining.contains(&d))
-        });
-        if ready.is_empty() {
-            levels.push(rest);
-            break;
-        }
-        placed.extend(ready.iter().copied());
-        levels.push(ready);
-        remaining = rest;
-    }
-    levels
-}
-
 /// Reorder rows from one schema layout to another (same attribute set).
 pub fn align_rows(rows: Vec<Tuple>, from: &Schema, to: &Schema) -> Vec<Tuple> {
     if from.ids() == to.ids() {
@@ -2633,6 +2324,43 @@ mod tests {
         let from = schema(&[1, 2]);
         let to = schema(&[1, 7]);
         align_rows(vec![vec![Value::Int(1), Value::Int(2)]], &from, &to);
+    }
+
+    #[test]
+    fn run_indexed_returns_items_in_item_order() {
+        for workers in [1, 2, 3, 8] {
+            // Each worker's first item waits until every worker has one,
+            // so the items really run on `min(workers, 7)` threads at once.
+            let barrier = std::sync::Barrier::new(workers.min(7));
+            let out = run_indexed(7, workers, |i| {
+                if i < workers {
+                    barrier.wait();
+                }
+                i * 10
+            })
+            .unwrap();
+            assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60], "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn run_indexed_turns_a_worker_panic_into_an_error() {
+        for workers in [2, 3, 8] {
+            let out = catch_unwind(|| {
+                run_indexed(7, workers, |i| {
+                    assert!(i != 4, "task {i} failed");
+                    i
+                })
+            });
+            let err = out.expect("the panic unwound out of run_indexed");
+            assert_eq!(
+                err,
+                Err(ExecError::WorkerPanic {
+                    message: "task 4 failed".to_string()
+                }),
+                "{workers} workers"
+            );
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@ use mvmqo_core::session::{Optimizer, PlanMode};
 use mvmqo_core::update::UpdateModel;
 use mvmqo_core::EqId;
 use mvmqo_exec::{
-    eval_logical, execute_epoch_faults, index_plan_from_report, panic_message, ExecOptions,
-    IndexPlan, RuntimeState,
+    eval_logical, execute_epoch_faults, index_plan_from_report, panic_message, ExecError,
+    ExecOptions, IndexPlan, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::logical::ViewDef;
@@ -33,7 +33,7 @@ use mvmqo_relalg::Batch;
 use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::error::{RecoveryError, StorageError};
-use mvmqo_storage::faults::FaultRegistry;
+use mvmqo_storage::faults::{FaultMode, FaultRegistry};
 use mvmqo_storage::snapshot::{self, Manifest};
 use mvmqo_storage::wal::{scan_wal, WalRecord, WalWriter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -241,29 +241,21 @@ impl Warehouse {
         self
     }
 
-    /// Select the epoch scheduler: `true` executes independent plan roots
-    /// of each phase on scoped threads (results are bag-identical to
-    /// serial execution). Takes effect from the next epoch; exposed on the
-    /// CLI as `--parallel` and the `parallel on|off` session command.
+    /// Select the epoch scheduler: `true` gives each epoch a worker budget,
+    /// spent on one update step's merge-delta plans and on morsels inside
+    /// operators (results are bag-identical to serial execution). Takes
+    /// effect from the next epoch; exposed on the CLI as `--parallel` and
+    /// the `parallel on|off` session command.
     pub fn set_parallel(&mut self, parallel: bool) {
         self.exec_options.parallel = parallel;
     }
 
-    /// True when epochs run under the parallel scheduler.
-    pub fn parallel(&self) -> bool {
-        self.exec_options.parallel
-    }
-
     /// Pin the parallel scheduler's worker budget (`0` = auto-detect from
     /// the host). Only takes effect while the scheduler is `parallel`;
-    /// exposed on the CLI as `--parallel N` and `parallel on N`.
+    /// exposed on the CLI as `--parallel N` and `parallel on N`. Read it
+    /// back through [`Warehouse::exec_options`].
     pub fn set_threads(&mut self, threads: usize) {
         self.exec_options.threads = threads;
-    }
-
-    /// Configured worker budget (`0` = auto).
-    pub fn threads(&self) -> usize {
-        self.exec_options.threads
     }
 
     /// The scheduling options epochs currently run with.
@@ -532,7 +524,15 @@ impl Warehouse {
         let exec = match caught {
             Ok(Ok(exec)) => exec,
             Ok(Err(e)) => {
-                let site = e.site();
+                // A panic caught in a worker names the fault that fired,
+                // as an unwound panic does below; `exec:worker` is left
+                // for real panics, where nothing fired.
+                let site = match (&e, self.faults.fired()) {
+                    (ExecError::WorkerPanic { .. }, Some(f)) if f.mode == FaultMode::Panic => {
+                        f.site
+                    }
+                    _ => e.site(),
+                };
                 return Err(self.abort_epoch(site, e.to_string()));
             }
             Err(payload) => {

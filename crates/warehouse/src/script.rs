@@ -688,7 +688,7 @@ mod tests {
             out.contains("2 threads") || out.contains("1 thread"),
             "{out}"
         );
-        assert_eq!(s.warehouse.threads(), 2);
+        assert_eq!(s.warehouse.exec_options().threads, 2);
         s.exec_line("view rev = lineitem * orders group o_custkey sum l_extendedprice")
             .unwrap();
         s.exec_line("ingest all 5").unwrap();
@@ -698,7 +698,7 @@ mod tests {
         assert!(s.exec_line("parallel on two").is_err());
         // `parallel on` resets to auto.
         s.exec_line("parallel on").unwrap();
-        assert_eq!(s.warehouse.threads(), 0);
+        assert_eq!(s.warehouse.exec_options().threads, 0);
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! commit record and the in-memory install must recover INTO the committed
 //! epoch — the commit record precedes every in-memory mutation), and a
 //! property test that `ingest → fault-aborted epoch → retry` is
-//! view-identical to the fault-free run under both the serial and the
-//! forced-parallel (2/4 worker) scheduler, for error- and panic-mode
-//! faults alike.
+//! view-identical to the fault-free run serially and at 2 and 4 forced
+//! workers, for error- and panic-mode faults alike. That property runs on
+//! its own, larger world, where one update step merges several views and
+//! tables span several morsels, so its parallel runs reach the merge
+//! fan-out; a deterministic test there checks that a panic in a merge
+//! worker is reported at the site of the fault that fired.
 
-use mvmqo_integration_tests::{generate_deltas, small_world, SmallWorld};
+use mvmqo_integration_tests::{generate_deltas, parallel_coverage, small_world, SmallWorld};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
@@ -37,6 +40,7 @@ use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 // ======================================================================
 // Scratch directories (the workspace vendors no tempfile crate)
@@ -98,13 +102,13 @@ fn attr(world: &SmallWorld, t: TableId, suffix: &str) -> AttrId {
         .id
 }
 
-/// A fresh engine over the deterministic small world with three views
-/// sharing subexpressions: a filtered two-way join, the full three-way
-/// join, and an aggregate (whose hidden per-group state must survive
-/// aborts). Identical on every call.
-fn engine_with_views() -> (SmallWorld, Warehouse) {
-    let w = small_world(8);
-    let mirror = small_world(8);
+/// A fresh engine over the deterministic small world at `scale` with three
+/// views sharing subexpressions: a filtered two-way join, the full
+/// three-way join, and an aggregate (whose hidden per-group state must
+/// survive aborts). Identical on every call.
+fn engine_with_views(scale: usize) -> (SmallWorld, Warehouse) {
+    let w = small_world(scale);
+    let mirror = small_world(scale);
     let mut wh = Warehouse::new(w.catalog, w.db);
 
     let (a, b, c) = (mirror.a, mirror.b, mirror.c);
@@ -173,6 +177,10 @@ fn engine_with_views() -> (SmallWorld, Warehouse) {
     .unwrap();
     (mirror, wh)
 }
+
+/// Scale of the sweep's and the kill-between test's world: small, so every
+/// fault site is cheap to hit.
+const SWEEP_SCALE: usize = 8;
 
 const ROUNDS: [f64; 3] = [6.0, 4.0, 3.0];
 
@@ -293,7 +301,7 @@ fn assert_engines_equivalent(got: &Warehouse, want: &Warehouse, context: &str) {
 /// same crossing in every later run.
 fn recorded_sites() -> Vec<&'static str> {
     let tmp = TempDir::new("record");
-    let (mut mirror, mut wh) = engine_with_views();
+    let (mut mirror, mut wh) = engine_with_views(SWEEP_SCALE);
     wh.faults().record();
     wh.enable_wal(tmp.path()).unwrap();
     run_workload(&mut mirror, &mut wh);
@@ -354,7 +362,7 @@ fn chaos_sweep_every_fault_site_aborts_cleanly_and_converges() {
     );
 
     // Fault-free ground truth.
-    let (mut mirror, mut want) = engine_with_views();
+    let (mut mirror, mut want) = engine_with_views(SWEEP_SCALE);
     run_workload(&mut mirror, &mut want);
 
     let ordinals = chaos_ordinals(&recorded);
@@ -362,7 +370,7 @@ fn chaos_sweep_every_fault_site_aborts_cleanly_and_converges() {
         let site = recorded[k as usize];
         let context = format!("fault at ordinal {k} ({site})");
         let tmp = TempDir::new("sweep");
-        let (mut mirror, mut wh) = engine_with_views();
+        let (mut mirror, mut wh) = engine_with_views(SWEEP_SCALE);
         wh.faults().arm(FaultPlan::ordinal(k, FaultMode::Error));
         // `enable_wal` itself crosses snapshot:write; tolerate and retry.
         if wh.enable_wal(tmp.path()).is_err() {
@@ -404,7 +412,7 @@ fn chaos_sweep_every_fault_site_aborts_cleanly_and_converges() {
 #[test]
 fn crash_between_wal_commit_and_install_recovers_into_the_epoch() {
     let tmp = TempDir::new("killbetween");
-    let (mut mirror, mut wh) = engine_with_views();
+    let (mut mirror, mut wh) = engine_with_views(SWEEP_SCALE);
     wh.enable_wal(tmp.path()).unwrap();
     wh.faults()
         .arm(FaultPlan::site("epoch:post-commit", 0, FaultMode::Panic));
@@ -420,7 +428,7 @@ fn crash_between_wal_commit_and_install_recovers_into_the_epoch() {
     drop(wh);
 
     // Ground truth: the same workload prefix, committed without faults.
-    let (_, mut want) = engine_with_views();
+    let (_, mut want) = engine_with_views(SWEEP_SCALE);
     for t in ds.tables().collect::<Vec<_>>() {
         want.ingest(t, ds.get(t).unwrap().clone()).unwrap();
     }
@@ -438,72 +446,141 @@ fn crash_between_wal_commit_and_install_recovers_into_the_epoch() {
 }
 
 // ======================================================================
-// Property: abort → retry is view-identical, serial and parallel
+// Abort → retry under the merge fan-out: serial, 2 and 4 workers
 // ======================================================================
 
-/// One `ingest → (faulted) epoch → retry` cycle under the given scheduler;
-/// returns the per-view answers after convergence.
-fn abort_retry_views(ordinal: u64, mode: FaultMode, workers: usize) -> Vec<(String, Vec<Tuple>)> {
-    let (mut mirror, mut wh) = engine_with_views();
+/// Scale of the abort-retry world: large enough that its plans merge two
+/// or more views in one update step and scan tables past one morsel (1024
+/// rows), so the 2- and 4-worker runs exercise the merge fan-out and the
+/// morsel paths instead of repeating the serial run.
+const PAR_SCALE: usize = 1000;
+
+/// Update rate (percent) of both abort-retry rounds.
+const PAR_PERCENT: f64 = 1.0;
+
+/// What one abort-retry run saw.
+struct AbortRetry {
+    /// Per-view answers after convergence.
+    views: Vec<(String, Vec<Tuple>)>,
+    /// The site `EpochAborted` named, if the faulted epoch aborted.
+    abort_site: Option<String>,
+    /// `parallel_coverage` of the program the faulted round ran.
+    coverage: (usize, usize),
+}
+
+/// One `ingest → (faulted) epoch → retry` cycle on the abort-retry world,
+/// at `workers` forced workers (0 = serial). Round 1 establishes the
+/// materializations fault-free; round 2 runs with `fault` armed, and an
+/// abort must leave the exact pre-epoch answers served before the retry.
+fn abort_retry(fault: Option<FaultPlan>, workers: usize) -> AbortRetry {
+    let (mut mirror, mut wh) = engine_with_views(PAR_SCALE);
     if workers > 0 {
         wh.set_parallel(true);
         wh.set_threads(workers);
-        // Exercise the real parallel scheduler even on 1-core CI hosts.
+        // Exercise the real parallel paths even on 1-core CI hosts.
         wh.set_force_parallel(true);
     }
-    // Round 1 establishes the materializations fault-free.
-    let ds = round_deltas(&mirror, 0);
+    let ds = generate_deltas(&mirror, PAR_PERCENT, 2000);
     for t in ds.tables().collect::<Vec<_>>() {
         wh.ingest(t, ds.get(t).unwrap().clone()).unwrap();
     }
     wh.run_epoch().unwrap();
     mirror.db.apply_all(&ds).unwrap();
 
-    // Round 2 runs with a fault armed; panics unwind to us (no WAL is
-    // attached, so even a post-commit "crash" leaves a retryable engine).
-    let ds = round_deltas(&mirror, 1);
+    // Panics unwind to us (no WAL is attached, so even a post-commit
+    // "crash" leaves a retryable engine).
+    let ds = generate_deltas(&mirror, PAR_PERCENT, 2001);
     for t in ds.tables().collect::<Vec<_>>() {
         wh.ingest(t, ds.get(t).unwrap().clone()).unwrap();
     }
-    wh.faults().arm(FaultPlan::ordinal(ordinal, mode));
-    let pre_epoch = wh.epoch();
+    let (pre_epoch, pre_views) = (wh.epoch(), view_answers(&wh));
+    if let Some(fault) = fault {
+        wh.faults().arm(fault);
+    }
     let outcome = catch_unwind(AssertUnwindSafe(|| wh.run_epoch()));
-    match outcome {
-        Ok(Ok(_)) => {} // ordinal past the workload's crossings: no fire
+    let abort_site = match outcome {
+        Ok(Ok(_)) => None, // ordinal past the workload's crossings: no fire
         Ok(Err(_)) | Err(_) => {
             assert_eq!(wh.epoch(), pre_epoch, "failed epoch advanced state");
+            for (name, want) in &pre_views {
+                let got = wh.query(name).unwrap().rows;
+                assert!(
+                    bag_eq_approx(&got, want, 1e-9),
+                    "view {name} drifted across an abort at {workers} workers"
+                );
+            }
             wh.faults().clear();
             wh.run_epoch().expect("retry after abort");
+            match outcome {
+                Ok(Err(WarehouseError::EpochAborted { site, .. })) => Some(site),
+                _ => None,
+            }
         }
+    };
+    let coverage = parallel_coverage(&wh.current_report().unwrap().program, wh.database());
+    AbortRetry {
+        views: view_answers(&wh),
+        abort_site,
+        coverage,
     }
-    view_answers(&wh)
+}
+
+/// The fault-free serial run, computed once for every case below.
+fn fault_free() -> &'static AbortRetry {
+    static RUN: OnceLock<AbortRetry> = OnceLock::new();
+    RUN.get_or_init(|| abort_retry(None, 0))
+}
+
+fn assert_converged(got: &AbortRetry, context: &str) {
+    let want = fault_free();
+    assert_eq!(got.views.len(), want.views.len());
+    for ((name, g), (_, w)) in got.views.iter().zip(&want.views) {
+        assert!(
+            bag_eq_approx(g, w, 1e-9),
+            "view {name} diverged ({context})"
+        );
+    }
+}
+
+/// A panic-mode fault in a merge-delta plan names its own site in the
+/// abort whether the plan ran on the caller's thread or on a merge worker,
+/// and the retry converges. `exec:scan-delta` is crossed only by
+/// differential plans, and this world has no temporary differentials, so
+/// its first crossing falls in the first step's merge-delta evaluation.
+#[test]
+fn panic_in_a_merge_worker_names_the_fault_site() {
+    for workers in [0usize, 2, 4] {
+        let site = "exec:scan-delta";
+        let got = abort_retry(Some(FaultPlan::site(site, 0, FaultMode::Panic)), workers);
+        assert_eq!(
+            got.abort_site.as_deref(),
+            Some(site),
+            "abort site at {workers} workers"
+        );
+        assert_converged(&got, &format!("{workers} workers"));
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `ingest → fault-aborted epoch → retry` converges to the exact
-    /// fault-free result for every view, under the serial scheduler and
-    /// the forced-parallel scheduler at 2 and 4 workers, whether the
-    /// fault fires as a typed error or as a panic.
+    /// fault-free result for every view, serially and at 2 and 4 forced
+    /// workers, whether the fault fires as a typed error or as a panic.
     #[test]
     fn abort_then_retry_is_identical_to_fault_free(
         ordinal in 0u64..60,
         err_mode in proptest::bool::ANY,
     ) {
         let mode = if err_mode { FaultMode::Error } else { FaultMode::Panic };
-        // Fault-free ground truth (no fault ever fires at ordinal u64::MAX).
-        let want = abort_retry_views(u64::MAX, FaultMode::Error, 0);
         for workers in [0usize, 2, 4] {
-            let got = abort_retry_views(ordinal, mode, workers);
-            prop_assert_eq!(got.len(), want.len());
-            for ((name, g), (_, w)) in got.iter().zip(&want) {
-                prop_assert!(
-                    bag_eq_approx(g, w, 1e-9),
-                    "view {} diverged under {:?}/{} workers at ordinal {}",
-                    name, mode, workers, ordinal
-                );
-            }
+            let got = abort_retry(Some(FaultPlan::ordinal(ordinal, mode)), workers);
+            // Non-vacuous by construction: some step fans out over two or
+            // more merge-delta plans, and some scan spans several morsels.
+            let (max_merges, largest_scan) = got.coverage;
+            prop_assert!(max_merges >= 2, "no step plans two merges");
+            prop_assert!(largest_scan > 1024, "no scan spans two morsels");
+            assert_converged(&got, &format!("{mode:?}/{workers} workers at ordinal {ordinal}"));
         }
     }
 }

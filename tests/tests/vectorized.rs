@@ -3,9 +3,10 @@
 //! Every batch operator is checked, on random multisets with NULLs and
 //! duplicates, against the row-at-a-time reference evaluator
 //! (`mvmqo_exec::reference`) — the oracle the batch engine must agree with
-//! bag-for-bag. A second block checks that maintenance epochs executed
-//! under the parallel scheduler produce exactly the same view contents as
-//! serial execution.
+//! bag-for-bag. A second block checks the morsel-parallel operators, and a
+//! third that whole maintenance epochs at 2 and 4 workers produce exactly
+//! the serial view contents, on a world whose plans fan out over several
+//! merge-delta plans in one update step and scan tables past one morsel.
 
 use mvmqo_core::api::{plan_maintenance, MaintenanceProblem};
 use mvmqo_core::cost::CostModel;
@@ -15,7 +16,7 @@ use mvmqo_core::plan::{PhysPlan, PlanNode};
 use mvmqo_exec::{
     eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, Runtime, RuntimeState,
 };
-use mvmqo_integration_tests::{generate_deltas, small_world, update_model_for};
+use mvmqo_integration_tests::{generate_deltas, parallel_coverage, small_world, update_model_for};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
@@ -621,16 +622,21 @@ proptest! {
     }
 }
 
+/// Scale of the parallel-epoch fixture: large enough that at a 1–2 %
+/// update rate its plans merge two or more views in one step (at scales
+/// 300 and 500 no step merges more than one).
+const PAR_SCALE: usize = 1000;
+
 /// One full optimize→execute epoch over the small world; returns the final
-/// view contents. `threads` is the worker budget when `parallel` (0 =
-/// auto-detect).
+/// view contents and the program's [`parallel_coverage`]. `threads` is the
+/// worker budget when `parallel` (0 = auto-detect).
 fn run_epoch_with(
     parallel: bool,
     threads: usize,
     percent: f64,
     seed: u64,
-) -> BTreeMap<String, Vec<Tuple>> {
-    let mut world = small_world(30);
+) -> (BTreeMap<String, Vec<Tuple>>, (usize, usize)) {
+    let mut world = small_world(PAR_SCALE);
     let c = &world.catalog;
     let a_id = c.table(world.a).attr("id");
     let b_aid = c.table(world.b).attr("a_id");
@@ -673,6 +679,7 @@ fn run_epoch_with(
     let planned = plan_maintenance(&mut world.catalog, &problem);
     let (dag, report) = (planned.dag, planned.report);
     let index_plan = index_plan_from_report(&initial_indices, &report);
+    let coverage = parallel_coverage(&report.program, &world.db);
     let mut state = RuntimeState::new();
     let exec = execute_epoch_opts(
         &dag,
@@ -686,15 +693,15 @@ fn run_epoch_with(
         ExecOptions {
             parallel,
             threads,
-            // The property must exercise the real parallel scheduler even
-            // on 1-core CI hosts (where the auto-disable would otherwise
-            // make this serial-vs-serial).
+            // The property must exercise the merge fan-out and the morsel
+            // paths even on 1-core CI hosts (where the auto-disable would
+            // otherwise make this serial-vs-serial).
             force_parallel: true,
             ..ExecOptions::default()
         },
     )
     .expect("epoch execution");
-    exec.view_rows
+    (exec.view_rows, coverage)
 }
 
 proptest! {
@@ -703,12 +710,17 @@ proptest! {
 
     /// Epoch results under the parallel scheduler are bag-equal to serial
     /// execution at every worker budget — the determinism contract of the
-    /// level-wise scheduler and the morsel-parallel operators inside it.
+    /// merge fan-out and the morsel-parallel operators inside it.
     #[test]
-    fn parallel_epoch_equals_serial(seed in 1u64..10_000, percent in 1u32..30) {
-        let serial = run_epoch_with(false, 0, percent as f64, seed);
+    fn parallel_epoch_equals_serial(seed in 1u64..10_000, percent in 1u32..3) {
+        let (serial, (max_merges, largest_scan)) =
+            run_epoch_with(false, 0, percent as f64, seed);
+        // Non-vacuous by construction: some step fans out over two or more
+        // merge-delta plans, and some operator input spans several morsels.
+        prop_assert!(max_merges >= 2, "no step plans two merges");
+        prop_assert!(largest_scan > 1024, "no scan spans two morsels");
         for threads in [2usize, 4] {
-            let parallel = run_epoch_with(true, threads, percent as f64, seed);
+            let (parallel, _) = run_epoch_with(true, threads, percent as f64, seed);
             prop_assert_eq!(serial.len(), parallel.len());
             for (name, srows) in &serial {
                 let prows = parallel.get(name).expect("same view set");
