@@ -12,7 +12,7 @@ use mvmqo_storage::faults::FaultError;
 use std::fmt;
 
 /// An operator-level execution failure. The epoch that hit it is aborted
-/// by the warehouse; none of its staged state is installed.
+/// by the warehouse, which rolls its writes back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
     /// A storage lookup failed (e.g. a scanned base table was never loaded).

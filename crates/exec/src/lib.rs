@@ -16,6 +16,8 @@
 //!   cycle with the one-relation-one-kind-at-a-time semantics of §3.2.2;
 //!   [`ExecOptions::parallel`] levels each phase's independent plan roots
 //!   and evaluates them on scoped threads, deterministically;
+//! * [`journal`] — the epoch's undo journal: an epoch writes database and
+//!   state in place, and an abort replays the journal to put them back;
 //! * [`mod@reference`] — a naive ground-truth evaluator used to verify that
 //!   incremental maintenance produces exactly the recomputed result;
 //! * [`mod@error`] — typed executor errors ([`ExecError`]): operator
@@ -32,12 +34,14 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod error;
+pub mod journal;
 pub mod meter;
 pub mod reference;
 pub mod run;
 pub mod runtime;
 
 pub use error::{panic_message, ExecError};
+pub use journal::Journal;
 pub use meter::Meter;
 pub use reference::eval_logical;
 pub use run::{

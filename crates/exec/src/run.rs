@@ -17,9 +17,13 @@
 //! (and their hidden aggregate/distinct support state and indices) from one
 //! epoch to the next, so permanent materializations are maintained in place
 //! rather than rebuilt every cycle; a fresh state makes the call a one-shot
-//! refresh. [`execute_epoch_opts`] is the same call with faults disarmed.
+//! refresh. The epoch writes database and state in place under a
+//! [`Journal`], so a failed epoch is undone rather than staged.
+//! [`execute_epoch_opts`] is the same call with faults disarmed, rolling
+//! itself back on error.
 
 use crate::error::ExecError;
+use crate::journal::Journal;
 use crate::meter::Meter;
 use crate::runtime::{Runtime, RuntimeState};
 use mvmqo_core::cost::CostModel;
@@ -33,6 +37,7 @@ use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::DeltaSet;
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::index::IndexKind;
+use mvmqo_storage::journal::TableJournal;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Outcome of one executed refresh cycle.
@@ -161,12 +166,13 @@ pub struct IndexPlan {
 /// Execute one maintenance epoch against `db`, applying `deltas`, resuming
 /// from (and persisting back into) `state`, with no faults armed.
 ///
-/// On return, `db` holds the post-update base tables and every view has
+/// On `Ok`, `db` holds the post-update base tables and every view has
 /// been refreshed (incrementally or by recomputation, per the program).
-/// Pass the same `state` across consecutive epochs of the same program so
-/// permanent materializations and view contents survive; drop it whenever
-/// the program is re-optimized (node ids change). A fresh
-/// [`RuntimeState`] makes the call a one-shot refresh.
+/// On `Err`, the epoch's writes are rolled back: `db` and `state` are
+/// exactly as they were. Pass the same `state` across consecutive epochs
+/// of the same program so permanent materializations and view contents
+/// survive; drop it whenever the program is re-optimized (node ids
+/// change). A fresh [`RuntimeState`] makes the call a one-shot refresh.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_epoch_opts(
     dag: &Dag,
@@ -179,7 +185,8 @@ pub fn execute_epoch_opts(
     state: &mut RuntimeState,
     options: ExecOptions,
 ) -> Result<ExecReport, ExecError> {
-    execute_epoch_faults(
+    let mut journal = Journal::new();
+    let report = execute_epoch_faults(
         dag,
         catalog,
         model,
@@ -190,18 +197,25 @@ pub fn execute_epoch_opts(
         state,
         options,
         FaultRegistry::none(),
-    )
+        &mut journal,
+    );
+    if report.is_err() {
+        journal.rollback(db, state);
+    }
+    report
 }
 
-/// [`execute_epoch_opts`] with a live fault-injection registry: every
+/// [`execute_epoch_opts`] with a live fault-injection registry — every
 /// operator evaluation, merge, and base-delta application checks it, so
-/// the chaos tests can fail the epoch at any site.
+/// the chaos tests can fail the epoch at any site — and a caller-owned
+/// undo journal.
 ///
-/// On `Err`, `db` and `state` may hold partially-applied work — `state` is
-/// taken (left default) at entry and only written back on success. Callers
-/// wanting all-or-nothing semantics must run against *staged clones* and
-/// install them only on `Ok` (the warehouse transactional-epoch path does
-/// exactly that; cloning is cheap because stored tables are copy-on-write).
+/// The epoch writes `db` and `state` in place and records the inverse of
+/// every write in `journal`. On `Err` — or when a panic unwinds out of
+/// this call — `db` and `state` hold partial work, and
+/// [`Journal::rollback`] puts them back exactly; on `Ok`, dropping the
+/// journal commits. The warehouse's transactional epoch does exactly that
+/// around its WAL commit: no copy of the state is ever staged.
 #[allow(clippy::too_many_arguments)]
 pub fn execute_epoch_faults(
     dag: &Dag,
@@ -214,13 +228,17 @@ pub fn execute_epoch_faults(
     state: &mut RuntimeState,
     options: ExecOptions,
     faults: &FaultRegistry,
+    journal: &mut Journal,
 ) -> Result<ExecReport, ExecError> {
     // Realize base indices. Skip ones that already exist: the storage
     // layer keeps indices in sync as deltas apply, so across epochs they
     // persist rather than being rebuilt.
     for (t, attr) in &indices.base {
-        if db.base(*t)?.index_on(*attr).is_none() {
-            db.create_base_index(*t, *attr, IndexKind::Hash)?;
+        let table = db.base_mut(*t)?;
+        if table.index_on(*attr).is_none() {
+            let mut undo = TableJournal::new();
+            table.create_index_journaled(*attr, IndexKind::Hash, &mut undo);
+            journal.base(*t, undo);
         }
     }
     let mut mat_indices: HashMap<EqId, Vec<AttrId>> = HashMap::new();
@@ -235,7 +253,8 @@ pub fn execute_epoch_faults(
         deltas,
         program.full_plans.clone(),
         mat_indices,
-        std::mem::take(state),
+        state,
+        journal,
     );
     // The worker budget is resolved once and pinned for the whole epoch.
     rt.set_threads(options.resolved_threads());
@@ -302,7 +321,7 @@ pub fn execute_epoch_faults(
         let rows = deltas.side(table, kind);
         let width = catalog.table(table).schema.row_width();
         faults.hit("exec:apply-base-delta")?;
-        rt.db.apply_base_side(table, kind, rows)?;
+        rt.apply_base_side(table, kind, rows)?;
         rt.meter.charge_seq(&model, rows.len(), width);
 
         // 4. Invalidate stale temporaries; maintained results stay fresh.
@@ -345,7 +364,7 @@ pub fn execute_epoch_faults(
         random_pages: total.random_pages - setup_meter.random_pages,
     };
     let total_builds = rt.full_builds;
-    *state = rt.take_state();
+    rt.realize_all_deferred();
     Ok(ExecReport {
         setup_seconds,
         maintenance_seconds: maintenance_meter.seconds,

@@ -19,6 +19,7 @@
 //!    prepared state, and operators can split their input into morsels.
 
 use crate::error::{panic_message, ExecError};
+use crate::journal::Journal;
 use crate::meter::Meter;
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::{Dag, EqId};
@@ -37,6 +38,7 @@ use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaKind, DeltaSet};
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::index::IndexKind;
+use mvmqo_storage::journal::TableJournal;
 use mvmqo_storage::table::StoredTable;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -312,16 +314,21 @@ impl DistinctState {
 /// are only meaningful for the DAG/program the state was built under — drop
 /// the state whenever the engine re-optimizes.
 ///
-/// Cloning (how a transactional epoch stages its working copy) is
-/// O(#stored results): every [`StoredTable`] is a handle copy and the
-/// support states are shared. The clone's writes then copy what they
-/// touch — a merged table's columns and indices, and the group/count map
-/// of each support state a merge folds into — and nothing else.
+/// A transactional epoch writes the state in place under a
+/// [`Journal`], which records every change (a stored result installed or
+/// dropped, a mark flipped, a table merged into, a support state folded)
+/// and on abort puts the state back exactly.
+///
+/// Cloning is O(#stored results): every [`StoredTable`] is a handle copy
+/// and the support states are shared. Writes to either copy then copy what
+/// they touch — a merged table's columns and indices, and the group/count
+/// map of each support state a merge folds into — and nothing else.
 #[derive(Debug, Clone, Default)]
 pub struct RuntimeState {
     pub(crate) mats: HashMap<EqId, StoredTable>,
     pub(crate) fresh: HashSet<EqId>,
-    /// Behind `Arc` so a staged clone shares them; a merge
+    /// Behind `Arc` so a clone shares them, and so the epoch journal can
+    /// keep a folded state's pre-epoch version by handle; a merge
     /// `Arc::make_mut`s only the state it folds into.
     pub(crate) agg_states: HashMap<EqId, Arc<AggState>>,
     pub(crate) distinct_states: HashMap<EqId, Arc<DistinctState>>,
@@ -341,8 +348,8 @@ impl RuntimeState {
     /// and `verify` read the maintained materializations through this).
     /// `None` while `e` has a deferred rebuild pending: its support state
     /// has absorbed merges the stored image has not, and serving that
-    /// image would answer with stale contents. [`Runtime::take_state`]
-    /// realizes every deferred rebuild, so the state an epoch hands back
+    /// image would answer with stale contents. An epoch realizes every
+    /// deferred rebuild before it returns, so the state it leaves behind
     /// never holds one.
     pub fn mat(&self, e: EqId) -> Option<&StoredTable> {
         if self.deferred.contains(&e) {
@@ -390,10 +397,10 @@ impl RuntimeState {
 
     /// Realize every pending deferred rebuild in place: each lagging
     /// stored table is rebuilt from its aggregate/distinct support state,
-    /// keeping the indices it already had. [`crate::Runtime::take_state`]
-    /// does this at epoch end; the durability layer calls it again
-    /// defensively before serializing, so a snapshot can never capture a
-    /// stale stored-table image.
+    /// keeping the indices it already had. An epoch does this before it
+    /// returns; the durability layer calls it again defensively before
+    /// serializing, so a snapshot can never capture a stale stored-table
+    /// image.
     // Invariant, not input validation: an id only enters `deferred` when its
     // stored table and support state were installed in the same merge, so
     // both lookups succeed by construction.
@@ -464,6 +471,34 @@ impl RuntimeState {
     }
 }
 
+/// The runtime's materialized state: borrowed from the caller for an
+/// epoch — so it outlives an error or a panic and can be rolled back in
+/// place — or owned by a one-off evaluation runtime.
+enum StateSlot<'a> {
+    Owned(Box<RuntimeState>),
+    Borrowed(&'a mut RuntimeState),
+}
+
+impl std::ops::Deref for StateSlot<'_> {
+    type Target = RuntimeState;
+
+    fn deref(&self) -> &RuntimeState {
+        match self {
+            StateSlot::Owned(s) => s,
+            StateSlot::Borrowed(s) => s,
+        }
+    }
+}
+
+impl std::ops::DerefMut for StateSlot<'_> {
+    fn deref_mut(&mut self) -> &mut RuntimeState {
+        match self {
+            StateSlot::Owned(s) => s,
+            StateSlot::Borrowed(s) => s,
+        }
+    }
+}
+
 /// The execution runtime for one maintenance cycle.
 pub struct Runtime<'a> {
     pub dag: &'a Dag,
@@ -474,7 +509,10 @@ pub struct Runtime<'a> {
     full_plans: BTreeMap<EqId, PhysPlan>,
     /// Indices to maintain on materialized nodes (chosen by the optimizer).
     mat_indices: HashMap<EqId, Vec<AttrId>>,
-    state: RuntimeState,
+    state: StateSlot<'a>,
+    /// Where every write to `db` and `state` records its inverse; `None`
+    /// for a one-off evaluation runtime, whose writes are not undoable.
+    journal: Option<&'a mut Journal>,
     delta_store: HashMap<(EqId, UpdateId), Batch>,
     /// Worker-thread budget for plan evaluation: one update step's
     /// merge-delta plans split it, and the rest flows into morsels inside
@@ -492,6 +530,8 @@ pub struct Runtime<'a> {
 }
 
 impl<'a> Runtime<'a> {
+    /// A one-off runtime with a fresh state of its own and no journal
+    /// (plan evaluation in tests and tools).
     pub fn new(
         dag: &'a Dag,
         catalog: &'a Catalog,
@@ -501,7 +541,7 @@ impl<'a> Runtime<'a> {
         full_plans: BTreeMap<EqId, PhysPlan>,
         mat_indices: HashMap<EqId, Vec<AttrId>>,
     ) -> Self {
-        Runtime::with_state(
+        Runtime::build(
             dag,
             catalog,
             model,
@@ -509,13 +549,15 @@ impl<'a> Runtime<'a> {
             deltas,
             full_plans,
             mat_indices,
-            RuntimeState::new(),
+            StateSlot::Owned(Box::default()),
+            None,
         )
     }
 
     /// Like [`Runtime::new`], but resuming from a persisted [`RuntimeState`]
-    /// (the warehouse epoch path): stored results that are still fresh are
-    /// served as-is instead of being rebuilt.
+    /// (the epoch path): stored results that are still fresh are served
+    /// as-is instead of being rebuilt. `state` and `db` are written in
+    /// place, and every write records its inverse in `journal`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_state(
         dag: &'a Dag,
@@ -525,7 +567,33 @@ impl<'a> Runtime<'a> {
         deltas: &'a DeltaSet,
         full_plans: BTreeMap<EqId, PhysPlan>,
         mat_indices: HashMap<EqId, Vec<AttrId>>,
-        state: RuntimeState,
+        state: &'a mut RuntimeState,
+        journal: &'a mut Journal,
+    ) -> Self {
+        Runtime::build(
+            dag,
+            catalog,
+            model,
+            db,
+            deltas,
+            full_plans,
+            mat_indices,
+            StateSlot::Borrowed(state),
+            Some(journal),
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn build(
+        dag: &'a Dag,
+        catalog: &'a Catalog,
+        model: CostModel,
+        db: &'a mut Database,
+        deltas: &'a DeltaSet,
+        full_plans: BTreeMap<EqId, PhysPlan>,
+        mat_indices: HashMap<EqId, Vec<AttrId>>,
+        state: StateSlot<'a>,
+        journal: Option<&'a mut Journal>,
     ) -> Self {
         Runtime {
             dag,
@@ -536,6 +604,7 @@ impl<'a> Runtime<'a> {
             full_plans,
             mat_indices,
             state,
+            journal,
             delta_store: HashMap::new(),
             threads: 1,
             full_builds: 0,
@@ -559,15 +628,90 @@ impl<'a> Runtime<'a> {
         self.threads = threads.max(1);
     }
 
-    /// Hand the materialized state back to the caller (end of an epoch).
-    /// Any deferred aggregate/distinct rebuilds are realized first, so the
-    /// persisted state always serves current stored images.
-    pub fn take_state(&mut self) -> RuntimeState {
+    /// Realize every deferred aggregate/distinct rebuild (the end of an
+    /// epoch), so the state left behind serves current stored images.
+    pub(crate) fn realize_all_deferred(&mut self) {
         let deferred: Vec<EqId> = self.state.deferred.iter().copied().collect();
         for e in deferred {
             self.realize_deferred(e);
         }
-        std::mem::take(&mut self.state)
+    }
+
+    // ------------------------------------------------------------------
+    // State writes: each one records its inverse when journaled.
+    // ------------------------------------------------------------------
+
+    /// Install `table` as `e`'s stored result.
+    fn put_mat(&mut self, e: EqId, table: StoredTable) {
+        let old = self.state.mats.insert(e, table);
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.stored(e, old);
+        }
+    }
+
+    /// Drop `e`'s stored result, if any.
+    fn remove_mat(&mut self, e: EqId) {
+        let old = self.state.mats.remove(&e);
+        if let (Some(j), Some(old)) = (self.journal.as_deref_mut(), old) {
+            j.stored(e, Some(old));
+        }
+    }
+
+    /// Set or clear `e`'s freshness mark.
+    fn set_fresh(&mut self, e: EqId, on: bool) {
+        let flipped = if on {
+            self.state.fresh.insert(e)
+        } else {
+            self.state.fresh.remove(&e)
+        };
+        if let (Some(j), true) = (self.journal.as_deref_mut(), flipped) {
+            j.fresh(e, !on);
+        }
+    }
+
+    /// Set or clear `e`'s deferred-rebuild mark; returns whether it flipped.
+    fn set_deferred(&mut self, e: EqId, on: bool) -> bool {
+        let flipped = if on {
+            self.state.deferred.insert(e)
+        } else {
+            self.state.deferred.remove(&e)
+        };
+        if let (Some(j), true) = (self.journal.as_deref_mut(), flipped) {
+            j.deferred(e, !on);
+        }
+        flipped
+    }
+
+    /// Keep the undo records of an in-place write to a stored relation.
+    fn record(&mut self, target: StoredRef, undo: TableJournal) {
+        if let Some(j) = self.journal.as_deref_mut() {
+            match target {
+                StoredRef::Base(t) => j.base(t, undo),
+                StoredRef::Mat(e) => j.table(e, undo),
+            }
+        }
+    }
+
+    /// Replace (`Some`) or drop (`None`) `e`'s aggregate support state.
+    fn put_agg(&mut self, e: EqId, state: Option<AggState>) {
+        let old = match state {
+            Some(st) => self.state.agg_states.insert(e, Arc::new(st)),
+            None => self.state.agg_states.remove(&e),
+        };
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.agg(e, old);
+        }
+    }
+
+    /// Replace (`Some`) or drop (`None`) `e`'s distinct support state.
+    fn put_distinct(&mut self, e: EqId, state: Option<DistinctState>) {
+        let old = match state {
+            Some(st) => self.state.distinct_states.insert(e, Arc::new(st)),
+            None => self.state.distinct_states.remove(&e),
+        };
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.distinct(e, old);
+        }
     }
 
     /// Rebuild a maintained aggregate/distinct result's stored table from
@@ -577,7 +721,7 @@ impl<'a> Runtime<'a> {
     // their stored table and support state (see `RuntimeState`).
     #[allow(clippy::expect_used)]
     fn realize_deferred(&mut self, e: EqId) {
-        if !self.state.deferred.remove(&e) {
+        if !self.set_deferred(e, false) {
             return;
         }
         let schema = self
@@ -600,7 +744,7 @@ impl<'a> Runtime<'a> {
         for attr in self.mat_indices.get(&e).cloned().unwrap_or_default() {
             table.create_index(attr, IndexKind::Hash);
         }
-        self.state.mats.insert(e, table);
+        self.put_mat(e, table);
     }
 
     /// Ensure a materialized result exists, is fresh, and its stored image
@@ -609,7 +753,7 @@ impl<'a> Runtime<'a> {
         if !self.state.fresh.contains(&e) {
             // A pending deferred rebuild is moot: the full rebuild below
             // replaces the stored image (and its support state) anyway.
-            self.state.deferred.remove(&e);
+            self.set_deferred(e, false);
             let plan = self
                 .full_plans
                 .get(&e)
@@ -631,7 +775,7 @@ impl<'a> Runtime<'a> {
                     let mut state = AggState::new(group_by, aggs, input.schema.clone());
                     state.fold_batch(&folded, DeltaKind::Insert);
                     let batch = state.output_batch(&schema);
-                    self.state.agg_states.insert(e, Arc::new(state));
+                    self.put_agg(e, Some(state));
                     batch
                 }
                 PlanNode::Distinct { input } => {
@@ -639,7 +783,7 @@ impl<'a> Runtime<'a> {
                     let mut state = DistinctState::default();
                     state.fold_batch(&folded, &schema, DeltaKind::Insert);
                     let batch = state.output_batch(&schema);
-                    self.state.distinct_states.insert(e, Arc::new(state));
+                    self.put_distinct(e, Some(state));
                     batch
                 }
                 _ => self.eval_batch(&plan)?.align(&schema),
@@ -650,8 +794,8 @@ impl<'a> Runtime<'a> {
             for attr in self.mat_indices.get(&e).cloned().unwrap_or_default() {
                 table.create_index(attr, IndexKind::Hash);
             }
-            self.state.mats.insert(e, table);
-            self.state.fresh.insert(e);
+            self.put_mat(e, table);
+            self.set_fresh(e, true);
         } else {
             self.realize_deferred(e);
         }
@@ -663,11 +807,11 @@ impl<'a> Runtime<'a> {
 
     /// Drop a temporary materialization.
     pub fn drop_mat(&mut self, e: EqId) {
-        self.state.mats.remove(&e);
-        self.state.fresh.remove(&e);
-        self.state.agg_states.remove(&e);
-        self.state.distinct_states.remove(&e);
-        self.state.deferred.remove(&e);
+        self.remove_mat(e);
+        self.set_fresh(e, false);
+        self.put_agg(e, None);
+        self.put_distinct(e, None);
+        self.set_deferred(e, false);
     }
 
     /// Mark every materialization depending on `table` stale, except the
@@ -685,7 +829,7 @@ impl<'a> Runtime<'a> {
             .filter(|e| self.dag.eq(*e).depends_on(table) && !keep.contains(e))
             .collect();
         for e in stale {
-            self.state.fresh.remove(&e);
+            self.set_fresh(e, false);
         }
     }
 
@@ -724,11 +868,30 @@ impl<'a> Runtime<'a> {
             .get_mut(&e)
             .ok_or_else(|| ExecError::invariant(format!("maintained result {e} not stored")))?;
         let delta = delta.align(table.schema());
-        match kind {
-            DeltaKind::Insert => table.apply_batch_delta(Some(&delta), None),
-            DeltaKind::Delete => table.apply_batch_delta(None, Some(&delta)),
-        }
-        self.state.fresh.insert(e);
+        let (ins, del) = match kind {
+            DeltaKind::Insert => (Some(&delta), None),
+            DeltaKind::Delete => (None, Some(&delta)),
+        };
+        let mut undo = TableJournal::new();
+        table.apply_batch_delta_journaled(ins, del, &mut undo);
+        self.record(StoredRef::Mat(e), undo);
+        self.set_fresh(e, true);
+        Ok(())
+    }
+
+    /// Apply one side of a base relation's delta in place (§3.2.2's
+    /// per-update step).
+    pub(crate) fn apply_base_side(
+        &mut self,
+        t: mvmqo_relalg::catalog::TableId,
+        kind: DeltaKind,
+        rows: &[Tuple],
+    ) -> Result<(), ExecError> {
+        let mut undo = TableJournal::new();
+        self.db
+            .base_mut(t)?
+            .apply_side_journaled(kind, rows, &mut undo);
+        self.record(StoredRef::Base(t), undo);
         Ok(())
     }
 
@@ -750,17 +913,20 @@ impl<'a> Runtime<'a> {
             self.state.agg_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("aggregate state for {e} not stored"))
             })?;
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.agg(e, Some(Arc::clone(state)));
+        }
         let needs_recompute = Arc::make_mut(state).fold_batch(&input, kind);
         if needs_recompute {
             // Affected-group recompute, realized as a full refresh (§3.1.2's
             // "significant extra work"; the cost model charges the same).
-            self.state.deferred.remove(&e);
-            self.state.fresh.remove(&e);
+            self.set_deferred(e, false);
+            self.set_fresh(e, false);
             self.materialize(e)?;
             return Ok(true);
         }
-        self.state.deferred.insert(e);
-        self.state.fresh.insert(e);
+        self.set_deferred(e, true);
+        self.set_fresh(e, true);
         Ok(false)
     }
 
@@ -785,9 +951,12 @@ impl<'a> Runtime<'a> {
             self.state.distinct_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("distinct state for {e} not stored"))
             })?;
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.distinct(e, Some(Arc::clone(state)));
+        }
         Arc::make_mut(state).fold_batch(&input, &schema, kind);
-        self.state.deferred.insert(e);
-        self.state.fresh.insert(e);
+        self.set_deferred(e, true);
+        self.set_fresh(e, true);
         Ok(())
     }
 
@@ -876,10 +1045,7 @@ impl<'a> Runtime<'a> {
                 outer, inner, keys, ..
             } => {
                 self.prepare(outer)?;
-                let t = self.stored_table_mut(*inner)?;
-                if t.index_on(keys.1).is_none() {
-                    t.create_index(keys.1, IndexKind::Hash);
-                }
+                self.ensure_index(*inner, keys.1)?;
             }
             PlanNode::Filter { input, .. }
             | PlanNode::Project { input, .. }
@@ -904,19 +1070,25 @@ impl<'a> Runtime<'a> {
         Ok(())
     }
 
-    /// Resolve a stored relation reference (mutable, for on-demand index
-    /// creation during [`Runtime::prepare`]).
-    fn stored_table_mut(&mut self, target: StoredRef) -> Result<&mut StoredTable, ExecError> {
-        match target {
-            StoredRef::Base(t) => Ok(self.db.base_mut(t)?),
+    /// Create the hash index on `attr` of a stored relation unless it has
+    /// one (on-demand index creation during [`Runtime::prepare`]).
+    fn ensure_index(&mut self, target: StoredRef, attr: AttrId) -> Result<(), ExecError> {
+        let table = match target {
+            StoredRef::Base(t) => self.db.base_mut(t)?,
             StoredRef::Mat(e) => {
                 self.materialize(e)?;
                 self.state
                     .mats
                     .get_mut(&e)
-                    .ok_or_else(|| ExecError::invariant(format!("{e} absent after materialize")))
+                    .ok_or_else(|| ExecError::invariant(format!("{e} absent after materialize")))?
             }
+        };
+        if table.index_on(attr).is_none() {
+            let mut undo = TableJournal::new();
+            table.create_index_journaled(attr, IndexKind::Hash, &mut undo);
+            self.record(target, undo);
         }
+        Ok(())
     }
 }
 
@@ -2406,6 +2578,7 @@ mod tests {
 
         let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaSet::new());
         let mut db = Database::new();
+        let mut journal = crate::Journal::new();
         let mut rt = Runtime::with_state(
             &dag,
             &catalog,
@@ -2414,12 +2587,13 @@ mod tests {
             &deltas,
             BTreeMap::new(),
             HashMap::new(),
-            state,
+            &mut state,
+            &mut journal,
         );
         let delta = Batch::from_rows(input, &[vec![Value::Int(1), Value::Int(5)]]);
         assert!(!rt.merge_aggregate(e, delta, DeltaKind::Insert).unwrap());
-        // Hand the state back *without* the epoch-end realization.
-        let mut state = std::mem::take(&mut rt.state);
+        // Leave the state *without* the epoch-end realization.
+        drop(rt);
         assert!(state.has_deferred());
         assert!(state.mat(e).is_none(), "stale image served");
         state.realize_deferred();
@@ -2428,6 +2602,110 @@ mod tests {
             current.batch().to_rows(),
             vec![vec![Value::Int(1), Value::Float(15.0)]]
         );
+    }
+
+    /// Everything rollback must restore, in comparable form: each stored
+    /// result's rows in physical order with the postings of every indexed
+    /// row, the marks, and the aggregate groups.
+    #[allow(clippy::type_complexity)]
+    fn summary(state: &RuntimeState) -> Vec<String> {
+        let mut out: Vec<String> = state
+            .mats()
+            .map(|(e, t)| {
+                let mut attrs: Vec<AttrId> = t.indexed_attrs().collect();
+                attrs.sort();
+                let postings: Vec<Vec<u32>> = attrs
+                    .iter()
+                    .flat_map(|&a| {
+                        let pos = t.schema().position_of(a).unwrap();
+                        t.rows()
+                            .iter()
+                            .map(move |r| t.index_on(a).unwrap().lookup_eq(&r[pos]).to_vec())
+                    })
+                    .collect();
+                format!("{e}: {:?} {postings:?}", t.rows())
+            })
+            .collect();
+        let mut marks: Vec<String> = state
+            .fresh
+            .iter()
+            .map(|e| format!("fresh {e}"))
+            .chain(state.deferred.iter().map(|e| format!("deferred {e}")))
+            .collect();
+        for (e, st) in &state.agg_states {
+            let mut groups: Vec<String> = st
+                .group_entries()
+                .map(|(k, accs)| format!("{k:?} {accs:?}"))
+                .collect();
+            groups.sort();
+            marks.push(format!("agg {e}: {groups:?}"));
+        }
+        out.append(&mut marks);
+        out.sort();
+        out
+    }
+
+    /// A journaled fold, index builds, a drop and the epoch-end
+    /// realization, rolled back, leave the state exactly as before: tables
+    /// (rows in physical order, postings), marks, and support state.
+    /// (In-place table merges are the storage journal's, property-tested
+    /// there.)
+    #[test]
+    fn rollback_restores_the_runtime_state() {
+        let input = schema(&[0, 1]);
+        let out = schema(&[0, 5]);
+        let spec = AggSpec::new(
+            mvmqo_relalg::agg::AggFunc::Sum,
+            ScalarExpr::Col(AttrId(1)),
+            AttrId(5),
+        );
+        let mut agg = AggState::new(vec![AttrId(0)], vec![spec], input.clone());
+        agg.fold(&[vec![Value::Int(1), Value::Int(10)]], DeltaKind::Insert);
+        let (ea, ep, et) = (EqId(0), EqId(1), EqId(2));
+        let mut state = RuntimeState::new();
+        state
+            .mats
+            .insert(ea, StoredTable::from_batch(agg.output_batch(&out)));
+        state.fresh.insert(ea);
+        state.install_agg_state(ea, agg);
+        let plain = schema(&[7]);
+        let ints = |vs: &[i64]| -> Vec<Tuple> { vs.iter().map(|&v| vec![Value::Int(v)]).collect() };
+        state.mats.insert(
+            ep,
+            StoredTable::with_rows(plain.clone(), ints(&[1, 2, 2, 3])),
+        );
+        state.fresh.insert(ep);
+        state
+            .mats
+            .insert(et, StoredTable::with_rows(plain, ints(&[9])));
+        state.fresh.insert(et);
+        let before = summary(&state);
+
+        let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaSet::new());
+        let mut db = Database::new();
+        let mut journal = crate::Journal::new();
+        let mut rt = Runtime::with_state(
+            &dag,
+            &catalog,
+            CostModel::default(),
+            &mut db,
+            &deltas,
+            BTreeMap::new(),
+            HashMap::new(),
+            &mut state,
+            &mut journal,
+        );
+        let delta = Batch::from_rows(input, &[vec![Value::Int(2), Value::Int(5)]]);
+        assert!(!rt.merge_aggregate(ea, delta, DeltaKind::Insert).unwrap());
+        rt.ensure_index(StoredRef::Mat(ep), AttrId(7)).unwrap();
+        rt.ensure_index(StoredRef::Mat(et), AttrId(7)).unwrap();
+        rt.drop_mat(et);
+        rt.realize_all_deferred();
+        drop(rt);
+        assert_ne!(summary(&state), before);
+
+        journal.rollback(&mut db, &mut state);
+        assert_eq!(summary(&state), before);
     }
 
     #[test]

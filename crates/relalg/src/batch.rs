@@ -22,6 +22,9 @@ use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
+mod undo;
+pub use undo::{AppendMark, CutRows};
+
 /// Interned string dictionary backing [`ColumnData::Dict`] columns.
 ///
 /// Entries are unique (interning dedups), each carries its precomputed
@@ -96,9 +99,9 @@ impl Dictionary {
 
     /// Intern through a possibly shared handle: the lookup runs on the
     /// shared, read-only dictionary, and only a miss pays
-    /// [`Arc::make_mut`] (a deep copy when other columns or a staged clone
-    /// still hold the handle). Appending already-known strings therefore
-    /// never copies a dictionary.
+    /// [`Arc::make_mut`] (a deep copy when another column — a join output
+    /// gathered from this one, say — still holds the handle). Appending
+    /// already-known strings therefore never copies a dictionary.
     pub fn intern_shared(this: &mut Arc<Dictionary>, s: &str) -> u32 {
         let h = str_hash(s);
         match this.find(h, s) {
@@ -115,7 +118,8 @@ pub const DICT_MIN_ROWS: usize = 256;
 /// itself unless the column is long (≥ [`DICT_MIN_ROWS`] rows) *and*
 /// near-unique (more than half as many dictionary entries as rows) — such
 /// a column gains nothing from code space, and every new string appended
-/// through a staged clone would deep-copy an O(rows) dictionary.
+/// while another column shares the dictionary would deep-copy an O(rows)
+/// dictionary.
 pub fn dict_pays(rows: usize, entries: usize) -> bool {
     rows < DICT_MIN_ROWS || entries * 2 <= rows
 }
@@ -643,30 +647,30 @@ impl Column {
         }
     }
 
-    /// Batched swap-remove: overwrite position `to` with the value at
-    /// `from` for every `(from, to)` move, then truncate to `new_len`.
-    /// Every `from` lies at or beyond `new_len` and every `to` below it
-    /// (see [`Batch::swap_remove_rows`]), so no move reads a slot another
-    /// move wrote.
-    fn swap_remove_moves(&mut self, moves: &[(u32, u32)], new_len: usize) {
-        fn apply<T>(v: &mut Vec<T>, moves: &[(u32, u32)], new_len: usize) {
+    /// Batched swap-remove: swap position `to` with `from` for every
+    /// `(from, to)` move, then split the tail off from `new_len` on. Every
+    /// `from` lies at or beyond `new_len` and every `to` below it (see
+    /// [`Batch::swap_remove_rows`]), so no move reads a slot another move
+    /// wrote, and the tail it returns holds exactly the removed cells.
+    fn swap_remove_moves(&mut self, moves: &[(u32, u32)], new_len: usize) -> undo::CutColumn {
+        fn apply<T>(v: &mut Vec<T>, moves: &[(u32, u32)], new_len: usize) -> Vec<T> {
             for &(from, to) in moves {
                 v.swap(from as usize, to as usize);
             }
-            v.truncate(new_len);
+            v.split_off(new_len)
         }
-        match &mut self.data {
-            ColumnData::Int(v) => apply(v, moves, new_len),
-            ColumnData::Float(v) => apply(v, moves, new_len),
-            ColumnData::Str(v) => apply(v, moves, new_len),
-            ColumnData::Date(v) => apply(v, moves, new_len),
-            ColumnData::Bool(v) => apply(v, moves, new_len),
-            ColumnData::Dict { codes, .. } => apply(codes, moves, new_len),
-            ColumnData::Mixed(v) => apply(v, moves, new_len),
-        }
-        if let Some(n) = self.nulls.as_mut() {
-            apply(n, moves, new_len);
-        }
+        use undo::Cells;
+        let cells = match &mut self.data {
+            ColumnData::Int(v) => Cells::Int(apply(v, moves, new_len)),
+            ColumnData::Float(v) => Cells::Float(apply(v, moves, new_len)),
+            ColumnData::Str(v) => Cells::Str(apply(v, moves, new_len)),
+            ColumnData::Date(v) => Cells::Date(apply(v, moves, new_len)),
+            ColumnData::Bool(v) => Cells::Bool(apply(v, moves, new_len)),
+            ColumnData::Dict { codes, .. } => Cells::Codes(apply(codes, moves, new_len)),
+            ColumnData::Mixed(v) => Cells::Mixed(apply(v, moves, new_len)),
+        };
+        let nulls = self.nulls.as_mut().map(|n| apply(n, moves, new_len));
+        undo::CutColumn { cells, nulls }
     }
 
     /// The code vector and dictionary, when this column is dict-encoded —
@@ -1196,12 +1200,16 @@ impl Batch {
 
     /// Re-check dictionary columns after an append grew them
     /// ([`Column::sparse_dict_rebuilt`]; O(width) unless one trips).
-    pub fn rebuild_sparse_dicts(&mut self) {
-        for col in &mut self.columns {
+    /// Returns each replaced column's position and old handle, moved out
+    /// (a journal keeps them to put back; everyone else drops them).
+    pub fn rebuild_sparse_dicts(&mut self) -> Vec<(usize, Arc<Column>)> {
+        let mut replaced = Vec::new();
+        for (pos, col) in self.columns.iter_mut().enumerate() {
             if let Some(rebuilt) = col.sparse_dict_rebuilt() {
-                *col = Arc::new(rebuilt);
+                replaced.push((pos, std::mem::replace(col, Arc::new(rebuilt))));
             }
         }
+        replaced
     }
 
     /// New batch with each column replaced by `f`'s result, or shared
@@ -1222,12 +1230,14 @@ impl Batch {
 
     /// Remove the rows at the given physical positions from a dense batch
     /// by batched swap-remove: every victim below the new length is
-    /// overwritten by a surviving row from the tail, then the columns are
-    /// truncated — O(|victims| × width), independent of the row count.
+    /// overwritten by a surviving row from the tail, then the tail is
+    /// split off — O(|victims| × width), independent of the row count.
     /// `victims` must be distinct; it is sorted in place. Returns the
-    /// `(from, to)` moves performed so position-holding structures
-    /// (indices) can follow. Row order afterwards is unspecified.
-    pub fn swap_remove_rows(&mut self, victims: &mut [u32]) -> Vec<(u32, u32)> {
+    /// `(from, to)` moves performed, so position-holding structures
+    /// (indices) can follow, and the removed rows: together they undo the
+    /// removal ([`Batch::undo_swap_remove`]). Row order afterwards is
+    /// unspecified.
+    pub fn swap_remove_rows(&mut self, victims: &mut [u32]) -> (Vec<(u32, u32)>, CutRows) {
         assert!(self.sel.is_none(), "swap_remove_rows needs a dense batch");
         victims.sort_unstable();
         debug_assert!(victims.windows(2).all(|w| w[0] < w[1]));
@@ -1246,11 +1256,17 @@ impl Batch {
         });
         let moves: Vec<(u32, u32)> = survivors.zip(holes.iter().copied()).collect();
         debug_assert_eq!(moves.len(), holes.len());
-        for col in &mut self.columns {
-            Arc::make_mut(col).swap_remove_moves(&moves, new_len);
-        }
+        let cols = self
+            .columns
+            .iter_mut()
+            .map(|col| Arc::make_mut(col).swap_remove_moves(&moves, new_len))
+            .collect();
+        let cut = CutRows {
+            rows: self.rows - new_len,
+            cols,
+        };
         self.rows = new_len;
-        moves
+        (moves, cut)
     }
 
     /// Hash the key columns of physical row `phys` ([`Value::hash`]

@@ -59,6 +59,14 @@ impl Enc {
         Enc::default()
     }
 
+    /// An encoder writing into `buf`, cleared first: a caller that encodes
+    /// repeatedly hands back the previous output, so its capacity is
+    /// reused instead of allocated (and faulted in) again.
+    pub fn with_buffer(mut buf: Vec<u8>) -> Enc {
+        buf.clear();
+        Enc { buf }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
@@ -183,8 +191,10 @@ impl<'a> Dec<'a> {
     }
 
     /// Count prefix, sanity-bounded by the bytes actually remaining so a
-    /// corrupt length cannot trigger a huge allocation.
-    fn count(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
+    /// corrupt length cannot trigger a huge allocation. `min_elem_bytes` is
+    /// the smallest encoding one counted element can have; every decoder
+    /// of untrusted input reads its counts through here.
+    pub fn count(&mut self, min_elem_bytes: usize) -> Result<usize, CodecError> {
         let n = self.u32()? as usize;
         if n > self.remaining() / min_elem_bytes.max(1) + 1 {
             return Err(invalid(format!("count {n} exceeds remaining input")));

@@ -9,21 +9,23 @@
 use crate::delta::{DeltaBatch, DeltaKind, DeltaSet};
 use crate::error::StorageError;
 use crate::index::IndexKind;
+use crate::journal::{DbJournal, TableJournal};
 use crate::table::StoredTable;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::stats::RelStats;
-use mvmqo_relalg::tuple::Tuple;
 use std::collections::HashMap;
 
 /// In-memory database instance.
 ///
-/// Cloning is cheap: every [`StoredTable`] clones as a handle copy
+/// Transactional epochs write the live tables in place under a
+/// [`DbJournal`] ([`Database::apply_all_journaled`], or per table through
+/// [`Database::base_mut`]) and roll it back on abort; nothing is copied.
+///
+/// Cloning is cheap too: every [`StoredTable`] clones as a handle copy
 /// (columns, dictionaries, row caches, and indices are `Arc`-shared), so
-/// a full-database clone is O(tables × width) and copies no data.
-/// Transactional epochs stage the next state on such a clone and install
-/// it by swap; the data copied is what the epoch's writes then touch —
-/// see [`StoredTable`] for exactly what that is.
+/// a full-database clone is O(tables × width) and copies no data until
+/// one copy writes a table the other still holds.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     base: HashMap<TableId, StoredTable>,
@@ -83,18 +85,6 @@ impl Database {
         Ok(())
     }
 
-    /// Apply one borrowed side of a relation's delta (the maintenance
-    /// executor's step: one relation, one update kind at a time, §3.2.2).
-    pub fn apply_base_side(
-        &mut self,
-        id: TableId,
-        kind: DeltaKind,
-        rows: &[Tuple],
-    ) -> Result<(), StorageError> {
-        self.base_mut(id)?.apply_side(kind, rows);
-        Ok(())
-    }
-
     /// Apply every batch in a [`DeltaSet`] (used by tests that want the
     /// post-update ground truth in one step; the maintenance executor
     /// applies them one at a time instead, per §3.2.2).
@@ -104,6 +94,28 @@ impl Database {
             if let Some(batch) = deltas.get(t) {
                 self.apply_base_delta(t, batch)?;
             }
+        }
+        Ok(())
+    }
+
+    /// [`Database::apply_all`] under an undo journal: every base table is
+    /// written in place, and `journal` records how to take each write back
+    /// ([`DbJournal::rollback`]). A batch that fails partway leaves what it
+    /// did recorded too.
+    pub fn apply_all_journaled(
+        &mut self,
+        deltas: &DeltaSet,
+        journal: &mut DbJournal,
+    ) -> Result<(), StorageError> {
+        for t in deltas.tables() {
+            let Some(batch) = deltas.get(t) else {
+                continue;
+            };
+            let table = self.base_mut(t)?;
+            let mut undo = TableJournal::new();
+            table.apply_side_journaled(DeltaKind::Insert, &batch.inserts, &mut undo);
+            table.apply_side_journaled(DeltaKind::Delete, &batch.deletes, &mut undo);
+            journal.record(t, undo);
         }
         Ok(())
     }

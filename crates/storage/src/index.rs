@@ -10,16 +10,19 @@
 //! **Posting layout.** A key's positions are a `Postings` value: the
 //! single-position case is stored inline (`One(u32)`), and only keys with
 //! two or more rows own a heap `Vec`. A unique-key index (every primary
-//! key) is therefore one flat map — its copy-on-write clone for a staged
-//! epoch, and the drop of the version it replaces, allocate and free
-//! nothing per key.
+//! key) is therefore one flat map, and a clone or drop of it allocates or
+//! frees nothing per key.
 //!
 //! **Maintenance.** Indices follow the owning table's deltas posting by
-//! posting: an append inserts the new positions, a delete drops each
-//! victim's posting and repoints the posting of every row the table's
+//! posting, in place: an append inserts the new positions, a delete drops
+//! each victim's posting and repoints the posting of every row the table's
 //! swap-remove moved (`Index::remove` / `Index::repoint`) — O(|δ|),
 //! never a pass over the entries. The order of positions under one key is
-//! unspecified.
+//! unspecified, but each step is exactly reversible, which is how a
+//! journaled epoch rolls an index back: an append's postings are removed
+//! again newest first (each is the last under its key), a repoint is
+//! repointed back, and a removed posting is re-inserted at the slot
+//! `Index::remove` reported (`Index::unremove`).
 
 use mvmqo_relalg::batch::Column;
 use mvmqo_relalg::schema::AttrId;
@@ -70,20 +73,37 @@ impl Postings {
         }
     }
 
-    /// Drop `pos`; returns `true` when nothing is left under the key.
-    fn remove(&mut self, pos: u32) -> bool {
+    /// Drop `pos`, if present: returns the slot it held (`swap_remove`
+    /// order) and whether nothing is left under the key.
+    fn remove(&mut self, pos: u32) -> Option<(usize, bool)> {
         match self {
-            Postings::One(p) => *p == pos,
+            Postings::One(p) => (*p == pos).then_some((0, true)),
             Postings::Many(ps) => {
-                if let Some(i) = ps.iter().position(|&p| p == pos) {
-                    ps.swap_remove(i);
-                }
+                let i = ps.iter().position(|&p| p == pos)?;
+                ps.swap_remove(i);
                 if let [last] = ps[..] {
                     *self = Postings::One(last);
                 }
-                false
+                Some((i, false))
             }
         }
+    }
+
+    /// Undo [`Postings::remove`] of `pos` from `slot`: the position that
+    /// `swap_remove` moved into the slot goes back to the end.
+    fn unremove(&mut self, pos: u32, slot: usize) {
+        let mut ps = match self {
+            Postings::One(p) => vec![*p],
+            Postings::Many(ps) => std::mem::take(ps),
+        };
+        match ps.get_mut(slot) {
+            Some(at) => {
+                let moved = std::mem::replace(at, pos);
+                ps.push(moved);
+            }
+            None => ps.push(pos),
+        }
+        *self = Postings::Many(ps);
     }
 
     fn repoint(&mut self, from: u32, to: u32) {
@@ -155,19 +175,32 @@ impl Index {
     }
 
     /// Drop the posting `pos` under `key` (a deleted row); the key goes
-    /// with its last posting.
-    pub(crate) fn remove(&mut self, key: &Value, pos: u32) {
-        match self.kind {
-            IndexKind::Hash => {
-                if self.hash.get_mut(key).is_some_and(|ps| ps.remove(pos)) {
-                    self.hash.remove(key);
-                }
-            }
-            IndexKind::BTree => {
-                if self.tree.get_mut(key).is_some_and(|ps| ps.remove(pos)) {
-                    self.tree.remove(key);
-                }
-            }
+    /// with its last posting. Returns the slot the posting held, for
+    /// [`Index::unremove`]; `None` when it was not there.
+    pub(crate) fn remove(&mut self, key: &Value, pos: u32) -> Option<usize> {
+        let (slot, emptied) = match self.kind {
+            IndexKind::Hash => self.hash.get_mut(key)?.remove(pos)?,
+            IndexKind::BTree => self.tree.get_mut(key)?.remove(pos)?,
+        };
+        if emptied {
+            match self.kind {
+                IndexKind::Hash => self.hash.remove(key),
+                IndexKind::BTree => self.tree.remove(key),
+            };
+        }
+        Some(slot)
+    }
+
+    /// Undo [`Index::remove`]: post `pos` under `key` again, at the slot
+    /// it was removed from, so the key's positions are as before.
+    pub(crate) fn unremove(&mut self, key: &Value, pos: u32, slot: usize) {
+        let ps = match self.kind {
+            IndexKind::Hash => self.hash.get_mut(key),
+            IndexKind::BTree => self.tree.get_mut(key),
+        };
+        match ps {
+            Some(ps) => ps.unremove(pos, slot),
+            None => self.insert(key, pos),
         }
     }
 
@@ -292,6 +325,33 @@ mod tests {
             assert!(idx.lookup_eq(&Value::Int(2)).is_empty());
             assert_eq!(idx.distinct_keys(), 2);
             assert_eq!(idx.entries(), 3);
+        }
+    }
+
+    /// `unremove` puts a posting back at the slot `remove` reported, so a
+    /// key's positions come back in their old order — through the inline
+    /// single-position form and the removal of the key itself.
+    #[test]
+    fn unremove_restores_the_old_order() {
+        for kind in [IndexKind::Hash, IndexKind::BTree] {
+            let mut idx = Index::build(AttrId(0), kind, &rows(), 0);
+            for p in [5, 6, 7] {
+                idx.insert(&Value::Int(1), p);
+            }
+            let key = Value::Int(1);
+            let before = idx.lookup_eq(&key).to_vec();
+            assert_eq!(before, [0, 2, 5, 6, 7]);
+            let mut removed = Vec::new();
+            for p in [2, 7, 0, 6, 5] {
+                removed.push((p, idx.remove(&key, p).unwrap()));
+            }
+            assert!(idx.lookup_eq(&key).is_empty());
+            assert_eq!(idx.remove(&key, 2), None, "absent posting");
+            for (p, slot) in removed.into_iter().rev() {
+                idx.unremove(&key, p, slot);
+            }
+            assert_eq!(idx.lookup_eq(&key), before.as_slice());
+            assert_eq!(idx.entries(), 7);
         }
     }
 

@@ -13,6 +13,8 @@
 //!   properties),
 //! * [`database`] — the runtime database: base tables + materialized
 //!   results + delta application,
+//! * [`journal`] — undo journals: transactional epochs write tables in
+//!   place and roll the writes back on abort,
 //! * [`error`] — typed errors for bad lookups and malformed batches, so
 //!   long-lived engines never abort on bad input,
 //! * [`crc`], [`wal`], [`snapshot`] — the durability layer: CRC-framed
@@ -29,6 +31,7 @@ pub mod delta;
 pub mod error;
 pub mod faults;
 pub mod index;
+pub mod journal;
 pub mod snapshot;
 pub mod table;
 pub mod wal;
@@ -39,6 +42,7 @@ pub use delta::{DeltaBatch, DeltaKind, DeltaSet};
 pub use error::{RecoveryError, StorageError};
 pub use faults::{FaultError, FaultMode, FaultPlan, FaultRegistry, FaultTrigger, FiredFault};
 pub use index::{Index, IndexKind};
+pub use journal::{DbJournal, TableJournal};
 pub use snapshot::Manifest;
 pub use table::StoredTable;
 pub use wal::{scan_wal, scan_wal_bytes, WalRecord, WalScan, WalStop, WalWriter};

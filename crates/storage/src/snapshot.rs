@@ -170,7 +170,7 @@ pub fn encode_stored_table(e: &mut Enc, t: &StoredTable) {
 pub fn decode_stored_table(d: &mut Dec) -> Result<StoredTable, CodecError> {
     let batch = codec::decode_batch(d)?;
     let mut table = StoredTable::from_batch(batch);
-    let n = d.u32()? as usize;
+    let n = d.count(5)?;
     for _ in 0..n {
         let attr = AttrId(d.u32()?);
         let kind = match d.u8()? {
@@ -178,6 +178,11 @@ pub fn decode_stored_table(d: &mut Dec) -> Result<StoredTable, CodecError> {
             1 => IndexKind::BTree,
             k => return Err(CodecError::Invalid(format!("index kind {k}"))),
         };
+        if table.schema().position_of(attr).is_none() {
+            return Err(CodecError::Invalid(format!(
+                "index on {attr}: not in schema"
+            )));
+        }
         table.create_index(attr, kind);
     }
     Ok(table)
@@ -302,6 +307,29 @@ mod tests {
             got.probe(AttrId(0), &Value::Int(1)),
             t.probe(AttrId(0), &Value::Int(1))
         );
+    }
+
+    /// A crafted index count or an index on an attribute the table does
+    /// not have is a decode error, never an allocation abort or a panic.
+    #[test]
+    fn hostile_index_section_is_a_clean_error() {
+        let schema = Schema::new(vec![Attribute {
+            id: AttrId(0),
+            name: "t.k".into(),
+            data_type: DataType::Int,
+        }]);
+        let t = StoredTable::from_batch(Batch::from_rows(schema, &[vec![Value::Int(1)]]));
+        let mut e = Enc::new();
+        encode_stored_table(&mut e, &t);
+        let mut bytes = e.into_bytes();
+        // No index: the image ends in a zero index count.
+        let at = bytes.len() - 4;
+        bytes[at..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_stored_table(&mut Dec::new(&bytes)).is_err());
+        bytes[at..].copy_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&7u32.to_le_bytes());
+        bytes.push(0);
+        assert!(decode_stored_table(&mut Dec::new(&bytes)).is_err());
     }
 
     /// A stored image mixing both string encodings (and NULLs in each)

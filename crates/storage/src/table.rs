@@ -21,7 +21,7 @@
 //! **Appends** extend the typed vectors and insert the new positions into
 //! every index. A string that a dictionary column already knows is looked
 //! up through the shared dictionary handle; only a genuinely new string
-//! copies a dictionary that a staged clone still shares.
+//! copies a dictionary that another column still shares.
 //!
 //! **Deletes** run one kernel ([`StoredTable::apply_batch_delta`] and
 //! [`StoredTable::apply_delta`] both end in it). Victims are *located*
@@ -38,6 +38,19 @@
 //! engine depends on stored order (every consumer is a bag operator, and
 //! every suite compares as bags).
 //!
+//! **Journaled mutation.** Every write records its inverse in a
+//! [`TableJournal`] at O(|δ| × width) — the `*_journaled` entry points
+//! take the caller's journal, the others a throwaway one, so a
+//! transactional epoch mutates live tables in place: an append records an
+//! append mark (undone by truncating the columns, dictionary tails and
+//! postings), a delete records the swap-remove's moves, the cut-off victim
+//! rows and the slots of the removed postings, and a new index or a
+//! column the dictionary rule rebuilt records the handle it displaced
+//! (moved out, never shared, so recording forces no copy).
+//! [`TableJournal::rollback`] replays them newest first and leaves the
+//! table exactly as it was: columns, dictionaries, row count and every
+//! key's postings.
+//!
 //! **String encoding.** A stored string column is dictionary-encoded
 //! unless it is long and near-unique — the one rule is
 //! [`dict_pays`](mvmqo_relalg::batch::dict_pays): at least
@@ -50,6 +63,7 @@
 use crate::blocks::BlockConfig;
 use crate::delta::{DeltaBatch, DeltaKind};
 use crate::index::{Index, IndexKind};
+use crate::journal::{TableJournal, TableUndo};
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::Tuple;
@@ -58,33 +72,33 @@ use std::sync::{Arc, OnceLock};
 
 /// An in-memory multiset relation with optional secondary indices.
 ///
-/// Cloning a `StoredTable` is a handle copy, not a data copy: columns,
-/// the dictionaries behind string columns, the derived row cache and the
-/// indices are all `Arc`-shared. What a mutation of the clone then copies
-/// is what it touches, once: each column it writes (a flat vector copy —
-/// every column, for a row append or delete), each index (one flat map
-/// copy; single-position postings are inline, so no per-key allocation),
-/// and a dictionary only when a string new to it is appended. The row
-/// cache is replaced by a fresh cell, never copied. This is what a
-/// transactional epoch pays to stage a [`Database`](crate::Database):
-/// memcpy of the touched tables' columns and indices, nothing per row
-/// beyond that.
+/// Mutation is in place: a delta writes the table's own columns and
+/// indices at a cost proportional to the delta, and a transactional epoch
+/// makes it undoable by passing a [`TableJournal`] (module docs) instead
+/// of staging a copy.
+///
+/// Cloning is a handle copy, not a data copy: columns, the dictionaries
+/// behind string columns, the derived row cache and the indices are all
+/// `Arc`-shared. A later write to either copy then copies what it touches,
+/// once: each column it writes, each index, and a dictionary only when a
+/// string new to it is appended. A table nobody else holds is never
+/// copied.
 #[derive(Debug, Clone)]
 pub struct StoredTable {
-    schema: Schema,
+    pub(crate) schema: Schema,
     /// Primary columnar image (always dense: no selection vector). String
     /// columns are dictionary-encoded unless long and near-unique (module
     /// docs), so scans, joins, and aggregations over repetitive strings
     /// run in `u32` code space; delta appends intern into the existing
     /// dictionaries. Columns are `Arc`-shared with scans, so handing the
-    /// image to the executor is O(width); mutation copy-on-writes only
-    /// the touched columns.
-    batch: Batch,
+    /// image to the executor is O(width); a write copies a column only
+    /// while such a handle is still held.
+    pub(crate) batch: Batch,
     /// Lazily derived row-major view for the reference executor and tests
     /// (no engine path fills it); invalidated (replaced with a fresh
     /// shared cell, so clones keep theirs) by every mutation.
-    rows: Arc<OnceLock<Vec<Tuple>>>,
-    indices: HashMap<AttrId, Arc<Index>>,
+    pub(crate) rows: Arc<OnceLock<Vec<Tuple>>>,
+    pub(crate) indices: HashMap<AttrId, Arc<Index>>,
 }
 
 impl Default for StoredTable {
@@ -182,13 +196,24 @@ impl StoredTable {
     /// ([`DeltaKind::Insert`]) or removed one occurrence each
     /// ([`DeltaKind::Delete`]).
     pub fn apply_side(&mut self, kind: DeltaKind, rows: &[Tuple]) {
+        self.apply_side_journaled(kind, rows, &mut TableJournal::new());
+    }
+
+    /// [`StoredTable::apply_side`] under an undo journal (see
+    /// [`StoredTable::apply_batch_delta_journaled`]).
+    pub fn apply_side_journaled(
+        &mut self,
+        kind: DeltaKind,
+        rows: &[Tuple],
+        journal: &mut TableJournal,
+    ) {
         if rows.is_empty() {
             return; // nothing changed: keep the image and the row cache
         }
         let delta = Batch::from_rows(self.schema.clone(), rows);
         match kind {
-            DeltaKind::Insert => self.apply_batch_delta(Some(&delta), None),
-            DeltaKind::Delete => self.apply_batch_delta(None, Some(&delta)),
+            DeltaKind::Insert => self.apply_batch_delta_journaled(Some(&delta), None, journal),
+            DeltaKind::Delete => self.apply_batch_delta_journaled(None, Some(&delta), journal),
         }
     }
 
@@ -197,9 +222,22 @@ impl StoredTable {
     /// both must already be aligned to the table's schema layout. Inserts
     /// land before deletes, as in [`StoredTable::apply_delta`].
     pub fn apply_batch_delta(&mut self, inserts: Option<&Batch>, deletes: Option<&Batch>) {
+        self.apply_batch_delta_journaled(inserts, deletes, &mut TableJournal::new());
+    }
+
+    /// [`StoredTable::apply_batch_delta`] under an undo journal: the one
+    /// in-place kernel, recording the inverse of each step it takes in
+    /// `journal` for [`TableJournal::rollback`] (O(|δ| × width)).
+    pub fn apply_batch_delta_journaled(
+        &mut self,
+        inserts: Option<&Batch>,
+        deletes: Option<&Batch>,
+        journal: &mut TableJournal,
+    ) {
         if let Some(inserts) = inserts.filter(|i| i.num_rows() > 0) {
             debug_assert_eq!(inserts.schema().ids(), self.schema.ids());
             let start = self.batch.num_rows();
+            journal.push(TableUndo::Append(self.batch.append_mark(inserts)));
             self.batch.append(inserts);
             for idx in self.indices.values_mut() {
                 let idx = Arc::make_mut(idx);
@@ -209,11 +247,13 @@ impl StoredTable {
                     idx.insert(&inserts.column(pos).value(phys), (start + i) as u32);
                 }
             }
-            self.batch.rebuild_sparse_dicts();
+            for (pos, old) in self.batch.rebuild_sparse_dicts() {
+                journal.push(TableUndo::Column(pos, old));
+            }
             self.rows = Arc::new(OnceLock::new());
         }
         if let Some(deletes) = deletes.filter(|d| d.num_rows() > 0) {
-            if self.delete_batch(deletes) {
+            if self.delete_batch(deletes, journal) {
                 self.rows = Arc::new(OnceLock::new());
             }
         }
@@ -222,22 +262,26 @@ impl StoredTable {
     /// The delete kernel: locate one stored position per deleted
     /// occurrence, then swap-remove them from every column and follow in
     /// every index. Returns whether anything was removed.
-    fn delete_batch(&mut self, deletes: &Batch) -> bool {
+    fn delete_batch(&mut self, deletes: &Batch, journal: &mut TableJournal) -> bool {
         let mut victims = self.locate(deletes);
         if victims.is_empty() {
             return false;
         }
-        // Victims' postings go first, keyed from the still-intact columns…
+        // Victims' postings go first, keyed from the still-intact columns
+        // (noting the slot each one held)…
+        let mut unposted = Vec::with_capacity(self.indices.len());
         for idx in self.indices.values_mut() {
             let idx = Arc::make_mut(idx);
             let col = self.batch.column(key_position(&self.schema, idx));
-            for &v in &victims {
-                idx.remove(&col.value(v as usize), v);
-            }
+            let slots = victims
+                .iter()
+                .filter_map(|&v| Some((v, idx.remove(&col.value(v as usize), v)?)))
+                .collect();
+            unposted.push((idx.attr, slots));
         }
         // …then the columns compact, and each moved row's posting follows
         // it (its key now reads at the destination).
-        let moves = self.batch.swap_remove_rows(&mut victims);
+        let (moves, cut) = self.batch.swap_remove_rows(&mut victims);
         for idx in self.indices.values_mut() {
             let idx = Arc::make_mut(idx);
             let col = self.batch.column(key_position(&self.schema, idx));
@@ -245,6 +289,11 @@ impl StoredTable {
                 idx.repoint(&col.value(to as usize), from, to);
             }
         }
+        journal.push(TableUndo::Delete {
+            moves,
+            cut,
+            unposted,
+        });
         true
     }
 
@@ -328,12 +377,28 @@ impl StoredTable {
     ///
     /// Panics if `attr` is not part of the schema — that is a planner bug.
     pub fn create_index(&mut self, attr: AttrId, kind: IndexKind) {
+        self.build_index(attr, kind);
+    }
+
+    /// [`StoredTable::create_index`] under an undo journal, which keeps
+    /// the index it displaced (if any) to put back.
+    pub fn create_index_journaled(
+        &mut self,
+        attr: AttrId,
+        kind: IndexKind,
+        journal: &mut TableJournal,
+    ) {
+        let old = self.build_index(attr, kind);
+        journal.push(TableUndo::Index(attr, old));
+    }
+
+    fn build_index(&mut self, attr: AttrId, kind: IndexKind) -> Option<Arc<Index>> {
         let pos = self
             .schema
             .position_of(attr)
             .unwrap_or_else(|| panic!("cannot index {attr}: not in schema"));
         let idx = Index::build_from_column(attr, kind, self.batch.column(pos));
-        self.indices.insert(attr, Arc::new(idx));
+        self.indices.insert(attr, Arc::new(idx))
     }
 
     pub fn drop_index(&mut self, attr: AttrId) {
@@ -653,8 +718,8 @@ mod tests {
         };
         let shared = Arc::clone(dict_of(&original));
 
-        // An already-interned string appended through a staged clone finds
-        // its code in the shared dictionary: no dictionary copy.
+        // An already-interned string appended through a clone finds its
+        // code in the shared dictionary: no dictionary copy.
         let mut staged = original.clone();
         staged.apply_delta(&DeltaBatch::new(vec![ts(3, "a")], vec![]));
         assert!(Arc::ptr_eq(dict_of(&staged), &shared));

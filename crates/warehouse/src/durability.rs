@@ -73,7 +73,7 @@ fn encode_tuple(e: &mut Enc, t: &[Value]) {
 }
 
 fn decode_tuple(d: &mut Dec) -> Result<Tuple, CodecError> {
-    let n = d.u32()? as usize;
+    let n = d.count(1)?;
     (0..n).map(|_| codec::decode_value(d)).collect()
 }
 
@@ -123,20 +123,20 @@ fn encode_agg_state(e: &mut Enc, st: &AggState) {
 fn decode_agg_state(d: &mut Dec) -> Result<AggState, CodecError> {
     use mvmqo_relalg::agg::Accumulator;
     use mvmqo_relalg::schema::AttrId;
-    let ng = d.u32()? as usize;
+    let ng = d.count(4)?;
     let group_by = (0..ng)
         .map(|_| d.u32().map(AttrId))
         .collect::<Result<Vec<_>, _>>()?;
-    let ns = d.u32()? as usize;
+    let ns = d.count(6)?;
     let specs = (0..ns)
         .map(|_| codec::decode_agg_spec(d))
         .collect::<Result<Vec<_>, _>>()?;
     let input_schema = codec::decode_schema(d)?;
-    let ngroups = d.u32()? as usize;
+    let ngroups = d.count(8)?;
     let mut groups = Vec::with_capacity(ngroups);
     for _ in 0..ngroups {
         let key = decode_tuple(d)?;
-        let na = d.u32()? as usize;
+        let na = d.count(20)?;
         let accs = (0..na)
             .map(|_| {
                 Ok(Accumulator::from_parts(
@@ -165,7 +165,7 @@ fn encode_distinct_state(e: &mut Enc, st: &DistinctState) {
 }
 
 fn decode_distinct_state(d: &mut Dec) -> Result<DistinctState, CodecError> {
-    let n = d.u32()? as usize;
+    let n = d.count(12)?;
     let entries = (0..n)
         .map(|_| Ok((decode_tuple(d)?, d.i64()?)))
         .collect::<Result<Vec<_>, CodecError>>()?;
@@ -173,8 +173,10 @@ fn decode_distinct_state(d: &mut Dec) -> Result<DistinctState, CodecError> {
 }
 
 impl SnapshotData {
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
+    /// The snapshot body, encoded into `buf` (cleared first; pass the
+    /// previous body to reuse its memory).
+    pub fn encode(&self, buf: Vec<u8>) -> Vec<u8> {
+        let mut e = Enc::with_buffer(buf);
         e.u64(self.epoch);
         e.u64(self.ingested_since_plan);
         codec::encode_catalog(&mut e, &self.catalog);
@@ -236,22 +238,22 @@ impl SnapshotData {
         let ingested_since_plan = d.u64()?;
         let catalog = codec::decode_catalog(&mut d)?;
 
-        let nv = d.u32()? as usize;
+        let nv = d.count(4)?;
         let views = (0..nv)
             .map(|_| codec::decode_view_def(&mut d))
             .collect::<Result<Vec<_>, _>>()?;
 
-        let nb = d.u32()? as usize;
+        let nb = d.count(8)?;
         let base_tables = (0..nb)
             .map(|_| Ok((TableId(d.u32()?), decode_stored_table(&mut d)?)))
             .collect::<Result<Vec<_>, CodecError>>()?;
 
-        let no = d.u32()? as usize;
+        let no = d.count(20)?;
         let observed = (0..no)
             .map(|_| Ok((TableId(d.u32()?), d.f64()?, d.f64()?)))
             .collect::<Result<Vec<_>, CodecError>>()?;
 
-        let np = d.u32()? as usize;
+        let np = d.count(4)?;
         let pending = (0..np)
             .map(|_| {
                 Ok((
@@ -262,7 +264,7 @@ impl SnapshotData {
             })
             .collect::<Result<Vec<_>, CodecError>>()?;
 
-        let nm = d.u32()? as usize;
+        let nm = d.count(10)?;
         let mut view_mats = Vec::with_capacity(nm);
         for _ in 0..nm {
             let name = d.str()?;
@@ -287,7 +289,7 @@ impl SnapshotData {
             });
         }
 
-        let nsel = d.u32()? as usize;
+        let nsel = d.count(4)?;
         let selection = (0..nsel).map(|_| d.str()).collect::<Result<Vec<_>, _>>()?;
 
         if !d.is_empty() {
@@ -307,5 +309,65 @@ impl SnapshotData {
             view_mats,
             selection,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvmqo_relalg::schema::Schema;
+
+    fn empty_snapshot() -> SnapshotData {
+        SnapshotData {
+            epoch: 3,
+            ingested_since_plan: 0,
+            catalog: Catalog::new(),
+            views: Vec::new(),
+            base_tables: Vec::new(),
+            observed: Vec::new(),
+            pending: Vec::new(),
+            view_mats: Vec::new(),
+            selection: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn empty_snapshot_roundtrips() {
+        let got = SnapshotData::decode(&empty_snapshot().encode(Vec::new())).unwrap();
+        assert_eq!(got.epoch, 3);
+        assert!(got.view_mats.is_empty());
+    }
+
+    /// Every count prefix in the body is bounded by the bytes left, so a
+    /// CRC-valid image with a crafted `u32::MAX` count is a decode error
+    /// rather than a multi-gigabyte allocation that aborts the process.
+    #[test]
+    fn crafted_view_mat_count_is_an_error() {
+        let mut bytes = empty_snapshot().encode(Vec::new());
+        // The body ends in the view-mat count, then the selection count.
+        let at = bytes.len() - 8;
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(SnapshotData::decode(&bytes).is_err());
+    }
+
+    #[test]
+    fn crafted_group_count_is_an_error() {
+        let mut e = Enc::new();
+        e.u32(0); // group-by attributes
+        e.u32(0); // aggregate specs
+        codec::encode_schema(&mut e, &Schema::default());
+        e.u32(u32::MAX); // groups
+        let bytes = e.into_bytes();
+        assert!(decode_agg_state(&mut Dec::new(&bytes)).is_err());
+
+        let mut e = Enc::new();
+        e.u32(u32::MAX); // distinct rows
+        let bytes = e.into_bytes();
+        assert!(decode_distinct_state(&mut Dec::new(&bytes)).is_err());
+
+        let mut e = Enc::new();
+        e.u32(u32::MAX); // tuple width
+        let bytes = e.into_bytes();
+        assert!(decode_tuple(&mut Dec::new(&bytes)).is_err());
     }
 }

@@ -23,7 +23,7 @@ use mvmqo_core::update::UpdateModel;
 use mvmqo_core::EqId;
 use mvmqo_exec::{
     eval_logical, execute_epoch_faults, index_plan_from_report, panic_message, ExecError,
-    ExecOptions, IndexPlan, RuntimeState,
+    ExecOptions, IndexPlan, Journal, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::logical::ViewDef;
@@ -34,10 +34,11 @@ use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::error::{RecoveryError, StorageError};
 use mvmqo_storage::faults::{FaultMode, FaultRegistry};
+use mvmqo_storage::journal::DbJournal;
 use mvmqo_storage::snapshot::{self, Manifest};
 use mvmqo_storage::wal::{scan_wal, WalRecord, WalWriter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -100,6 +101,10 @@ struct Durability {
     wal_seq: u64,
     /// Epoch captured by the current snapshot (the WAL truncation point).
     snapshot_epoch: u64,
+    /// The last snapshot body, kept so the next checkpoint encodes into
+    /// memory that is already mapped. An epoch frees little, so a fresh
+    /// buffer of snapshot size would be faulted in page by page each time.
+    snapshot_buf: Vec<u8>,
 }
 
 /// How this engine instance came back from durable state (present only on
@@ -433,24 +438,28 @@ impl Warehouse {
 
     /// Run one maintenance epoch as a transaction: decide whether drift
     /// justifies re-optimization, execute the (possibly new) shared
-    /// maintenance program against *staged* copies of the database and
-    /// runtime state, write the WAL commit record, and only then install
-    /// the staged state. The order is the contract:
+    /// maintenance program in place under an undo journal, write the WAL
+    /// commit record, and only then drop the journal. The order is the
+    /// contract:
     ///
-    /// 1. **Stage** — the executor runs against copy-on-write clones of
-    ///    the database and the plan's runtime state; pre-epoch state is
-    ///    never touched. Executor errors *and panics* are caught here.
+    /// 1. **Journal** — the executor writes the live database and the
+    ///    plan's runtime state in place, recording the inverse of every
+    ///    write in an undo journal of O(|δ| × width). Executor errors *and
+    ///    panics* are caught here.
     /// 2. **Commit** — the `EpochCommit` record is appended (and flushed)
     ///    to the WAL. A crash after this point recovers *into* the epoch;
     ///    a crash before it recovers to the pre-epoch state with the
     ///    epoch's ingests still queued.
-    /// 3. **Install** — the staged database and runtime state replace the
-    ///    live ones in one swap; the remaining bookkeeping is infallible.
+    /// 3. **Discard** — the journal is dropped; the remaining bookkeeping
+    ///    is infallible.
     ///
-    /// Any failure in steps 1–2 drops the staged clones and returns
-    /// [`WarehouseError::EpochAborted`]: the engine still serves exact
-    /// pre-epoch answers, the pending delta queue is intact, and calling
-    /// `run_epoch` again retries the same transaction.
+    /// Any failure in steps 1–2 — and a panic at the `epoch:post-commit`
+    /// crash point between 2 and 3 — **rolls back**: the journal is
+    /// replayed newest first, which leaves the engine exactly on its
+    /// pre-epoch state. A failure then returns
+    /// [`WarehouseError::EpochAborted`]: the engine serves exact pre-epoch
+    /// answers, the pending delta queue is intact, and calling `run_epoch`
+    /// again retries the same transaction.
     // Invariant: the views-exist branch replans when no plan is installed,
     // and `replan` over a non-empty view set always installs one.
     #[allow(clippy::expect_used)]
@@ -458,21 +467,31 @@ impl Warehouse {
         let ingested = self.pending.total_tuples();
         if self.views.is_empty() {
             // Nothing to maintain — but `apply_all` can still fail partway
-            // through the pending set, so even this fast path stages the
-            // application on a (cheap, copy-on-write) clone and commits it
-            // through the same protocol as a full epoch.
-            let mut staged_db = self.db.clone();
-            if let Err(f) = self.faults.hit("db:apply-all") {
-                return Err(self.abort_epoch("db:apply-all", f.to_string()));
-            }
-            if let Err(e) = staged_db.apply_all(&self.pending) {
-                return Err(self.abort_epoch("db:apply-all", e.to_string()));
+            // through the pending set, so even this fast path applies under
+            // a journal and commits through the same protocol as a full
+            // epoch.
+            let mut journal = DbJournal::new();
+            let applied = match self.faults.hit("db:apply-all") {
+                Err(f) => Err(f.to_string()),
+                Ok(()) => self
+                    .db
+                    .apply_all_journaled(&self.pending, &mut journal)
+                    .map_err(|e| e.to_string()),
+            };
+            if let Err(cause) = applied {
+                journal.rollback(&mut self.db);
+                return Err(self.abort_epoch("db:apply-all", cause));
             }
             if let Err(e) = self.commit_epoch_wal() {
+                journal.rollback(&mut self.db);
                 return Err(self.abort_epoch("wal:commit", e.to_string()));
             }
-            self.post_commit_crash_point();
-            self.db = staged_db;
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.post_commit_crash_point()))
+            {
+                journal.rollback(&mut self.db);
+                resume_unwind(payload);
+            }
+            drop(journal);
             let report = EpochReport {
                 epoch: self.epoch + 1,
                 replanned: None,
@@ -500,25 +519,24 @@ impl Warehouse {
             None => None,
         };
 
-        // Stage: run the whole epoch against clones. Both are handle
-        // copies — columns, dictionaries, indices and support states are
-        // `Arc`-shared — so cloning is O(#tables); the executor's writes
-        // then copy what they touch (see `StoredTable`, `RuntimeState`).
-        let plan = self.plan.as_ref().expect("views exist, so a plan exists");
-        let mut staged_db = self.db.clone();
-        let mut staged_state = plan.state.clone();
+        // Journal: run the whole epoch in place. The journal and the
+        // borrowed state outlive an unwinding panic, so both can roll back.
+        let mut journal = Journal::new();
+        let plan = self.plan.as_mut().expect("views exist, so a plan exists");
+        let (dag, db) = (self.optimizer.dag(), &mut self.db);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             execute_epoch_faults(
-                self.optimizer.dag(),
+                dag,
                 &self.catalog,
                 self.cost_model,
-                &mut staged_db,
+                db,
                 &self.pending,
                 &plan.report.program,
                 &plan.index_plan,
-                &mut staged_state,
+                &mut plan.state,
                 self.exec_options,
                 &self.faults,
+                &mut journal,
             )
         }));
         let exec = match caught {
@@ -533,31 +551,36 @@ impl Warehouse {
                     }
                     _ => e.site(),
                 };
+                self.roll_back(journal);
                 return Err(self.abort_epoch(site, e.to_string()));
             }
             Err(payload) => {
                 // A panicking operator (injected or real) unwinds only to
-                // here; the staged clones absorb whatever it half-did.
+                // here; the journal takes back whatever it half-did.
                 let cause = panic_message(payload.as_ref());
                 let site = self
                     .faults
                     .fired()
                     .map(|f| f.site)
                     .unwrap_or_else(|| "exec:panic".to_string());
+                self.roll_back(journal);
                 return Err(self.abort_epoch(site, cause));
             }
         };
 
-        // Commit: the durable record precedes every in-memory mutation.
+        // Commit: the durable record decides the epoch.
         if let Err(e) = self.commit_epoch_wal() {
+            self.roll_back(journal);
             return Err(self.abort_epoch("wal:commit", e.to_string()));
         }
-        self.post_commit_crash_point();
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.post_commit_crash_point())) {
+            self.roll_back(journal);
+            resume_unwind(payload);
+        }
 
-        // Install: from here on, nothing can fail.
-        self.db = staged_db;
+        // Discard: the writes stand; from here on, nothing can fail.
+        drop(journal);
         let plan = self.plan.as_mut().expect("views exist, so a plan exists");
-        plan.state = staged_state;
         plan.epochs_run += 1;
         let report = EpochReport {
             epoch: self.epoch + 1,
@@ -574,9 +597,17 @@ impl Warehouse {
         Ok(report)
     }
 
+    /// Replay an aborted epoch's journal: the database and the plan's
+    /// runtime state return exactly to their pre-epoch contents.
+    #[allow(clippy::expect_used)] // only epochs over views keep a Journal
+    fn roll_back(&mut self, journal: Journal) {
+        let plan = self.plan.as_mut().expect("views exist, so a plan exists");
+        journal.rollback(&mut self.db, &mut plan.state);
+    }
+
     /// Record a pre-commit abort and build the typed error. The caller has
-    /// already dropped the staged clones; live state and the pending queue
-    /// are untouched, so the same epoch can simply be retried.
+    /// already rolled the epoch's writes back; live state and the pending
+    /// queue are as before, so the same epoch can simply be retried.
     fn abort_epoch(&mut self, site: impl Into<String>, cause: String) -> WarehouseError {
         let (epoch, site) = (self.epoch + 1, site.into());
         self.epochs_aborted += 1;
@@ -588,10 +619,12 @@ impl Warehouse {
         WarehouseError::EpochAborted { epoch, site, cause }
     }
 
-    /// Crossed between the durable WAL commit and the in-memory install.
+    /// Crossed between the durable WAL commit and discarding the journal.
     /// Past the commit point there is no clean abort left — an injected
-    /// fault here models process death, so it always escalates to a panic,
-    /// and recovery must land *on* the committed epoch.
+    /// fault here models process death, so it always escalates to a panic
+    /// (after the caller rolls the in-memory state back to the pre-epoch
+    /// state, as a dead process would have lost it), and recovery must
+    /// land *on* the committed epoch.
     fn post_commit_crash_point(&self) {
         if let Err(f) = self.faults.hit("epoch:post-commit") {
             panic!("injected crash after WAL commit: {f}");
@@ -810,7 +843,14 @@ impl Warehouse {
         let snap_name = format!("snapshot-{seq}.img");
         let wal_name = format!("wal-{seq}.log");
         let snap_path = dir.join(&snap_name);
-        snapshot::write_framed_atomic(&snap_path, snapshot::SNAPSHOT_MAGIC, &data.encode())
+        let buf = self
+            .durability
+            .as_mut()
+            .map(|d| std::mem::take(&mut d.snapshot_buf))
+            .unwrap_or_default();
+        let body = data.encode(buf);
+        drop(data);
+        snapshot::write_framed_atomic(&snap_path, snapshot::SNAPSHOT_MAGIC, &body)
             .map_err(|e| WarehouseError::Durability(format!("writing snapshot: {e}")))?;
         let wal = WalWriter::create(&dir.join(&wal_name))
             .map_err(|e| WarehouseError::Durability(format!("creating WAL segment: {e}")))?;
@@ -831,6 +871,7 @@ impl Warehouse {
             wal,
             wal_seq: seq,
             snapshot_epoch: self.epoch,
+            snapshot_buf: body,
         });
         Ok(snap_path)
     }
@@ -1065,6 +1106,7 @@ impl Warehouse {
             wal,
             wal_seq: manifest.wal_seq,
             snapshot_epoch: manifest.snapshot_epoch,
+            snapshot_buf: body,
         });
         Ok(wh)
     }
