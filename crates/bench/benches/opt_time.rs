@@ -8,12 +8,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mvmqo_bench::{referenced_tables, ExperimentConfig, Workload};
-use mvmqo_core::api::{optimize, MaintenanceProblem};
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::GreedyOptions;
 use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
-use mvmqo_relalg::catalog::{Catalog, TableId};
+use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_tpcd::many_views;
 use mvmqo_tpcd::schema::tpcd_catalog;
@@ -28,11 +27,7 @@ fn bench_opt_time(c: &mut Criterion) {
             b.iter(|| {
                 let mut t = tpcd_catalog(cfg.sf);
                 let views = Workload::Ten.build(&mut t);
-                let tables = referenced_tables(&views);
-                let updates =
-                    UpdateModel::percentage(tables, pct, |id| t.catalog.table(id).stats.rows);
-                let problem = MaintenanceProblem::new(views, updates).with_pk_indices(&t.catalog);
-                black_box(optimize(&mut t.catalog, &problem))
+                black_box(warm_session(t.catalog, &views, pct))
             })
         });
     }
@@ -43,12 +38,12 @@ fn bench_opt_time(c: &mut Criterion) {
     let t = tpcd_catalog(cfg.sf);
     let views = many_views(&t, 26);
     g.bench_function("cold_rebuild_25_views", |b| {
-        b.iter(|| black_box(warm_session(&views[..25])))
+        b.iter(|| black_box(warm_session(t.catalog.clone(), &views[..25], 5.0)))
     });
     // Forking the warmed session per iteration (Optimizer is Clone) keeps
     // the measured work to the incremental replan itself plus a cheap
     // state copy.
-    let (warm, warm_catalog) = warm_session(&views[..25]);
+    let (warm, warm_catalog) = warm_session(t.catalog.clone(), &views[..25], 5.0);
     g.bench_function("incremental_add_view_to_25", |b| {
         b.iter(|| {
             let (mut s, mut catalog) = (warm.clone(), warm_catalog.clone());
@@ -67,19 +62,17 @@ fn bench_opt_time(c: &mut Criterion) {
 }
 
 fn model_for(catalog: &Catalog, views: &[ViewDef], pct: f64) -> UpdateModel {
-    let mut tables: Vec<TableId> = views.iter().flat_map(|v| v.expr.base_tables()).collect();
-    tables.sort_unstable();
-    tables.dedup();
-    UpdateModel::percentage(tables, pct, |id| catalog.table(id).stats.rows)
+    UpdateModel::percentage(referenced_tables(views), pct, |id| {
+        catalog.table(id).stats.rows
+    })
 }
 
-/// A cold-planned session over `views` (with PK indices), plus its catalog.
-fn warm_session(views: &[ViewDef]) -> (Optimizer, Catalog) {
-    let catalog = tpcd_catalog(ExperimentConfig::default().sf).catalog;
-    let mut catalog = catalog;
+/// A cold-planned session over `views` (with PK indices and `pct`%
+/// updates), plus its catalog.
+fn warm_session(mut catalog: Catalog, views: &[ViewDef], pct: f64) -> (Optimizer, Catalog) {
     let mut s = Optimizer::new(CostModel::default(), GreedyOptions::default());
     s.set_initial_indices(mvmqo_core::api::pk_indices_for(&catalog, views));
-    s.set_update_model(model_for(&catalog, views, 5.0));
+    s.set_update_model(model_for(&catalog, views, pct));
     for v in views {
         s.add_view(&mut catalog, v);
     }

@@ -96,7 +96,7 @@ fn main() {
         let elapsed = start.elapsed();
         println!("== Cost of Optimization (10 views, 10% updates)");
         println!(
-            "greedy optimization time: {:?} (both optimizers incl. DAG build: {:?})",
+            "greedy optimization time: {:?} (incl. DAG build: {:?})",
             p.greedy_report.optimization_time, elapsed
         );
         println!(

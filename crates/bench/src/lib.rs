@@ -7,11 +7,13 @@
 //! integration tests separately validate that executed plans are correct).
 //!
 //! Each experiment builds a fresh TPC-D catalog at scale 0.1, constructs a
-//! workload, sweeps update percentages, and runs both optimizers.
+//! workload, sweeps update percentages, and plans each point once: the
+//! greedy run's report carries the NoGreedy baseline as well.
 
-use mvmqo_core::api::{optimize, MaintenanceProblem, OptimizerReport};
+use mvmqo_core::api::{pk_indices_for, OptimizerReport};
 use mvmqo_core::cost::CostModel;
-use mvmqo_core::opt::{GreedyOptions, Mode, RefreshStrategy};
+use mvmqo_core::opt::{GreedyOptions, RefreshStrategy};
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::logical::ViewDef;
@@ -113,28 +115,27 @@ pub fn referenced_tables(views: &[ViewDef]) -> Vec<TableId> {
 }
 
 /// Run one (workload, percent) cell and return both optimizers' costs.
+/// One plan gives both: greedy starts from the NoGreedy configuration and
+/// reports its cost as `nogreedy_cost`.
 pub fn run_point(workload: Workload, percent: f64, config: &ExperimentConfig) -> FigurePoint {
     let mut t = tpcd_catalog(config.sf);
     let views = workload.build(&mut t);
     let tables = referenced_tables(&views);
-    let updates = UpdateModel::percentage(tables, percent, |id| t.catalog.table(id).stats.rows);
-    let mut problem = MaintenanceProblem::new(views, updates);
-    problem.cost_model = config.cost_model;
-    problem.options = config.options;
+    let mut session = Optimizer::new(config.cost_model, config.options);
     if config.pk_indices {
-        problem = problem.with_pk_indices(&t.catalog);
+        session.set_initial_indices(pk_indices_for(&t.catalog, &views));
     }
-    let greedy_report = optimize(&mut t.catalog, &problem);
-    let mut nogreedy_problem = problem.clone();
-    nogreedy_problem.options.mode = Mode::NoGreedy;
-    let mut t2 = tpcd_catalog(config.sf);
-    let views2 = workload.build(&mut t2);
-    nogreedy_problem.views = views2;
-    let nogreedy_report = optimize(&mut t2.catalog, &nogreedy_problem);
+    session.set_update_model(UpdateModel::percentage(tables, percent, |id| {
+        t.catalog.table(id).stats.rows
+    }));
+    for v in &views {
+        session.add_view(&mut t.catalog, v);
+    }
+    let greedy_report = session.plan(&mut t.catalog).report;
     FigurePoint {
         percent,
         greedy: greedy_report.total_cost,
-        nogreedy: nogreedy_report.total_cost,
+        nogreedy: greedy_report.nogreedy_cost,
         greedy_report,
     }
 }
@@ -290,6 +291,23 @@ mod tests {
             "temporary share should not collapse at high rates: low {:?} high {:?}",
             low,
             high
+        );
+    }
+
+    #[test]
+    fn reported_baseline_equals_a_nogreedy_run() {
+        let greedy = run_point(Workload::FiveAgg, 5.0, &ExperimentConfig::default());
+        let nogreedy_config = ExperimentConfig {
+            options: GreedyOptions {
+                mode: mvmqo_core::opt::Mode::NoGreedy,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let nogreedy = run_point(Workload::FiveAgg, 5.0, &nogreedy_config);
+        assert_eq!(
+            nogreedy.greedy_report.total_cost.to_bits(),
+            greedy.greedy_report.nogreedy_cost.to_bits()
         );
     }
 

@@ -9,7 +9,4 @@ pub mod subsume;
 pub(crate) use build::join_stats;
 pub use build::{spj_schema, Dag, DagRoot};
 pub use node::{DerivedSig, EqId, EqNode, OpId, OpKind, OpNode, SemKey};
-pub use subsume::{
-    add_subsumption_derivations, add_subsumption_derivations_incremental, SubsumeState,
-    SubsumptionReport,
-};
+pub use subsume::{add_subsumption_derivations_incremental, SubsumeState, SubsumptionReport};

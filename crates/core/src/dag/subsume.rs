@@ -1,6 +1,6 @@
 //! Subsumption derivations (§4.2).
 //!
-//! After all views are inserted, the DAG is augmented with *derivation*
+//! After each view insertion, the DAG is augmented with *derivation*
 //! operations that compute one node from a more general one:
 //!
 //! * **Selections.** σ_{A<5}(E) can be computed from σ_{A<10}(E). We add a
@@ -59,8 +59,8 @@ impl SubsumptionReport {
 pub struct SubsumeState {
     rollup_pairs: FxHashSet<(EqId, EqId)>,
     /// Union-grouping nodes this machinery introduced. They never pair
-    /// with later aggregates (matching the one-shot pass, which collects
-    /// candidates before creating any union node) — without this, every
+    /// with later aggregates (matching a pass over the whole DAG, which
+    /// collects candidates before creating any union node) — without this, every
     /// incremental pass would stack roll-ups of roll-ups.
     introduced: FxHashSet<EqId>,
 }
@@ -81,12 +81,6 @@ impl SubsumeState {
             (b, a)
         }
     }
-}
-
-/// Add every applicable subsumption derivation to the DAG (one-shot form).
-pub fn add_subsumption_derivations(dag: &mut Dag, catalog: &mut Catalog) -> SubsumptionReport {
-    let mut state = SubsumeState::default();
-    add_subsumption_derivations_incremental(dag, catalog, &mut state, EqId(0))
 }
 
 /// Derive the subsumptions a grown DAG is missing. Safe to call after
@@ -186,25 +180,19 @@ fn difference(a: &Predicate, b: &Predicate) -> Predicate {
 /// If `a` and `b` share all conjuncts except exactly one each, return that
 /// differing pair `(a_only, b_only)`.
 fn single_conjunct_difference(a: &Predicate, b: &Predicate) -> Option<(ScalarExpr, ScalarExpr)> {
-    let a_only: Vec<_> = a
+    let a_only: Vec<&ScalarExpr> = a
         .conjuncts()
         .iter()
         .filter(|c| !b.conjuncts().contains(c))
-        .cloned()
         .collect();
-    let b_only: Vec<_> = b
+    let b_only: Vec<&ScalarExpr> = b
         .conjuncts()
         .iter()
         .filter(|c| !a.conjuncts().contains(c))
-        .cloned()
         .collect();
-    if a_only.len() == 1 && b_only.len() == 1 {
-        Some((
-            a_only.into_iter().next().unwrap(),
-            b_only.into_iter().next().unwrap(),
-        ))
-    } else {
-        None
+    match (a_only.as_slice(), b_only.as_slice()) {
+        ([a_only], [b_only]) => Some(((*a_only).clone(), (*b_only).clone())),
+        _ => None,
     }
 }
 
@@ -468,7 +456,12 @@ mod tests {
         let e5 = dag.insert_view(&c, "v5", &v5);
         let e10 = dag.insert_view(&c, "v10", &v10);
         let before = dag.op_count();
-        let report = add_subsumption_derivations(&mut dag, &mut c);
+        let report = add_subsumption_derivations_incremental(
+            &mut dag,
+            &mut c,
+            &mut SubsumeState::default(),
+            EqId(0),
+        );
         assert_eq!(report.range_derivations, 1);
         assert_eq!(dag.op_count(), before + 1);
         // The new op computes e5 from e10.
@@ -500,7 +493,12 @@ mod tests {
         let mut dag = Dag::new();
         dag.insert_view(&c, "narrow", &narrow);
         dag.insert_view(&c, "wide", &wide);
-        let report = add_subsumption_derivations(&mut dag, &mut c);
+        let report = add_subsumption_derivations_incremental(
+            &mut dag,
+            &mut c,
+            &mut SubsumeState::default(),
+            EqId(0),
+        );
         assert!(report.select_derivations >= 1);
     }
 
@@ -526,7 +524,12 @@ mod tests {
         let e1 = dag.insert_view(&c, "by_g", &by_g);
         let e2 = dag.insert_view(&c, "by_h", &by_h);
         let eq_before = dag.eq_count();
-        let report = add_subsumption_derivations(&mut dag, &mut c);
+        let report = add_subsumption_derivations_incremental(
+            &mut dag,
+            &mut c,
+            &mut SubsumeState::default(),
+            EqId(0),
+        );
         assert_eq!(report.introduced_group_nodes, 1);
         assert_eq!(report.aggregate_rollups, 2);
         assert_eq!(dag.eq_count(), eq_before + 1);
@@ -556,7 +559,12 @@ mod tests {
         let mut dag = Dag::new();
         let e_fine = dag.insert_view(&c, "fine", &fine);
         let e_coarse = dag.insert_view(&c, "coarse", &coarse);
-        let report = add_subsumption_derivations(&mut dag, &mut c);
+        let report = add_subsumption_derivations_incremental(
+            &mut dag,
+            &mut c,
+            &mut SubsumeState::default(),
+            EqId(0),
+        );
         assert_eq!(report.introduced_group_nodes, 0);
         assert_eq!(report.aggregate_rollups, 1);
         // COUNT rolls up as SUM of partial counts.
@@ -595,7 +603,12 @@ mod tests {
         let mut dag = Dag::new();
         dag.insert_view(&c, "v1", &v1);
         dag.insert_view(&c, "v2", &v2);
-        let report = add_subsumption_derivations(&mut dag, &mut c);
+        let report = add_subsumption_derivations_incremental(
+            &mut dag,
+            &mut c,
+            &mut SubsumeState::default(),
+            EqId(0),
+        );
         assert_eq!(report.introduced_group_nodes, 0);
         assert_eq!(report.aggregate_rollups, 0);
     }

@@ -16,10 +16,15 @@
 //!   and monotonicity optimizations (§6);
 //! * [`plan`] — the physical plan IR and the maintenance program handed to
 //!   an executor;
-//! * [`session`] — the re-entrant [`session::Optimizer`]: a persistent
-//!   DAG/memo/benefit-cache session whose replans after view churn or
-//!   statistics drift pay incremental cost instead of a full rebuild;
-//! * [`api`] — a one-call facade ([`api::optimize`]).
+//! * [`session`] — the re-entrant [`session::Optimizer`], the one way
+//!   into the optimizer: register views (and §6.2's read-only queries),
+//!   plan, and replan after view churn or statistics drift at incremental
+//!   cost instead of a full rebuild;
+//! * [`api`] — the optimizer's report types ([`api::OptimizerReport`]).
+
+// Panic-free discipline, as in `exec` and `warehouse`: an `unwrap` or
+// `expect` outside tests needs a per-site justification.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod api;
 pub mod cost;
@@ -30,7 +35,7 @@ pub mod plan;
 pub mod session;
 pub mod update;
 
-pub use api::{optimize, MaintenanceProblem, OptimizerReport};
+pub use api::OptimizerReport;
 pub use dag::{Dag, EqId, OpId};
 pub use session::{Optimizer, PlanMode, PlanOutcome};
 pub use update::{UpdateId, UpdateModel, UpdateStep};

@@ -1583,7 +1583,7 @@ mod tests {
         mats.indices = pk_indices(&f);
         // Join-key indices (the kind Figure 5(b) shows the greedy phase
         // selecting on its own) plus the view's locator index for
-        // delete-merges (api::optimize installs one when PK indices exist).
+        // delete-merges (the session installs one when PK indices exist).
         mats.indices
             .insert((StoredRef::Base(f.b), f.catalog.table(f.b).attr("a_id")));
         mats.indices

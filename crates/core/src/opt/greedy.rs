@@ -182,13 +182,8 @@ impl WarmStart {
 }
 
 /// Run the greedy selection over an initialized cost engine whose `mats`
-/// already contain the user views (and pre-existing indices).
-pub fn run_greedy(engine: &mut CostEngine<'_>, options: &GreedyOptions) -> GreedyResult {
-    run_greedy_warm(engine, options, &mut WarmStart::default())
-}
-
-/// [`run_greedy`] with a warm-start context; the cold path is the same
-/// function with an empty context.
+/// already contain the user views (and pre-existing indices), warm-started
+/// from `warm`; the cold path passes `WarmStart::default()`.
 pub fn run_greedy_warm(
     engine: &mut CostEngine<'_>,
     options: &GreedyOptions,
@@ -779,7 +774,11 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 10.0, |t| f.catalog.table(t).stats.rows);
         let mut engine = make_engine(&f, &updates);
-        let res = run_greedy(&mut engine, &GreedyOptions::default());
+        let res = run_greedy_warm(
+            &mut engine,
+            &GreedyOptions::default(),
+            &mut WarmStart::default(),
+        );
         assert!(res.final_cost <= res.initial_cost + 1e-6);
         for (_, b) in &res.chosen {
             assert!(*b > 0.0);
@@ -792,7 +791,11 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 1.0, |t| f.catalog.table(t).stats.rows);
         let mut engine = make_engine(&f, &updates);
-        let greedy = run_greedy(&mut engine, &GreedyOptions::default());
+        let greedy = run_greedy_warm(
+            &mut engine,
+            &GreedyOptions::default(),
+            &mut WarmStart::default(),
+        );
         // NoGreedy = the initial cost (no extra materializations).
         assert!(
             greedy.final_cost < greedy.initial_cost * 0.95,
@@ -809,14 +812,19 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 5.0, |t| f.catalog.table(t).stats.rows);
         let mut e1 = make_engine(&f, &updates);
-        let lazy = run_greedy(&mut e1, &GreedyOptions::default());
+        let lazy = run_greedy_warm(
+            &mut e1,
+            &GreedyOptions::default(),
+            &mut WarmStart::default(),
+        );
         let mut e2 = make_engine(&f, &updates);
-        let eager = run_greedy(
+        let eager = run_greedy_warm(
             &mut e2,
             &GreedyOptions {
                 monotonicity: false,
                 ..Default::default()
             },
+            &mut WarmStart::default(),
         );
         // Same final cost (up to ties); the evaluation saving appears once
         // the loop runs multiple rounds (eager re-evaluates every candidate
@@ -839,12 +847,13 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 5.0, |t| f.catalog.table(t).stats.rows);
         let mut engine = make_engine(&f, &updates);
-        let res = run_greedy(
+        let res = run_greedy_warm(
             &mut engine,
             &GreedyOptions {
                 mode: Mode::NoGreedy,
                 ..Default::default()
             },
+            &mut WarmStart::default(),
         );
         assert!(res.chosen.is_empty());
         assert_eq!(res.initial_cost, res.final_cost);
@@ -856,14 +865,19 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 1.0, |t| f.catalog.table(t).stats.rows);
         let mut engine = make_engine(&f, &updates);
-        let unlimited = run_greedy(&mut engine, &GreedyOptions::default());
+        let unlimited = run_greedy_warm(
+            &mut engine,
+            &GreedyOptions::default(),
+            &mut WarmStart::default(),
+        );
         let mut engine2 = make_engine(&f, &updates);
-        let tiny = run_greedy(
+        let tiny = run_greedy_warm(
             &mut engine2,
             &GreedyOptions {
                 space_budget_blocks: Some(1.0),
                 ..Default::default()
             },
+            &mut WarmStart::default(),
         );
         assert!(tiny.space_used_blocks <= 1.0 + 1e-9);
         assert!(tiny.chosen.len() <= unlimited.chosen.len());
@@ -895,7 +909,11 @@ mod tests {
         let updates =
             UpdateModel::percentage(f.tables.clone(), 5.0, |t| f.catalog.table(t).stats.rows);
         let mut engine = make_engine(&f, &updates);
-        let _ = run_greedy(&mut engine, &GreedyOptions::default());
+        let _ = run_greedy_warm(
+            &mut engine,
+            &GreedyOptions::default(),
+            &mut WarmStart::default(),
+        );
         let classified = classify_refresh(&engine);
         assert_eq!(classified.len(), engine.mats.full.len());
         for (_, _, cost) in &classified {

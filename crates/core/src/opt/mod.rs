@@ -10,6 +10,6 @@ pub use costing::{
     Alg, CostEngine, EngineStats, EqSet, IndexSet, MatSet, SavedMemo, Slot, StoredRef, Trial,
 };
 pub use greedy::{
-    candidate_blocks, classify_refresh, describe_candidate, enumerate_candidates, run_greedy,
-    run_greedy_warm, Candidate, GreedyOptions, GreedyResult, Mode, RefreshStrategy, WarmStart,
+    candidate_blocks, classify_refresh, describe_candidate, enumerate_candidates, run_greedy_warm,
+    Candidate, GreedyOptions, GreedyResult, Mode, RefreshStrategy, WarmStart,
 };

@@ -234,10 +234,11 @@ pub struct Program {
 }
 
 /// Extract the full maintenance program from a converged cost engine.
-pub fn extract_program(engine: &CostEngine<'_>) -> Program {
-    let dag = engine.dag;
+/// `views` names the user views' roots; every other materialized result —
+/// a query root included — is an extra, permanent or temporary.
+pub fn extract_program(engine: &CostEngine<'_>, views: Vec<(String, EqId)>) -> Program {
     let mut program = Program {
-        views: dag.roots().iter().map(|r| (r.name.clone(), r.eq)).collect(),
+        views,
         ..Default::default()
     };
     let view_set: crate::opt::EqSet = program.views.iter().map(|(_, e)| *e).collect();
@@ -781,7 +782,7 @@ mod tests {
                 .insert((StoredRef::Base(*t), catalog.table(*t).primary_key[0]));
         }
         let engine = CostEngine::new(&dag, &catalog, &updates, CostModel::default(), mats);
-        let program = extract_program(&engine);
+        let program = extract_program(&engine, vec![("v".into(), root)]);
         assert_eq!(program.views.len(), 1);
         assert_eq!(program.steps.len(), updates.len());
         assert!(program.full_plans.contains_key(&root));

@@ -10,9 +10,10 @@
 //!
 //! * the **DAG** is an incrementally extensible arena — [`Optimizer::add_view`]
 //!   unifies a new view's expressions into the existing DAG (reusing every
-//!   eq/op node and subsumption derivation the memo already holds) and
-//!   [`Optimizer::remove_view`] detaches the root and garbage-collects what
-//!   is no longer reachable;
+//!   eq/op node and subsumption derivation the memo already holds),
+//!   [`Optimizer::add_query`] does the same for a read-only query of §6.2's
+//!   workload extension, and [`Optimizer::remove_view`] detaches a root and
+//!   garbage-collects what is no longer reachable;
 //! * the **differential properties** and the cost engine's **memo slots**
 //!   survive across plans — statistics drift recomputes only the properties
 //!   of nodes depending on the drifted tables, and dirty-bit propagation up
@@ -25,12 +26,12 @@
 //!   a stale seed costs at most one extra evaluation.
 //!
 //! The first [`Optimizer::plan`] is a cold build; subsequent plans after
-//! `add_view` / `remove_view` / [`Optimizer::set_update_model`] pay
-//! incremental cost. One deliberate approximation: pure statistics drift
-//! (same update numbering, different batch-size estimates) re-seeds the
-//! heap with the cached benefits rather than re-evaluating every candidate
-//! — a candidate whose benefit was negative before the drift and would
-//! have turned positive can be missed. Drift is bounded by the re-plan
+//! `add_view` / `add_query` / `remove_view` /
+//! [`Optimizer::set_update_model`] pay incremental cost. One deliberate
+//! approximation: pure statistics drift (same update numbering, different
+//! batch-size estimates) re-seeds the heap with the cached benefits rather
+//! than re-evaluating every candidate — a candidate whose benefit was
+//! negative before the drift and would have turned positive can be missed. Drift is bounded by the re-plan
 //! policy (a quarter of the base rows by default), and the integration
 //! suite (`tests/tests/reoptimizer.rs`) checks warm add-view and drift
 //! replans against the cold plan of the same problem.
@@ -38,7 +39,7 @@
 use crate::api::{summarize, OptimizerReport, PlanPhases};
 use crate::cost::CostModel;
 use crate::dag::{
-    add_subsumption_derivations_incremental, Dag, EqId, SubsumeState, SubsumptionReport,
+    add_subsumption_derivations_incremental, Dag, DagRoot, EqId, SubsumeState, SubsumptionReport,
 };
 use crate::diff::DiffProps;
 use crate::opt::{
@@ -94,6 +95,9 @@ pub struct Optimizer {
     cost_model: CostModel,
     options: GreedyOptions,
     initial_indices: Vec<(TableId, AttrId)>,
+    /// Read-only queries by root name, with their executions per refresh
+    /// cycle (§6.2). Every other root is a user view.
+    queries: FxHashMap<String, f64>,
     mats: MatSet,
     props: Option<DiffProps>,
     memo: Option<SavedMemo>,
@@ -140,12 +144,6 @@ impl Optimizer {
         &self.dag
     }
 
-    /// Tear down into the bare DAG (the one-shot façade returns it by
-    /// value).
-    pub fn into_dag(self) -> Dag {
-        self.dag
-    }
-
     /// The current greedy knobs.
     pub fn options(&self) -> &GreedyOptions {
         &self.options
@@ -157,32 +155,10 @@ impl Optimizer {
 
     /// Unify a view's maintenance expressions into the existing DAG and
     /// extend the subsumption derivations incrementally. Panics on an
-    /// invalid expression (mirrors [`crate::api::build_dag`]); validate
-    /// against the catalog first when the view comes from user input.
+    /// invalid expression; validate against the catalog first when the
+    /// view comes from user input.
     pub fn add_view(&mut self, catalog: &mut Catalog, view: &ViewDef) -> EqId {
-        view.expr
-            .validate(catalog)
-            .unwrap_or_else(|err| panic!("invalid view {}: {err}", view.name));
-        let eqs_before = self.dag.eq_arena_size();
-        let ops_before = self.dag.op_arena_size();
-        let root = self.dag.insert_view(catalog, view.name.clone(), &view.expr);
-        let pass = add_subsumption_derivations_incremental(
-            &mut self.dag,
-            catalog,
-            &mut self.subsume_state,
-            EqId(eqs_before as u32),
-        );
-        self.subsumption.absorb(pass);
-        // Every new node needs slots; every parent of a new op gained an
-        // alternative and must be re-costed.
-        for id in eqs_before..self.dag.eq_arena_size() {
-            self.dirty.insert(EqId(id as u32));
-            self.seed_dirty.insert(EqId(id as u32));
-        }
-        for id in ops_before..self.dag.op_arena_size() {
-            self.dirty
-                .insert(self.dag.op(crate::dag::OpId(id as u32)).parent);
-        }
+        let root = self.insert_root(catalog, view);
         // The root becomes a user view: materialized, with a locator index
         // for delete-merges when the physical design has initial indices
         // (§7.1). If it (or an index on it) was a *chosen* extra before, it
@@ -212,9 +188,60 @@ impl Optimizer {
         root
     }
 
-    /// Detach a view and garbage-collect. Returns false if no view carries
-    /// `name`. Surviving nodes that lost sharing get their cached benefits
-    /// invalidated; persisted state referencing collected nodes is pruned.
+    /// Add a read-only query that runs `frequency` times per refresh cycle
+    /// (§6.2's workload extension). It joins the DAG like a view, but is
+    /// not materialized: its frequency-weighted evaluation cost joins the
+    /// objective, so greedy selection picks extra results and indices that
+    /// speed it up and stay cheap to maintain. Panics on an invalid
+    /// expression, like [`Optimizer::add_view`].
+    pub fn add_query(&mut self, catalog: &mut Catalog, query: &ViewDef, frequency: f64) -> EqId {
+        let root = self.insert_root(catalog, query);
+        self.queries.insert(query.name.clone(), frequency);
+        // Every benefit under the root now counts the query's cost too.
+        self.benefit_stale.insert(root);
+        root
+    }
+
+    /// The DAG insertion `add_view` and `add_query` share.
+    fn insert_root(&mut self, catalog: &mut Catalog, view: &ViewDef) -> EqId {
+        view.expr
+            .validate(catalog)
+            .unwrap_or_else(|err| panic!("invalid view {}: {err}", view.name));
+        let eqs_before = self.dag.eq_arena_size();
+        let ops_before = self.dag.op_arena_size();
+        let root = self.dag.insert_view(catalog, view.name.clone(), &view.expr);
+        let pass = add_subsumption_derivations_incremental(
+            &mut self.dag,
+            catalog,
+            &mut self.subsume_state,
+            EqId(eqs_before as u32),
+        );
+        self.subsumption.absorb(pass);
+        // Every new node needs slots; every parent of a new op gained an
+        // alternative and must be re-costed.
+        for id in eqs_before..self.dag.eq_arena_size() {
+            self.dirty.insert(EqId(id as u32));
+            self.seed_dirty.insert(EqId(id as u32));
+        }
+        for id in ops_before..self.dag.op_arena_size() {
+            self.dirty
+                .insert(self.dag.op(crate::dag::OpId(id as u32)).parent);
+        }
+        root
+    }
+
+    /// The roots of user views (every root that is not a query's).
+    fn view_roots(&self) -> impl Iterator<Item = &DagRoot> {
+        self.dag
+            .roots()
+            .iter()
+            .filter(|r| !self.queries.contains_key(&r.name))
+    }
+
+    /// Detach a view or query and garbage-collect. Returns false if none
+    /// carries `name`. Surviving nodes that lost sharing get their cached
+    /// benefits invalidated; persisted state referencing collected nodes is
+    /// pruned.
     pub fn remove_view(&mut self, name: &str) -> bool {
         let Some(root) = self
             .dag
@@ -231,10 +258,13 @@ impl Optimizer {
         if self.dag.remove_view(name).is_none() {
             return false;
         }
+        let was_query = self.queries.remove(name).is_some();
         self.benefit_stale
             .extend(cone.into_iter().filter(|e| self.dag.eq_is_live(*e)));
-        let still_root = self.dag.roots().iter().any(|r| r.eq == root);
-        if !still_root {
+        // A view's root was forced into the materialized set; a query's
+        // never was, and a chosen materialization of it stays to be
+        // revalidated like any other pick.
+        if !was_query && !self.view_roots().any(|r| r.eq == root) {
             self.mats.full.remove(&root);
             self.mats
                 .indices
@@ -338,7 +368,7 @@ impl Optimizer {
         let had = !self.initial_indices.is_empty();
         let has = !indices.is_empty();
         if had != has {
-            let roots: Vec<EqId> = self.dag.roots().iter().map(|r| r.eq).collect();
+            let roots: Vec<EqId> = self.view_roots().map(|r| r.eq).collect();
             for root in roots {
                 let Some(&first) = self.dag.eq(root).schema.ids().first() else {
                     continue;
@@ -410,43 +440,50 @@ impl Optimizer {
             .filter(|e| self.dag.eq_is_live(*e))
             .collect();
         let mut phases = PlanPhases::default();
-        let cold = self.memo.is_none() || self.props.is_none();
-        let (mut engine, mode, slot_changed) = if cold {
-            let props = DiffProps::compute(&self.dag, catalog, &self.updates);
-            phases.stat_refresh = start.elapsed();
-            let engine = CostEngine::from_props(
-                &self.dag,
-                catalog,
-                &self.updates,
-                self.cost_model,
-                self.mats.clone(),
-                props,
-            );
-            (engine, PlanMode::Cold, Vec::new())
-        } else {
-            let mut props = self.props.take().expect("checked");
-            let stat_changed = props.refresh(
-                &self.dag,
-                catalog,
-                &self.updates,
-                &self.drift_tables,
-                &structural_dirty,
-            );
-            phases.stat_refresh = start.elapsed();
-            let mut memo_dirty = structural_dirty.clone();
-            memo_dirty.extend(stat_changed);
-            let (engine, slot_changed) = CostEngine::resume(
-                &self.dag,
-                catalog,
-                &self.updates,
-                self.cost_model,
-                self.mats.clone(),
-                props,
-                self.memo.take().expect("checked"),
-                &memo_dirty,
-            );
-            (engine, PlanMode::Incremental, slot_changed)
+        let (mut engine, mode, slot_changed) = match (self.props.take(), self.memo.take()) {
+            (Some(mut props), Some(memo)) => {
+                let stat_changed = props.refresh(
+                    &self.dag,
+                    catalog,
+                    &self.updates,
+                    &self.drift_tables,
+                    &structural_dirty,
+                );
+                phases.stat_refresh = start.elapsed();
+                let mut memo_dirty = structural_dirty.clone();
+                memo_dirty.extend(stat_changed);
+                let (engine, slot_changed) = CostEngine::resume(
+                    &self.dag,
+                    catalog,
+                    &self.updates,
+                    self.cost_model,
+                    self.mats.clone(),
+                    props,
+                    memo,
+                    &memo_dirty,
+                );
+                (engine, PlanMode::Incremental, slot_changed)
+            }
+            _ => {
+                let props = DiffProps::compute(&self.dag, catalog, &self.updates);
+                phases.stat_refresh = start.elapsed();
+                let engine = CostEngine::from_props(
+                    &self.dag,
+                    catalog,
+                    &self.updates,
+                    self.cost_model,
+                    self.mats.clone(),
+                    props,
+                );
+                (engine, PlanMode::Cold, Vec::new())
+            }
         };
+        engine.query_workload = self
+            .dag
+            .roots()
+            .iter()
+            .filter_map(|r| self.queries.get(&r.name).map(|&freq| (r.eq, freq)))
+            .collect();
         phases.memo = start.elapsed() - phases.stat_refresh;
 
         let mut warm = std::mem::take(&mut self.warm);
@@ -482,7 +519,8 @@ impl Optimizer {
         let greedy = run_greedy_warm(&mut engine, &self.options, &mut warm);
         phases.greedy = t_greedy.elapsed();
         let t_extract = Instant::now();
-        let program = extract_program(&engine);
+        let views = self.view_roots().map(|r| (r.name.clone(), r.eq)).collect();
+        let program = extract_program(&engine, views);
         phases.extract = t_extract.elapsed();
         let report = summarize(
             &self.dag,
@@ -516,7 +554,6 @@ impl Optimizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{plan_maintenance, MaintenanceProblem};
     use mvmqo_relalg::catalog::ColumnSpec;
     use mvmqo_relalg::expr::{Predicate, ScalarExpr};
     use mvmqo_relalg::logical::LogicalExpr;
@@ -614,12 +651,25 @@ mod tests {
             .collect()
     }
 
-    fn cold_cost(f: &Fixture, views: &[ViewDef], percent: f64) -> f64 {
-        let mut catalog = f.catalog.clone();
-        let updates =
-            UpdateModel::percentage(f.tables.clone(), percent, |t| catalog.table(t).stats.rows);
-        let problem = MaintenanceProblem::new(views.to_vec(), updates).with_pk_indices(&catalog);
-        plan_maintenance(&mut catalog, &problem).report.total_cost
+    /// `percent`% updates on the listed tables, at the fixture's row counts.
+    fn model(f: &Fixture, tables: Vec<TableId>, percent: f64) -> UpdateModel {
+        UpdateModel::percentage(tables, percent, |t| f.catalog.table(t).stats.rows)
+    }
+
+    /// The total cost of a fresh session's cold plan.
+    fn cold_cost(
+        f: &Fixture,
+        mut catalog: Catalog,
+        views: &[ViewDef],
+        updates: UpdateModel,
+    ) -> f64 {
+        let mut s = Optimizer::new(CostModel::default(), GreedyOptions::default());
+        s.set_initial_indices(pk_indices(f));
+        s.set_update_model(updates);
+        for v in views {
+            s.add_view(&mut catalog, v);
+        }
+        s.plan(&mut catalog).report.total_cost
     }
 
     fn session_with(
@@ -658,7 +708,12 @@ mod tests {
         s.add_view(&mut catalog, &f.views[2]);
         let warm = s.plan(&mut catalog);
         assert_eq!(warm.mode, PlanMode::Incremental);
-        let cold = cold_cost(&f, &f.views, 5.0);
+        let cold = cold_cost(
+            &f,
+            f.catalog.clone(),
+            &f.views,
+            model(&f, f.tables.clone(), 5.0),
+        );
         assert!(
             (warm.report.total_cost - cold).abs() <= 0.01 * cold,
             "incremental {} vs cold {}",
@@ -702,7 +757,12 @@ mod tests {
         }));
         let warm = s.plan(&mut catalog);
         assert_eq!(warm.mode, PlanMode::Incremental);
-        let cold = cold_cost(&f, &f.views[..2], 8.0);
+        let cold = cold_cost(
+            &f,
+            f.catalog.clone(),
+            &f.views[..2],
+            model(&f, f.tables.clone(), 8.0),
+        );
         assert!(
             (warm.report.total_cost - cold).abs() <= 0.01 * cold,
             "drift incremental {} vs cold {}",
@@ -723,11 +783,7 @@ mod tests {
             catalog.table(t).stats.rows
         }));
         let warm = s.plan(&mut catalog);
-        let mut catalog2 = f.catalog.clone();
-        let updates = UpdateModel::percentage(tables, 5.0, |t| catalog2.table(t).stats.rows);
-        let problem =
-            MaintenanceProblem::new(f.views[..2].to_vec(), updates).with_pk_indices(&catalog2);
-        let cold = plan_maintenance(&mut catalog2, &problem).report.total_cost;
+        let cold = cold_cost(&f, f.catalog.clone(), &f.views[..2], model(&f, tables, 5.0));
         assert!(
             (warm.report.total_cost - cold).abs() <= 0.01 * cold,
             "structural incremental {} vs cold {}",
@@ -757,11 +813,12 @@ mod tests {
             catalog.table(t).stats.rows
         }));
         let warm = s.plan(&mut catalog);
-        let mut catalog2 = f.catalog.clone();
-        let updates = UpdateModel::percentage(new_tables, 5.0, |t| catalog2.table(t).stats.rows);
-        let problem =
-            MaintenanceProblem::new(f.views[..2].to_vec(), updates).with_pk_indices(&catalog2);
-        let cold = plan_maintenance(&mut catalog2, &problem).report.total_cost;
+        let cold = cold_cost(
+            &f,
+            f.catalog.clone(),
+            &f.views[..2],
+            model(&f, new_tables, 5.0),
+        );
         assert!(
             (warm.report.total_cost - cold).abs() <= 0.01 * cold,
             "numbering change: incremental {} vs cold {}",
@@ -787,9 +844,7 @@ mod tests {
         assert_eq!(warm.mode, PlanMode::Incremental);
         let mut catalog2 = f.catalog.clone();
         catalog2.set_row_count(f.tables[1], 1_000_000.0);
-        let problem =
-            MaintenanceProblem::new(f.views[..2].to_vec(), updates).with_pk_indices(&catalog2);
-        let cold = plan_maintenance(&mut catalog2, &problem).report.total_cost;
+        let cold = cold_cost(&f, catalog2, &f.views[..2], updates);
         assert!(
             (warm.report.total_cost - cold).abs() <= 0.01 * cold,
             "catalog drift: incremental {} vs cold {}",
@@ -818,5 +873,42 @@ mod tests {
         }
         let out = s.plan(&mut catalog);
         assert!(out.report.total_cost.is_finite());
+    }
+
+    /// §6.2 on the five aggregate queries at 40× each, with no views, PK
+    /// indices and 5 % updates: a chosen query root is an extra like any
+    /// other, never a view.
+    #[test]
+    fn chosen_query_roots_are_classified_as_extras() {
+        let mut tpcd = mvmqo_tpcd::tpcd_catalog(0.1);
+        let queries = mvmqo_tpcd::five_agg_views(&mut tpcd);
+        let mut tables: Vec<TableId> = queries.iter().flat_map(|q| q.expr.base_tables()).collect();
+        tables.sort_unstable();
+        tables.dedup();
+        let mut s = Optimizer::new(CostModel::default(), GreedyOptions::default());
+        s.set_initial_indices(tpcd.pk_indices());
+        s.set_update_model(UpdateModel::percentage(tables, 5.0, |t| {
+            tpcd.catalog.table(t).stats.rows
+        }));
+        for q in &queries {
+            s.add_query(&mut tpcd.catalog, q, 40.0);
+        }
+        let report = s.plan(&mut tpcd.catalog).report;
+        let program = &report.program;
+        assert!(program.views.is_empty());
+        assert!(report.view_strategies.is_empty());
+        for m in &report.chosen_mats {
+            let permanent = program.permanent_mats.contains(&m.node);
+            let temporary = program.temporary_mats.contains(&m.node);
+            assert!(
+                permanent != temporary,
+                "{}: permanent {permanent}, temporary {temporary}",
+                m.node
+            );
+        }
+        let is_query_root = |e: EqId| s.dag().roots().iter().any(|r| r.eq == e);
+        assert!(report.chosen_mats.iter().any(|m| is_query_root(m.node)));
+        assert!(report.query_cost.is_finite());
+        assert!(report.query_cost < report.nogreedy_cost);
     }
 }

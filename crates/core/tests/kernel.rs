@@ -19,13 +19,13 @@
 //! σ(t) keep stale slots. Closing it re-costs more slots and changes
 //! chosen plans, so it is a change of its own.
 
-use mvmqo_core::api::{build_dag, pk_indices_for};
+use mvmqo_core::api::pk_indices_for;
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::SemKey;
 use mvmqo_core::opt::{
     enumerate_candidates, Alg, Candidate, CostEngine, GreedyOptions, MatSet, StoredRef, Trial,
 };
-use mvmqo_core::{EqId, OpId, UpdateId, UpdateModel};
+use mvmqo_core::{EqId, OpId, Optimizer, UpdateId, UpdateModel};
 use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_tpcd::{many_views, tpcd_catalog};
@@ -67,7 +67,11 @@ struct Problem {
 fn problem(percent: f64) -> Problem {
     let mut tpcd = tpcd_catalog(0.001);
     let views = many_views(&tpcd, 20);
-    let (dag, _) = build_dag(&mut tpcd.catalog, &views);
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    for v in &views {
+        session.add_view(&mut tpcd.catalog, v);
+    }
+    let dag = session.dag().clone();
     let catalog = &tpcd.catalog;
     let updates = UpdateModel::percentage(tpcd.t.all(), percent, |t| catalog.table(t).stats.rows);
     Problem {

@@ -14,8 +14,9 @@
 //!   merge with hidden support state;
 //! * [`run`] — drives a [`mvmqo_core::plan::Program`] through one refresh
 //!   cycle with the one-relation-one-kind-at-a-time semantics of §3.2.2;
-//!   [`ExecOptions::parallel`] levels each phase's independent plan roots
-//!   and evaluates them on scoped threads, deterministically;
+//!   under [`ExecOptions::parallel`], one update step's merge-delta plans
+//!   run on scoped threads and large operator inputs split into morsels,
+//!   with results identical to serial execution;
 //! * [`journal`] — the epoch's undo journal: an epoch writes database and
 //!   state in place, and an abort replays the journal to put them back;
 //! * [`mod@reference`] — a naive ground-truth evaluator used to verify that

@@ -471,34 +471,6 @@ impl RuntimeState {
     }
 }
 
-/// The runtime's materialized state: borrowed from the caller for an
-/// epoch — so it outlives an error or a panic and can be rolled back in
-/// place — or owned by a one-off evaluation runtime.
-enum StateSlot<'a> {
-    Owned(Box<RuntimeState>),
-    Borrowed(&'a mut RuntimeState),
-}
-
-impl std::ops::Deref for StateSlot<'_> {
-    type Target = RuntimeState;
-
-    fn deref(&self) -> &RuntimeState {
-        match self {
-            StateSlot::Owned(s) => s,
-            StateSlot::Borrowed(s) => s,
-        }
-    }
-}
-
-impl std::ops::DerefMut for StateSlot<'_> {
-    fn deref_mut(&mut self) -> &mut RuntimeState {
-        match self {
-            StateSlot::Owned(s) => s,
-            StateSlot::Borrowed(s) => s,
-        }
-    }
-}
-
 /// The execution runtime for one maintenance cycle.
 pub struct Runtime<'a> {
     pub dag: &'a Dag,
@@ -509,10 +481,11 @@ pub struct Runtime<'a> {
     full_plans: BTreeMap<EqId, PhysPlan>,
     /// Indices to maintain on materialized nodes (chosen by the optimizer).
     mat_indices: HashMap<EqId, Vec<AttrId>>,
-    state: StateSlot<'a>,
-    /// Where every write to `db` and `state` records its inverse; `None`
-    /// for a one-off evaluation runtime, whose writes are not undoable.
-    journal: Option<&'a mut Journal>,
+    /// Borrowed from the caller, so it outlives an error or a panic and
+    /// can be rolled back in place.
+    state: &'a mut RuntimeState,
+    /// Where every write to `db` and `state` records its inverse.
+    journal: &'a mut Journal,
     delta_store: HashMap<(EqId, UpdateId), Batch>,
     /// Worker-thread budget for plan evaluation: one update step's
     /// merge-delta plans split it, and the rest flows into morsels inside
@@ -530,34 +503,10 @@ pub struct Runtime<'a> {
 }
 
 impl<'a> Runtime<'a> {
-    /// A one-off runtime with a fresh state of its own and no journal
-    /// (plan evaluation in tests and tools).
-    pub fn new(
-        dag: &'a Dag,
-        catalog: &'a Catalog,
-        model: CostModel,
-        db: &'a mut Database,
-        deltas: &'a DeltaSet,
-        full_plans: BTreeMap<EqId, PhysPlan>,
-        mat_indices: HashMap<EqId, Vec<AttrId>>,
-    ) -> Self {
-        Runtime::build(
-            dag,
-            catalog,
-            model,
-            db,
-            deltas,
-            full_plans,
-            mat_indices,
-            StateSlot::Owned(Box::default()),
-            None,
-        )
-    }
-
-    /// Like [`Runtime::new`], but resuming from a persisted [`RuntimeState`]
-    /// (the epoch path): stored results that are still fresh are served
-    /// as-is instead of being rebuilt. `state` and `db` are written in
-    /// place, and every write records its inverse in `journal`.
+    /// A runtime over a persisted [`RuntimeState`]: stored results that
+    /// are still fresh are served as-is instead of being rebuilt. `state`
+    /// and `db` are written in place, and every write records its inverse
+    /// in `journal`.
     #[allow(clippy::too_many_arguments)]
     pub fn with_state(
         dag: &'a Dag,
@@ -569,31 +518,6 @@ impl<'a> Runtime<'a> {
         mat_indices: HashMap<EqId, Vec<AttrId>>,
         state: &'a mut RuntimeState,
         journal: &'a mut Journal,
-    ) -> Self {
-        Runtime::build(
-            dag,
-            catalog,
-            model,
-            db,
-            deltas,
-            full_plans,
-            mat_indices,
-            StateSlot::Borrowed(state),
-            Some(journal),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        dag: &'a Dag,
-        catalog: &'a Catalog,
-        model: CostModel,
-        db: &'a mut Database,
-        deltas: &'a DeltaSet,
-        full_plans: BTreeMap<EqId, PhysPlan>,
-        mat_indices: HashMap<EqId, Vec<AttrId>>,
-        state: StateSlot<'a>,
-        journal: Option<&'a mut Journal>,
     ) -> Self {
         Runtime {
             dag,
@@ -638,22 +562,19 @@ impl<'a> Runtime<'a> {
     }
 
     // ------------------------------------------------------------------
-    // State writes: each one records its inverse when journaled.
+    // State writes: each one records its inverse.
     // ------------------------------------------------------------------
 
     /// Install `table` as `e`'s stored result.
     fn put_mat(&mut self, e: EqId, table: StoredTable) {
         let old = self.state.mats.insert(e, table);
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.stored(e, old);
-        }
+        self.journal.stored(e, old);
     }
 
     /// Drop `e`'s stored result, if any.
     fn remove_mat(&mut self, e: EqId) {
-        let old = self.state.mats.remove(&e);
-        if let (Some(j), Some(old)) = (self.journal.as_deref_mut(), old) {
-            j.stored(e, Some(old));
+        if let Some(old) = self.state.mats.remove(&e) {
+            self.journal.stored(e, Some(old));
         }
     }
 
@@ -664,8 +585,8 @@ impl<'a> Runtime<'a> {
         } else {
             self.state.fresh.remove(&e)
         };
-        if let (Some(j), true) = (self.journal.as_deref_mut(), flipped) {
-            j.fresh(e, !on);
+        if flipped {
+            self.journal.fresh(e, !on);
         }
     }
 
@@ -676,19 +597,17 @@ impl<'a> Runtime<'a> {
         } else {
             self.state.deferred.remove(&e)
         };
-        if let (Some(j), true) = (self.journal.as_deref_mut(), flipped) {
-            j.deferred(e, !on);
+        if flipped {
+            self.journal.deferred(e, !on);
         }
         flipped
     }
 
     /// Keep the undo records of an in-place write to a stored relation.
     fn record(&mut self, target: StoredRef, undo: TableJournal) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            match target {
-                StoredRef::Base(t) => j.base(t, undo),
-                StoredRef::Mat(e) => j.table(e, undo),
-            }
+        match target {
+            StoredRef::Base(t) => self.journal.base(t, undo),
+            StoredRef::Mat(e) => self.journal.table(e, undo),
         }
     }
 
@@ -698,9 +617,7 @@ impl<'a> Runtime<'a> {
             Some(st) => self.state.agg_states.insert(e, Arc::new(st)),
             None => self.state.agg_states.remove(&e),
         };
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.agg(e, old);
-        }
+        self.journal.agg(e, old);
     }
 
     /// Replace (`Some`) or drop (`None`) `e`'s distinct support state.
@@ -709,9 +626,7 @@ impl<'a> Runtime<'a> {
             Some(st) => self.state.distinct_states.insert(e, Arc::new(st)),
             None => self.state.distinct_states.remove(&e),
         };
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.distinct(e, old);
-        }
+        self.journal.distinct(e, old);
     }
 
     /// Rebuild a maintained aggregate/distinct result's stored table from
@@ -913,9 +828,7 @@ impl<'a> Runtime<'a> {
             self.state.agg_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("aggregate state for {e} not stored"))
             })?;
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.agg(e, Some(Arc::clone(state)));
-        }
+        self.journal.agg(e, Some(Arc::clone(state)));
         let needs_recompute = Arc::make_mut(state).fold_batch(&input, kind);
         if needs_recompute {
             // Affected-group recompute, realized as a full refresh (§3.1.2's
@@ -951,9 +864,7 @@ impl<'a> Runtime<'a> {
             self.state.distinct_states.get_mut(&e).ok_or_else(|| {
                 ExecError::invariant(format!("distinct state for {e} not stored"))
             })?;
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.distinct(e, Some(Arc::clone(state)));
-        }
+        self.journal.distinct(e, Some(Arc::clone(state)));
         Arc::make_mut(state).fold_batch(&input, &schema, kind);
         self.set_deferred(e, true);
         self.set_fresh(e, true);
@@ -963,11 +874,6 @@ impl<'a> Runtime<'a> {
     // ==================================================================
     // Plan evaluation (vectorized)
     // ==================================================================
-
-    /// Evaluate a physical plan against the current state, as rows.
-    pub fn eval(&mut self, plan: &PhysPlan) -> Result<Vec<Tuple>, ExecError> {
-        Ok(self.eval_batch(plan)?.into_rows())
-    }
 
     /// Evaluate a physical plan against the current state, as a columnar
     /// [`Batch`]. Runs the mutable `prepare` pass first, then the

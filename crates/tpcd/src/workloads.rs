@@ -526,6 +526,25 @@ pub fn many_views(t: &Tpcd, n: usize) -> Vec<ViewDef> {
 mod tests {
     use super::*;
     use crate::schema::tpcd_catalog;
+    use mvmqo_core::dag::{Dag, SubsumptionReport};
+    use mvmqo_core::opt::{GreedyOptions, Mode};
+    use mvmqo_core::Optimizer;
+    use mvmqo_relalg::catalog::Catalog;
+
+    /// An optimizer session's DAG over `views`, and the subsumption
+    /// derivations it holds (read off a plan that selects nothing).
+    fn dag_of(catalog: &mut Catalog, views: &[ViewDef]) -> (Dag, SubsumptionReport) {
+        let options = GreedyOptions {
+            mode: Mode::NoGreedy,
+            ..Default::default()
+        };
+        let mut session = Optimizer::new(Default::default(), options);
+        for v in views {
+            session.add_view(catalog, v);
+        }
+        let subsumption = session.plan(catalog).report.subsumption;
+        (session.dag().clone(), subsumption)
+    }
 
     #[test]
     fn all_workload_views_validate() {
@@ -569,7 +588,7 @@ mod tests {
     fn shared_subexpressions_unify_across_ten_views() {
         let mut t = tpcd_catalog(0.01);
         let views = ten_views(&t);
-        let (dag, report) = mvmqo_core::api::build_dag(&mut t.catalog, &views);
+        let (dag, report) = dag_of(&mut t.catalog, &views);
         // l⋈o is shared; the DAG must be far smaller than 10 disjoint
         // expansions.
         assert!(dag.eq_count() < 10 * 15);
@@ -602,7 +621,7 @@ mod tests {
         // Sharing: the DAG over 25 views is far smaller than 25 disjoint
         // expansions.
         let mut t2 = tpcd_catalog(0.01);
-        let (dag, report) = mvmqo_core::api::build_dag(&mut t2.catalog, &big);
+        let (dag, report) = dag_of(&mut t2.catalog, &big);
         assert!(dag.eq_count() < 25 * 15);
         assert!(report.select_derivations + report.range_derivations >= 10);
     }
@@ -611,7 +630,7 @@ mod tests {
     fn agg_pair_produces_rollup() {
         let mut t = tpcd_catalog(0.01);
         let views = five_agg_views(&mut t);
-        let (_, report) = mvmqo_core::api::build_dag(&mut t.catalog, &views);
+        let (_, report) = dag_of(&mut t.catalog, &views);
         assert!(report.introduced_group_nodes >= 1);
         assert!(report.aggregate_rollups >= 2);
     }

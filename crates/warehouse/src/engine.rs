@@ -1,7 +1,7 @@
 //! The warehouse engine: a long-lived owner of database, catalog, view set,
 //! and the current maintenance plan.
 //!
-//! Where the paper's pipeline is one-shot (`optimize()` + a single
+//! Where the paper's pipeline runs once (one optimization + a single
 //! refresh), [`Warehouse`] runs *continuously*: views register
 //! and drop over time (each re-running the §6 selection over the whole
 //! set), arbitrary insert/delete batches stream in through [`Warehouse::ingest`]

@@ -11,8 +11,9 @@
 //! ```
 
 use mvmqo_core::cost::CostModel;
-use mvmqo_core::opt::{CostEngine, MatSet, StoredRef};
+use mvmqo_core::opt::{CostEngine, GreedyOptions, MatSet, StoredRef};
 use mvmqo_core::plan::extract_diff;
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_tpcd::{single_join_view, tpcd_catalog};
 
@@ -22,8 +23,9 @@ fn main() {
     let view = &views[0];
     println!("view {}:\n{}", view.name, view.expr);
 
-    let (dag, _) = mvmqo_core::api::build_dag(&mut tpcd.catalog, &views);
-    let root = dag.roots()[0].eq;
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    let root = session.add_view(&mut tpcd.catalog, view);
+    let dag = session.dag();
     let tables = view.expr.base_tables();
     let updates = UpdateModel::percentage(tables, 10.0, |id| tpcd.catalog.table(id).stats.rows);
     let mut mats = MatSet::default();
@@ -33,7 +35,7 @@ fn main() {
     }
     mats.indices
         .insert((StoredRef::Mat(root), dag.eq(root).schema.ids()[0]));
-    let engine = CostEngine::new(&dag, &tpcd.catalog, &updates, CostModel::default(), mats);
+    let engine = CostEngine::new(dag, &tpcd.catalog, &updates, CostModel::default(), mats);
 
     println!("\nper-update differentials of the view (10% update cycle):");
     for step in updates.steps() {

@@ -6,7 +6,10 @@
 //! cargo run -p mvmqo-examples --bin quickstart
 //! ```
 
-use mvmqo_core::api::MaintenanceProblem;
+use mvmqo_core::api::pk_indices_for;
+use mvmqo_core::cost::CostModel;
+use mvmqo_core::opt::GreedyOptions;
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_exec::{
     eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState,
@@ -36,10 +39,15 @@ fn main() {
     }));
 
     // 4. Optimize: greedy selection of extra views/indices + plans.
-    let problem = MaintenanceProblem::new(views.clone(), updates).with_pk_indices(&tpcd.catalog);
-    let initial_indices = problem.initial_indices.clone();
-    let planned = mvmqo_core::api::plan_maintenance(&mut tpcd.catalog, &problem);
-    let (dag, report) = (planned.dag, planned.report);
+    let initial_indices = pk_indices_for(&tpcd.catalog, &views);
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    session.set_initial_indices(initial_indices.clone());
+    session.set_update_model(updates);
+    for v in &views {
+        session.add_view(&mut tpcd.catalog, v);
+    }
+    let report = session.plan(&mut tpcd.catalog).report;
+    let dag = session.dag();
     println!(
         "estimated maintenance cost: {:.2}s (NoGreedy baseline {:.2}s)",
         report.total_cost, report.nogreedy_cost
@@ -57,9 +65,9 @@ fn main() {
     // 5. Execute the maintenance program.
     let index_plan = index_plan_from_report(&initial_indices, &report);
     let exec = execute_epoch_opts(
-        &dag,
+        dag,
         &tpcd.catalog,
-        problem.cost_model,
+        CostModel::default(),
         &mut db,
         &deltas,
         &report.program,

@@ -10,8 +10,10 @@
 //! cargo run -p mvmqo-examples --bin view_advisor
 //! ```
 
-use mvmqo_core::api::{optimize, optimize_workload, MaintenanceProblem, WorkloadQuery};
+use mvmqo_core::api::pk_indices_for;
+use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::GreedyOptions;
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_tpcd::{five_agg_views, tpcd_catalog};
 
@@ -32,13 +34,19 @@ fn main() {
             t.dedup();
             t
         };
-        let updates = UpdateModel::percentage(tables, 5.0, |id| tpcd.catalog.table(id).stats.rows);
-        let mut problem = MaintenanceProblem::new(views, updates).with_pk_indices(&tpcd.catalog);
-        problem.options = GreedyOptions {
+        let options = GreedyOptions {
             space_budget_blocks: budget,
             ..Default::default()
         };
-        let report = optimize(&mut tpcd.catalog, &problem);
+        let mut session = Optimizer::new(CostModel::default(), options);
+        session.set_initial_indices(pk_indices_for(&tpcd.catalog, &views));
+        session.set_update_model(UpdateModel::percentage(tables, 5.0, |id| {
+            tpcd.catalog.table(id).stats.rows
+        }));
+        for v in &views {
+            session.add_view(&mut tpcd.catalog, v);
+        }
+        let report = session.plan(&mut tpcd.catalog).report;
         println!("== budget: {label}");
         println!(
             "  maintenance cost {:.1}s (baseline {:.1}s, {:.2}x)",
@@ -60,31 +68,27 @@ fn main() {
     // update stream. The advisor decides what to materialize from scratch.
     println!("== pure query workload (no pre-declared views, 40× each per cycle)");
     let mut tpcd = tpcd_catalog(0.1);
-    let queries: Vec<WorkloadQuery> = five_agg_views(&mut tpcd)
-        .into_iter()
-        .map(|q| WorkloadQuery {
-            query: q,
-            frequency: 40.0,
-        })
-        .collect();
+    let queries = five_agg_views(&mut tpcd);
     let tables: Vec<_> = {
-        let mut t: Vec<_> = queries
-            .iter()
-            .flat_map(|q| q.query.expr.base_tables())
-            .collect();
+        let mut t: Vec<_> = queries.iter().flat_map(|q| q.expr.base_tables()).collect();
         t.sort_unstable();
         t.dedup();
         t
     };
-    let updates = UpdateModel::percentage(tables, 5.0, |id| tpcd.catalog.table(id).stats.rows);
-    let mut problem = MaintenanceProblem::new(Vec::new(), updates);
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
     // No views exist yet, so attach the PK indices directly.
-    problem.initial_indices = tpcd.pk_indices();
-    let (report, query_cost) = optimize_workload(&mut tpcd.catalog, &problem, &queries);
+    session.set_initial_indices(tpcd.pk_indices());
+    session.set_update_model(UpdateModel::percentage(tables, 5.0, |id| {
+        tpcd.catalog.table(id).stats.rows
+    }));
+    for q in &queries {
+        session.add_query(&mut tpcd.catalog, q, 40.0);
+    }
+    let report = session.plan(&mut tpcd.catalog).report;
     println!(
         "  query cost per cycle {:.1}s + maintenance {:.1}s (unoptimized workload: {:.1}s)",
-        query_cost,
-        report.total_cost - query_cost,
+        report.query_cost,
+        report.total_cost - report.query_cost,
         report.nogreedy_cost
     );
     for m in &report.chosen_mats {

@@ -2,8 +2,10 @@
 //! star-ish schema with real data, delta generation, and an end-to-end
 //! "optimize → execute → verify against recomputation" harness.
 
-use mvmqo_core::api::{MaintenanceProblem, OptimizerReport};
+use mvmqo_core::api::{pk_indices_for, OptimizerReport};
+use mvmqo_core::cost::CostModel;
 use mvmqo_core::plan::{PhysPlan, PlanNode, Program};
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_exec::{
     eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, ExecReport, RuntimeState,
@@ -249,18 +251,20 @@ pub fn optimize_execute_verify(
     deltas: &DeltaSet,
     options: mvmqo_core::opt::GreedyOptions,
 ) -> (OptimizerReport, ExecReport) {
-    let updates = update_model_for(deltas);
-    let mut problem = MaintenanceProblem::new(views.clone(), updates);
-    problem.options = options;
-    problem = problem.with_pk_indices(&world.catalog);
-    let initial_indices = problem.initial_indices.clone();
-    let planned = mvmqo_core::api::plan_maintenance(&mut world.catalog, &problem);
-    let (dag, report) = (planned.dag, planned.report);
+    let initial_indices = pk_indices_for(&world.catalog, &views);
+    let mut session = Optimizer::new(CostModel::default(), options);
+    session.set_initial_indices(initial_indices.clone());
+    session.set_update_model(update_model_for(deltas));
+    for v in &views {
+        session.add_view(&mut world.catalog, v);
+    }
+    let report = session.plan(&mut world.catalog).report;
+    let dag = session.dag();
     let index_plan = index_plan_from_report(&initial_indices, &report);
     let exec = execute_epoch_opts(
-        &dag,
+        dag,
         &world.catalog,
-        problem.cost_model,
+        CostModel::default(),
         &mut world.db,
         deltas,
         &report.program,

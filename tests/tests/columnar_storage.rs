@@ -23,7 +23,7 @@
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::Dag;
 use mvmqo_core::plan::{PhysPlan, PlanNode};
-use mvmqo_exec::{eval_logical, AggState, DistinctState, Runtime};
+use mvmqo_exec::{eval_logical, AggState, DistinctState, Journal, Runtime, RuntimeState};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec};
@@ -378,7 +378,8 @@ proptest! {
         };
         let dag = Dag::new();
         let deltas = DeltaSet::new();
-        let mut rt = Runtime::new(
+        let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
+        let mut rt = Runtime::with_state(
             &dag,
             &catalog,
             CostModel::default(),
@@ -386,8 +387,10 @@ proptest! {
             &deltas,
             BTreeMap::new(),
             HashMap::new(),
+            &mut state,
+            &mut journal,
         );
-        let got = rt.eval(&phys).expect("plan evaluation");
+        let got = rt.eval_batch(&phys).expect("plan evaluation").into_rows();
         drop(rt);
         let oracle = LogicalExpr::aggregate(LogicalExpr::scan(t), vec![k], specs);
         let expected = eval_logical(&oracle, &catalog, &db);

@@ -190,7 +190,11 @@ proptest! {
         if dup {
             views.push(ViewDef::new("v_dup", expr));
         }
-        let (dag, _) = mvmqo_core::api::build_dag(&mut world.catalog, &views);
+        let mut session = mvmqo_core::Optimizer::new(Default::default(), Default::default());
+        for v in &views {
+            session.add_view(&mut world.catalog, v);
+        }
+        let dag = session.dag();
         let k_eff = k.min(3);
         prop_assert_eq!(dag.eq_count(), (1 << k_eff) - 1);
         // Duplicate view shares every node.

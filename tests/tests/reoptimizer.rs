@@ -233,11 +233,14 @@ fn delta_drift_replan_on_50_views_is_5x_faster_than_cold() {
                 .unwrap_or((t, i, d))
         })
         .collect();
-    let updates = UpdateModel::new(model);
-    let problem = mvmqo_core::api::MaintenanceProblem::new(views.clone(), updates)
-        .with_pk_indices(&cold_catalog);
     let t0 = std::time::Instant::now();
-    let cold = mvmqo_core::api::plan_maintenance(&mut cold_catalog, &problem);
+    let mut cold = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    cold.set_initial_indices(mvmqo_core::api::pk_indices_for(&cold_catalog, &views));
+    cold.set_update_model(UpdateModel::new(model));
+    for v in &views {
+        cold.add_view(&mut cold_catalog, v);
+    }
+    let cold = cold.plan(&mut cold_catalog);
     let cold_elapsed = t0.elapsed();
 
     assert!(

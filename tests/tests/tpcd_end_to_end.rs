@@ -4,8 +4,10 @@
 //! workloads and both optimizers, including the no-initial-indices setting
 //! of Figure 5(b).
 
-use mvmqo_core::api::MaintenanceProblem;
+use mvmqo_core::api::pk_indices_for;
+use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::{GreedyOptions, Mode};
+use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_exec::{
     eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState,
@@ -31,19 +33,24 @@ fn run_and_verify(
         let b = deltas.get(t).unwrap();
         (t, b.inserts.len() as f64, b.deletes.len() as f64)
     }));
-    let mut problem = MaintenanceProblem::new(views.clone(), updates);
-    problem.options = options;
-    if pk_indices {
-        problem = problem.with_pk_indices(&tpcd.catalog);
+    let initial_indices = if pk_indices {
+        pk_indices_for(&tpcd.catalog, &views)
+    } else {
+        Vec::new()
+    };
+    let mut session = Optimizer::new(CostModel::default(), options);
+    session.set_initial_indices(initial_indices.clone());
+    session.set_update_model(updates);
+    for v in &views {
+        session.add_view(&mut tpcd.catalog, v);
     }
-    let initial_indices = problem.initial_indices.clone();
-    let planned = mvmqo_core::api::plan_maintenance(&mut tpcd.catalog, &problem);
-    let (dag, report) = (planned.dag, planned.report);
+    let report = session.plan(&mut tpcd.catalog).report;
+    let dag = session.dag();
     let index_plan = index_plan_from_report(&initial_indices, &report);
     let exec = execute_epoch_opts(
-        &dag,
+        dag,
         &tpcd.catalog,
-        problem.cost_model,
+        CostModel::default(),
         &mut db,
         &deltas,
         &report.program,
@@ -172,9 +179,9 @@ fn fk_pruning_is_exact_on_tpcd_data() {
         let b = deltas.get(tb).unwrap();
         (tb, b.inserts.len() as f64, b.deletes.len() as f64)
     }));
-    let (dag, _) = mvmqo_core::api::build_dag(&mut t.catalog, &views);
-    let props = mvmqo_core::diff::DiffProps::compute(&dag, &t.catalog, &updates);
-    let root = dag.roots()[0].eq;
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    let root = session.add_view(&mut t.catalog, &views[0]);
+    let props = mvmqo_core::diff::DiffProps::compute(session.dag(), &t.catalog, &updates);
     let mut pruned = 0;
     for step in updates.steps() {
         if step.kind == mvmqo_storage::delta::DeltaKind::Insert

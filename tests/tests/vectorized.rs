@@ -8,13 +8,15 @@
 //! the serial view contents, on a world whose plans fan out over several
 //! merge-delta plans in one update step and scan tables past one morsel.
 
-use mvmqo_core::api::{plan_maintenance, MaintenanceProblem};
+use mvmqo_core::api::pk_indices_for;
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::Dag;
-use mvmqo_core::opt::StoredRef;
+use mvmqo_core::opt::{GreedyOptions, StoredRef};
 use mvmqo_core::plan::{PhysPlan, PlanNode};
+use mvmqo_core::session::Optimizer;
 use mvmqo_exec::{
-    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, Runtime, RuntimeState,
+    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, Journal, Runtime,
+    RuntimeState,
 };
 use mvmqo_integration_tests::{generate_deltas, parallel_coverage, small_world, update_model_for};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
@@ -100,7 +102,8 @@ fn eval_phys_threads(
     threads: usize,
 ) -> Vec<Tuple> {
     let dag = Dag::new();
-    let mut rt = Runtime::new(
+    let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
+    let mut rt = Runtime::with_state(
         &dag,
         catalog,
         CostModel::default(),
@@ -108,9 +111,11 @@ fn eval_phys_threads(
         deltas,
         BTreeMap::new(),
         HashMap::new(),
+        &mut state,
+        &mut journal,
     );
     rt.set_threads(threads);
-    rt.eval(plan).expect("plan evaluation")
+    rt.eval_batch(plan).expect("plan evaluation").into_rows()
 }
 
 fn scan(catalog: &Catalog, t: TableId) -> PhysPlan {
@@ -674,17 +679,21 @@ fn run_epoch_with(
     ];
     let deltas = generate_deltas(&world, percent, seed);
     let updates = update_model_for(&deltas);
-    let problem = MaintenanceProblem::new(views.clone(), updates).with_pk_indices(&world.catalog);
-    let initial_indices = problem.initial_indices.clone();
-    let planned = plan_maintenance(&mut world.catalog, &problem);
-    let (dag, report) = (planned.dag, planned.report);
+    let initial_indices = pk_indices_for(&world.catalog, &views);
+    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
+    session.set_initial_indices(initial_indices.clone());
+    session.set_update_model(updates);
+    for v in &views {
+        session.add_view(&mut world.catalog, v);
+    }
+    let report = session.plan(&mut world.catalog).report;
     let index_plan = index_plan_from_report(&initial_indices, &report);
     let coverage = parallel_coverage(&report.program, &world.db);
     let mut state = RuntimeState::new();
     let exec = execute_epoch_opts(
-        &dag,
+        session.dag(),
         &world.catalog,
-        problem.cost_model,
+        CostModel::default(),
         &mut world.db,
         &deltas,
         &report.program,
