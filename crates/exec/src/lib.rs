@@ -19,8 +19,6 @@
 //!   with results identical to serial execution;
 //! * [`journal`] — the epoch's undo journal: an epoch writes database and
 //!   state in place, and an abort replays the journal to put them back;
-//! * [`mod@reference`] — a naive ground-truth evaluator used to verify that
-//!   incremental maintenance produces exactly the recomputed result;
 //! * [`mod@error`] — typed executor errors ([`ExecError`]): operator
 //!   failures, schema drift, injected faults, and forwarded worker panics
 //!   all surface as values, so a long-lived engine can abort the epoch
@@ -37,16 +35,14 @@
 pub mod error;
 pub mod journal;
 pub mod meter;
-pub mod reference;
 pub mod run;
 pub mod runtime;
 
 pub use error::{panic_message, ExecError};
 pub use journal::Journal;
 pub use meter::Meter;
-pub use reference::eval_logical;
 pub use run::{
     execute_epoch_faults, execute_epoch_opts, index_plan_from_report, scheduler_description,
     view_root, ExecOptions, ExecReport, IndexPlan,
 };
-pub use runtime::{align_rows, AggState, DistinctState, Runtime, RuntimeState};
+pub use runtime::{AggState, DistinctState, Runtime, RuntimeState};

@@ -83,7 +83,7 @@ pub struct ExecOptions {
     pub parallel: bool,
     /// Materialize every view's rows into [`ExecReport::view_rows`] at the
     /// end of the epoch. Long-lived engines that serve reads on demand
-    /// (the warehouse `query` path) turn this off — view state then stays
+    /// (the warehouse `answer` path) turn this off — view state then stays
     /// columnar across epochs and rows are only built when a user asks.
     pub collect_view_rows: bool,
     /// Honour `parallel` even on a 1-thread host, bypassing the

@@ -344,7 +344,7 @@ impl RuntimeState {
         RuntimeState::default()
     }
 
-    /// The stored result `e`, if present and current (warehouse `query`
+    /// The stored result `e`, if present and current (warehouse `answer`
     /// and `verify` read the maintained materializations through this).
     /// `None` while `e` has a deferred rebuild pending: its support state
     /// has absorbed merges the stored image has not, and serving that
@@ -2277,17 +2277,6 @@ fn concat_row(left: &Batch, l: u32, right: &Batch, r: u32, buf: &mut Vec<Value>)
     }
 }
 
-/// Reorder rows from one schema layout to another (same attribute set).
-pub fn align_rows(rows: Vec<Tuple>, from: &Schema, to: &Schema) -> Vec<Tuple> {
-    if from.ids() == to.ids() {
-        return rows;
-    }
-    let positions = positions_for(from, to);
-    rows.into_iter()
-        .map(|r| project_positions(&r, &positions))
-        .collect()
-}
-
 fn positions_for(from: &Schema, to: &Schema) -> Vec<usize> {
     to.ids()
         .iter()
@@ -2296,10 +2285,6 @@ fn positions_for(from: &Schema, to: &Schema) -> Vec<usize> {
                 .unwrap_or_else(|| panic!("attribute {a} missing during alignment"))
         })
         .collect()
-}
-
-fn project_positions(row: &[Value], positions: &[usize]) -> Tuple {
-    positions.iter().map(|&i| row[i].clone()).collect()
 }
 
 #[cfg(test)]
@@ -2318,90 +2303,6 @@ mod tests {
                 })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn align_rows_reorders_columns() {
-        let from = schema(&[1, 2]);
-        let to = schema(&[2, 1]);
-        let rows = vec![vec![Value::Int(10), Value::Int(20)]];
-        let out = align_rows(rows, &from, &to);
-        assert_eq!(out[0], vec![Value::Int(20), Value::Int(10)]);
-    }
-
-    #[test]
-    fn align_rows_identical_schema_is_identity() {
-        let from = schema(&[3, 4, 5]);
-        let to = schema(&[3, 4, 5]);
-        let rows = vec![vec![Value::Int(1), Value::Int(2), Value::Int(3)]];
-        assert_eq!(align_rows(rows.clone(), &from, &to), rows);
-    }
-
-    #[test]
-    fn align_rows_fully_permuted_schema() {
-        let from = schema(&[1, 2, 3, 4]);
-        let to = schema(&[4, 2, 1, 3]);
-        let rows = vec![
-            vec![
-                Value::Int(10),
-                Value::Int(20),
-                Value::Int(30),
-                Value::Int(40),
-            ],
-            vec![
-                Value::Int(11),
-                Value::Int(21),
-                Value::Int(31),
-                Value::Int(41),
-            ],
-        ];
-        let out = align_rows(rows, &from, &to);
-        assert_eq!(
-            out[0],
-            vec![
-                Value::Int(40),
-                Value::Int(20),
-                Value::Int(10),
-                Value::Int(30)
-            ]
-        );
-        assert_eq!(
-            out[1],
-            vec![
-                Value::Int(41),
-                Value::Int(21),
-                Value::Int(11),
-                Value::Int(31)
-            ]
-        );
-    }
-
-    #[test]
-    fn align_rows_projects_to_narrower_schema() {
-        // A target schema that keeps a subset of the source attributes
-        // (UnionAll arms project shared attributes this way).
-        let from = schema(&[1, 2, 3]);
-        let to = schema(&[3, 1]);
-        let rows = vec![vec![Value::Int(10), Value::Int(20), Value::Int(30)]];
-        let out = align_rows(rows, &from, &to);
-        assert_eq!(out[0], vec![Value::Int(30), Value::Int(10)]);
-    }
-
-    #[test]
-    fn align_rows_empty_input_stays_empty() {
-        let from = schema(&[1, 2]);
-        let to = schema(&[2, 1]);
-        assert!(align_rows(Vec::new(), &from, &to).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "missing during alignment")]
-    fn align_rows_missing_attribute_panics() {
-        // The target wants an attribute the source never produced — a
-        // planner bug, which must fail loudly rather than mis-align.
-        let from = schema(&[1, 2]);
-        let to = schema(&[1, 7]);
-        align_rows(vec![vec![Value::Int(1), Value::Int(2)]], &from, &to);
     }
 
     #[test]

@@ -74,6 +74,10 @@ impl Dictionary {
             .find(|&c| &*self.values[c as usize] == s)
     }
 
+    // Invariant: entries are unique strings of one column, whose row
+    // positions are `u32` throughout the batch layer, so a column never
+    // holds more entries than `u32` codes.
+    #[allow(clippy::expect_used)]
     fn push_new(&mut self, h: u64, s: &str) -> u32 {
         let c = u32::try_from(self.values.len()).expect("dictionary overflow");
         self.index.entry(h).or_default().push(c);
@@ -513,20 +517,32 @@ impl Column {
     }
 
     /// Equality with [`Value`] semantics (`Int`/`Float` numeric equality,
-    /// NULL equal only to NULL — the grouping behaviour). Two columns
-    /// sharing one dictionary compare by integer code alone.
+    /// NULL equal only to NULL — the grouping behaviour). Same-typed
+    /// primitive cells compare directly; two columns sharing one dictionary
+    /// compare by integer code alone, and two plain strings that are one
+    /// shared allocation are equal without reading their bytes.
     pub fn eq_at(&self, i: usize, other: &Column, j: usize) -> bool {
-        if let (ColumnData::Dict { codes: a, dict: da }, ColumnData::Dict { codes: b, dict: db }) =
-            (&self.data, &other.data)
-        {
-            if Arc::ptr_eq(da, db) {
-                // Interned entries are unique, so code equality ⇔ string
-                // equality; only the NULL mask still matters.
-                let (ni, nj) = (self.is_null(i), other.is_null(j));
-                return if ni || nj { ni && nj } else { a[i] == b[j] };
+        let same = match (&self.data, &other.data) {
+            (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+            (ColumnData::Date(a), ColumnData::Date(b)) => a[i] == b[j],
+            (ColumnData::Float(a), ColumnData::Float(b)) => a[i].total_cmp(&b[j]).is_eq(),
+            // Interned entries are unique, so code equality ⇔ string
+            // equality.
+            (ColumnData::Dict { codes: a, dict: da }, ColumnData::Dict { codes: b, dict: db })
+                if Arc::ptr_eq(da, db) =>
+            {
+                a[i] == b[j]
             }
+            (ColumnData::Str(a), ColumnData::Str(b)) if Arc::ptr_eq(&a[i], &b[j]) => true,
+            _ => return self.cmp_at(i, other, j) == Ordering::Equal,
+        };
+        // Only the NULL masks still matter.
+        let (ni, nj) = (self.is_null(i), other.is_null(j));
+        if ni || nj {
+            ni && nj
+        } else {
+            same
         }
-        self.cmp_at(i, other, j) == Ordering::Equal
     }
 
     /// Compare a position against a constant.

@@ -150,30 +150,33 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
+    /// The next `N` raw bytes (fixed-size fields and file headers).
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        self.take(N)?.try_into().map_err(|_| CodecError::Truncated)
+    }
+
     pub fn u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
     }
 
     pub fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     pub fn i32(&mut self) -> Result<i32, CodecError> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(i32::from_le_bytes(self.array()?))
     }
 
     pub fn i64(&mut self) -> Result<i64, CodecError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(i64::from_le_bytes(self.array()?))
     }
 
     pub fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
+        Ok(f64::from_bits(self.u64()?))
     }
 
     pub fn bool(&mut self) -> Result<bool, CodecError> {

@@ -64,6 +64,8 @@ impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
+            // Invariant: `chunks_exact(8)` yields 8-byte chunks only.
+            #[allow(clippy::expect_used)]
             self.fold(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
         }
         let rest = chunks.remainder();

@@ -23,6 +23,11 @@
 //! Nothing in this crate knows about DAGs, deltas, or plans; those live in
 //! `mvmqo-core`.
 
+// Panic-free discipline: untrusted bytes (WAL, snapshot) are decoded here
+// and every engine crate stands on these types, so `unwrap`/`expect` needs
+// a per-site invariant justification or a typed error.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod agg;
 pub mod batch;
 pub mod catalog;

@@ -24,6 +24,11 @@
 //!   named sites threaded through the executor and the warehouse, firing
 //!   armed faults as typed errors or panics for the chaos tests.
 
+// Panic-free discipline: untrusted bytes (WAL, snapshot) are decoded here
+// and every engine crate stands on these types, so `unwrap`/`expect` needs
+// a per-site invariant justification or a typed error.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
+
 pub mod blocks;
 pub mod crc;
 pub mod database;

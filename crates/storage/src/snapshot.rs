@@ -73,14 +73,15 @@ pub fn read_framed(path: &Path, magic: &[u8; 8]) -> Result<Vec<u8>, RecoveryErro
         file: path.display().to_string(),
         why: why.to_string(),
     };
-    if bytes.len() < 16 {
+    let mut header = Dec::new(&bytes);
+    let (Ok(file_magic), Ok(len), Ok(crc)) = (header.array::<8>(), header.u32(), header.u32())
+    else {
         return Err(corrupt("shorter than the file header"));
-    }
-    if &bytes[..8] != magic {
+    };
+    if &file_magic != magic {
         return Err(corrupt("bad magic"));
     }
-    let len = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
-    let crc = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
+    let len = len as usize;
     if bytes.len() - 16 < len {
         return Err(corrupt("truncated body"));
     }
@@ -151,10 +152,8 @@ impl Manifest {
 /// decode — they are derived state and never serialized).
 pub fn encode_stored_table(e: &mut Enc, t: &StoredTable) {
     codec::encode_batch(e, t.batch());
-    let mut specs: Vec<(AttrId, IndexKind)> = t
-        .indexed_attrs()
-        .map(|a| (a, t.index_on(a).expect("indexed attr has index").kind))
-        .collect();
+    let mut specs: Vec<(AttrId, IndexKind)> =
+        t.indices.values().map(|i| (i.attr, i.kind)).collect();
     specs.sort_by_key(|(a, _)| *a);
     e.u32(specs.len() as u32);
     for (attr, kind) in specs {

@@ -14,9 +14,10 @@
 //! converting the columnar image straight into the caller's answer, and
 //! checks ingested deletes with the delete kernel's own locator
 //! ([`StoredTable::present`]). [`StoredTable::rows`] is a reference/test
-//! accessor — the row-at-a-time reference executor, test oracles and
-//! benchmark fingerprints read it — and nothing in the engine fills its
-//! lazy cell.
+//! accessor — the row-at-a-time reference evaluator of the integration
+//! tests, test oracles and benchmark fingerprints read it — and nothing in
+//! the engine fills its lazy cell: reads and `verify` recompute through
+//! the batch executor, which scans the columnar image.
 //!
 //! **Appends** extend the typed vectors and insert the new positions into
 //! every index. A string that a dictionary column already knows is looked
@@ -94,9 +95,9 @@ pub struct StoredTable {
     /// image to the executor is O(width); a write copies a column only
     /// while such a handle is still held.
     pub(crate) batch: Batch,
-    /// Lazily derived row-major view for the reference executor and tests
-    /// (no engine path fills it); invalidated (replaced with a fresh
-    /// shared cell, so clones keep theirs) by every mutation.
+    /// Lazily derived row-major view for the tests' reference evaluator
+    /// and oracles (no engine path fills it); invalidated (replaced with a
+    /// fresh shared cell, so clones keep theirs) by every mutation.
     pub(crate) rows: Arc<OnceLock<Vec<Tuple>>>,
     pub(crate) indices: HashMap<AttrId, Arc<Index>>,
 }
@@ -453,10 +454,12 @@ impl StoredTable {
         // *cost model* charges incremental index maintenance analytically
         // (see mvmqo-core::cost), so this choice does not leak into the
         // experiments.
-        let attrs: Vec<(AttrId, IndexKind)> =
-            self.indices.values().map(|i| (i.attr, i.kind)).collect();
-        for (attr, kind) in attrs {
-            let pos = self.schema.position_of(attr).expect("index attr in schema");
+        let specs: Vec<(AttrId, IndexKind, usize)> = self
+            .indices
+            .values()
+            .map(|i| (i.attr, i.kind, key_position(&self.schema, i)))
+            .collect();
+        for (attr, kind, pos) in specs {
             self.indices.insert(
                 attr,
                 Arc::new(Index::build_from_column(attr, kind, self.batch.column(pos))),
@@ -466,6 +469,9 @@ impl StoredTable {
 }
 
 /// Column position of an index's key attribute in its table's schema.
+// Invariant: an index is only ever built on an attribute of its table's
+// schema (`build_index` checks), and a table's schema never changes.
+#[allow(clippy::expect_used)]
 fn key_position(schema: &Schema, idx: &Index) -> usize {
     schema.position_of(idx.attr).expect("index attr in schema")
 }

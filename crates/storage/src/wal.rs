@@ -260,11 +260,10 @@ pub fn scan_wal_bytes(buf: &[u8]) -> WalScan {
             break WalStop::Eof;
         }
         let offset = pos as u64;
-        if buf.len() - pos < 8 {
+        let mut header = Dec::new(&buf[pos..]);
+        let (Ok(len), Ok(crc)) = (header.u32(), header.u32()) else {
             break WalStop::TruncatedHeader { offset };
-        }
-        let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap());
-        let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
+        };
         if len == 0 {
             break WalStop::ZeroLength { offset };
         }

@@ -22,8 +22,8 @@ use mvmqo_core::session::{Optimizer, PlanMode};
 use mvmqo_core::update::UpdateModel;
 use mvmqo_core::EqId;
 use mvmqo_exec::{
-    eval_logical, execute_epoch_faults, index_plan_from_report, panic_message, ExecError,
-    ExecOptions, IndexPlan, Journal, RuntimeState,
+    execute_epoch_faults, index_plan_from_report, panic_message, view_root, ExecError, ExecOptions,
+    IndexPlan, Journal, Runtime, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::logical::ViewDef;
@@ -142,18 +142,36 @@ pub struct AbortInfo {
     pub cause: String,
 }
 
-/// A served query: rows plus provenance and staleness.
+/// A served view: its contents as one columnar batch, plus provenance and
+/// staleness.
 #[derive(Debug, Clone)]
-pub struct QueryResult {
-    /// The view's contents in its declared column order. The engine keeps
-    /// no row-shaped copy of stored data: these rows are built per call,
-    /// straight from the stored columns, and belong to the caller.
-    pub rows: Vec<Tuple>,
+pub struct Answer {
+    /// The view's contents in its declared column order. A materialized
+    /// view's batch shares the stored columns (a handle copy); nothing is
+    /// converted to rows unless the caller asks (`batch.to_rows()`).
+    pub batch: Batch,
     /// True when deltas have been ingested but not yet applied by an epoch —
     /// the answer reflects the last refresh, not the latest ingest.
     pub stale: bool,
     /// True when served from the maintained materialization; false when the
-    /// engine had to recompute from base tables (no epoch run yet).
+    /// engine recomputed the view from the current base tables through the
+    /// batch executor, because no materialization of it is stored (before
+    /// the first epoch, or after a replan added the view).
+    pub from_materialization: bool,
+}
+
+/// A served query: [`Answer`] converted to rows.
+#[derive(Debug, Clone)]
+pub struct QueryResult {
+    /// The view's contents in its declared column order. The engine keeps
+    /// no row-shaped copy of stored data: these rows are built per call,
+    /// straight from the answer's columns, and belong to the caller.
+    pub rows: Vec<Tuple>,
+    /// See [`Answer::stale`].
+    pub stale: bool,
+    /// See [`Answer::from_materialization`]: true when served from the
+    /// maintained materialization, false when recomputed by the batch
+    /// executor.
     pub from_materialization: bool,
 }
 
@@ -1140,63 +1158,111 @@ impl Warehouse {
     // Queries
     // ==================================================================
 
-    /// Serve a view's current contents. Reads come from the maintained
-    /// materialization when one exists (and are flagged stale if deltas
-    /// have been ingested since the last epoch); before the first epoch
-    /// the engine recomputes from base tables.
-    pub fn query(&self, name: &str) -> Result<QueryResult, WarehouseError> {
-        let view = self
-            .views
-            .iter()
-            .find(|v| v.name == name)
-            .ok_or_else(|| WarehouseError::UnknownView(name.to_string()))?;
+    /// Serve a view's current contents as a columnar batch in its declared
+    /// column order. Reads come from the maintained materialization when
+    /// one exists (and are flagged stale if deltas have been ingested since
+    /// the last epoch); otherwise — before the first epoch, or for a view a
+    /// replan just added — the batch executor recomputes the view from the
+    /// current base tables.
+    pub fn answer(&self, name: &str) -> Result<Answer, WarehouseError> {
+        let view = self.view(name)?;
         let stale = !self.pending.is_empty();
-        if let Some(rows) = self.materialized_rows(view) {
-            return Ok(QueryResult {
-                rows,
+        let declared = view.expr.schema(&self.catalog);
+        if let Some(stored) = self.stored_image(view) {
+            return Ok(Answer {
+                batch: stored.align(&declared),
                 stale,
                 from_materialization: true,
             });
         }
-        let rows = eval_logical(&view.expr, &self.catalog, &self.db);
-        Ok(QueryResult {
-            rows,
+        Ok(Answer {
+            batch: self.recompute(view)?.align(&declared),
             stale,
             from_materialization: false,
         })
     }
 
-    /// A view's maintained materialization as rows in the view's declared
-    /// column order (the stored image keeps the DAG node's canonical
-    /// order), so both provenances of `query` agree. The only place the
-    /// engine builds rows from stored columns: the alignment is a column
-    /// reorder, and the cells are converted once, straight into the
-    /// answer. `None` when the view has no current materialization.
-    fn materialized_rows(&self, view: &ViewDef) -> Option<Vec<Tuple>> {
-        let plan = self.plan.as_ref()?;
-        let root = mvmqo_exec::view_root(&plan.report.program, &view.name)?;
-        let stored = plan.state.mat(root)?.batch().clone();
-        Some(stored.align(&view.expr.schema(&self.catalog)).to_rows())
+    /// [`Warehouse::answer`] as rows.
+    pub fn query(&self, name: &str) -> Result<QueryResult, WarehouseError> {
+        let answer = self.answer(name)?;
+        Ok(QueryResult {
+            rows: answer.batch.to_rows(),
+            stale: answer.stale,
+            from_materialization: answer.from_materialization,
+        })
     }
 
     /// Consistency check: the maintained materialization must equal
-    /// recomputation from the current base tables, as multisets. Trivially
-    /// true when nothing is materialized yet. With ingested-but-unapplied
-    /// deltas the check is skipped (the materialization legitimately lags).
+    /// recomputation from the current base tables, as multisets (float
+    /// cells within a relative 1e-9). Trivially true when nothing is
+    /// materialized yet. With ingested-but-unapplied deltas the check is
+    /// skipped (the materialization legitimately lags).
     pub fn verify(&self, name: &str) -> Result<bool, WarehouseError> {
-        let view = self
-            .views
-            .iter()
-            .find(|v| v.name == name)
-            .ok_or_else(|| WarehouseError::UnknownView(name.to_string()))?;
+        let view = self.view(name)?;
         if !self.pending.is_empty() {
             return Ok(true);
         }
-        let Some(stored) = self.materialized_rows(view) else {
+        let Some(stored) = self.stored_image(view) else {
             return Ok(true);
         };
-        let expected = eval_logical(&view.expr, &self.catalog, &self.db);
-        Ok(bag_eq_approx(&stored, &expected, 1e-9))
+        let expected = self.recompute(view)?.align(stored.schema());
+        // Exactly equal bags (the usual outcome) are confirmed columnar,
+        // by the executor's own bag-difference kernel; anything else —
+        // float sums that differ in their last bits included — is
+        // compared as rows with the tolerance.
+        if stored.num_rows() == expected.num_rows() && expected.minus_positions(&stored).is_empty()
+        {
+            return Ok(true);
+        }
+        Ok(bag_eq_approx(&stored.to_rows(), &expected.to_rows(), 1e-9))
+    }
+
+    fn view(&self, name: &str) -> Result<&ViewDef, WarehouseError> {
+        self.views
+            .iter()
+            .find(|v| v.name == name)
+            .ok_or_else(|| WarehouseError::UnknownView(name.to_string()))
+    }
+
+    /// A view's maintained materialization, in the view root's canonical
+    /// column order (a handle clone of the stored columns). `None` when the
+    /// view has no current materialization.
+    fn stored_image(&self, view: &ViewDef) -> Option<Batch> {
+        let plan = self.plan.as_ref()?;
+        let root = view_root(&plan.report.program, &view.name)?;
+        Some(plan.state.mat(root)?.batch().clone())
+    }
+
+    /// Recompute a view from the current base tables with the batch
+    /// executor: the installed program's full plan for the view's root,
+    /// in the root's canonical column order, with every stored result it
+    /// reads materialized from its own full plan first. It runs on an
+    /// empty runtime state and a copy-on-write clone of the database, with
+    /// the inert fault registry and a throwaway journal, so a read leaves
+    /// the engine exactly as it found it: no index is built on a live
+    /// table, no fault fires, and nothing reaches the epoch history or the
+    /// drift trigger.
+    fn recompute(&self, view: &ViewDef) -> Result<Batch, WarehouseError> {
+        let missing = || ExecError::invariant(format!("view {} has no planned root", view.name));
+        let plan = self.plan.as_ref().ok_or_else(missing)?;
+        let program = &plan.report.program;
+        let root = view_root(program, &view.name).ok_or_else(missing)?;
+        let full = program.full_plans.get(&root).ok_or_else(missing)?;
+        let (mut db, mut state, mut journal) =
+            (self.db.clone(), RuntimeState::new(), Journal::new());
+        let no_deltas = DeltaSet::new();
+        let mut rt = Runtime::with_state(
+            self.optimizer.dag(),
+            &self.catalog,
+            self.cost_model,
+            &mut db,
+            &no_deltas,
+            program.full_plans.clone(),
+            HashMap::new(),
+            &mut state,
+            &mut journal,
+        );
+        Ok(rt.eval_batch(full)?)
     }
 
     /// Human-readable description of the current plan and policy state.
@@ -1434,6 +1500,114 @@ fn prune_segments(dir: &Path, keep_seq: u64) {
             if seq < keep_seq {
                 let _ = std::fs::remove_file(entry.path());
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mvmqo_storage::faults::FaultPlan;
+    use mvmqo_storage::table::StoredTable;
+    use mvmqo_tpcd::{five_join_views, generate_database, generate_updates, tpcd_catalog, Tpcd};
+
+    const SF: f64 = 0.001;
+
+    /// An engine over a small TPC-D instance with three of the join views
+    /// registered (planned, no epoch run yet), plus the generator handles.
+    fn engine() -> (Warehouse, Tpcd) {
+        let tpcd = tpcd_catalog(SF);
+        let mut wh = Warehouse::new(tpcd_catalog(SF).catalog, generate_database(&tpcd, 1));
+        for v in five_join_views(&tpcd).into_iter().take(3) {
+            wh.register_view(v).unwrap();
+        }
+        (wh, tpcd)
+    }
+
+    fn ingest_updates(wh: &mut Warehouse, tpcd: &Tpcd, seed: u64) {
+        let deltas = generate_updates(tpcd, wh.database(), 5.0, seed).unwrap();
+        for t in deltas.tables().collect::<Vec<_>>() {
+            wh.ingest(t, deltas.get(t).unwrap().clone()).unwrap();
+        }
+    }
+
+    fn names(wh: &Warehouse) -> Vec<String> {
+        wh.views().iter().map(|v| v.name.clone()).collect()
+    }
+
+    /// The indexed attributes of every base table.
+    fn base_indices(wh: &Warehouse) -> Vec<(TableId, Vec<AttrId>)> {
+        let mut out: Vec<(TableId, Vec<AttrId>)> = wh
+            .catalog()
+            .tables()
+            .iter()
+            .map(|t| {
+                let table = wh.database().base(t.id).unwrap();
+                let mut attrs: Vec<AttrId> = table.indexed_attrs().collect();
+                attrs.sort();
+                (t.id, attrs)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    #[test]
+    fn verify_catches_a_stored_image_missing_one_row() {
+        let (mut wh, tpcd) = engine();
+        ingest_updates(&mut wh, &tpcd, 7);
+        wh.run_epoch().unwrap();
+        let victim = names(&wh)[0].clone();
+        for name in names(&wh) {
+            assert!(wh.verify(&name).unwrap(), "{name} before corruption");
+        }
+        let plan = wh.plan.as_mut().unwrap();
+        let root = view_root(&plan.report.program, &victim).unwrap();
+        let stored = plan.state.mat(root).unwrap();
+        let mut rows = stored.batch().to_rows();
+        assert!(!rows.is_empty(), "{victim} must have rows to drop one");
+        rows.pop();
+        let corrupt = StoredTable::with_rows(stored.schema().clone(), rows);
+        plan.state.install_mat(root, corrupt, true);
+        assert!(
+            !wh.verify(&victim).unwrap(),
+            "{victim} missing a row verified"
+        );
+        for name in names(&wh).into_iter().filter(|n| *n != victim) {
+            assert!(
+                wh.verify(&name).unwrap(),
+                "{name} after corrupting {victim}"
+            );
+        }
+    }
+
+    #[test]
+    fn reads_leave_the_engine_unchanged_before_and_after_the_first_epoch() {
+        let (mut wh, tpcd) = engine();
+        for epoch_run in [false, true] {
+            // Everything a read must leave alone.
+            let footprint = |wh: &Warehouse| (base_indices(wh), wh.mat_set(), wh.history().len());
+            let before = footprint(&wh);
+            // Ordinal 0: the first fault site anything crosses fires.
+            wh.faults().arm(FaultPlan::ordinal(0, FaultMode::Error));
+            for name in names(&wh) {
+                let answer = wh.answer(&name).unwrap();
+                assert_eq!(answer.from_materialization, epoch_run, "{name}");
+                assert!(!answer.stale, "{name}");
+                assert_eq!(wh.query(&name).unwrap().rows.len(), answer.batch.num_rows());
+                assert!(wh.verify(&name).unwrap(), "{name}");
+            }
+            assert_eq!(footprint(&wh), before, "epoch run: {epoch_run}");
+            assert!(wh.faults().armed(), "a read crossed a fault site");
+            assert_eq!(wh.faults().fired(), None);
+            // The armed fault is still there for the next epoch.
+            ingest_updates(&mut wh, &tpcd, 11);
+            let err = wh.run_epoch().unwrap_err();
+            assert!(matches!(err, WarehouseError::EpochAborted { .. }), "{err}");
+            assert!(wh.faults().fired().is_some());
+            wh.faults().clear();
+            wh.run_epoch().unwrap();
+            assert_eq!(wh.history().len(), before.2 + 1);
         }
     }
 }

@@ -5,6 +5,7 @@
 //! view that was never registered all surface as [`WarehouseError`] and
 //! leave the engine fully usable.
 
+use mvmqo_exec::ExecError;
 use mvmqo_storage::error::{RecoveryError, StorageError};
 use std::fmt;
 
@@ -19,6 +20,9 @@ pub enum WarehouseError {
     InvalidView { name: String, reason: String },
     /// A storage-layer failure (unknown table, malformed batch, ...).
     Storage(StorageError),
+    /// Recomputing a view for a read failed in the executor (an engine
+    /// invariant broke; the engine itself is unchanged).
+    Exec(ExecError),
     /// Loading durable state failed (missing manifest, corrupt snapshot,
     /// unreadable files). A torn WAL tail is *not* an error — prefix
     /// recovery absorbs it.
@@ -52,6 +56,7 @@ impl fmt::Display for WarehouseError {
                 write!(f, "invalid view {name:?}: {reason}")
             }
             WarehouseError::Storage(e) => write!(f, "{e}"),
+            WarehouseError::Exec(e) => write!(f, "{e}"),
             WarehouseError::Recovery(e) => write!(f, "{e}"),
             WarehouseError::Durability(why) => write!(f, "durability failure: {why}"),
             WarehouseError::DurabilityDisabled => {
@@ -72,6 +77,12 @@ impl std::error::Error for WarehouseError {}
 impl From<StorageError> for WarehouseError {
     fn from(e: StorageError) -> Self {
         WarehouseError::Storage(e)
+    }
+}
+
+impl From<ExecError> for WarehouseError {
+    fn from(e: ExecError) -> Self {
+        WarehouseError::Exec(e)
     }
 }
 

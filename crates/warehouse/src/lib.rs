@@ -12,8 +12,9 @@
 //!   over the whole set, `ingest` queues arbitrary δ⁺/δ⁻ batches (§5.2's
 //!   2n update numbering), `run_epoch` executes the shared maintenance
 //!   program while persisting permanent materializations and indices
-//!   across epochs, and `query`/`verify` serve views with staleness and
-//!   consistency checks;
+//!   across epochs, `answer` serves a view as a columnar batch with a
+//!   staleness flag, and `verify` checks a maintained view against a
+//!   batch-executor recompute;
 //! * [`policy`] — adaptive re-optimization: re-plan on view-set changes,
 //!   cumulative delta drift, update-shape changes, or realized-vs-estimated
 //!   cost divergence;
@@ -36,7 +37,9 @@ pub mod policy;
 pub mod script;
 
 pub use durability::{SnapshotData, ViewMatImage};
-pub use engine::{AbortInfo, EpochReport, QueryResult, RecoveryInfo, ReplanRecord, Warehouse};
+pub use engine::{
+    AbortInfo, Answer, EpochReport, QueryResult, RecoveryInfo, ReplanRecord, Warehouse,
+};
 pub use error::WarehouseError;
 pub use mvmqo_core::session::PlanMode;
 pub use mvmqo_storage::faults::{FaultMode, FaultPlan, FaultRegistry, FaultTrigger};

@@ -214,10 +214,10 @@ impl Session {
         let Some(name) = words.get(1) else {
             return Err("usage: query NAME".into());
         };
-        let q = self.warehouse.query(name).map_err(|e| e.to_string())?;
+        let q = self.warehouse.answer(name).map_err(|e| e.to_string())?;
         Ok(format!(
             "{name}: {} rows ({}{})",
-            q.rows.len(),
+            q.batch.num_rows(),
             if q.from_materialization {
                 "materialized"
             } else {

@@ -8,7 +8,7 @@ use mvmqo_core::plan::{PhysPlan, PlanNode, Program};
 use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_exec::{
-    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, ExecReport, RuntimeState,
+    execute_epoch_opts, index_plan_from_report, ExecOptions, ExecReport, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::logical::ViewDef;
@@ -17,6 +17,9 @@ use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::table::StoredTable;
+
+pub mod reference;
+pub use reference::{align_rows, eval_logical};
 
 /// A small three-level schema: `a ←FK— b ←FK— c` (a: dimension, c: facts).
 pub struct SmallWorld {
@@ -281,7 +284,7 @@ pub fn optimize_execute_verify(
         let root = mvmqo_exec::view_root(&report.program, &v.name).expect("view root");
         let expected_schema = v.expr.schema(&world.catalog);
         let view_schema = dag.eq(root).schema.clone();
-        expected = mvmqo_exec::align_rows(expected, &expected_schema, &view_schema);
+        expected = align_rows(expected, &expected_schema, &view_schema);
         let got = exec.view_rows.get(&v.name).cloned().unwrap_or_default();
         assert!(
             bag_eq_approx(&got, &expected, 1e-9),

@@ -1,27 +1,28 @@
 //! Reference evaluator: direct, naive evaluation of a [`LogicalExpr`]
-//! against the current database state.
+//! against the current database state, one row at a time, with
+//! nested-loop cross-product joins.
 //!
-//! This is the executor's ground truth. Integration tests compute every
-//! view incrementally through optimizer-chosen plans and compare, as
-//! multisets, against this evaluator run on the post-update database —
-//! the correctness check the paper's authors could not perform (§7.1).
+//! This is the test suites' ground truth, independent of the batch
+//! executor it checks: suites compute views incrementally through
+//! optimizer-chosen plans (or through single vectorized kernels) and
+//! compare, as multisets, against this evaluator run on the post-update
+//! database — the correctness check the paper's authors could not perform
+//! (§7.1). It is quadratic in table size, so it only runs on small
+//! fixtures; the engine's own recompute (`Warehouse::verify`) is the batch
+//! executor.
 
 use mvmqo_relalg::agg::Accumulator;
 use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::logical::LogicalExpr;
-use mvmqo_relalg::schema::Schema;
+use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::{bag_minus, bag_union, concat_tuples, Tuple};
 use mvmqo_relalg::types::Value;
 use mvmqo_storage::database::Database;
 use std::collections::HashMap;
 
-/// Evaluate a logical expression directly over `db`.
-// Invariants, not input validation: the logical expression comes from the
-// catalog-validated view registry, so referenced tables are loaded and
-// projected/grouped attributes exist in their input schemas by
-// construction. This evaluator is ground truth for tests and `verify` —
-// drifting from it silently would be worse than failing loudly.
-#[allow(clippy::expect_used)]
+/// Evaluate a logical expression directly over `db`. Panics when a
+/// referenced table is not loaded or an attribute is missing from its
+/// input schema: ground truth must fail loudly, never drift silently.
 pub fn eval_logical(expr: &LogicalExpr, catalog: &Catalog, db: &Database) -> Vec<Tuple> {
     match expr {
         LogicalExpr::Scan { table } => db.base(*table).expect("base table loaded").rows().to_vec(),
@@ -94,13 +95,10 @@ pub fn eval_logical(expr: &LogicalExpr, catalog: &Catalog, db: &Database) -> Vec
     }
 }
 
-// Invariant: group-by attributes come from the aggregate's own input
-// schema (see `eval_logical`).
-#[allow(clippy::expect_used)]
 fn aggregate_reference(
     rows: &[Tuple],
     schema: &Schema,
-    group_by: &[mvmqo_relalg::schema::AttrId],
+    group_by: &[AttrId],
     aggs: &[mvmqo_relalg::agg::AggSpec],
 ) -> Vec<Tuple> {
     let key_pos: Vec<usize> = group_by
@@ -129,12 +127,32 @@ fn aggregate_reference(
     out
 }
 
+/// Reorder rows from one schema layout to another (same attribute set, or
+/// a subset of it). Panics when `to` names an attribute `from` lacks.
+pub fn align_rows(rows: Vec<Tuple>, from: &Schema, to: &Schema) -> Vec<Tuple> {
+    if from.ids() == to.ids() {
+        return rows;
+    }
+    let positions: Vec<usize> = to
+        .ids()
+        .iter()
+        .map(|a| {
+            from.position_of(*a)
+                .unwrap_or_else(|| panic!("attribute {a} missing during alignment"))
+        })
+        .collect();
+    rows.into_iter()
+        .map(|r| positions.iter().map(|&i| r[i].clone()).collect())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use mvmqo_relalg::agg::{AggFunc, AggSpec};
     use mvmqo_relalg::catalog::ColumnSpec;
     use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
+    use mvmqo_relalg::schema::Attribute;
     use mvmqo_relalg::types::DataType;
     use mvmqo_storage::table::StoredTable;
 
@@ -236,5 +254,101 @@ mod tests {
         );
         let e = LogicalExpr::distinct(LogicalExpr::scan(t));
         assert_eq!(eval_logical(&e, &c, &db).len(), 4);
+    }
+
+    fn schema(ids: &[u32]) -> Schema {
+        Schema::new(
+            ids.iter()
+                .map(|&i| Attribute {
+                    id: AttrId(i),
+                    name: format!("a{i}"),
+                    data_type: DataType::Int,
+                })
+                .collect(),
+        )
+    }
+
+    #[test]
+    fn align_rows_reorders_columns() {
+        let from = schema(&[1, 2]);
+        let to = schema(&[2, 1]);
+        let rows = vec![vec![Value::Int(10), Value::Int(20)]];
+        let out = align_rows(rows, &from, &to);
+        assert_eq!(out[0], vec![Value::Int(20), Value::Int(10)]);
+    }
+
+    #[test]
+    fn align_rows_identical_schema_is_identity() {
+        let from = schema(&[3, 4, 5]);
+        let to = schema(&[3, 4, 5]);
+        let rows = vec![vec![Value::Int(1), Value::Int(2), Value::Int(3)]];
+        assert_eq!(align_rows(rows.clone(), &from, &to), rows);
+    }
+
+    #[test]
+    fn align_rows_fully_permuted_schema() {
+        let from = schema(&[1, 2, 3, 4]);
+        let to = schema(&[4, 2, 1, 3]);
+        let rows = vec![
+            vec![
+                Value::Int(10),
+                Value::Int(20),
+                Value::Int(30),
+                Value::Int(40),
+            ],
+            vec![
+                Value::Int(11),
+                Value::Int(21),
+                Value::Int(31),
+                Value::Int(41),
+            ],
+        ];
+        let out = align_rows(rows, &from, &to);
+        assert_eq!(
+            out[0],
+            vec![
+                Value::Int(40),
+                Value::Int(20),
+                Value::Int(10),
+                Value::Int(30)
+            ]
+        );
+        assert_eq!(
+            out[1],
+            vec![
+                Value::Int(41),
+                Value::Int(21),
+                Value::Int(11),
+                Value::Int(31)
+            ]
+        );
+    }
+
+    #[test]
+    fn align_rows_projects_to_narrower_schema() {
+        // A target schema that keeps a subset of the source attributes
+        // (UnionAll arms project shared attributes this way).
+        let from = schema(&[1, 2, 3]);
+        let to = schema(&[3, 1]);
+        let rows = vec![vec![Value::Int(10), Value::Int(20), Value::Int(30)]];
+        let out = align_rows(rows, &from, &to);
+        assert_eq!(out[0], vec![Value::Int(30), Value::Int(10)]);
+    }
+
+    #[test]
+    fn align_rows_empty_input_stays_empty() {
+        let from = schema(&[1, 2]);
+        let to = schema(&[2, 1]);
+        assert!(align_rows(Vec::new(), &from, &to).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "missing during alignment")]
+    fn align_rows_missing_attribute_panics() {
+        // The target wants an attribute the source never produced — a
+        // planner bug, which must fail loudly rather than mis-align.
+        let from = schema(&[1, 2]);
+        let to = schema(&[1, 7]);
+        align_rows(vec![vec![Value::Int(1), Value::Int(2)]], &from, &to);
     }
 }

@@ -23,7 +23,8 @@
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::Dag;
 use mvmqo_core::plan::{PhysPlan, PlanNode};
-use mvmqo_exec::{eval_logical, AggState, DistinctState, Journal, Runtime, RuntimeState};
+use mvmqo_exec::{AggState, DistinctState, Journal, Runtime, RuntimeState};
+use mvmqo_integration_tests::eval_logical;
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec};

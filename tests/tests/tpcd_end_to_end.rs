@@ -9,9 +9,8 @@ use mvmqo_core::cost::CostModel;
 use mvmqo_core::opt::{GreedyOptions, Mode};
 use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
-use mvmqo_exec::{
-    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState,
-};
+use mvmqo_exec::{execute_epoch_opts, index_plan_from_report, ExecOptions, RuntimeState};
+use mvmqo_integration_tests::{align_rows, eval_logical};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::tuple::bag_eq_approx;
 use mvmqo_tpcd::schema::Tpcd;
@@ -62,7 +61,7 @@ fn run_and_verify(
     for v in &views {
         let expected = eval_logical(&v.expr, &tpcd.catalog, &db);
         let root = mvmqo_exec::view_root(&report.program, &v.name).unwrap();
-        let expected = mvmqo_exec::align_rows(
+        let expected = align_rows(
             expected,
             &v.expr.schema(&tpcd.catalog),
             &dag.eq(root).schema,

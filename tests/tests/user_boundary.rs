@@ -18,7 +18,7 @@
 //!   `Batch::to_rows` — must equal the old path (row-major conversion, then
 //!   `align_rows`) exactly: same rows, same order, same value variants.
 
-use mvmqo_exec::{align_rows, eval_logical};
+use mvmqo_integration_tests::{align_rows, eval_logical};
 use mvmqo_relalg::batch::{Batch, Column};
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};

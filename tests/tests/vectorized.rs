@@ -15,10 +15,11 @@ use mvmqo_core::opt::{GreedyOptions, StoredRef};
 use mvmqo_core::plan::{PhysPlan, PlanNode};
 use mvmqo_core::session::Optimizer;
 use mvmqo_exec::{
-    eval_logical, execute_epoch_opts, index_plan_from_report, ExecOptions, Journal, Runtime,
-    RuntimeState,
+    execute_epoch_opts, index_plan_from_report, ExecOptions, Journal, Runtime, RuntimeState,
 };
-use mvmqo_integration_tests::{generate_deltas, parallel_coverage, small_world, update_model_for};
+use mvmqo_integration_tests::{
+    eval_logical, generate_deltas, parallel_coverage, small_world, update_model_for,
+};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
