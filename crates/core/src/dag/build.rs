@@ -16,7 +16,7 @@
 use crate::dag::node::{DerivedSig, EqId, EqNode, OpFacts, OpId, OpKind, OpNode, SemKey};
 use mvmqo_relalg::agg::AggSpec;
 use mvmqo_relalg::catalog::{Catalog, TableId};
-use mvmqo_relalg::expr::Predicate;
+use mvmqo_relalg::expr::{CmpOp, Predicate};
 use mvmqo_relalg::hash::FxHashMap;
 use mvmqo_relalg::logical::LogicalExpr;
 use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
@@ -596,13 +596,15 @@ impl Dag {
                 }
             }
             OpKind::Select { pred } => OpFacts {
-                ranges: pred
+                eq_probes: pred
                     .conjuncts()
                     .iter()
                     .filter_map(|c| {
                         let single = Predicate::from_conjuncts(vec![c.clone()]);
-                        let (attr, _, _) = single.as_single_attr_range()?;
-                        Some((attr, single))
+                        match single.as_single_attr_range()? {
+                            (attr, CmpOp::Eq, _) => Some((attr, single)),
+                            _ => None,
+                        }
                     })
                     .collect(),
                 ..Default::default()

@@ -104,10 +104,10 @@ pub(crate) struct OpFacts {
     /// `(left attr, right attr)` at index 0 and `(right attr, left attr)` at
     /// index 1 (left/right = the op's canonical child order).
     pub(crate) join_keys: [Vec<(AttrId, AttrId)>; 2],
-    /// Select: each single-attribute range conjunct (`attr <op> literal`)
-    /// as a one-conjunct predicate, in conjunct order — the sargable paths
-    /// an index selection can probe.
-    pub(crate) ranges: Vec<(AttrId, Predicate)>,
+    /// Select: each single-attribute equality conjunct (`attr = literal`)
+    /// as a one-conjunct predicate, in conjunct order — the paths an index
+    /// selection can probe (indices are hash indices: equality only).
+    pub(crate) eq_probes: Vec<(AttrId, Predicate)>,
 }
 
 /// Semantic key of an equivalence node — the identity that hashing-based

@@ -1091,9 +1091,9 @@ impl<'a> CostEngine<'a> {
         None
     }
 
-    /// Sargable index path for the Select op `select` over `child`: the
-    /// first range conjunct on an indexed attribute, with the rows it
-    /// matches.
+    /// Index path for the Select op `select` over `child`: the first
+    /// equality conjunct on an indexed attribute, with the rows it matches
+    /// (the runtime probes an index for `=` only).
     fn index_select_path(&self, child: EqId, select: OpId) -> Option<(StoredRef, AttrId, f64)> {
         let node = self.dag.eq(child);
         let target = if let Some(t) = node.as_base_table() {
@@ -1107,7 +1107,7 @@ impl<'a> CostEngine<'a> {
             .dag
             .op(select)
             .facts
-            .ranges
+            .eq_probes
             .iter()
             .find(|(attr, _)| self.mats.has_index(target, *attr))?;
         let matching = stats::select_rows(self.props.new_state(child), single);
@@ -1471,7 +1471,7 @@ impl DirtySet {
 mod tests {
     use super::*;
     use mvmqo_relalg::catalog::ColumnSpec;
-    use mvmqo_relalg::expr::{Predicate, ScalarExpr};
+    use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
     use mvmqo_relalg::logical::LogicalExpr;
     use mvmqo_relalg::types::DataType;
 
@@ -1756,6 +1756,46 @@ mod tests {
         let base_b = f.dag.base_eq(f.b).unwrap();
         for s in updates.steps() {
             assert_eq!(eng.diffcost(base_b, s.id), 0.0);
+        }
+    }
+
+    /// The runtime probes an index only for an `=` conjunct (every index is
+    /// a hash index), so a range selection over an indexed attribute is
+    /// costed as the filtered scan it runs as; an equality gets the probe.
+    #[test]
+    fn index_select_is_offered_for_equality_only() {
+        let mut catalog = Catalog::new();
+        let t = catalog.add_table(
+            "t",
+            vec![
+                ColumnSpec::key("id", DataType::Int),
+                ColumnSpec::with_range("a", DataType::Int, 1000.0, (0.0, 1000.0)),
+                ColumnSpec::with_distinct("pad", DataType::Str, 1000.0),
+            ],
+            100_000.0,
+            &["id"],
+        );
+        let a = catalog.table(t).attr("a");
+        let updates = UpdateModel::percentage([t], 1.0, |x| catalog.table(x).stats.rows);
+        for (op, probed) in [(CmpOp::Lt, false), (CmpOp::Ge, false), (CmpOp::Eq, true)] {
+            let view = LogicalExpr::select(
+                LogicalExpr::scan(t),
+                Predicate::from_expr(ScalarExpr::col_cmp_lit(a, op, 3i64)),
+            );
+            let mut dag = Dag::new();
+            let root = dag.insert_view(&catalog, "v", &view);
+            let mut mats = MatSet {
+                full: [root].into_iter().collect(),
+                ..Default::default()
+            };
+            mats.indices.insert((StoredRef::Base(t), a));
+            let eng = CostEngine::new(&dag, &catalog, &updates, CostModel::default(), mats);
+            let alg = eng.best_full(root).map(|(_, alg)| alg);
+            assert_eq!(
+                matches!(alg, Some(Alg::IndexSelect { .. })),
+                probed,
+                "{op:?}: {alg:?}"
+            );
         }
     }
 

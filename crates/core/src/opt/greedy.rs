@@ -560,7 +560,7 @@ fn enumerate_index_candidates(engine: &CostEngine<'_>) -> Vec<Candidate> {
             OpKind::Select { .. } => {
                 let child = op.children[0];
                 if let Some(t) = dag.eq(child).as_base_table() {
-                    for (attr, _) in &op.facts.ranges {
+                    for (attr, _) in &op.facts.eq_probes {
                         push(StoredRef::Base(t), *attr, engine);
                     }
                 }

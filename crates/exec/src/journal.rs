@@ -3,9 +3,8 @@
 //! An epoch runs against the live [`Database`] and [`RuntimeState`] and
 //! records, for every write, how to take it back: base-table and stored-
 //! result writes as storage [`TableJournal`]s, and every change to the
-//! state's bookkeeping (a result installed or dropped, a freshness or
-//! deferred-rebuild mark set or cleared, a support state replaced or
-//! folded into). A displaced stored result or support state is *moved*
+//! state's bookkeeping (a result installed or dropped, a freshness mark
+//! set or cleared, a support state replaced or folded into). A displaced stored result or support state is *moved*
 //! into the journal, never shared, so recording copies nothing — except
 //! that the first fold into an aggregate or distinct support state in an
 //! epoch saves its handle, so the fold copies the O(groups) state once.
@@ -45,8 +44,6 @@ enum Undo {
     Stored(EqId, Option<StoredTable>),
     /// `e`'s freshness mark flipped; it was set before iff `true`.
     Fresh(EqId, bool),
-    /// `e`'s deferred-rebuild mark flipped; it was set before iff `true`.
-    Deferred(EqId, bool),
     /// `e`'s aggregate support state before its first change this epoch.
     Agg(EqId, Option<Arc<AggState>>),
     /// `e`'s distinct support state before its first change this epoch.
@@ -89,7 +86,6 @@ impl Journal {
                     state.mats.remove(&e);
                 }
                 Undo::Fresh(e, was) => flip_back(&mut state.fresh, e, was),
-                Undo::Deferred(e, was) => flip_back(&mut state.deferred, e, was),
                 Undo::Agg(e, Some(old)) => {
                     state.agg_states.insert(e, old);
                 }
@@ -132,11 +128,6 @@ impl Journal {
     /// `e`'s freshness mark flipped from `was`.
     pub(crate) fn fresh(&mut self, e: EqId, was: bool) {
         self.state.push(Undo::Fresh(e, was));
-    }
-
-    /// `e`'s deferred-rebuild mark flipped from `was`.
-    pub(crate) fn deferred(&mut self, e: EqId, was: bool) {
-        self.state.push(Undo::Deferred(e, was));
     }
 
     /// `e`'s aggregate support state is about to change; `old` is its

@@ -52,7 +52,10 @@ pub struct AggState {
     pub group_by: Vec<AttrId>,
     pub specs: Vec<AggSpec>,
     pub input_schema: Schema,
-    groups: HashMap<Vec<Value>, Vec<Accumulator>>,
+    /// Per group: the input rows folded in, and one accumulator per spec.
+    /// A group lives exactly while its row count is positive — however
+    /// many of its aggregate arguments are NULL.
+    groups: HashMap<Vec<Value>, (i64, Vec<Accumulator>)>,
 }
 
 impl AggState {
@@ -76,11 +79,13 @@ impl AggState {
             .collect()
     }
 
-    /// Iterate the hidden per-group accumulators (the durability layer
-    /// persists them so aggregate views stay incrementally maintainable
-    /// after recovery).
-    pub fn group_entries(&self) -> impl Iterator<Item = (&Vec<Value>, &Vec<Accumulator>)> {
-        self.groups.iter()
+    /// Iterate the hidden per-group state — key, input-row count and
+    /// accumulators (the durability layer persists them so aggregate views
+    /// stay incrementally maintainable after recovery).
+    pub fn group_entries(&self) -> impl Iterator<Item = (&Vec<Value>, i64, &[Accumulator])> {
+        self.groups
+            .iter()
+            .map(|(key, (rows, accs))| (key, *rows, accs.as_slice()))
     }
 
     /// Reassemble from persisted parts (inverse of
@@ -89,13 +94,16 @@ impl AggState {
         group_by: Vec<AttrId>,
         specs: Vec<AggSpec>,
         input_schema: Schema,
-        groups: Vec<(Vec<Value>, Vec<Accumulator>)>,
+        groups: Vec<(Vec<Value>, i64, Vec<Accumulator>)>,
     ) -> Self {
         AggState {
             group_by,
             specs,
             input_schema,
-            groups: groups.into_iter().collect(),
+            groups: groups
+                .into_iter()
+                .map(|(key, rows, accs)| (key, (rows, accs)))
+                .collect(),
         }
     }
 
@@ -104,15 +112,13 @@ impl AggState {
     /// no longer answer exactly — the caller must recompute.
     pub fn fold(&mut self, rows: &[Tuple], kind: DeltaKind) -> bool {
         let key_pos = self.key_positions();
+        let step = row_step(kind);
         let mut needs_recompute = false;
         for row in rows {
             let key: Vec<Value> = key_pos.iter().map(|&i| row[i].clone()).collect();
-            let specs = &self.specs;
-            let entry = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| specs.iter().map(|s| Accumulator::new(s.func)).collect());
-            for (acc, spec) in entry.iter_mut().zip(specs) {
+            let (count, accs) = group(&mut self.groups, &self.specs, key);
+            *count += step;
+            for (acc, spec) in accs.iter_mut().zip(&self.specs) {
                 let v = spec.input.eval(row, &self.input_schema);
                 match kind {
                     DeltaKind::Insert => acc.add(&v),
@@ -127,7 +133,7 @@ impl AggState {
             }
         }
         // Drop extinct groups.
-        self.groups.retain(|_, accs| !accs[0].is_empty());
+        self.groups.retain(|_, (count, _)| *count > 0);
         needs_recompute
     }
 
@@ -148,6 +154,7 @@ impl AggState {
                 _ => None,
             })
             .collect();
+        let step = row_step(kind);
         let mut needs_recompute = false;
         let mut scratch: Vec<Value> = Vec::new();
         for i in 0..batch.num_rows() {
@@ -156,13 +163,10 @@ impl AggState {
                 .iter()
                 .map(|&c| batch.column(c).value(phys))
                 .collect();
-            let specs = &self.specs;
-            let entry = self
-                .groups
-                .entry(key)
-                .or_insert_with(|| specs.iter().map(|s| Accumulator::new(s.func)).collect());
+            let (count, accs) = group(&mut self.groups, &self.specs, key);
+            *count += step;
             let mut scratch_filled = false;
-            for ((acc, spec), arg) in entry.iter_mut().zip(specs).zip(&arg_cols) {
+            for ((acc, spec), arg) in accs.iter_mut().zip(&self.specs).zip(&arg_cols) {
                 let v = match arg {
                     Some(c) => batch.column(*c).value(phys),
                     None => {
@@ -185,7 +189,7 @@ impl AggState {
                 }
             }
         }
-        self.groups.retain(|_, accs| !accs[0].is_empty());
+        self.groups.retain(|_, (count, _)| *count > 0);
         needs_recompute
     }
 
@@ -194,7 +198,7 @@ impl AggState {
         let mut out: Vec<Tuple> = self
             .groups
             .iter()
-            .map(|(key, accs)| {
+            .map(|(key, (_, accs))| {
                 let mut row = key.clone();
                 row.extend(accs.iter().map(Accumulator::finish));
                 row
@@ -209,7 +213,7 @@ impl AggState {
     /// order the row path produced. This is what the deferred merge rebuild
     /// installs — no row materialization.
     pub fn output_batch(&self, schema: &Schema) -> Batch {
-        let mut entries: Vec<(&Vec<Value>, &Vec<Accumulator>)> = self.groups.iter().collect();
+        let mut entries: Vec<_> = self.groups.iter().collect();
         entries.sort_by(|a, b| a.0.cmp(b.0));
         let mut columns: Vec<Column> = schema
             .attrs()
@@ -218,7 +222,7 @@ impl AggState {
             .collect();
         let nkeys = self.group_by.len();
         debug_assert_eq!(schema.len(), nkeys + self.specs.len());
-        for (key, accs) in entries {
+        for (key, (_, accs)) in entries {
             for (c, v) in key.iter().enumerate() {
                 columns[c].push(v);
             }
@@ -227,6 +231,25 @@ impl AggState {
             }
         }
         Batch::from_columns(schema.clone(), columns)
+    }
+}
+
+/// The state of the group `key`, created empty on first use.
+fn group<'g>(
+    groups: &'g mut HashMap<Vec<Value>, (i64, Vec<Accumulator>)>,
+    specs: &[AggSpec],
+    key: Vec<Value>,
+) -> &'g mut (i64, Vec<Accumulator>) {
+    groups
+        .entry(key)
+        .or_insert_with(|| (0, specs.iter().map(|s| Accumulator::new(s.func)).collect()))
+}
+
+/// How one folded row moves its group's row count.
+fn row_step(kind: DeltaKind) -> i64 {
+    match kind {
+        DeltaKind::Insert => 1,
+        DeltaKind::Delete => -1,
     }
 }
 
@@ -332,11 +355,6 @@ pub struct RuntimeState {
     /// `Arc::make_mut`s only the state it folds into.
     pub(crate) agg_states: HashMap<EqId, Arc<AggState>>,
     pub(crate) distinct_states: HashMap<EqId, Arc<DistinctState>>,
-    /// Maintained aggregate/distinct results whose hidden support state has
-    /// absorbed merges the stored image has not: the stored table is
-    /// rebuilt from the state *once*, at the first read (or at epoch end),
-    /// instead of after every one of the step-by-step merges that touch it.
-    pub(crate) deferred: HashSet<EqId>,
 }
 
 impl RuntimeState {
@@ -344,17 +362,9 @@ impl RuntimeState {
         RuntimeState::default()
     }
 
-    /// The stored result `e`, if present and current (warehouse `answer`
-    /// and `verify` read the maintained materializations through this).
-    /// `None` while `e` has a deferred rebuild pending: its support state
-    /// has absorbed merges the stored image has not, and serving that
-    /// image would answer with stale contents. An epoch realizes every
-    /// deferred rebuild before it returns, so the state it leaves behind
-    /// never holds one.
+    /// The stored result `e`, if present (warehouse `answer` and `verify`
+    /// read the maintained materializations through this).
     pub fn mat(&self, e: EqId) -> Option<&StoredTable> {
-        if self.deferred.contains(&e) {
-            return None;
-        }
         self.mats.get(&e)
     }
 
@@ -389,45 +399,9 @@ impl RuntimeState {
         self.distinct_states.get(&e).map(Arc::as_ref)
     }
 
-    /// True while some stored image lags its hidden support state (a
-    /// deferred rebuild is pending).
-    pub fn has_deferred(&self) -> bool {
-        !self.deferred.is_empty()
-    }
-
-    /// Realize every pending deferred rebuild in place: each lagging
-    /// stored table is rebuilt from its aggregate/distinct support state,
-    /// keeping the indices it already had. An epoch does this before it
-    /// returns; the durability layer calls it again defensively before
-    /// serializing, so a snapshot can never capture a stale stored-table
-    /// image.
-    // Invariant, not input validation: an id only enters `deferred` when its
-    // stored table and support state were installed in the same merge, so
-    // both lookups succeed by construction.
-    #[allow(clippy::expect_used)]
-    pub fn realize_deferred(&mut self) {
-        let pending: Vec<EqId> = self.deferred.drain().collect();
-        for e in pending {
-            let old = self.mats.get(&e).expect("deferred result stored");
-            let schema = old.schema().clone();
-            let specs: Vec<_> = old
-                .indexed_attrs()
-                .map(|a| (a, old.index_on(a).expect("indexed attr").kind))
-                .collect();
-            let batch = if let Some(st) = self.agg_states.get(&e) {
-                st.output_batch(&schema)
-            } else if let Some(st) = self.distinct_states.get(&e) {
-                st.output_batch(&schema)
-            } else {
-                unreachable!("deferred {e} has neither aggregate nor distinct state")
-            };
-            let mut table = StoredTable::from_batch(batch);
-            for (attr, kind) in specs {
-                table.create_index(attr, kind);
-            }
-            self.mats.insert(e, table);
-        }
-    }
+    /// Does nothing: an epoch realizes its deferred rebuilds before it
+    /// returns, so a state never holds one between epochs.
+    pub fn realize_deferred(&mut self) {}
 
     /// Install a recovered stored result (and its freshness mark) under a
     /// node id of the *current* plan. Recovery resolves view names to the
@@ -460,10 +434,6 @@ impl RuntimeState {
     /// and is maintained by the new one carries over instead of being
     /// rebuilt at the next epoch's setup.
     pub fn retain_mats(&mut self, keep: &HashSet<EqId>) {
-        debug_assert!(
-            self.deferred.is_empty(),
-            "deferred rebuilds must be realized before state is carried over"
-        );
         self.mats.retain(|e, _| keep.contains(e));
         self.fresh.retain(|e| keep.contains(e));
         self.agg_states.retain(|e, _| keep.contains(e));
@@ -486,6 +456,13 @@ pub struct Runtime<'a> {
     state: &'a mut RuntimeState,
     /// Where every write to `db` and `state` records its inverse.
     journal: &'a mut Journal,
+    /// Maintained aggregate/distinct results whose hidden support state has
+    /// absorbed merges the stored image has not: the stored table is
+    /// rebuilt from the state *once*, at the first read (or at epoch end),
+    /// instead of after every one of the step-by-step merges that touch it.
+    /// Epoch-local: an epoch realizes every mark before it returns `Ok`,
+    /// and a rolled-back epoch leaves nothing behind to realize.
+    deferred: HashSet<EqId>,
     delta_store: HashMap<(EqId, UpdateId), Batch>,
     /// Worker-thread budget for plan evaluation: one update step's
     /// merge-delta plans split it, and the rest flows into morsels inside
@@ -529,6 +506,7 @@ impl<'a> Runtime<'a> {
             mat_indices,
             state,
             journal,
+            deferred: HashSet::new(),
             delta_store: HashMap::new(),
             threads: 1,
             full_builds: 0,
@@ -555,7 +533,7 @@ impl<'a> Runtime<'a> {
     /// Realize every deferred aggregate/distinct rebuild (the end of an
     /// epoch), so the state left behind serves current stored images.
     pub(crate) fn realize_all_deferred(&mut self) {
-        let deferred: Vec<EqId> = self.state.deferred.iter().copied().collect();
+        let deferred: Vec<EqId> = self.deferred.iter().copied().collect();
         for e in deferred {
             self.realize_deferred(e);
         }
@@ -590,19 +568,6 @@ impl<'a> Runtime<'a> {
         }
     }
 
-    /// Set or clear `e`'s deferred-rebuild mark; returns whether it flipped.
-    fn set_deferred(&mut self, e: EqId, on: bool) -> bool {
-        let flipped = if on {
-            self.state.deferred.insert(e)
-        } else {
-            self.state.deferred.remove(&e)
-        };
-        if flipped {
-            self.journal.deferred(e, !on);
-        }
-        flipped
-    }
-
     /// Keep the undo records of an in-place write to a stored relation.
     fn record(&mut self, target: StoredRef, undo: TableJournal) {
         match target {
@@ -633,10 +598,10 @@ impl<'a> Runtime<'a> {
     /// its hidden support state (the deferred half of a merge). Columnar:
     /// the output batch is built straight from the accumulators.
     // Invariant, not input validation: ids enter `deferred` only alongside
-    // their stored table and support state (see `RuntimeState`).
+    // their stored table and support state (see `merge_aggregate`).
     #[allow(clippy::expect_used)]
     fn realize_deferred(&mut self, e: EqId) {
-        if !self.set_deferred(e, false) {
+        if !self.deferred.remove(&e) {
             return;
         }
         let schema = self
@@ -668,7 +633,7 @@ impl<'a> Runtime<'a> {
         if !self.state.fresh.contains(&e) {
             // A pending deferred rebuild is moot: the full rebuild below
             // replaces the stored image (and its support state) anyway.
-            self.set_deferred(e, false);
+            self.deferred.remove(&e);
             let plan = self
                 .full_plans
                 .get(&e)
@@ -726,7 +691,7 @@ impl<'a> Runtime<'a> {
         self.set_fresh(e, false);
         self.put_agg(e, None);
         self.put_distinct(e, None);
-        self.set_deferred(e, false);
+        self.deferred.remove(&e);
     }
 
     /// Mark every materialization depending on `table` stale, except the
@@ -833,12 +798,12 @@ impl<'a> Runtime<'a> {
         if needs_recompute {
             // Affected-group recompute, realized as a full refresh (§3.1.2's
             // "significant extra work"; the cost model charges the same).
-            self.set_deferred(e, false);
+            self.deferred.remove(&e);
             self.set_fresh(e, false);
             self.materialize(e)?;
             return Ok(true);
         }
-        self.set_deferred(e, true);
+        self.deferred.insert(e);
         self.set_fresh(e, true);
         Ok(false)
     }
@@ -866,7 +831,7 @@ impl<'a> Runtime<'a> {
             })?;
         self.journal.distinct(e, Some(Arc::clone(state)));
         Arc::make_mut(state).fold_batch(&input, &schema, kind);
-        self.set_deferred(e, true);
+        self.deferred.insert(e);
         self.set_fresh(e, true);
         Ok(())
     }
@@ -2361,56 +2326,6 @@ mod tests {
         assert_eq!(state.mat(e).unwrap().len(), 1);
     }
 
-    /// An aggregate merge folds into the support state and defers the
-    /// stored rebuild; until that rebuild runs, `mat` must not serve the
-    /// stale stored image.
-    #[test]
-    fn mat_withholds_an_image_with_a_deferred_rebuild() {
-        let input = schema(&[0, 1]);
-        let out = schema(&[0, 5]);
-        let spec = AggSpec::new(
-            mvmqo_relalg::agg::AggFunc::Sum,
-            ScalarExpr::Col(AttrId(1)),
-            AttrId(5),
-        );
-        let mut agg = AggState::new(vec![AttrId(0)], vec![spec], input.clone());
-        agg.fold(&[vec![Value::Int(1), Value::Int(10)]], DeltaKind::Insert);
-        let e = EqId(0);
-        let mut state = RuntimeState::new();
-        state
-            .mats
-            .insert(e, StoredTable::from_batch(agg.output_batch(&out)));
-        state.fresh.insert(e);
-        state.install_agg_state(e, agg);
-
-        let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaSet::new());
-        let mut db = Database::new();
-        let mut journal = crate::Journal::new();
-        let mut rt = Runtime::with_state(
-            &dag,
-            &catalog,
-            CostModel::default(),
-            &mut db,
-            &deltas,
-            BTreeMap::new(),
-            HashMap::new(),
-            &mut state,
-            &mut journal,
-        );
-        let delta = Batch::from_rows(input, &[vec![Value::Int(1), Value::Int(5)]]);
-        assert!(!rt.merge_aggregate(e, delta, DeltaKind::Insert).unwrap());
-        // Leave the state *without* the epoch-end realization.
-        drop(rt);
-        assert!(state.has_deferred());
-        assert!(state.mat(e).is_none(), "stale image served");
-        state.realize_deferred();
-        let current = state.mat(e).expect("realized image");
-        assert_eq!(
-            current.batch().to_rows(),
-            vec![vec![Value::Int(1), Value::Float(15.0)]]
-        );
-    }
-
     /// Everything rollback must restore, in comparable form: each stored
     /// result's rows in physical order with the postings of every indexed
     /// row, the marks, and the aggregate groups.
@@ -2433,16 +2348,11 @@ mod tests {
                 format!("{e}: {:?} {postings:?}", t.rows())
             })
             .collect();
-        let mut marks: Vec<String> = state
-            .fresh
-            .iter()
-            .map(|e| format!("fresh {e}"))
-            .chain(state.deferred.iter().map(|e| format!("deferred {e}")))
-            .collect();
+        let mut marks: Vec<String> = state.fresh.iter().map(|e| format!("fresh {e}")).collect();
         for (e, st) in &state.agg_states {
             let mut groups: Vec<String> = st
                 .group_entries()
-                .map(|(k, accs)| format!("{k:?} {accs:?}"))
+                .map(|(k, n, accs)| format!("{k:?} {n} {accs:?}"))
                 .collect();
             groups.sort();
             marks.push(format!("agg {e}: {groups:?}"));

@@ -78,8 +78,10 @@ impl fmt::Display for AggSpec {
 
 /// Running state for one aggregate within one group.
 ///
-/// All functions track `count` so that (a) SUM can yield NULL/absent on empty
-/// groups and (b) deletions know when a group disappears.
+/// All functions track `count`, the non-NULL inputs folded in, so that SUM
+/// and AVG can yield NULL when there are none. Whether the *group* still
+/// exists is a separate count of its input rows, kept by the caller: a
+/// group whose inputs are all NULL has rows but a zero `count`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Accumulator {
     func: AggFunc,
@@ -147,11 +149,6 @@ impl Accumulator {
     /// Number of non-null inputs currently folded in.
     pub fn count(&self) -> i64 {
         self.count
-    }
-
-    /// True if the group has no remaining contributing tuples.
-    pub fn is_empty(&self) -> bool {
-        self.count <= 0
     }
 
     /// Current aggregate value.
@@ -267,7 +264,8 @@ mod tests {
         s.remove(&Value::Int(5));
         assert_eq!(s.finish(), Value::Int(7));
         s.remove(&Value::Int(7));
-        assert!(s.is_empty());
+        assert_eq!(s.count(), 0);
+        assert_eq!(s.finish(), Value::Null);
     }
 
     #[test]

@@ -751,19 +751,6 @@ impl Column {
             nulls: self.nulls.clone(),
         })
     }
-
-    /// Decode a dict column back to plain `Str` values (identity clone for
-    /// every other representation) — the transparent fallback for code that
-    /// wants direct `Arc<str>` vectors.
-    pub fn decode_dict(&self) -> Column {
-        let ColumnData::Dict { codes, dict } = &self.data else {
-            return self.clone();
-        };
-        Column {
-            data: ColumnData::Str(codes.iter().map(|&c| Arc::clone(dict.value(c))).collect()),
-            nulls: self.nulls.clone(),
-        }
-    }
 }
 
 /// A columnar multiset with an optional selection vector.
@@ -1765,10 +1752,10 @@ mod tests {
         // Entries unique: code equality ⇔ string equality.
         let mut seen = std::collections::HashSet::new();
         assert!(d.values().iter().all(|v| seen.insert(v.clone())));
-        // Decoding restores a plain Str column with identical values.
-        let decoded = dict.column(0).decode_dict();
-        assert!(matches!(decoded.data(), ColumnData::Str(_)));
-        assert_eq!(&decoded, plain.column(0));
+        // Every code decodes to the plain column's value.
+        for i in 0..plain.num_rows() {
+            assert_eq!(dict.column(0).value(i), plain.column(0).value(i), "row {i}");
+        }
     }
 
     #[test]

@@ -224,6 +224,13 @@ impl Catalog {
         self.attr_alloc.fresh()
     }
 
+    /// Move the attribute allocator past `id`, so no later
+    /// [`Catalog::fresh_attr`] hands it out (a no-op for an id it already
+    /// handed out).
+    pub fn reserve_attr(&mut self, id: AttrId) {
+        self.attr_alloc.reserve(id);
+    }
+
     /// True if `parent_attr = child_attr` is a declared FK edge with
     /// `parent_attr` on the referenced (PK) side. Used for the §5.3
     /// foreign-key emptiness pruning.

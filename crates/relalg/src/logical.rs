@@ -195,6 +195,32 @@ impl LogicalExpr {
         out
     }
 
+    /// The output attributes the expression's aggregates define.
+    pub fn aggregate_outputs(&self) -> Vec<AttrId> {
+        let mut out = Vec::new();
+        self.collect_aggregate_outputs(&mut out);
+        out
+    }
+
+    fn collect_aggregate_outputs(&self, out: &mut Vec<AttrId>) {
+        match self {
+            LogicalExpr::Scan { .. } => {}
+            LogicalExpr::Aggregate { input, aggs, .. } => {
+                out.extend(aggs.iter().map(|a| a.out));
+                input.collect_aggregate_outputs(out);
+            }
+            LogicalExpr::Select { input, .. }
+            | LogicalExpr::Project { input, .. }
+            | LogicalExpr::Distinct { input } => input.collect_aggregate_outputs(out),
+            LogicalExpr::Join { left, right, .. }
+            | LogicalExpr::UnionAll { left, right }
+            | LogicalExpr::Minus { left, right } => {
+                left.collect_aggregate_outputs(out);
+                right.collect_aggregate_outputs(out);
+            }
+        }
+    }
+
     fn collect_tables(&self, out: &mut Vec<TableId>) {
         match self {
             LogicalExpr::Scan { table } => out.push(*table),
@@ -349,7 +375,7 @@ impl fmt::Display for LogicalExpr {
 }
 
 /// A named view definition: the unit the maintenance optimizer works on.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ViewDef {
     pub name: String,
     pub expr: Arc<LogicalExpr>,

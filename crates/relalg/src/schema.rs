@@ -155,6 +155,11 @@ impl AttrAllocator {
         id
     }
 
+    /// Never hand out `id` (or any id below it) from now on.
+    pub fn reserve(&mut self, id: AttrId) {
+        self.next = self.next.max(id.0.saturating_add(1));
+    }
+
     /// Number of ids handed out so far.
     pub fn allocated(&self) -> u32 {
         self.next

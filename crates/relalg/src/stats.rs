@@ -31,15 +31,6 @@ pub struct ColStats {
     pub range: Option<(f64, f64)>,
 }
 
-impl ColStats {
-    pub fn key_like(rows: f64) -> Self {
-        ColStats {
-            distinct: rows.max(1.0),
-            range: None,
-        }
-    }
-}
-
 /// Per-attribute statistics of one result. Fx-hashed: the optimizer
 /// derives these maps for every DAG node at every update state, and their
 /// iteration order reaches float products ([`derive_distinct`]), so it must

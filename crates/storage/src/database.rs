@@ -6,10 +6,9 @@
 //! views, permanently materialized extras and temporaries are not stored
 //! here: the executor's `RuntimeState` owns every materialization.
 
-use crate::delta::{DeltaBatch, DeltaKind, DeltaSet};
+use crate::delta::{DeltaBatch, DeltaSet};
 use crate::error::StorageError;
 use crate::index::IndexKind;
-use crate::journal::{DbJournal, TableJournal};
 use crate::table::StoredTable;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::schema::AttrId;
@@ -18,9 +17,9 @@ use std::collections::HashMap;
 
 /// In-memory database instance.
 ///
-/// Transactional epochs write the live tables in place under a
-/// [`DbJournal`] ([`Database::apply_all_journaled`], or per table through
-/// [`Database::base_mut`]) and roll it back on abort; nothing is copied.
+/// Transactional epochs write the live tables in place, per table through
+/// [`Database::base_mut`], under a [`crate::journal::DbJournal`] and roll
+/// it back on abort; nothing is copied.
 ///
 /// Cloning is cheap too: every [`StoredTable`] clones as a handle copy
 /// (columns, dictionaries, row caches, and indices are `Arc`-shared), so
@@ -94,28 +93,6 @@ impl Database {
             if let Some(batch) = deltas.get(t) {
                 self.apply_base_delta(t, batch)?;
             }
-        }
-        Ok(())
-    }
-
-    /// [`Database::apply_all`] under an undo journal: every base table is
-    /// written in place, and `journal` records how to take each write back
-    /// ([`DbJournal::rollback`]). A batch that fails partway leaves what it
-    /// did recorded too.
-    pub fn apply_all_journaled(
-        &mut self,
-        deltas: &DeltaSet,
-        journal: &mut DbJournal,
-    ) -> Result<(), StorageError> {
-        for t in deltas.tables() {
-            let Some(batch) = deltas.get(t) else {
-                continue;
-            };
-            let table = self.base_mut(t)?;
-            let mut undo = TableJournal::new();
-            table.apply_side_journaled(DeltaKind::Insert, &batch.inserts, &mut undo);
-            table.apply_side_journaled(DeltaKind::Delete, &batch.deletes, &mut undo);
-            journal.record(t, undo);
         }
         Ok(())
     }

@@ -3,9 +3,10 @@
 //! The paper treats the presence of an index as a physical property chosen
 //! by the optimizer alongside materialized views (§4.3, §7: "the new code
 //! implements index selection along with selection of results to
-//! materialize"). This module provides the runtime structures: hash indices
-//! for equality lookups and B-tree indices for ordered access; both map a
-//! single key attribute to row positions in the owning table.
+//! materialize"). This module provides the runtime structure: a hash index
+//! for equality lookups, mapping a single key attribute to row positions in
+//! the owning table. Equality is the only lookup the executor performs, and
+//! the only one the optimizer prices.
 //!
 //! **Posting layout.** A key's positions are a `Postings` value: the
 //! single-position case is stored inline (`One(u32)`), and only keys with
@@ -26,26 +27,21 @@
 
 use mvmqo_relalg::batch::Column;
 use mvmqo_relalg::schema::AttrId;
-use mvmqo_relalg::tuple::Tuple;
 use mvmqo_relalg::types::Value;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::fmt;
-use std::ops::Bound;
 
 /// The physical flavour of an index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IndexKind {
     /// Equality-only hash index.
     Hash,
-    /// Ordered B-tree index (equality + range + provides sort order).
-    BTree,
 }
 
 impl fmt::Display for IndexKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             IndexKind::Hash => f.write_str("hash"),
-            IndexKind::BTree => f.write_str("btree"),
         }
     }
 }
@@ -124,32 +120,15 @@ pub struct Index {
     pub attr: AttrId,
     pub kind: IndexKind,
     hash: HashMap<Value, Postings>,
-    tree: BTreeMap<Value, Postings>,
 }
 
 impl Index {
-    /// Build an index over `rows`, keying on tuple position `key_pos`.
-    pub fn build(attr: AttrId, kind: IndexKind, rows: &[Tuple], key_pos: usize) -> Self {
-        let mut idx = Index {
-            attr,
-            kind,
-            hash: HashMap::new(),
-            tree: BTreeMap::new(),
-        };
-        for (i, row) in rows.iter().enumerate() {
-            idx.insert(&row[key_pos], i as u32);
-        }
-        idx
-    }
-
-    /// Build an index over one column of a columnar table image (the
-    /// batch-native counterpart of [`Index::build`]).
+    /// Build an index over one column of a columnar table image.
     pub fn build_from_column(attr: AttrId, kind: IndexKind, col: &Column) -> Self {
         let mut idx = Index {
             attr,
             kind,
             hash: HashMap::new(),
-            tree: BTreeMap::new(),
         };
         for i in 0..col.len() {
             idx.insert(&col.value(i), i as u32);
@@ -158,19 +137,11 @@ impl Index {
     }
 
     pub(crate) fn insert(&mut self, key: &Value, pos: u32) {
-        match self.kind {
-            IndexKind::Hash => match self.hash.get_mut(key) {
-                Some(ps) => ps.push(pos),
-                None => {
-                    self.hash.insert(key.clone(), Postings::One(pos));
-                }
-            },
-            IndexKind::BTree => match self.tree.get_mut(key) {
-                Some(ps) => ps.push(pos),
-                None => {
-                    self.tree.insert(key.clone(), Postings::One(pos));
-                }
-            },
+        match self.hash.get_mut(key) {
+            Some(ps) => ps.push(pos),
+            None => {
+                self.hash.insert(key.clone(), Postings::One(pos));
+            }
         }
     }
 
@@ -178,15 +149,9 @@ impl Index {
     /// with its last posting. Returns the slot the posting held, for
     /// [`Index::unremove`]; `None` when it was not there.
     pub(crate) fn remove(&mut self, key: &Value, pos: u32) -> Option<usize> {
-        let (slot, emptied) = match self.kind {
-            IndexKind::Hash => self.hash.get_mut(key)?.remove(pos)?,
-            IndexKind::BTree => self.tree.get_mut(key)?.remove(pos)?,
-        };
+        let (slot, emptied) = self.hash.get_mut(key)?.remove(pos)?;
         if emptied {
-            match self.kind {
-                IndexKind::Hash => self.hash.remove(key),
-                IndexKind::BTree => self.tree.remove(key),
-            };
+            self.hash.remove(key);
         }
         Some(slot)
     }
@@ -194,11 +159,7 @@ impl Index {
     /// Undo [`Index::remove`]: post `pos` under `key` again, at the slot
     /// it was removed from, so the key's positions are as before.
     pub(crate) fn unremove(&mut self, key: &Value, pos: u32, slot: usize) {
-        let ps = match self.kind {
-            IndexKind::Hash => self.hash.get_mut(key),
-            IndexKind::BTree => self.tree.get_mut(key),
-        };
-        match ps {
+        match self.hash.get_mut(key) {
             Some(ps) => ps.unremove(pos, slot),
             None => self.insert(key, pos),
         }
@@ -206,73 +167,54 @@ impl Index {
 
     /// Follow a row the table moved from position `from` to `to`.
     pub(crate) fn repoint(&mut self, key: &Value, from: u32, to: u32) {
-        let ps = match self.kind {
-            IndexKind::Hash => self.hash.get_mut(key),
-            IndexKind::BTree => self.tree.get_mut(key),
-        };
-        if let Some(ps) = ps {
+        if let Some(ps) = self.hash.get_mut(key) {
             ps.repoint(from, to);
         }
     }
 
     /// Row positions with key equal to `key`.
     pub fn lookup_eq(&self, key: &Value) -> &[u32] {
-        let hit = match self.kind {
-            IndexKind::Hash => self.hash.get(key),
-            IndexKind::BTree => self.tree.get(key),
-        };
-        hit.map(Postings::as_slice).unwrap_or(&[])
-    }
-
-    /// Row positions with keys in `[lo, hi]` bounds (B-tree only; a hash
-    /// index answers with an empty slice, and the planner never asks it).
-    pub fn lookup_range(
-        &self,
-        lo: Bound<&Value>,
-        hi: Bound<&Value>,
-    ) -> impl Iterator<Item = u32> + '_ {
-        let iter = match self.kind {
-            IndexKind::BTree => Some(self.tree.range::<Value, _>((lo, hi))),
-            IndexKind::Hash => None,
-        };
-        iter.into_iter()
-            .flatten()
-            .flat_map(|(_, ps)| ps.as_slice().iter().copied())
+        self.hash.get(key).map(Postings::as_slice).unwrap_or(&[])
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        match self.kind {
-            IndexKind::Hash => self.hash.len(),
-            IndexKind::BTree => self.tree.len(),
-        }
+        self.hash.len()
     }
 
     /// Total indexed entries.
     pub fn entries(&self) -> usize {
-        match self.kind {
-            IndexKind::Hash => self.hash.values().map(|ps| ps.as_slice().len()).sum(),
-            IndexKind::BTree => self.tree.values().map(|ps| ps.as_slice().len()).sum(),
-        }
+        self.hash.values().map(|ps| ps.as_slice().len()).sum()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mvmqo_relalg::types::DataType;
 
-    fn rows() -> Vec<Tuple> {
-        vec![
-            vec![Value::Int(1), Value::str("a")],
-            vec![Value::Int(2), Value::str("b")],
-            vec![Value::Int(1), Value::str("c")],
-            vec![Value::Int(3), Value::str("d")],
-        ]
+    /// Keys `1, 2, 1, 3` (key 1 at positions 0 and 2) or their strings
+    /// `"a" .. "d"`, one per row.
+    fn column(strings: bool) -> Column {
+        let (data_type, values) = if strings {
+            (DataType::Str, ["a", "b", "c", "d"].map(Value::str).to_vec())
+        } else {
+            (DataType::Int, [1, 2, 1, 3].map(Value::Int).to_vec())
+        };
+        let mut col = Column::with_capacity(data_type, values.len());
+        for v in &values {
+            col.push(v);
+        }
+        col
+    }
+
+    fn index() -> Index {
+        Index::build_from_column(AttrId(0), IndexKind::Hash, &column(false))
     }
 
     #[test]
     fn hash_index_equality_lookup() {
-        let idx = Index::build(AttrId(0), IndexKind::Hash, &rows(), 0);
+        let idx = index();
         assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0, 2]);
         assert!(idx.lookup_eq(&Value::Int(9)).is_empty());
         assert_eq!(idx.distinct_keys(), 3);
@@ -280,52 +222,23 @@ mod tests {
     }
 
     #[test]
-    fn btree_index_range_lookup() {
-        let idx = Index::build(AttrId(0), IndexKind::BTree, &rows(), 0);
-        let hits: Vec<u32> = idx
-            .lookup_range(
-                Bound::Included(&Value::Int(2)),
-                Bound::Included(&Value::Int(3)),
-            )
-            .collect();
-        assert_eq!(hits, vec![1, 3]);
-    }
-
-    #[test]
-    fn btree_also_answers_equality() {
-        let idx = Index::build(AttrId(0), IndexKind::BTree, &rows(), 0);
-        assert_eq!(idx.lookup_eq(&Value::Int(3)), &[3]);
-    }
-
-    #[test]
-    fn hash_index_refuses_ranges() {
-        let idx = Index::build(AttrId(0), IndexKind::Hash, &rows(), 0);
-        assert_eq!(
-            idx.lookup_range(Bound::Unbounded, Bound::Unbounded).count(),
-            0
-        );
-    }
-
-    #[test]
     fn postings_follow_remove_and_repoint() {
-        for kind in [IndexKind::Hash, IndexKind::BTree] {
-            let mut idx = Index::build(AttrId(0), kind, &rows(), 0);
-            // Key 1 holds two positions, keys 2 and 3 one (inline) each.
-            idx.remove(&Value::Int(1), 0);
-            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[2]);
-            idx.repoint(&Value::Int(1), 2, 0);
-            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0]);
-            idx.insert(&Value::Int(1), 7);
-            assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0, 7]);
-            // A key leaves with its last posting; a posting that is not
-            // there leaves the key alone.
-            idx.remove(&Value::Int(2), 9);
-            assert_eq!(idx.lookup_eq(&Value::Int(2)), &[1]);
-            idx.remove(&Value::Int(2), 1);
-            assert!(idx.lookup_eq(&Value::Int(2)).is_empty());
-            assert_eq!(idx.distinct_keys(), 2);
-            assert_eq!(idx.entries(), 3);
-        }
+        let mut idx = index();
+        // Key 1 holds two positions, keys 2 and 3 one (inline) each.
+        idx.remove(&Value::Int(1), 0);
+        assert_eq!(idx.lookup_eq(&Value::Int(1)), &[2]);
+        idx.repoint(&Value::Int(1), 2, 0);
+        assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0]);
+        idx.insert(&Value::Int(1), 7);
+        assert_eq!(idx.lookup_eq(&Value::Int(1)), &[0, 7]);
+        // A key leaves with its last posting; a posting that is not
+        // there leaves the key alone.
+        idx.remove(&Value::Int(2), 9);
+        assert_eq!(idx.lookup_eq(&Value::Int(2)), &[1]);
+        idx.remove(&Value::Int(2), 1);
+        assert!(idx.lookup_eq(&Value::Int(2)).is_empty());
+        assert_eq!(idx.distinct_keys(), 2);
+        assert_eq!(idx.entries(), 3);
     }
 
     /// `unremove` puts a posting back at the slot `remove` reported, so a
@@ -333,31 +246,29 @@ mod tests {
     /// single-position form and the removal of the key itself.
     #[test]
     fn unremove_restores_the_old_order() {
-        for kind in [IndexKind::Hash, IndexKind::BTree] {
-            let mut idx = Index::build(AttrId(0), kind, &rows(), 0);
-            for p in [5, 6, 7] {
-                idx.insert(&Value::Int(1), p);
-            }
-            let key = Value::Int(1);
-            let before = idx.lookup_eq(&key).to_vec();
-            assert_eq!(before, [0, 2, 5, 6, 7]);
-            let mut removed = Vec::new();
-            for p in [2, 7, 0, 6, 5] {
-                removed.push((p, idx.remove(&key, p).unwrap()));
-            }
-            assert!(idx.lookup_eq(&key).is_empty());
-            assert_eq!(idx.remove(&key, 2), None, "absent posting");
-            for (p, slot) in removed.into_iter().rev() {
-                idx.unremove(&key, p, slot);
-            }
-            assert_eq!(idx.lookup_eq(&key), before.as_slice());
-            assert_eq!(idx.entries(), 7);
+        let mut idx = index();
+        for p in [5, 6, 7] {
+            idx.insert(&Value::Int(1), p);
         }
+        let key = Value::Int(1);
+        let before = idx.lookup_eq(&key).to_vec();
+        assert_eq!(before, [0, 2, 5, 6, 7]);
+        let mut removed = Vec::new();
+        for p in [2, 7, 0, 6, 5] {
+            removed.push((p, idx.remove(&key, p).unwrap()));
+        }
+        assert!(idx.lookup_eq(&key).is_empty());
+        assert_eq!(idx.remove(&key, 2), None, "absent posting");
+        for (p, slot) in removed.into_iter().rev() {
+            idx.unremove(&key, p, slot);
+        }
+        assert_eq!(idx.lookup_eq(&key), before.as_slice());
+        assert_eq!(idx.entries(), 7);
     }
 
     #[test]
     fn string_keys_work() {
-        let idx = Index::build(AttrId(1), IndexKind::Hash, &rows(), 1);
+        let idx = Index::build_from_column(AttrId(1), IndexKind::Hash, &column(true));
         assert_eq!(idx.lookup_eq(&Value::str("c")), &[2]);
     }
 }

@@ -32,7 +32,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of snapshot image files.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MVMQOSN1";
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MVMQOSN2";
 /// Magic prefix of the manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"MVMQOMF1";
 /// Manifest file name inside a durability directory.
@@ -160,7 +160,6 @@ pub fn encode_stored_table(e: &mut Enc, t: &StoredTable) {
         e.u32(attr.0);
         e.u8(match kind {
             IndexKind::Hash => 0,
-            IndexKind::BTree => 1,
         });
     }
 }
@@ -174,7 +173,6 @@ pub fn decode_stored_table(d: &mut Dec) -> Result<StoredTable, CodecError> {
         let attr = AttrId(d.u32()?);
         let kind = match d.u8()? {
             0 => IndexKind::Hash,
-            1 => IndexKind::BTree,
             k => return Err(CodecError::Invalid(format!("index kind {k}"))),
         };
         if table.schema().position_of(attr).is_none() {
@@ -331,6 +329,29 @@ mod tests {
         assert!(decode_stored_table(&mut Dec::new(&bytes)).is_err());
     }
 
+    /// Kind byte 1 named a B-tree index, which no longer exists: an image
+    /// holding one is a decode error.
+    #[test]
+    fn unknown_index_kind_is_a_clean_error() {
+        let schema = Schema::new(vec![Attribute {
+            id: AttrId(0),
+            name: "t.k".into(),
+            data_type: DataType::Int,
+        }]);
+        let mut t = StoredTable::from_batch(Batch::from_rows(schema, &[vec![Value::Int(1)]]));
+        t.create_index(AttrId(0), IndexKind::Hash);
+        let mut e = Enc::new();
+        encode_stored_table(&mut e, &t);
+        let mut bytes = e.into_bytes();
+        assert!(decode_stored_table(&mut Dec::new(&bytes)).is_ok());
+        // The image ends in the one index's kind byte.
+        *bytes.last_mut().unwrap() = 1;
+        assert!(matches!(
+            decode_stored_table(&mut Dec::new(&bytes)),
+            Err(CodecError::Invalid(_))
+        ));
+    }
+
     /// A stored image mixing both string encodings (and NULLs in each)
     /// survives the codec with contents, encodings and index intact.
     #[test]
@@ -358,7 +379,7 @@ mod tests {
             })
             .collect();
         let mut t = StoredTable::with_rows(schema, rows.clone());
-        t.create_index(AttrId(1), IndexKind::BTree);
+        t.create_index(AttrId(1), IndexKind::Hash);
         assert!(matches!(
             t.batch().column(0).data(),
             ColumnData::Dict { .. }

@@ -165,23 +165,6 @@ impl StoredTable {
         self.len() == 0
     }
 
-    /// Replace the full contents (recomputation path of view refresh).
-    pub fn replace_rows(&mut self, rows: Vec<Tuple>) {
-        self.batch = Batch::from_rows(self.schema.clone(), &rows).stored_encoding();
-        let cache = OnceLock::new();
-        let _ = cache.set(rows);
-        self.rows = Arc::new(cache);
-        self.rebuild_indices();
-    }
-
-    /// Replace the full contents with a columnar result.
-    pub fn replace_batch(&mut self, batch: Batch) {
-        debug_assert_eq!(batch.schema().ids(), self.schema.ids());
-        self.batch = batch.compact().stored_encoding();
-        self.rows = Arc::new(OnceLock::new());
-        self.rebuild_indices();
-    }
-
     /// Apply a delta batch: append the inserts, then remove one occurrence
     /// per delete (multiset semantics; a delete with no stored occurrence
     /// left is a no-op), keeping indices in sync — §5.2's δ⁺ before δ⁻, the
@@ -447,25 +430,6 @@ impl StoredTable {
     pub fn fits_in_buffer(&self, config: &BlockConfig) -> bool {
         config.fits_in_buffer(self.len() as f64, self.row_width())
     }
-
-    fn rebuild_indices(&mut self) {
-        // Full-content replacement is the one path that still rebuilds
-        // wholesale; delta application maintains indices posting by posting. The
-        // *cost model* charges incremental index maintenance analytically
-        // (see mvmqo-core::cost), so this choice does not leak into the
-        // experiments.
-        let specs: Vec<(AttrId, IndexKind, usize)> = self
-            .indices
-            .values()
-            .map(|i| (i.attr, i.kind, key_position(&self.schema, i)))
-            .collect();
-        for (attr, kind, pos) in specs {
-            self.indices.insert(
-                attr,
-                Arc::new(Index::build_from_column(attr, kind, self.batch.column(pos))),
-            );
-        }
-    }
 }
 
 /// Column position of an index's key attribute in its table's schema.
@@ -541,25 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn replace_rows_rebuilds_index() {
-        let mut tab = StoredTable::with_rows(schema(), vec![t(1, 10)]);
-        tab.create_index(AttrId(0), IndexKind::BTree);
-        tab.replace_rows(vec![t(5, 50), t(6, 60)]);
-        assert_eq!(
-            tab.index_on(AttrId(0))
-                .unwrap()
-                .lookup_eq(&Value::Int(5))
-                .len(),
-            1
-        );
-        assert!(tab
-            .index_on(AttrId(0))
-            .unwrap()
-            .lookup_eq(&Value::Int(1))
-            .is_empty());
-    }
-
-    #[test]
     fn drop_index_removes_it() {
         let mut tab = StoredTable::with_rows(schema(), vec![t(1, 10)]);
         tab.create_index(AttrId(1), IndexKind::Hash);
@@ -593,7 +538,7 @@ mod tests {
     #[test]
     fn index_stays_consistent_across_delta_and_replace() {
         let mut tab = StoredTable::with_rows(schema(), vec![t(1, 10), t(2, 20), t(2, 21)]);
-        tab.create_index(AttrId(0), IndexKind::BTree);
+        tab.create_index(AttrId(0), IndexKind::Hash);
         tab.apply_delta(&DeltaBatch::new(vec![t(3, 30)], vec![t(2, 20)]));
         // Every key's positions must dereference to tuples with that key,
         // and the entry count must equal the row count.
@@ -617,8 +562,6 @@ mod tests {
         tab.apply_delta(&DeltaBatch::new(vec![], vec![t(1, 10)]));
         assert_eq!(tab.batch().num_rows(), 2);
         assert!(bag_eq(tab.rows(), &[t(2, 20), t(3, 30)]));
-        tab.replace_rows(vec![t(9, 90)]);
-        assert_eq!(tab.batch().num_rows(), 1);
     }
 
     #[test]
@@ -629,6 +572,7 @@ mod tests {
         assert_eq!(tab.schema().len(), 2);
         tab.create_index(AttrId(0), IndexKind::Hash);
         assert_eq!(tab.probe(AttrId(0), &Value::Int(2)).unwrap(), &[1]);
+        assert!(tab.probe(AttrId(0), &Value::Int(5)).unwrap().is_empty());
         assert_eq!(tab.rows(), &[t(1, 10), t(2, 20)]);
     }
 
@@ -796,13 +740,11 @@ mod tests {
         let unique = Batch::from_rows(str_schema(), &str_rows(300, 300));
         assert!(!is_dict(&StoredTable::from_batch(unique.clone())));
         assert!(!is_dict(&StoredTable::from_batch(unique.dict_encoded())));
-        let mut tab = StoredTable::new(str_schema());
-        tab.replace_rows(str_rows(300, 300));
-        assert!(!is_dict(&tab));
-        tab.replace_batch(Batch::from_rows(str_schema(), &str_rows(300, 10)));
-        assert!(is_dict(&tab));
-        tab.replace_batch(Batch::from_rows(str_schema(), &str_rows(300, 151)));
-        assert!(!is_dict(&tab));
+        let from_rows = |distinct| {
+            StoredTable::from_batch(Batch::from_rows(str_schema(), &str_rows(300, distinct)))
+        };
+        assert!(is_dict(&from_rows(10)));
+        assert!(!is_dict(&from_rows(151)));
 
         // A column sharing an oversized dictionary (a join output gathered
         // from a longer base column) gets a compact one of its own.

@@ -5,7 +5,9 @@
 //! a natural log sequence number. The WAL simply persists that stream:
 //! every ingested delta batch becomes one record tagged with the epoch it
 //! will commit into, and every completed epoch appends a commit record.
-//! Replaying the log through the ordinary `ingest`/`run_epoch` path
+//! View DDL is logged in the same stream, so a view registered or dropped
+//! between two epochs is replayed between them. Replaying the log through
+//! the ordinary `ingest`/`run_epoch`/`register_view`/`drop_view` path
 //! reproduces the engine state exactly.
 //!
 //! ## Frame format
@@ -31,6 +33,7 @@
 use crate::crc::crc32;
 use crate::error::RecoveryError;
 use mvmqo_relalg::codec::{self, CodecError, Dec, Enc};
+use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::{Batch, TableId};
 use std::fmt;
 use std::io::{Read, Seek, Write};
@@ -42,6 +45,8 @@ pub const MAX_RECORD_BYTES: u32 = 64 << 20;
 
 const KIND_INGEST: u8 = 1;
 const KIND_EPOCH_COMMIT: u8 = 2;
+const KIND_REGISTER_VIEW: u8 = 3;
+const KIND_DROP_VIEW: u8 = 4;
 
 /// One durable event in the engine's life.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,6 +62,10 @@ pub enum WalRecord {
     },
     /// Epoch `epoch` ran to completion over every preceding ingest.
     EpochCommit { epoch: u64 },
+    /// The view `view` was registered.
+    RegisterView { view: ViewDef },
+    /// The view `name` was dropped.
+    DropView { name: String },
 }
 
 impl WalRecord {
@@ -80,6 +89,14 @@ impl WalRecord {
                 e.u8(KIND_EPOCH_COMMIT);
                 e.u64(*epoch);
             }
+            WalRecord::RegisterView { view } => {
+                e.u8(KIND_REGISTER_VIEW);
+                codec::encode_view_def(&mut e, view);
+            }
+            WalRecord::DropView { name } => {
+                e.u8(KIND_DROP_VIEW);
+                e.str(name);
+            }
         }
         e.into_bytes()
     }
@@ -95,6 +112,10 @@ impl WalRecord {
                 deletes: codec::decode_batch(&mut d)?,
             },
             KIND_EPOCH_COMMIT => WalRecord::EpochCommit { epoch: d.u64()? },
+            KIND_REGISTER_VIEW => WalRecord::RegisterView {
+                view: codec::decode_view_def(&mut d)?,
+            },
+            KIND_DROP_VIEW => WalRecord::DropView { name: d.str()? },
             k => return Err(CodecError::Invalid(format!("record kind {k}"))),
         };
         if !d.is_empty() {
@@ -331,12 +352,8 @@ mod tests {
         Batch::from_rows(schema, &[vec![Value::Int(1)], vec![Value::Int(2)]])
     }
 
-    fn sample_log() -> Vec<u8> {
-        let sink: Vec<u8> = Vec::new();
-        let mut w = WalWriter::from_sink(Box::new(sink));
-        // Writer owns the sink, so build the image by re-encoding frames.
-        let mut out = Vec::new();
-        for rec in [
+    fn sample_records() -> Vec<WalRecord> {
+        vec![
             WalRecord::Ingest {
                 epoch: 1,
                 table: TableId(0),
@@ -344,15 +361,51 @@ mod tests {
                 deletes: Batch::empty(sample_batch().schema().clone()),
             },
             WalRecord::EpochCommit { epoch: 1 },
-        ] {
+        ]
+    }
+
+    fn sample_log() -> Vec<u8> {
+        frames(&sample_records())
+    }
+
+    fn frames(records: &[WalRecord]) -> Vec<u8> {
+        let sink: Vec<u8> = Vec::new();
+        let mut w = WalWriter::from_sink(Box::new(sink));
+        // Writer owns the sink, so build the image by re-encoding frames.
+        let mut out = Vec::new();
+        for rec in records {
             let payload = rec.encode();
             out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
             out.extend_from_slice(&crc32(&payload).to_le_bytes());
             out.extend_from_slice(&payload);
-            w.append(&rec).unwrap();
+            w.append(rec).unwrap();
         }
         assert_eq!(w.bytes_written(), out.len() as u64);
         out
+    }
+
+    /// View DDL records round-trip through the frame format, between the
+    /// delta records, in log order.
+    #[test]
+    fn view_ddl_records_round_trip() {
+        use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
+        use mvmqo_relalg::logical::LogicalExpr;
+        let view = ViewDef::new(
+            "small",
+            LogicalExpr::select(
+                LogicalExpr::scan(TableId(0)),
+                Predicate::from_expr(ScalarExpr::col_cmp_lit(AttrId(0), CmpOp::Lt, 2i64)),
+            ),
+        );
+        let mut records = sample_records();
+        records.insert(1, WalRecord::RegisterView { view });
+        records.push(WalRecord::DropView {
+            name: "small".into(),
+        });
+        let log = frames(&records);
+        let scan = scan_wal_bytes(&log);
+        assert_eq!(scan.stop, WalStop::Eof);
+        assert_eq!(scan.records, records);
     }
 
     #[test]

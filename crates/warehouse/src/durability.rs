@@ -103,10 +103,11 @@ fn encode_agg_state(e: &mut Enc, st: &AggState) {
     codec::encode_schema(e, &st.input_schema);
     // Deterministic group order: sort by key.
     let mut groups: Vec<_> = st.group_entries().collect();
-    groups.sort_by_key(|(a, _)| *a);
+    groups.sort_by_key(|(a, _, _)| *a);
     e.u32(groups.len() as u32);
-    for (key, accs) in groups {
+    for (key, rows, accs) in groups {
         encode_tuple(e, key);
+        e.i64(rows);
         e.u32(accs.len() as u32);
         for acc in accs {
             let (func, count, sum, all_int, min, max) = acc.to_parts();
@@ -136,6 +137,7 @@ fn decode_agg_state(d: &mut Dec) -> Result<AggState, CodecError> {
     let mut groups = Vec::with_capacity(ngroups);
     for _ in 0..ngroups {
         let key = decode_tuple(d)?;
+        let rows = d.i64()?;
         let na = d.count(20)?;
         let accs = (0..na)
             .map(|_| {
@@ -149,7 +151,7 @@ fn decode_agg_state(d: &mut Dec) -> Result<AggState, CodecError> {
                 ))
             })
             .collect::<Result<Vec<_>, CodecError>>()?;
-        groups.push((key, accs));
+        groups.push((key, rows, accs));
     }
     Ok(AggState::from_parts(group_by, specs, input_schema, groups))
 }

@@ -17,7 +17,7 @@ use crate::error::WarehouseError;
 use crate::policy::{ReoptPolicy, ReoptTrigger};
 use mvmqo_core::api::OptimizerReport;
 use mvmqo_core::cost::CostModel;
-use mvmqo_core::opt::GreedyOptions;
+use mvmqo_core::plan::{Program, StepProgram};
 use mvmqo_core::session::{Optimizer, PlanMode};
 use mvmqo_core::update::UpdateModel;
 use mvmqo_core::EqId;
@@ -34,7 +34,6 @@ use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::error::{RecoveryError, StorageError};
 use mvmqo_storage::faults::{FaultMode, FaultRegistry};
-use mvmqo_storage::journal::DbJournal;
 use mvmqo_storage::snapshot::{self, Manifest};
 use mvmqo_storage::wal::{scan_wal, WalRecord, WalWriter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -180,8 +179,6 @@ pub struct Warehouse {
     catalog: Catalog,
     db: Database,
     views: Vec<ViewDef>,
-    cost_model: CostModel,
-    options: GreedyOptions,
     policy: ReoptPolicy,
     exec_options: ExecOptions,
     /// The re-entrant optimizer session: owns the persistent AND-OR DAG,
@@ -222,8 +219,6 @@ impl Warehouse {
             catalog,
             db,
             views: Vec::new(),
-            cost_model: CostModel::default(),
-            options: GreedyOptions::default(),
             policy: ReoptPolicy::default(),
             // The engine serves reads from the maintained columnar state
             // (`query` materializes rows on demand), so epochs skip the
@@ -251,16 +246,6 @@ impl Warehouse {
 
     pub fn with_policy(mut self, policy: ReoptPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    pub fn with_options(mut self, options: GreedyOptions) -> Self {
-        self.options = options;
-        self
-    }
-
-    pub fn with_cost_model(mut self, cost_model: CostModel) -> Self {
-        self.cost_model = cost_model;
         self
     }
 
@@ -299,6 +284,8 @@ impl Warehouse {
 
     /// Register a view. Triggers MQO re-optimization over the whole view
     /// set (§6: the selection is a property of the *set*, not the view).
+    /// The view is validated first, then logged write-ahead: a rejected
+    /// view or a failed append leaves the engine unchanged.
     // Invariant, not input handling: `replan` just ran over a non-empty
     // view set, which always installs a plan.
     #[allow(clippy::expect_used)]
@@ -314,6 +301,13 @@ impl Warehouse {
             })?;
         for t in view.expr.base_tables() {
             self.db.base(t)?;
+        }
+        self.wal_append(&WalRecord::RegisterView { view: view.clone() })?;
+        // Aggregate outputs are ids from this catalog's allocator; a view
+        // replayed from the log may carry ids allocated after the snapshot
+        // the catalog came from.
+        for attr in view.expr.aggregate_outputs() {
+            self.catalog.reserve_attr(attr);
         }
         // Unify the view into the session's persistent DAG; the replan
         // below then pays incremental cost (warm-started greedy) instead
@@ -332,13 +326,16 @@ impl Warehouse {
 
     /// Drop a view by name; re-optimizes the remaining set (incremental:
     /// the session garbage-collects the detached subgraph and re-validates
-    /// the surviving selection).
+    /// the surviving selection). Logged write-ahead, as `register_view`.
     pub fn drop_view(&mut self, name: &str) -> Result<(), WarehouseError> {
         let pos = self
             .views
             .iter()
             .position(|v| v.name == name)
             .ok_or_else(|| WarehouseError::UnknownView(name.to_string()))?;
+        self.wal_append(&WalRecord::DropView {
+            name: name.to_string(),
+        })?;
         self.views.remove(pos);
         self.optimizer.remove_view(name);
         self.view_set_dirty = true;
@@ -478,80 +475,54 @@ impl Warehouse {
     /// [`WarehouseError::EpochAborted`]: the engine serves exact pre-epoch
     /// answers, the pending delta queue is intact, and calling `run_epoch`
     /// again retries the same transaction.
-    // Invariant: the views-exist branch replans when no plan is installed,
-    // and `replan` over a non-empty view set always installs one.
-    #[allow(clippy::expect_used)]
+    ///
+    /// An engine with no views runs the same transaction over a base-only
+    /// program — one step per update, each only applying its base delta —
+    /// and a throwaway runtime state; it never plans.
     pub fn run_epoch(&mut self) -> Result<EpochReport, WarehouseError> {
         let ingested = self.pending.total_tuples();
-        if self.views.is_empty() {
-            // Nothing to maintain — but `apply_all` can still fail partway
-            // through the pending set, so even this fast path applies under
-            // a journal and commits through the same protocol as a full
-            // epoch.
-            let mut journal = DbJournal::new();
-            let applied = match self.faults.hit("db:apply-all") {
-                Err(f) => Err(f.to_string()),
-                Ok(()) => self
-                    .db
-                    .apply_all_journaled(&self.pending, &mut journal)
-                    .map_err(|e| e.to_string()),
-            };
-            if let Err(cause) = applied {
-                journal.rollback(&mut self.db);
-                return Err(self.abort_epoch("db:apply-all", cause));
-            }
-            if let Err(e) = self.commit_epoch_wal() {
-                journal.rollback(&mut self.db);
-                return Err(self.abort_epoch("wal:commit", e.to_string()));
-            }
-            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| self.post_commit_crash_point()))
-            {
-                journal.rollback(&mut self.db);
-                resume_unwind(payload);
-            }
-            drop(journal);
-            let report = EpochReport {
-                epoch: self.epoch + 1,
-                replanned: None,
-                estimated_cost: 0.0,
-                executed_seconds: 0.0,
-                setup_seconds: 0.0,
-                setup_builds: 0,
-                total_builds: 0,
-                ingested_tuples: ingested,
-                forced_recomputes: 0,
-            };
-            self.finish_epoch(report.clone());
-            return Ok(report);
-        }
-
         // Replanning happens outside the transaction: it only mutates the
         // optimizer session and catalog statistics, never the data an
         // abort must preserve, and redoing it on retry would be wasted
-        // work (the trigger condition would have cleared).
-        let replanned = match self.replan_trigger() {
-            Some(trigger) => {
-                self.replan(trigger);
-                Some(trigger)
-            }
-            None => None,
+        // work (the trigger condition would have cleared). With no views
+        // there is nothing to plan.
+        let replanned = if self.views.is_empty() {
+            None
+        } else {
+            self.replan_trigger()
         };
+        if let Some(trigger) = replanned {
+            self.replan(trigger);
+        }
 
         // Journal: run the whole epoch in place. The journal and the
         // borrowed state outlive an unwinding panic, so both can roll back.
+        // `replan` over a non-empty view set always installs a plan, so
+        // only a view-less engine has none.
         let mut journal = Journal::new();
-        let plan = self.plan.as_mut().expect("views exist, so a plan exists");
+        let mut view_less = None;
+        let (program, index_plan, state) = match self.plan.as_mut() {
+            Some(plan) => (&plan.report.program, &plan.index_plan, &mut plan.state),
+            None => {
+                let (program, index_plan, state) = view_less.insert((
+                    base_only_program(&self.pending),
+                    IndexPlan::default(),
+                    RuntimeState::new(),
+                ));
+                (&*program, &*index_plan, state)
+            }
+        };
         let (dag, db) = (self.optimizer.dag(), &mut self.db);
         let caught = catch_unwind(AssertUnwindSafe(|| {
             execute_epoch_faults(
                 dag,
                 &self.catalog,
-                self.cost_model,
+                CostModel::default(),
                 db,
                 &self.pending,
-                &plan.report.program,
-                &plan.index_plan,
-                &mut plan.state,
+                program,
+                index_plan,
+                state,
                 self.exec_options,
                 &self.faults,
                 &mut journal,
@@ -598,12 +569,17 @@ impl Warehouse {
 
         // Discard: the writes stand; from here on, nothing can fail.
         drop(journal);
-        let plan = self.plan.as_mut().expect("views exist, so a plan exists");
-        plan.epochs_run += 1;
+        let estimated_cost = match self.plan.as_mut() {
+            Some(plan) => {
+                plan.epochs_run += 1;
+                plan.report.total_cost
+            }
+            None => 0.0,
+        };
         let report = EpochReport {
             epoch: self.epoch + 1,
             replanned,
-            estimated_cost: plan.report.total_cost,
+            estimated_cost,
             executed_seconds: exec.maintenance_seconds,
             setup_seconds: exec.setup_seconds,
             setup_builds: exec.setup_builds,
@@ -616,11 +592,16 @@ impl Warehouse {
     }
 
     /// Replay an aborted epoch's journal: the database and the plan's
-    /// runtime state return exactly to their pre-epoch contents.
-    #[allow(clippy::expect_used)] // only epochs over views keep a Journal
+    /// runtime state return exactly to their pre-epoch contents. A
+    /// view-less epoch's state was a throwaway, so only the database
+    /// needs its writes back.
     fn roll_back(&mut self, journal: Journal) {
-        let plan = self.plan.as_mut().expect("views exist, so a plan exists");
-        journal.rollback(&mut self.db, &mut plan.state);
+        let mut scratch = RuntimeState::new();
+        let state = match self.plan.as_mut() {
+            Some(plan) => &mut plan.state,
+            None => &mut scratch,
+        };
+        journal.rollback(&mut self.db, state);
     }
 
     /// Record a pre-commit abort and build the typed error. The caller has
@@ -748,8 +729,6 @@ impl Warehouse {
         }
 
         let initial_indices = self.pk_indices();
-        self.optimizer.set_cost_model(self.cost_model);
-        self.optimizer.set_options(self.options);
         self.optimizer.set_update_model(self.update_model());
         self.optimizer.set_initial_indices(initial_indices.clone());
         let outcome = self.optimizer.plan(&mut self.catalog);
@@ -894,13 +873,8 @@ impl Warehouse {
         Ok(snap_path)
     }
 
-    /// Capture the full engine image at the current epoch. Deferred
-    /// aggregate/distinct realizations are forced first so the snapshot
-    /// never persists a stale stored table beside newer accumulator state.
-    fn snapshot_data(&mut self) -> SnapshotData {
-        if let Some(plan) = self.plan.as_mut() {
-            plan.state.realize_deferred();
-        }
+    /// Capture the full engine image at the current epoch.
+    fn snapshot_data(&self) -> SnapshotData {
         let base_tables: Vec<_> = self
             .catalog
             .tables()
@@ -985,7 +959,8 @@ impl Warehouse {
     /// against the rebuilt optimizer session (warm memo — post-recovery
     /// replans run incrementally), re-install each view's root
     /// materialization with its hidden aggregate/distinct support state,
-    /// then replay the WAL tail through the ordinary ingest/epoch path.
+    /// then replay the WAL tail through the ordinary ingest, epoch and
+    /// view-DDL calls, in log order.
     /// A torn or corrupt WAL tail is absorbed by prefix recovery; the
     /// engine resumes logging at the end of the surviving prefix.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Warehouse, WarehouseError> {
@@ -1104,6 +1079,10 @@ impl Warehouse {
                         .into());
                     }
                 }
+                WalRecord::RegisterView { view } => {
+                    wh.register_view(view)?;
+                }
+                WalRecord::DropView { name } => wh.drop_view(&name)?,
             }
         }
 
@@ -1254,7 +1233,7 @@ impl Warehouse {
         let mut rt = Runtime::with_state(
             self.optimizer.dag(),
             &self.catalog,
-            self.cost_model,
+            CostModel::default(),
             &mut db,
             &no_deltas,
             program.full_plans.clone(),
@@ -1478,6 +1457,28 @@ impl Warehouse {
     }
 }
 
+/// The program of an epoch with no views (§3.2.2 with nothing to
+/// maintain): one step per update of the pending batch sizes, in the
+/// paper's numbering order, each only applying its base delta.
+fn base_only_program(pending: &DeltaSet) -> Program {
+    let sizes = pending.tables().filter_map(|t| {
+        let b = pending.get(t)?;
+        Some((t, b.inserts.len() as f64, b.deletes.len() as f64))
+    });
+    Program {
+        steps: UpdateModel::new(sizes)
+            .steps()
+            .iter()
+            .map(|update| StepProgram {
+                update: update.clone(),
+                temp_deltas: Vec::new(),
+                merges: Vec::new(),
+            })
+            .collect(),
+        ..Program::default()
+    }
+}
+
 /// Remove snapshot/WAL segments older than `keep_seq` — everything before
 /// the manifest's truncation point is unreachable by recovery. Best-effort:
 /// a prune failure never fails the checkpoint that made the files dead.
@@ -1550,6 +1551,67 @@ mod tests {
             .collect();
         out.sort();
         out
+    }
+
+    /// Every base table's rows in physical order, with its indexed attributes.
+    fn base_images(wh: &Warehouse) -> Vec<(TableId, Vec<Tuple>, Vec<AttrId>)> {
+        let mut out: Vec<_> = wh
+            .catalog()
+            .tables()
+            .iter()
+            .map(|t| {
+                let table = wh.database().base(t.id).unwrap();
+                let mut attrs: Vec<AttrId> = table.indexed_attrs().collect();
+                attrs.sort();
+                (t.id, table.batch().to_rows(), attrs)
+            })
+            .collect();
+        out.sort();
+        out
+    }
+
+    /// A view-less epoch runs the executor's transaction: a fault after
+    /// some (or all) of its base deltas were written rolls them back, and
+    /// the queue survives for the retry, which applies it without a replan.
+    #[test]
+    fn an_aborted_view_less_epoch_leaves_base_tables_and_queue_as_they_were() {
+        let tpcd = tpcd_catalog(SF);
+        let mut wh = Warehouse::new(tpcd_catalog(SF).catalog, generate_database(&tpcd, 1));
+        ingest_updates(&mut wh, &tpcd, 3);
+        let queued = |wh: &Warehouse| -> Vec<(TableId, DeltaBatch)> {
+            wh.catalog()
+                .tables()
+                .iter()
+                .filter_map(|t| Some((t.id, wh.pending_for(t.id)?.clone())))
+                .collect()
+        };
+        let (tables, queue) = (base_images(&wh), queued(&wh));
+        assert!(queue.len() > 1, "the updates touch several tables");
+        for fault in [
+            FaultPlan::site("exec:apply-base-delta", 3, FaultMode::Error),
+            FaultPlan::site("exec:apply-base-delta", 2, FaultMode::Panic),
+            FaultPlan::site("wal:commit", 0, FaultMode::Error),
+        ] {
+            wh.faults().arm(fault.clone());
+            let err = wh.run_epoch().unwrap_err();
+            assert!(
+                matches!(err, WarehouseError::EpochAborted { .. }),
+                "{fault:?}: {err}"
+            );
+            wh.faults().clear();
+            assert!(base_images(&wh) == tables, "{fault:?}: base tables");
+            assert!(queued(&wh) == queue, "{fault:?}: queue");
+            assert_eq!((wh.epoch(), wh.history().len()), (0, 0), "{fault:?}");
+        }
+        let report = wh.run_epoch().unwrap();
+        let queued_tuples: usize = queue
+            .iter()
+            .map(|(_, b)| b.inserts.len() + b.deletes.len())
+            .sum();
+        assert_eq!(report.ingested_tuples, queued_tuples);
+        assert_eq!(wh.pending_tuples(), 0);
+        assert!(base_images(&wh) != tables, "the retry applied the queue");
+        assert!(wh.replans().is_empty(), "a view-less epoch plans nothing");
     }
 
     #[test]

@@ -141,6 +141,56 @@ pub fn small_world(scale: usize) -> SmallWorld {
     }
 }
 
+/// An engine over `t(id, k, x)` holding `(1,1,NULL) (2,1,NULL) (3,2,5)
+/// (4,2,7)`, with the view `per_k = SUM(x) GROUP BY k` registered: group
+/// 1 has input rows but no non-NULL argument, so its sum is NULL.
+pub fn null_group_engine() -> (mvmqo_warehouse::Warehouse, TableId) {
+    use mvmqo_relalg::agg::{AggFunc, AggSpec};
+    use mvmqo_relalg::expr::ScalarExpr;
+    use mvmqo_relalg::logical::LogicalExpr;
+    let mut catalog = Catalog::new();
+    let t = catalog.add_table(
+        "t",
+        vec![
+            ColumnSpec::key("id", DataType::Int),
+            ColumnSpec::with_distinct("k", DataType::Int, 2.0),
+            ColumnSpec::with_distinct("x", DataType::Int, 3.0),
+        ],
+        4.0,
+        &["id"],
+    );
+    let row = |id: i64, k: i64, x: Option<i64>| {
+        vec![
+            Value::Int(id),
+            Value::Int(k),
+            x.map_or(Value::Null, Value::Int),
+        ]
+    };
+    let mut db = Database::new();
+    db.put_base(
+        t,
+        StoredTable::with_rows(
+            catalog.table(t).schema.clone(),
+            vec![
+                row(1, 1, None),
+                row(2, 1, None),
+                row(3, 2, Some(5)),
+                row(4, 2, Some(7)),
+            ],
+        ),
+    );
+    let (k, x) = (catalog.table(t).attr("k"), catalog.table(t).attr("x"));
+    let mut wh = mvmqo_warehouse::Warehouse::new(catalog, db);
+    let sum = wh.fresh_attr();
+    let view = LogicalExpr::aggregate(
+        LogicalExpr::scan(t),
+        vec![k],
+        vec![AggSpec::new(AggFunc::Sum, ScalarExpr::Col(x), sum)],
+    );
+    wh.register_view(ViewDef::new("per_k", view)).unwrap();
+    (wh, t)
+}
+
 /// Generate the paper's update pattern against the live database: insert
 /// `percent`% fresh rows (new keys; FKs reference *existing* rows, so the
 /// §5.3 pruning precondition holds) and delete `percent/2`% existing rows.

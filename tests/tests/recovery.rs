@@ -14,7 +14,7 @@
 //! `recover` re-plans incrementally against its rebuilt memo, not from a
 //! cold start.
 
-use mvmqo_integration_tests::{generate_deltas, small_world, SmallWorld};
+use mvmqo_integration_tests::{generate_deltas, null_group_engine, small_world, SmallWorld};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
@@ -168,17 +168,45 @@ fn engine_with_views() -> (SmallWorld, Warehouse) {
     (mirror, wh)
 }
 
+/// An aggregate view over `c` grouped by `b_id`, with output ids fresh
+/// from `wh`'s allocator.
+fn per_b_view(mirror: &SmallWorld, wh: &mut Warehouse, name: &str) -> ViewDef {
+    let (sum_out, cnt_out) = (wh.fresh_attr(), wh.fresh_attr());
+    let v = attr(mirror, mirror.c, ".v");
+    ViewDef::new(
+        name,
+        LogicalExpr::aggregate(
+            LogicalExpr::scan(mirror.c),
+            vec![attr(mirror, mirror.c, ".b_id")],
+            vec![
+                AggSpec::new(AggFunc::Sum, ScalarExpr::Col(v), sum_out),
+                AggSpec::new(AggFunc::Count, ScalarExpr::Col(v), cnt_out),
+            ],
+        ),
+    )
+}
+
 /// Three rounds of referentially consistent deltas, each followed by an
-/// epoch. The mirror database tracks the engine so each round's deletes
-/// sample rows that actually exist.
+/// epoch, with view DDL between them: after the first epoch an aggregate
+/// view is registered (its output ids allocated after the snapshot), and
+/// between the second round's ingests and its epoch a view is dropped.
+/// The mirror database tracks the engine so each round's deletes sample
+/// rows that actually exist.
 fn run_workload(mirror: &mut SmallWorld, wh: &mut Warehouse) {
     for (round, pct) in [6.0, 4.0, 3.0].into_iter().enumerate() {
         let ds = generate_deltas(mirror, pct, 1000 + round as u64);
         for t in ds.tables().collect::<Vec<_>>() {
             wh.ingest(t, ds.get(t).unwrap().clone()).unwrap();
         }
+        if round == 1 {
+            wh.drop_view("filtered").unwrap();
+        }
         wh.run_epoch().unwrap();
         mirror.db.apply_all(&ds).unwrap();
+        if round == 0 {
+            let late = per_b_view(mirror, wh, "late");
+            wh.register_view(late).unwrap();
+        }
     }
 }
 
@@ -233,6 +261,17 @@ fn fixture() -> &'static Fixture {
             .filter(|r| matches!(r, WalRecord::EpochCommit { .. }))
             .count();
         assert_eq!(commits, 3, "one commit per workload round");
+        let ddl = scan
+            .records
+            .iter()
+            .filter(|r| {
+                matches!(
+                    r,
+                    WalRecord::RegisterView { .. } | WalRecord::DropView { .. }
+                )
+            })
+            .count();
+        assert_eq!(ddl, 2, "the workload logs one registration and one drop");
         assert!(
             scan.records.len() >= 8,
             "workload too small to exercise torn writes: {} records",
@@ -298,6 +337,10 @@ fn replay_prefix(fx: &Fixture, kill_at: u64) -> Warehouse {
             WalRecord::EpochCommit { .. } => {
                 wh.run_epoch().unwrap();
             }
+            WalRecord::RegisterView { view } => {
+                wh.register_view(view).unwrap();
+            }
+            WalRecord::DropView { name } => wh.drop_view(&name).unwrap(),
         }
     }
     wh
@@ -643,6 +686,105 @@ fn recovery_after_save_resumes_warm_and_keeps_logging() {
         assert!(again.verify(&v.name).unwrap());
     }
     assert_no_tmp_files(tmp.path());
+}
+
+// ======================================================================
+// View DDL after the last checkpoint is durable
+// ======================================================================
+
+/// Each view's answer, by name.
+fn answers(wh: &Warehouse) -> Vec<(String, Vec<Tuple>)> {
+    wh.views()
+        .iter()
+        .map(|v| (v.name.clone(), wh.query(&v.name).unwrap().rows))
+        .collect()
+}
+
+/// A view registered after `save` is in the WAL tail: recovery registers
+/// it again, in log order between the epochs around it, with the
+/// allocator moved past its aggregate output ids.
+#[test]
+fn a_view_registered_after_save_survives_recovery() {
+    let tmp = TempDir::new("ddl-register");
+    let (mut mirror, mut wh) = engine_with_views();
+    wh.enable_wal(tmp.path()).unwrap();
+    wh.save().unwrap();
+    let view = per_b_view(&mirror, &mut wh, "after_save");
+    let outs = view.expr.aggregate_outputs();
+    wh.register_view(view).unwrap();
+    run_workload(&mut mirror, &mut wh);
+    let (want, epoch) = (answers(&wh), wh.epoch());
+    assert!(want.iter().any(|(name, _)| name == "after_save"));
+    drop(wh);
+
+    let mut recovered = Warehouse::recover(tmp.path()).unwrap();
+    assert_eq!(recovered.epoch(), epoch);
+    let got = answers(&recovered);
+    assert_eq!(
+        got.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        want.iter().map(|(n, _)| n).collect::<Vec<_>>()
+    );
+    for ((name, g), (_, w)) in got.iter().zip(&want) {
+        assert!(bag_eq_approx(g, w, 1e-9), "view {name} diverged");
+        assert!(recovered.verify(name).unwrap(), "{name}");
+    }
+    let next = recovered.fresh_attr();
+    assert!(
+        outs.iter().all(|a| *a < next),
+        "allocator at {next} hands out a replayed view's ids {outs:?}"
+    );
+}
+
+/// A view dropped after `save` stays dropped through recovery.
+#[test]
+fn a_view_dropped_after_save_stays_dropped() {
+    let tmp = TempDir::new("ddl-drop");
+    let (mut mirror, mut wh) = engine_with_views();
+    wh.enable_wal(tmp.path()).unwrap();
+    run_workload(&mut mirror, &mut wh);
+    wh.save().unwrap();
+    wh.drop_view("threeway").unwrap();
+    let want = answers(&wh);
+    drop(wh);
+
+    let recovered = Warehouse::recover(tmp.path()).unwrap();
+    assert!(matches!(
+        recovered.query("threeway"),
+        Err(WarehouseError::UnknownView(_))
+    ));
+    let got = answers(&recovered);
+    assert_eq!(got.len(), want.len());
+    for ((name, g), (name_w, w)) in got.iter().zip(&want) {
+        assert_eq!(name, name_w);
+        assert!(bag_eq_approx(g, w, 1e-9), "view {name} diverged");
+    }
+}
+
+/// The per-group input-row count survives save and recovery: a group
+/// whose aggregated inputs are all NULL comes back, and later epochs
+/// keep maintaining it.
+#[test]
+fn an_all_null_group_survives_save_and_recovery() {
+    let tmp = TempDir::new("null-group");
+    let (mut wh, t) = null_group_engine();
+    wh.run_epoch().unwrap();
+    wh.enable_wal(tmp.path()).unwrap();
+    let want = wh.query("per_k").unwrap().rows;
+    assert!(want.contains(&vec![Value::Int(1), Value::Null]), "{want:?}");
+    drop(wh);
+
+    let mut recovered = Warehouse::recover(tmp.path()).unwrap();
+    let got = recovered.query("per_k").unwrap();
+    assert!(got.from_materialization);
+    assert!(bag_eq_approx(&got.rows, &want, 0.0), "{:?}", got.rows);
+    let row = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    recovered
+        .ingest(t, DeltaBatch::new(vec![row], vec![]))
+        .unwrap();
+    recovered.run_epoch().unwrap();
+    let rows = recovered.query("per_k").unwrap().rows;
+    assert!(rows.contains(&vec![Value::Int(1), Value::Null]), "{rows:?}");
+    assert!(recovered.verify("per_k").unwrap());
 }
 
 // ======================================================================

@@ -7,12 +7,12 @@
 //!   match a `HashMap<Tuple, i64>` availability model (stored + queued
 //!   inserts − queued deletes + this batch's inserts − its deletes ≥ 0 for
 //!   every deleted row) over random base tables — duplicates, NULLs, a
-//!   dictionary-encoded and a plain string column — with no index, a hash
-//!   index or a B-tree index, and with or without a registered view, under
-//!   random ingest sequences interleaved with epochs. A rejected ingest
-//!   must leave the queue and the WAL byte for byte as they were, and
-//!   after each epoch the base table must hold the model's stored + queued
-//!   rows — whether the executor or the view-less path applied them.
+//!   dictionary-encoded and a plain string column — with no index or a
+//!   hash index on one of two columns, and with or without a registered
+//!   view, under random ingest sequences interleaved with epochs. A
+//!   rejected ingest must leave the queue and the WAL byte for byte as
+//!   they were, and after each epoch the base table must hold the model's
+//!   stored + queued rows — with or without views to maintain.
 //! * **Query kernel.** What `query` serves — the stored batch's column
 //!   handles reordered into the declared schema (`Batch::align`), then
 //!   `Batch::to_rows` — must equal the old path (row-major conversion, then
@@ -261,7 +261,7 @@ proptest! {
         let mut table = StoredTable::with_rows(schema, rows.clone());
         match index {
             1 => table.create_index(catalog.table(t).attr("k"), IndexKind::Hash),
-            2 => table.create_index(catalog.table(t).attr("u"), IndexKind::BTree),
+            2 => table.create_index(catalog.table(t).attr("u"), IndexKind::Hash),
             _ => {}
         }
         let mut db = Database::new();
@@ -272,9 +272,9 @@ proptest! {
         };
         let mut wh = Warehouse::new(catalog, db);
         if with_view {
-            // Permuted and narrower than the base table; it makes epochs
-            // run the executor rather than apply the queue directly, and
-            // gives `query`/`verify` a materialization to serve.
+            // Permuted and narrower than the base table; it gives epochs
+            // a view to maintain and `query`/`verify` a materialization to
+            // serve.
             let expr = LogicalExpr::project(
                 LogicalExpr::select(
                     LogicalExpr::scan(t),

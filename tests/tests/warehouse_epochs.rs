@@ -5,7 +5,9 @@
 //! being rebuilt, and that drift-triggered re-optimization actually changes
 //! the selected materialization set.
 
+use mvmqo_integration_tests::null_group_engine;
 use mvmqo_relalg::catalog::TableId;
+use mvmqo_relalg::types::Value;
 use mvmqo_storage::delta::DeltaBatch;
 use mvmqo_storage::error::StorageError;
 use mvmqo_tpcd::schema::Tpcd;
@@ -433,4 +435,34 @@ fn committed_epoch_writes_tables_in_place() {
     let (columns_after, indices_after) = addresses(&wh);
     assert_eq!(columns_after, columns, "a lineitem column was copied");
     assert_eq!(indices_after, indices, "a lineitem index was copied");
+}
+
+/// A maintained aggregate keeps a group whose aggregated inputs are all
+/// NULL for as long as the group has input rows (the tuple count of the
+/// paper's footnote 1), as recomputation does.
+#[test]
+fn a_group_with_only_null_inputs_survives_maintenance() {
+    let (mut wh, t) = null_group_engine();
+    let rows = |wh: &Warehouse| {
+        let mut rows = wh.query("per_k").unwrap().rows;
+        rows.sort();
+        rows
+    };
+    let null_group = vec![Value::Int(1), Value::Null];
+    assert_eq!(
+        rows(&wh),
+        [null_group.clone(), vec![Value::Int(2), Value::Int(12)]]
+    );
+    let five = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    wh.ingest(t, DeltaBatch::new(vec![five], vec![])).unwrap();
+    wh.run_epoch().unwrap();
+    assert_eq!(rows(&wh), [null_group, vec![Value::Int(2), Value::Int(13)]]);
+    assert!(wh.verify("per_k").unwrap());
+    // The group goes with its last input row.
+    let gone = [1, 2].map(|id| vec![Value::Int(id), Value::Int(1), Value::Null]);
+    wh.ingest(t, DeltaBatch::new(vec![], gone.to_vec()))
+        .unwrap();
+    wh.run_epoch().unwrap();
+    assert_eq!(rows(&wh), [vec![Value::Int(2), Value::Int(13)]]);
+    assert!(wh.verify("per_k").unwrap());
 }
