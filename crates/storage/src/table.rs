@@ -57,8 +57,8 @@
 //! [`dict_pays`](mvmqo_relalg::batch::dict_pays): at least
 //! [`DICT_MIN_ROWS`](mvmqo_relalg::batch::DICT_MIN_ROWS) rows *and* more
 //! than half as many dictionary entries as rows means plain `Str`. It is
-//! applied wherever a stored image is built (`with_rows`, `from_batch`,
-//! `replace_*`) and re-checked after each append, so a column grown from
+//! applied wherever a stored image is built (`with_rows`, `from_batch`)
+//! and re-checked after each append, so a column grown from
 //! empty crosses over once it is both long and near-unique.
 
 use crate::blocks::BlockConfig;
@@ -502,6 +502,23 @@ mod tests {
         for &p in hits {
             assert_eq!(tab.tuple_at(p)[0], Value::Int(2));
         }
+    }
+
+    #[test]
+    fn replace_rows_rebuilds_index() {
+        // A full rebuild replaces a stored image with a fresh table built
+        // from the new result and indexed on the old image's attributes:
+        // the index must cover the new rows only.
+        let mut old = StoredTable::with_rows(schema(), vec![t(1, 10)]);
+        old.create_index(AttrId(0), IndexKind::Hash);
+        let mut tab = StoredTable::from_batch(Batch::from_rows(schema(), &[t(5, 50), t(6, 60)]));
+        for attr in old.indexed_attrs().collect::<Vec<_>>() {
+            tab.create_index(attr, IndexKind::Hash);
+        }
+        let idx = tab.index_on(AttrId(0)).unwrap();
+        assert_eq!(idx.lookup_eq(&Value::Int(5)).len(), 1);
+        assert!(idx.lookup_eq(&Value::Int(1)).is_empty());
+        assert_eq!(idx.entries(), tab.len());
     }
 
     #[test]
