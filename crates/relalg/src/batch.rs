@@ -14,7 +14,7 @@
 //! with the row-at-a-time reference executor.
 
 use crate::expr::{CmpOp, Predicate, ScalarExpr};
-use crate::hash::{str_hash, u64_map_with_capacity, U64Map};
+use crate::hash::{str_hash, u64_map_with_capacity, FxHasher, U64Map};
 use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::types::{DataType, Value};
@@ -273,6 +273,36 @@ impl ColumnData {
     }
 }
 
+// The byte stream `Value::hash` feeds a hasher for each kind of cell,
+// shared by the per-cell and the column-at-a-time column hashers.
+
+fn hash_null<H: Hasher>(state: &mut H) {
+    state.write_u8(4);
+}
+
+/// `Int` and `Float` alike, through the float image (`Int(2)` and
+/// `Float(2.0)` compare equal).
+fn hash_num<H: Hasher>(bits: u64, state: &mut H) {
+    state.write_u8(1);
+    state.write_u64(bits);
+}
+
+/// A string through its [`str_hash`] image.
+fn hash_str<H: Hasher>(image: u64, state: &mut H) {
+    state.write_u8(3);
+    state.write_u64(image);
+}
+
+fn hash_date<H: Hasher>(days: i32, state: &mut H) {
+    state.write_u8(2);
+    state.write_i32(days);
+}
+
+fn hash_bool<H: Hasher>(b: bool, state: &mut H) {
+    state.write_u8(0);
+    state.write_u8(b as u8);
+}
+
 /// One column: typed values plus an optional null mask (`true` = NULL).
 #[derive(Debug, Clone)]
 pub struct Column {
@@ -460,35 +490,58 @@ impl Column {
     /// precomputed per-entry hash without touching string bytes.
     pub fn hash_value<H: Hasher>(&self, i: usize, state: &mut H) {
         if self.is_null(i) {
-            state.write_u8(4);
-            return;
+            return hash_null(state);
         }
         match &self.data {
-            ColumnData::Int(v) => {
-                state.write_u8(1);
-                state.write_u64((v[i] as f64).to_bits());
-            }
-            ColumnData::Float(v) => {
-                state.write_u8(1);
-                state.write_u64(v[i].to_bits());
-            }
-            ColumnData::Str(v) => {
-                state.write_u8(3);
-                state.write_u64(str_hash(&v[i]));
-            }
-            ColumnData::Dict { codes, dict } => {
-                state.write_u8(3);
-                state.write_u64(dict.hash(codes[i]));
-            }
-            ColumnData::Date(v) => {
-                state.write_u8(2);
-                state.write_i32(v[i]);
-            }
-            ColumnData::Bool(v) => {
-                state.write_u8(0);
-                state.write_u8(v[i] as u8);
-            }
+            ColumnData::Int(v) => hash_num((v[i] as f64).to_bits(), state),
+            ColumnData::Float(v) => hash_num(v[i].to_bits(), state),
+            ColumnData::Str(v) => hash_str(str_hash(&v[i]), state),
+            ColumnData::Dict { codes, dict } => hash_str(dict.hash(codes[i]), state),
+            ColumnData::Date(v) => hash_date(v[i], state),
+            ColumnData::Bool(v) => hash_bool(v[i], state),
             ColumnData::Mixed(v) => v[i].hash(state),
+        }
+    }
+
+    /// Fold this column's cell at each position of `sel` (every position
+    /// in order when `None`) into the matching hasher of `states`, writing
+    /// exactly what [`Column::hash_value`] writes for that cell — one typed
+    /// loop per representation, the column-major half of
+    /// [`Batch::hash_rows`].
+    fn hash_into(&self, sel: Option<&[u32]>, states: &mut [FxHasher]) {
+        fn fold<T>(
+            states: &mut [FxHasher],
+            sel: Option<&[u32]>,
+            nulls: Option<&[bool]>,
+            vals: &[T],
+            write: impl Fn(&T, &mut FxHasher),
+        ) {
+            let at = |p: usize, h: &mut FxHasher| match nulls {
+                Some(n) if n[p] => hash_null(h),
+                _ => write(&vals[p], h),
+            };
+            match sel {
+                None => states.iter_mut().enumerate().for_each(|(p, h)| at(p, h)),
+                Some(sel) => states
+                    .iter_mut()
+                    .zip(sel)
+                    .for_each(|(h, &p)| at(p as usize, h)),
+            }
+        }
+        let nulls = self.nulls.as_deref();
+        match &self.data {
+            ColumnData::Int(v) => fold(states, sel, nulls, v, |&x, h| {
+                hash_num((x as f64).to_bits(), h)
+            }),
+            ColumnData::Float(v) => fold(states, sel, nulls, v, |&x, h| hash_num(x.to_bits(), h)),
+            ColumnData::Str(v) => fold(states, sel, nulls, v, |s, h| hash_str(str_hash(s), h)),
+            ColumnData::Dict { codes, dict } => {
+                fold(states, sel, nulls, codes, |&c, h| hash_str(dict.hash(c), h))
+            }
+            ColumnData::Date(v) => fold(states, sel, nulls, v, |&x, h| hash_date(x, h)),
+            ColumnData::Bool(v) => fold(states, sel, nulls, v, |&x, h| hash_bool(x, h)),
+            // NULLs are inline values here; a Mixed column has no mask.
+            ColumnData::Mixed(v) => fold(states, sel, None, v, |x, h| x.hash(h)),
         }
     }
 
@@ -1035,8 +1088,9 @@ impl Batch {
 
     /// Logical positions of `self` surviving the multiset difference
     /// `self ∸ other` (one occurrence removed per matching `other` row).
-    /// Keys are hashed and compared *by column position* — neither side is
-    /// materialized as rows. `other` must share this batch's attribute ids.
+    /// Keys are hashed a column at a time ([`Batch::hash_rows`]) and
+    /// compared *by column position* — neither side is materialized as
+    /// rows. `other` must share this batch's attribute ids.
     pub fn minus_positions(&self, other: &Batch) -> Vec<u32> {
         debug_assert_eq!(self.schema.ids(), other.schema.ids());
         let cols: Vec<usize> = (0..self.schema.len()).collect();
@@ -1066,9 +1120,8 @@ impl Batch {
         // Remaining-removal counts per distinct `other` row, keyed by hash
         // with collision buckets of (representative position, count).
         let mut remove: U64Map<Vec<(u32, i64)>> = u64_map_with_capacity(other.num_rows());
-        for i in 0..other.num_rows() {
+        for (i, h) in other.hash_rows(&hash_cols).into_iter().enumerate() {
             let phys = other.physical(i);
-            let h = other.hash_keys(phys, &hash_cols);
             let bucket = remove.entry(h).or_default();
             match bucket
                 .iter_mut()
@@ -1079,9 +1132,8 @@ impl Batch {
             }
         }
         let mut keep = Vec::with_capacity(self.num_rows().saturating_sub(other.num_rows()));
-        for i in 0..self.num_rows() {
+        for (i, h) in self.hash_rows(&hash_cols).into_iter().enumerate() {
             let phys = self.physical(i);
-            let h = self.hash_keys(phys, &hash_cols);
             let removed = remove.get_mut(&h).is_some_and(|bucket| {
                 bucket
                     .iter_mut()
@@ -1278,11 +1330,23 @@ impl Batch {
     /// column-wise equality check, so only within-operation consistency is
     /// required (see [`crate::hash`]).
     pub fn hash_keys(&self, phys: u32, cols: &[usize]) -> u64 {
-        let mut h = crate::hash::FxHasher::default();
+        let mut h = FxHasher::default();
         for &c in cols {
             self.columns[c].hash_value(phys as usize, &mut h);
         }
         h.finish()
+    }
+
+    /// [`Batch::hash_keys`] of every logical row, computed a column at a
+    /// time: entry `i` equals `hash_keys(physical(i), cols)`. One typed
+    /// loop per key column replaces a representation dispatch per cell,
+    /// which is what hashing every stored row of a wide table costs.
+    pub fn hash_rows(&self, cols: &[usize]) -> Vec<u64> {
+        let mut states: Vec<FxHasher> = (0..self.num_rows()).map(|_| FxHasher::default()).collect();
+        for &c in cols {
+            self.columns[c].hash_into(self.sel.as_deref(), &mut states);
+        }
+        states.iter().map(Hasher::finish).collect()
     }
 
     /// True if any key column is NULL at physical row `phys`.
@@ -1574,6 +1638,66 @@ mod tests {
         assert!(n.any_null(0, &[0]));
         // NULL == NULL for grouping.
         assert!(n.keys_eq(0, &[0], &n, 0, &[0]));
+    }
+
+    /// `hash_rows` is `hash_keys` of each logical row, for every column
+    /// representation, with and without NULL masks and selection vectors.
+    #[test]
+    fn hash_rows_matches_hash_keys() {
+        let s = schema(&[
+            (0, DataType::Int),
+            (1, DataType::Float),
+            (2, DataType::Date),
+            (3, DataType::Bool),
+            (4, DataType::Str),
+            (5, DataType::Str),
+            (6, DataType::Int),
+        ]);
+        let row = |i: i64, nulls: bool| -> Tuple {
+            let cell = |v: Value| if nulls && i % 3 == 0 { Value::Null } else { v };
+            vec![
+                cell(Value::Int(i)),
+                cell(Value::Float(i as f64 / 2.0)),
+                cell(Value::Date(i as i32)),
+                cell(Value::Bool(i % 2 == 0)),
+                cell(Value::str(format!("s{}", i % 4))),
+                cell(Value::str(format!("d{}", i % 3))),
+                // A Float in the Int slot demotes the column to Mixed,
+                // whose NULLs are inline.
+                match i % 5 {
+                    0 => Value::Float(i as f64),
+                    4 if nulls => Value::Null,
+                    _ => Value::Int(i),
+                },
+            ]
+        };
+        for nulls in [false, true] {
+            let rows: Vec<Tuple> = (0..30).map(|i| row(i, nulls)).collect();
+            let plain = Batch::from_rows(s.clone(), &rows);
+            let mut columns: Vec<Column> = (0..7).map(|c| plain.column(c).clone()).collect();
+            columns[5] = columns[5].dict_encode();
+            let dense = Batch::from_columns(s.clone(), columns);
+            assert!(matches!(dense.column(4).data(), ColumnData::Str(_)));
+            assert!(dense.column(5).dict().is_some());
+            assert!(matches!(dense.column(6).data(), ColumnData::Mixed(_)));
+            assert_eq!(dense.column(0).null_mask().is_some(), nulls);
+            let mut selected = dense.clone();
+            selected.set_selection(vec![29, 3, 3, 0, 17, 8]);
+            for b in [&dense, &selected] {
+                let key_sets: [&[usize]; 5] = [&[0, 1, 2, 3, 4, 5, 6], &[5], &[6, 0], &[4, 1], &[]];
+                for cols in key_sets {
+                    let hashes = b.hash_rows(cols);
+                    assert_eq!(hashes.len(), b.num_rows());
+                    for (i, &h) in hashes.iter().enumerate() {
+                        assert_eq!(
+                            h,
+                            b.hash_keys(b.physical(i), cols),
+                            "row {i}, cols {cols:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

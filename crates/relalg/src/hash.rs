@@ -14,7 +14,9 @@
 //! keys through SipHash by finishing them with a single Fibonacci multiply.
 //!
 //! [`FxHashMap`] / [`FxHashSet`] serve the optimizer's id-keyed state
-//! (materialized sets, statistics column maps, benefit caches). Besides
+//! (materialized sets, statistics column maps, benefit caches) and the
+//! maintenance path's `Value`-keyed maps (index postings, the delete
+//! locator's claimed set, ingest's delete netting). Besides
 //! being cheaper than SipHash on small keys, the hasher has no per-map
 //! random seed: two maps built by the same sequence of inserts and removes
 //! iterate in the same order, so float sums and tie-breaks over them — and

@@ -12,7 +12,9 @@
 //! single-position case is stored inline (`One(u32)`), and only keys with
 //! two or more rows own a heap `Vec`. A unique-key index (every primary
 //! key) is therefore one flat map, and a clone or drop of it allocates or
-//! frees nothing per key.
+//! frees nothing per key. Keys hash with the engine's unseeded
+//! [`FxHasher`](mvmqo_relalg::hash::FxHasher): every delete probes the
+//! map once per deleted row.
 //!
 //! **Maintenance.** Indices follow the owning table's deltas posting by
 //! posting, in place: an append inserts the new positions, a delete drops
@@ -26,9 +28,9 @@
 //! `Index::remove` reported (`Index::unremove`).
 
 use mvmqo_relalg::batch::Column;
+use mvmqo_relalg::hash::FxHashMap;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::types::Value;
-use std::collections::HashMap;
 use std::fmt;
 
 /// The physical flavour of an index.
@@ -119,7 +121,7 @@ impl Postings {
 pub struct Index {
     pub attr: AttrId,
     pub kind: IndexKind,
-    hash: HashMap<Value, Postings>,
+    hash: FxHashMap<Value, Postings>,
 }
 
 impl Index {
@@ -128,7 +130,7 @@ impl Index {
         let mut idx = Index {
             attr,
             kind,
-            hash: HashMap::new(),
+            hash: FxHashMap::default(),
         };
         for i in 0..col.len() {
             idx.insert(&col.value(i), i as u32);

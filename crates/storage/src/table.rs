@@ -26,14 +26,15 @@
 //!
 //! **Deletes** run one kernel ([`StoredTable::apply_batch_delta`] and
 //! [`StoredTable::apply_delta`] both end in it). Victims are *located*
-//! through the table's most selective index — one probe per deleted row,
-//! each candidate confirmed by a full-row comparison, one distinct stored
-//! position claimed per listed occurrence — or, for a table with no index,
-//! by the [`Batch::minus_positions`] hash scan. They are then *removed* by
-//! batched swap-remove: each victim slot is overwritten by a surviving row
-//! from the tail and the columns are truncated, the victim's posting is
-//! dropped from every index and the moved row's posting repointed. With an
-//! index the whole delete is O(|δ| × (width + #indices)).
+//! set at a time through the table's most selective index — every deleted
+//! row probed first, the candidates then verified a column at a time, one
+//! distinct stored position claimed per listed occurrence — or, for a
+//! table with no index, by the [`Batch::minus_positions`] hash scan. They
+//! are then *removed* by batched swap-remove: each victim slot is
+//! overwritten by a surviving row from the tail and the columns are
+//! truncated, the victim's posting is dropped from every index and the
+//! moved row's posting repointed. With an index the whole delete is
+//! O(|δ| × (width + #indices)).
 //!
 //! **Row order is unspecified.** Swap-remove moves rows; nothing in the
 //! engine depends on stored order (every consumer is a bag operator, and
@@ -65,10 +66,10 @@ use crate::blocks::BlockConfig;
 use crate::delta::{DeltaBatch, DeltaKind};
 use crate::index::{Index, IndexKind};
 use crate::journal::{TableJournal, TableUndo};
-use mvmqo_relalg::batch::Batch;
+use mvmqo_relalg::batch::{Batch, Column, ColumnData};
+use mvmqo_relalg::hash::{FxHashMap, FxHashSet};
 use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::Tuple;
-use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, OnceLock};
 
 /// An in-memory multiset relation with optional secondary indices.
@@ -99,7 +100,7 @@ pub struct StoredTable {
     /// and oracles (no engine path fills it); invalidated (replaced with a
     /// fresh shared cell, so clones keep theirs) by every mutation.
     pub(crate) rows: Arc<OnceLock<Vec<Tuple>>>,
-    pub(crate) indices: HashMap<AttrId, Arc<Index>>,
+    pub(crate) indices: FxHashMap<AttrId, Arc<Index>>,
 }
 
 impl Default for StoredTable {
@@ -116,7 +117,7 @@ impl StoredTable {
             batch: Batch::empty(schema.clone()).stored_encoding(),
             schema,
             rows: Arc::new(OnceLock::new()),
-            indices: HashMap::new(),
+            indices: FxHashMap::default(),
         }
     }
 
@@ -129,7 +130,7 @@ impl StoredTable {
             batch,
             schema,
             rows: Arc::new(cache),
-            indices: HashMap::new(),
+            indices: FxHashMap::default(),
         }
     }
 
@@ -142,7 +143,7 @@ impl StoredTable {
             schema: batch.schema().clone(),
             batch,
             rows: Arc::new(OnceLock::new()),
-            indices: HashMap::new(),
+            indices: FxHashMap::default(),
         }
     }
 
@@ -284,8 +285,8 @@ impl StoredTable {
     /// How many rows of `rows` (a multiset in this table's layout; a
     /// selection vector may repeat a position) find a distinct stored
     /// occurrence — exactly the number [`StoredTable::apply_batch_delta`]
-    /// would remove for them, found by the same locator. One index probe
-    /// per row, or one hash scan of the table when it has no index.
+    /// would remove for them, found by the same locator: a set-at-a-time
+    /// index probe, or one hash scan of the table when it has no index.
     pub fn present(&self, rows: &Batch) -> usize {
         self.locate(rows).len()
     }
@@ -308,26 +309,52 @@ impl StoredTable {
         }
     }
 
-    /// Victim locator for indexed tables: probe `idx` with each deleted
-    /// row's key and claim the first candidate position, not yet claimed,
-    /// whose full row equals the deleted row — so `k` listed occurrences
-    /// claim at most `k` distinct positions, and a row with no stored
-    /// occurrence left claims none.
+    /// Victim locator for indexed tables, set at a time: three passes over
+    /// each chunk of the deletes. *Probe* `idx` with every deleted row's
+    /// key, collecting (deleted row, candidate) pairs in delete order and,
+    /// per row, posting order; *verify* the pairs one column at a time,
+    /// each column one typed loop that narrows the survivors to candidates
+    /// whose full row equals the deleted row; *claim*, in delete order,
+    /// each deleted row's first survivor not yet claimed — so `k` listed
+    /// occurrences claim at most `k` distinct positions, and a row with no
+    /// stored occurrence left claims none. Victims come back in claim
+    /// order. The stored cells a row-at-a-time probe would compare one
+    /// dependent miss after another are independent loads here.
     fn locate_by_index(&self, idx: &Index, deletes: &Batch) -> Vec<u32> {
+        /// Pairs held between the passes: a chunk's worth keeps them in
+        /// cache across the column sweeps and bounds the memory a key with
+        /// many postings can take.
+        const CHUNK: usize = 4096;
         let key_pos = key_position(&self.schema, idx);
-        let cols: Vec<usize> = (0..self.schema.len()).collect();
-        let mut claimed: HashSet<u32> = HashSet::with_capacity(deletes.num_rows());
-        for i in 0..deletes.num_rows() {
-            let phys = deletes.physical(i);
-            let key = deletes.column(key_pos).value(phys as usize);
-            let hit = idx.lookup_eq(&key).iter().copied().find(|&cand| {
-                !claimed.contains(&cand) && self.batch.keys_eq(cand, &cols, deletes, phys, &cols)
-            });
-            if let Some(cand) = hit {
-                claimed.insert(cand);
+        let key_col = deletes.column(key_pos);
+        let mut claimed =
+            FxHashSet::with_capacity_and_hasher(deletes.num_rows(), Default::default());
+        let mut victims = Vec::new();
+        let mut pairs = Candidates::default();
+        let mut next = 0;
+        while next < deletes.num_rows() {
+            pairs.clear();
+            // A deleted row's pairs never straddle two chunks.
+            while next < deletes.num_rows() && pairs.cand.len() < CHUNK {
+                let phys = deletes.physical(next);
+                for &cand in idx.lookup_eq(&key_col.value(phys as usize)) {
+                    pairs.push(next as u32, phys, cand);
+                }
+                next += 1;
+            }
+            // The probe already matched the key column exactly.
+            for c in (0..self.schema.len()).filter(|&c| c != key_pos) {
+                pairs.retain_equal(self.batch.column(c), deletes.column(c));
+            }
+            let mut done = None;
+            for (&row, &cand) in pairs.row.iter().zip(&pairs.cand) {
+                if done != Some(row) && claimed.insert(cand) {
+                    victims.push(cand);
+                    done = Some(row);
+                }
             }
         }
-        claimed.into_iter().collect()
+        victims
     }
 
     /// Victim locator for tables with no index: one hash scan of the
@@ -429,6 +456,102 @@ impl StoredTable {
     /// check and the optimizer's estimate share one definition.
     pub fn fits_in_buffer(&self, config: &BlockConfig) -> bool {
         config.fits_in_buffer(self.len() as f64, self.row_width())
+    }
+}
+
+/// The (deleted row, stored candidate) pairs [`StoredTable::locate_by_index`]
+/// narrows, as parallel vectors: the deleted row's logical index and
+/// physical position in the delete batch, and the candidate's stored
+/// position.
+#[derive(Default)]
+struct Candidates {
+    row: Vec<u32>,
+    del: Vec<u32>,
+    cand: Vec<u32>,
+}
+
+impl Candidates {
+    fn clear(&mut self) {
+        self.row.clear();
+        self.del.clear();
+        self.cand.clear();
+    }
+
+    fn push(&mut self, row: u32, del: u32, cand: u32) {
+        self.row.push(row);
+        self.del.push(del);
+        self.cand.push(cand);
+    }
+
+    /// Keep, in order, the pairs whose cells are equal in one column —
+    /// `stored` of the table, `deleted` of the delete batch — under
+    /// [`Column::eq_at`]'s semantics (`Value` equality; NULL equals only
+    /// NULL). One typed loop per representation pair; cross-typed and
+    /// `Mixed` cells take `eq_at` itself.
+    fn retain_equal(&mut self, stored: &Column, deleted: &Column) {
+        use ColumnData::*;
+        let (sn, dn) = (stored.null_mask(), deleted.null_mask());
+        match (stored.data(), deleted.data()) {
+            (Int(a), Int(b)) => self.retain_cells(sn, dn, |s, d| a[s] == b[d]),
+            (Date(a), Date(b)) => self.retain_cells(sn, dn, |s, d| a[s] == b[d]),
+            (Bool(a), Bool(b)) => self.retain_cells(sn, dn, |s, d| a[s] == b[d]),
+            (Float(a), Float(b)) => self.retain_cells(sn, dn, |s, d| a[s].total_cmp(&b[d]).is_eq()),
+            // Interned entries are unique: one dictionary compares codes.
+            (Dict { codes: a, dict: da }, Dict { codes: b, dict: db }) if Arc::ptr_eq(da, db) => {
+                self.retain_cells(sn, dn, |s, d| a[s] == b[d])
+            }
+            (Dict { codes: a, dict: da }, Dict { codes: b, dict: db }) => {
+                self.retain_cells(sn, dn, |s, d| {
+                    da.hash(a[s]) == db.hash(b[d]) && da.value(a[s]) == db.value(b[d])
+                })
+            }
+            (Dict { codes: a, dict: da }, Str(b)) => {
+                self.retain_cells(sn, dn, |s, d| **da.value(a[s]) == *b[d])
+            }
+            (Str(a), Dict { codes: b, dict: db }) => {
+                self.retain_cells(sn, dn, |s, d| *a[s] == **db.value(b[d]))
+            }
+            (Str(a), Str(b)) => self.retain_cells(sn, dn, |s, d| a[s] == b[d]),
+            _ => self.retain(|s, d| stored.eq_at(s, deleted, d)),
+        }
+    }
+
+    /// [`Candidates::retain`] on typed payloads: `eq` compares the
+    /// payloads and the null masks decide wherever either cell is NULL.
+    fn retain_cells(
+        &mut self,
+        stored_nulls: Option<&[bool]>,
+        deleted_nulls: Option<&[bool]>,
+        eq: impl Fn(usize, usize) -> bool,
+    ) {
+        if stored_nulls.is_none() && deleted_nulls.is_none() {
+            return self.retain(eq);
+        }
+        self.retain(|s, d| {
+            let sn = stored_nulls.is_some_and(|n| n[s]);
+            let dn = deleted_nulls.is_some_and(|n| n[d]);
+            if sn || dn {
+                sn && dn
+            } else {
+                eq(s, d)
+            }
+        })
+    }
+
+    /// Keep, in order, the pairs for which `eq(stored, deleted)` holds.
+    fn retain(&mut self, eq: impl Fn(usize, usize) -> bool) {
+        let mut kept = 0;
+        for k in 0..self.cand.len() {
+            if eq(self.cand[k] as usize, self.del[k] as usize) {
+                self.row[kept] = self.row[k];
+                self.del[kept] = self.del[k];
+                self.cand[kept] = self.cand[k];
+                kept += 1;
+            }
+        }
+        self.row.truncate(kept);
+        self.del.truncate(kept);
+        self.cand.truncate(kept);
     }
 }
 
@@ -795,6 +918,140 @@ mod tests {
         }
         assert!(is_dict(&grown));
         assert_eq!(dict_of(&grown).len(), 20);
+    }
+
+    /// The row-at-a-time victim locator the set-at-a-time one replaced,
+    /// kept as its reference: per deleted row, in delete order, the first
+    /// candidate under the probe index not yet claimed whose full row
+    /// equals it. With no index, the first stored occurrences of each
+    /// deleted row, in stored order (the scan locator's bag difference).
+    fn row_loop_locate(tab: &StoredTable, deletes: &Batch) -> Vec<u32> {
+        let probe = tab
+            .indices
+            .values()
+            .max_by_key(|idx| (idx.distinct_keys(), std::cmp::Reverse(idx.attr)));
+        let Some(idx) = probe else {
+            let mut owed = deletes.to_rows();
+            return (0..tab.len() as u32)
+                .filter(|&p| {
+                    let row = tab.tuple_at(p);
+                    let hit = owed.iter().position(|d| *d == row);
+                    hit.map(|k| owed.swap_remove(k)).is_some()
+                })
+                .collect();
+        };
+        let key_pos = key_position(&tab.schema, idx);
+        let cols: Vec<usize> = (0..tab.schema.len()).collect();
+        let mut claimed: Vec<u32> = Vec::new();
+        for i in 0..deletes.num_rows() {
+            let phys = deletes.physical(i);
+            let key = deletes.column(key_pos).value(phys as usize);
+            let hit = idx.lookup_eq(&key).iter().copied().find(|&cand| {
+                !claimed.contains(&cand) && tab.batch.keys_eq(cand, &cols, deletes, phys, &cols)
+            });
+            claimed.extend(hit);
+        }
+        claimed
+    }
+
+    fn wide_schema() -> Schema {
+        let attr = |id: u32, name: &str, data_type| Attribute {
+            id: AttrId(id),
+            name: name.into(),
+            data_type,
+        };
+        Schema::new(vec![
+            attr(0, "t.k", DataType::Int),
+            attr(1, "t.g", DataType::Str),
+            attr(2, "t.u", DataType::Str),
+            attr(3, "t.v", DataType::Int),
+        ])
+    }
+
+    /// A row with NULLs in every column but `u`: keys `k` (13 values) and
+    /// `g` (3) carry many postings each, `u` and `v` tell rows apart.
+    fn wide_row(pick: u64) -> Tuple {
+        let null_or = |null: bool, v: Value| if null { Value::Null } else { v };
+        vec![
+            null_or(pick % 7 == 6, Value::Int((pick % 13) as i64)),
+            null_or(pick % 11 == 10, Value::str(format!("g{}", pick % 3))),
+            Value::str(format!("u{pick}")),
+            null_or(pick % 5 == 4, Value::Int(pick as i64)),
+        ]
+    }
+
+    /// The set-at-a-time locator picks exactly the row loop's victims, in
+    /// its claim order: under 0, 1 and 2 indices (probing a key with many
+    /// postings, with NULL keys, or a near-unique one), for repeated and
+    /// absent deletes, and for delete batches holding plain strings, their
+    /// own dictionaries, the table's dictionaries, or a selection vector.
+    /// Each step then applies the delete, so later probes walk postings
+    /// that swap-removes have reordered.
+    #[test]
+    fn set_at_a_time_locator_matches_the_row_loop() {
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = |n: u64| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng % n.max(1)
+        };
+        let index_sets: [&[u32]; 5] = [&[], &[0], &[1], &[0, 1], &[0, 2]];
+        let (mut plain_u, mut dict_u, mut skipped) = (false, false, false);
+        for case in 0..60u64 {
+            // Half the rows from a small pool (whole-row duplicates), half
+            // unique, so `u` is plain once the table is long.
+            let n = below(400);
+            let rows: Vec<Tuple> = (0..n)
+                .map(|i| wide_row(if below(2) == 0 { below(40) } else { 1000 + i }))
+                .collect();
+            for attrs in index_sets {
+                let mut tab = StoredTable::with_rows(wide_schema(), rows.clone());
+                for &a in attrs {
+                    tab.create_index(AttrId(a), IndexKind::Hash);
+                }
+                for step in 0..4 {
+                    match tab.batch().column(2).data() {
+                        ColumnData::Str(_) => plain_u = true,
+                        _ => dict_u = true,
+                    }
+                    // Stored rows, some listed several times, and rows never
+                    // stored.
+                    let mut picks: Vec<u32> = (0..below(60))
+                        .filter(|_| !tab.is_empty())
+                        .map(|_| below(tab.len() as u64) as u32)
+                        .collect();
+                    picks.extend(picks.clone().iter().take(below(8) as usize));
+                    let mut dels: Vec<Tuple> = picks.iter().map(|&p| tab.tuple_at(p)).collect();
+                    dels.extend((0..below(6)).map(|_| wide_row(100_000 + below(50))));
+                    let del = match (case + step) % 4 {
+                        0 => Batch::from_rows(wide_schema(), &dels),
+                        1 => Batch::from_rows(wide_schema(), &dels).dict_encoded(),
+                        // Gathered from the image: the table's own dictionaries.
+                        2 => tab.batch().gather_physical(&picks),
+                        _ => {
+                            let mut b = Batch::from_rows(wide_schema(), &dels);
+                            let sel: Vec<u32> = (0..b.num_rows() as u32)
+                                .flat_map(|p| std::iter::repeat_n(p, (p % 3) as usize))
+                                .collect();
+                            skipped |= sel.len() < b.num_rows() * 2;
+                            b.set_selection(sel);
+                            b
+                        }
+                    };
+                    let context = format!("case {case}, indices {attrs:?}, step {step}");
+                    let want = row_loop_locate(&tab, &del);
+                    assert_eq!(tab.locate(&del), want, "{context}");
+                    assert_eq!(tab.present(&del), want.len(), "{context}");
+                    let ins: Vec<Tuple> = (0..below(30)).map(|_| wide_row(below(40))).collect();
+                    tab.apply_batch_delta(Some(&Batch::from_rows(wide_schema(), &ins)), Some(&del));
+                }
+            }
+        }
+        assert!(
+            plain_u && dict_u && skipped,
+            "both encodings of `u` and a selection"
+        );
     }
 
     #[test]

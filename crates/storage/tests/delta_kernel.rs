@@ -10,6 +10,8 @@
 //! hold exactly one posting per row under that row's key, and the two
 //! victim locators (index probe / hash scan) must agree — including when
 //! only counting through `present`, the ingest-side delete check.
+//!
+//! `DELTA_CASES` sets the case count (default 48).
 
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
@@ -143,8 +145,15 @@ fn assert_indices_exact(table: &StoredTable, context: &str) {
     }
 }
 
+fn cases() -> u32 {
+    std::env::var("DELTA_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(48)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(cases()))]
 
     #[test]
     fn deltas_match_the_row_model_under_every_index_set(

@@ -26,6 +26,7 @@ use mvmqo_exec::{
     IndexPlan, Journal, Runtime, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
+use mvmqo_relalg::hash::FxHashMap;
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::{bag_eq_approx, Tuple};
@@ -410,7 +411,7 @@ impl Warehouse {
         }
         // Distinct deleted row → (a position holding it, occurrences owed
         // to the stored table).
-        let mut owed: HashMap<&Tuple, (u32, i64)> = HashMap::new();
+        let mut owed: FxHashMap<&Tuple, (u32, i64)> = FxHashMap::default();
         for (pos, row) in (0u32..).zip(&batch.deletes) {
             owed.entry(row).or_insert((pos, 0)).1 += 1;
         }

@@ -1,15 +1,17 @@
 //! Reference evaluator: direct, naive evaluation of a [`LogicalExpr`]
 //! against the current database state, one row at a time, with
-//! nested-loop cross-product joins.
+//! row-at-a-time hash joins on the equi-join conjuncts (nested loops when
+//! there are none).
 //!
 //! This is the test suites' ground truth, independent of the batch
 //! executor it checks: suites compute views incrementally through
 //! optimizer-chosen plans (or through single vectorized kernels) and
 //! compare, as multisets, against this evaluator run on the post-update
 //! database — the correctness check the paper's authors could not perform
-//! (§7.1). It is quadratic in table size, so it only runs on small
-//! fixtures; the engine's own recompute (`Warehouse::verify`) is the batch
-//! executor.
+//! (§7.1). It shares no code with the executor's operators and is slow
+//! (rows are `Vec<Value>`s, cross products stay quadratic), so it only
+//! runs on small fixtures; the engine's own recompute (`Warehouse::verify`)
+//! is the batch executor.
 
 use mvmqo_relalg::agg::Accumulator;
 use mvmqo_relalg::catalog::Catalog;
@@ -54,9 +56,29 @@ pub fn eval_logical(expr: &LogicalExpr, catalog: &Catalog, db: &Database) -> Vec
             let combined = ls.concat(&rs);
             let lrows = eval_logical(left, catalog, db);
             let rrows = eval_logical(right, catalog, db);
+            // A row-at-a-time hash join on the equi-join conjuncts that
+            // span the two sides: right rows are bucketed by their key
+            // values, each left row meets only its bucket (every right row
+            // when there is no such conjunct), and each candidate pair must
+            // still pass the whole predicate — a bucket can only hold more
+            // pairs than `=` accepts (NULL keys), never fewer.
+            let keys: Vec<(usize, usize)> = predicate
+                .equijoin_pairs()
+                .filter_map(|(a, b)| {
+                    let across = |l, r| Some((ls.position_of(l)?, rs.position_of(r)?));
+                    across(a, b).or_else(|| across(b, a))
+                })
+                .collect();
+            let key_of = |row: &Tuple, side: fn(&(usize, usize)) -> usize| -> Vec<Value> {
+                keys.iter().map(|k| row[side(k)].clone()).collect()
+            };
+            let mut buckets: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
+            for r in &rrows {
+                buckets.entry(key_of(r, |k| k.1)).or_default().push(r);
+            }
             let mut out = Vec::new();
             for l in &lrows {
-                for r in &rrows {
+                for r in buckets.get(&key_of(l, |k| k.0)).into_iter().flatten() {
                     let joined = concat_tuples(l, r);
                     if predicate.is_true() || predicate.matches(&joined, &combined) {
                         out.push(joined);
@@ -241,6 +263,39 @@ mod tests {
             predicate: Predicate::from_expr(ScalarExpr::col_eq_col(g, g2)),
         };
         assert_eq!(eval_logical(&filtered, &c, &db).len(), 4);
+    }
+
+    /// NULL keys share a hash bucket but never satisfy `=`; an `Int` key
+    /// meets an equal `Float` key.
+    #[test]
+    fn equijoin_keeps_sql_equality() {
+        let (mut c, mut db, t) = setup();
+        let u = c.add_table(
+            "u",
+            vec![ColumnSpec::key("g2", DataType::Float)],
+            2.0,
+            &["g2"],
+        );
+        db.put_base(
+            u,
+            StoredTable::with_rows(
+                c.table(u).schema.clone(),
+                vec![vec![Value::Float(1.0)], vec![Value::Null]],
+            ),
+        );
+        let mut rows = db.base(t).unwrap().rows().to_vec();
+        rows.push(vec![Value::Int(5), Value::Null]);
+        db.put_base(t, StoredTable::with_rows(c.table(t).schema.clone(), rows));
+        let g = c.table(t).attr("g");
+        let g2 = c.table(u).attr("g2");
+        let join = LogicalExpr::Join {
+            left: LogicalExpr::scan(t),
+            right: LogicalExpr::scan(u),
+            predicate: Predicate::from_expr(ScalarExpr::col_eq_col(g2, g)),
+        };
+        let out = eval_logical(&join, &c, &db);
+        assert_eq!(out.len(), 2, "{out:?}");
+        assert!(out.iter().all(|r| r[1] == Value::Int(1)));
     }
 
     #[test]
