@@ -1596,12 +1596,12 @@ impl EvalCtx<'_> {
     ///    producing one `u32` group id per input row;
     /// 2. *per-aggregate kernels* — each aggregate walks its input column
     ///    once, updating a typed state vector (`f64` sums, `i64` counts,
-    ///    typed min/max) indexed by group id. Only `Mixed` columns and
-    ///    general expressions fall back to per-group [`Accumulator`]s.
+    ///    typed min/max) indexed by group id. Only general expressions
+    ///    fall back to per-group [`Accumulator`]s.
     ///
     /// Output columns are emitted directly from the kernel states, in key
-    /// order — semantics (NULL handling, Int/Float promotion, empty-group
-    /// results) replicate [`Accumulator`] exactly.
+    /// order and of the plan schema's types — semantics (NULL handling,
+    /// empty-group results) replicate [`Accumulator`] exactly.
     fn eval_hash_aggregate(
         &self,
         plan: &PhysPlan,
@@ -1636,10 +1636,22 @@ impl EvalCtx<'_> {
         // Pass 1: group ids, assigned in first-occurrence order.
         let (reps, gids) = group_ids(&in_b, &key_cols, &rows);
         let ngroups = reps.len();
-        // Pass 2: one typed kernel per aggregate.
+        // Pass 2: one typed kernel per aggregate, typed by the plan.
+        let out_types = &plan.schema.attrs()[key_cols.len()..];
         let agg_columns: Vec<Column> = aggs
             .iter()
-            .map(|spec| agg_kernel(&in_b, &input.schema, spec, &rows, &gids, ngroups))
+            .zip(out_types)
+            .map(|(spec, a)| {
+                agg_kernel(
+                    &in_b,
+                    &input.schema,
+                    spec,
+                    &rows,
+                    &gids,
+                    ngroups,
+                    a.data_type,
+                )
+            })
             .collect();
         // Deterministic output order: groups sorted by key (keys are unique
         // per group, so this matches the old full-row sort).
@@ -1919,7 +1931,10 @@ fn hash_aggregate_parallel(
         let ngroups = reps.len();
         let cols: Vec<Column> = aggs
             .iter()
-            .map(|spec| agg_kernel(in_b, input_schema, spec, &rows, &gids, ngroups))
+            .zip(&plan.schema.attrs()[key_cols.len()..])
+            .map(|(spec, a)| {
+                agg_kernel(in_b, input_schema, spec, &rows, &gids, ngroups, a.data_type)
+            })
             .collect();
         (reps, cols)
     })?;
@@ -1956,10 +1971,11 @@ fn hash_aggregate_parallel(
 }
 
 /// One aggregate's columnar update kernel: walk the input column once,
-/// updating typed per-group state vectors, and emit the result column.
-/// Falls back to per-group [`Accumulator`]s for `Mixed` columns, general
-/// expressions, and type/function combinations with value-level semantics
-/// (e.g. SUM over strings), so results are bit-identical to the row path.
+/// updating typed per-group state vectors, and emit the result column of
+/// the plan's output type `out`. A plain column input always has a typed
+/// kernel (view validation admits SUM and AVG over numeric inputs only);
+/// a general expression falls back to per-group [`Accumulator`]s. Results
+/// are bit-identical to the row path.
 fn agg_kernel(
     in_b: &Batch,
     schema: &Schema,
@@ -1967,6 +1983,7 @@ fn agg_kernel(
     rows: &[u32],
     gids: &[u32],
     ngroups: usize,
+    out: DataType,
 ) -> Column {
     use mvmqo_relalg::agg::AggFunc;
     debug_assert_eq!(rows.len(), gids.len());
@@ -1975,153 +1992,68 @@ fn agg_kernel(
         _ => None,
     };
     let Some(pos) = col_pos else {
-        return agg_fallback(in_b, schema, spec, rows, gids, ngroups);
+        return agg_fallback(in_b, schema, spec, rows, gids, ngroups, out);
     };
     let col = in_b.column(pos);
+    let is_min = spec.func == AggFunc::Min;
+    let groups = (rows, gids, ngroups);
     match (spec.func, col.data()) {
         (AggFunc::Count, _) => {
             // COUNT is nullness-only: typed for every physical layout.
             let mut counts = vec![0i64; ngroups];
-            for (i, &g) in gids.iter().enumerate() {
-                let phys = rows[i] as usize;
-                if !col.is_null(phys) {
+            for (&phys, &g) in rows.iter().zip(gids) {
+                if !col.is_null(phys as usize) {
                     counts[g as usize] += 1;
                 }
             }
-            let mut out = Column::with_capacity(DataType::Int, ngroups);
+            let mut column = Column::with_capacity(out, ngroups);
             for c in counts {
-                out.push(&Value::Int(c));
+                column.push(&Value::Int(c));
             }
-            out
+            column
         }
-        (
-            AggFunc::Sum | AggFunc::Avg,
-            ColumnData::Int(_) | ColumnData::Float(_) | ColumnData::Date(_),
-        ) => {
-            // Accumulate in f64 exactly as `Accumulator` does (so Int sums
-            // agree bit-for-bit, including the > 2^53 regime).
-            let mut sums = vec![0f64; ngroups];
-            let mut counts = vec![0i64; ngroups];
-            match col.data() {
-                ColumnData::Int(v) => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let phys = rows[i] as usize;
-                        if !col.is_null(phys) {
-                            sums[g as usize] += v[phys] as f64;
-                            counts[g as usize] += 1;
-                        }
-                    }
-                }
-                ColumnData::Float(v) => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let phys = rows[i] as usize;
-                        if !col.is_null(phys) {
-                            sums[g as usize] += v[phys];
-                            counts[g as usize] += 1;
-                        }
-                    }
-                }
-                ColumnData::Date(v) => {
-                    for (i, &g) in gids.iter().enumerate() {
-                        let phys = rows[i] as usize;
-                        if !col.is_null(phys) {
-                            sums[g as usize] += v[phys] as f64;
-                            counts[g as usize] += 1;
-                        }
-                    }
-                }
-                _ => unreachable!("guarded by the match arm"),
-            }
-            let avg = spec.func == AggFunc::Avg;
-            let int_sum = !avg && matches!(col.data(), ColumnData::Int(_));
-            let dt = if int_sum {
-                DataType::Int
-            } else {
-                DataType::Float
-            };
-            let mut out = Column::with_capacity(dt, ngroups);
-            for g in 0..ngroups {
-                let v = if counts[g] == 0 {
-                    Value::Null
-                } else if avg {
-                    Value::Float(sums[g] / counts[g] as f64)
-                } else if int_sum {
-                    Value::Int(sums[g] as i64)
-                } else {
-                    Value::Float(sums[g])
-                };
-                out.push(&v);
-            }
-            out
+        (AggFunc::Sum | AggFunc::Avg, ColumnData::Int(v)) => {
+            sum_avg(col, groups, spec.func, out, |p| v[p] as f64)
         }
-        (AggFunc::Min | AggFunc::Max, ColumnData::Int(_)) => min_max_prim::<i64>(
+        (AggFunc::Sum | AggFunc::Avg, ColumnData::Float(v)) => {
+            sum_avg(col, groups, spec.func, out, |p| v[p])
+        }
+        (AggFunc::Min | AggFunc::Max, ColumnData::Int(v)) => {
+            min_max_prim(col, groups, is_min, out, |p| v[p], |a, b| a < b, Value::Int)
+        }
+        (AggFunc::Min | AggFunc::Max, ColumnData::Date(v)) => min_max_prim(
             col,
-            rows,
-            gids,
-            ngroups,
-            spec.func == AggFunc::Min,
-            |d, p| match d {
-                ColumnData::Int(v) => v[p],
-                _ => unreachable!(),
-            },
+            groups,
+            is_min,
+            out,
+            |p| v[p],
             |a, b| a < b,
-            DataType::Int,
-            Value::Int,
-        ),
-        (AggFunc::Min | AggFunc::Max, ColumnData::Date(_)) => min_max_prim::<i32>(
-            col,
-            rows,
-            gids,
-            ngroups,
-            spec.func == AggFunc::Min,
-            |d, p| match d {
-                ColumnData::Date(v) => v[p],
-                _ => unreachable!(),
-            },
-            |a, b| a < b,
-            DataType::Date,
             Value::Date,
         ),
-        (AggFunc::Min | AggFunc::Max, ColumnData::Bool(_)) => min_max_prim::<bool>(
+        (AggFunc::Min | AggFunc::Max, ColumnData::Bool(v)) => min_max_prim(
             col,
-            rows,
-            gids,
-            ngroups,
-            spec.func == AggFunc::Min,
-            |d, p| match d {
-                ColumnData::Bool(v) => v[p],
-                _ => unreachable!(),
-            },
+            groups,
+            is_min,
+            out,
+            |p| v[p],
             |a, b| !a & b,
-            DataType::Bool,
             Value::Bool,
         ),
-        (AggFunc::Min | AggFunc::Max, ColumnData::Float(_)) => min_max_prim::<f64>(
-            col,
-            rows,
-            gids,
-            ngroups,
-            spec.func == AggFunc::Min,
-            |d, p| match d {
-                ColumnData::Float(v) => v[p],
-                _ => unreachable!(),
-            },
-            |a, b| a.total_cmp(&b) == std::cmp::Ordering::Less,
-            DataType::Float,
-            Value::Float,
-        ),
+        (AggFunc::Min | AggFunc::Max, ColumnData::Float(v)) => {
+            let less = |a: f64, b: f64| a.total_cmp(&b).is_lt();
+            min_max_prim(col, groups, is_min, out, |p| v[p], less, Value::Float)
+        }
         (AggFunc::Min | AggFunc::Max, ColumnData::Str(_) | ColumnData::Dict { .. }) => {
-            let is_min = spec.func == AggFunc::Min;
             let mut best: Vec<Option<std::sync::Arc<str>>> = vec![None; ngroups];
             let at = |p: usize| -> &std::sync::Arc<str> {
                 match col.data() {
-                    ColumnData::Str(v) => &v[p],
                     ColumnData::Dict { codes, dict } => dict.value(codes[p]),
-                    _ => unreachable!(),
+                    ColumnData::Str(v) => &v[p],
+                    _ => unreachable!("guarded by the match arm"),
                 }
             };
-            for (i, &g) in gids.iter().enumerate() {
-                let phys = rows[i] as usize;
+            for (&phys, &g) in rows.iter().zip(gids) {
+                let phys = phys as usize;
                 if col.is_null(phys) {
                     continue;
                 }
@@ -2129,50 +2061,78 @@ fn agg_kernel(
                 let slot = &mut best[g as usize];
                 let better = match slot {
                     None => true,
-                    Some(b) => {
-                        if is_min {
-                            *v < *b
-                        } else {
-                            *v > *b
-                        }
-                    }
+                    Some(b) if is_min => *v < *b,
+                    Some(b) => *v > *b,
                 };
                 if better {
                     *slot = Some(v.clone());
                 }
             }
-            let mut out = Column::with_capacity(DataType::Str, ngroups);
+            let mut column = Column::with_capacity(out, ngroups);
             for b in best {
-                out.push(&b.map_or(Value::Null, Value::Str));
+                column.push(&b.map_or(Value::Null, Value::Str));
             }
-            out
+            column
         }
-        _ => agg_fallback(in_b, schema, spec, rows, gids, ngroups),
+        (func, data) => unreachable!(
+            "{func} over a {} column: view validation rejects it",
+            data.data_type()
+        ),
     }
 }
 
-/// Shared typed MIN/MAX loop over a primitive payload.
-#[allow(clippy::too_many_arguments)]
+/// Typed SUM/AVG over a numeric payload (arguments as for
+/// [`min_max_prim`]), accumulated in f64 exactly as `Accumulator` does, so
+/// Int sums agree bit-for-bit, including the > 2^53 regime.
+fn sum_avg(
+    col: &Column,
+    (rows, gids, ngroups): (&[u32], &[u32], usize),
+    func: mvmqo_relalg::agg::AggFunc,
+    out: DataType,
+    get: impl Fn(usize) -> f64,
+) -> Column {
+    let mut sums = vec![0f64; ngroups];
+    let mut counts = vec![0i64; ngroups];
+    for (&phys, &g) in rows.iter().zip(gids) {
+        let p = phys as usize;
+        if !col.is_null(p) {
+            sums[g as usize] += get(p);
+            counts[g as usize] += 1;
+        }
+    }
+    let avg = func == mvmqo_relalg::agg::AggFunc::Avg;
+    let mut column = Column::with_capacity(out, ngroups);
+    for (sum, n) in sums.into_iter().zip(counts) {
+        column.push(&match n {
+            0 => Value::Null,
+            _ if avg => Value::Float(sum / n as f64),
+            _ if out == DataType::Int => Value::Int(sum as i64),
+            _ => Value::Float(sum),
+        });
+    }
+    column
+}
+
+/// Shared typed MIN/MAX loop over a primitive payload: `groups` is the
+/// `(rows, gids, ngroups)` assignment, `get` reads the cell at a position.
 fn min_max_prim<T: Copy + Default>(
     col: &Column,
-    rows: &[u32],
-    gids: &[u32],
-    ngroups: usize,
+    (rows, gids, ngroups): (&[u32], &[u32], usize),
     is_min: bool,
-    get: impl Fn(&ColumnData, usize) -> T,
+    out: DataType,
+    get: impl Fn(usize) -> T,
     less: impl Fn(T, T) -> bool,
-    dt: DataType,
     wrap: impl Fn(T) -> Value,
 ) -> Column {
     let mut best = vec![T::default(); ngroups];
     let mut has = vec![false; ngroups];
-    for (i, &g) in gids.iter().enumerate() {
-        let phys = rows[i] as usize;
+    for (&phys, &g) in rows.iter().zip(gids) {
+        let phys = phys as usize;
         if col.is_null(phys) {
             continue;
         }
         let g = g as usize;
-        let x = get(col.data(), phys);
+        let x = get(phys);
         // Strict improvement only, as `Accumulator` replaces on `v < m`.
         let better = !has[g]
             || if is_min {
@@ -2185,16 +2145,15 @@ fn min_max_prim<T: Copy + Default>(
             has[g] = true;
         }
     }
-    let mut out = Column::with_capacity(dt, ngroups);
+    let mut column = Column::with_capacity(out, ngroups);
     for g in 0..ngroups {
-        out.push(&if has[g] { wrap(best[g]) } else { Value::Null });
+        column.push(&if has[g] { wrap(best[g]) } else { Value::Null });
     }
-    out
+    column
 }
 
-/// Per-group [`Accumulator`] fallback for aggregate inputs outside the
-/// typed kernels (general expressions, `Mixed` columns, value-level
-/// type-promotion cases).
+/// Per-group [`Accumulator`] fallback for an aggregate over a general
+/// expression, evaluated on a scratch row.
 fn agg_fallback(
     in_b: &Batch,
     schema: &Schema,
@@ -2202,32 +2161,19 @@ fn agg_fallback(
     rows: &[u32],
     gids: &[u32],
     ngroups: usize,
+    out: DataType,
 ) -> Column {
-    let col_pos = match &spec.input {
-        ScalarExpr::Col(id) => schema.position_of(*id),
-        _ => None,
-    };
     let mut accs: Vec<Accumulator> = (0..ngroups).map(|_| Accumulator::new(spec.func)).collect();
     let mut scratch = Vec::new();
-    for (i, &g) in gids.iter().enumerate() {
-        let phys = rows[i];
-        let v = match col_pos {
-            Some(c) => in_b.column(c).value(phys as usize),
-            None => {
-                in_b.write_row(phys, &mut scratch);
-                spec.input.eval(&scratch, schema)
-            }
-        };
-        accs[g as usize].add(&v);
+    for (&phys, &g) in rows.iter().zip(gids) {
+        in_b.write_row(phys, &mut scratch);
+        accs[g as usize].add(&spec.input.eval(&scratch, schema));
     }
-    let dt = col_pos
-        .map(|c| spec.func.result_type(schema.attrs()[c].data_type))
-        .unwrap_or(DataType::Float);
-    let mut out = Column::with_capacity(dt, ngroups);
+    let mut column = Column::with_capacity(out, ngroups);
     for acc in &accs {
-        out.push(&acc.finish());
+        column.push(&acc.finish());
     }
-    out
+    column
 }
 
 /// Fill `buf` with the concatenation of one physical row from each batch

@@ -19,7 +19,7 @@ use crate::schema::Schema;
 use crate::tuple::Tuple;
 use crate::types::{DataType, Value};
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 mod undo;
@@ -147,13 +147,12 @@ fn try_dict(strs: &[Arc<str>]) -> Option<ColumnData> {
 
 /// Physical storage of one column's values.
 ///
-/// Typed vectors are the fast path; [`ColumnData::Dict`] stores strings as
-/// `u32` codes into a shared interned [`Dictionary`] so string-keyed
-/// hashing, equality, and grouping run as integer loops;
-/// [`ColumnData::Mixed`] is the safety net for columns whose runtime
-/// values stray from the declared type (e.g. integral SUM outputs flowing
-/// through a FLOAT schema slot) and keeps semantics identical to row
-/// execution.
+/// One typed vector per [`DataType`]; a string column may instead be
+/// [`ColumnData::Dict`], `u32` codes into a shared interned
+/// [`Dictionary`], so string-keyed hashing, equality, and grouping run as
+/// integer loops. Every column holds its declared type: ingest checks
+/// values at the door, the codec checks decoded payloads, and operators
+/// build their columns from the plan's schema.
 #[derive(Debug, Clone)]
 pub enum ColumnData {
     Int(Vec<i64>),
@@ -165,7 +164,6 @@ pub enum ColumnData {
         codes: Vec<u32>,
         dict: Arc<Dictionary>,
     },
-    Mixed(Vec<Value>),
 }
 
 impl ColumnData {
@@ -197,7 +195,17 @@ impl ColumnData {
             ColumnData::Date(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Dict { codes, .. } => codes.len(),
-            ColumnData::Mixed(v) => v.len(),
+        }
+    }
+
+    /// The type this payload holds (`Str` for either string encoding).
+    pub fn data_type(&self) -> DataType {
+        match self {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Float(_) => DataType::Float,
+            ColumnData::Str(_) | ColumnData::Dict { .. } => DataType::Str,
+            ColumnData::Date(_) => DataType::Date,
+            ColumnData::Bool(_) => DataType::Bool,
         }
     }
 
@@ -209,67 +217,6 @@ impl ColumnData {
             ColumnData::Dict { codes, dict } => Some(dict.value(codes[i])),
             _ => None,
         }
-    }
-
-    /// Consume the payload into owned [`Value`]s. Only the `Str` and
-    /// `Mixed` arms gain anything from consuming (their `Arc<str>`s /
-    /// values move out instead of cloning); the primitive payloads are
-    /// `Copy`, so they share [`ColumnData::to_mixed`]'s conversion.
-    fn into_values(self, nulls: Option<Vec<bool>>) -> Vec<Value> {
-        match self {
-            ColumnData::Str(v) => {
-                let null_at = |i: usize| nulls.as_ref().is_some_and(|n| n[i]);
-                v.into_iter()
-                    .enumerate()
-                    .map(|(i, x)| {
-                        if null_at(i) {
-                            Value::Null
-                        } else {
-                            Value::Str(x)
-                        }
-                    })
-                    .collect()
-            }
-            ColumnData::Dict { codes, dict } => {
-                let null_at = |i: usize| nulls.as_ref().is_some_and(|n| n[i]);
-                codes
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        if null_at(i) {
-                            Value::Null
-                        } else {
-                            Value::Str(Arc::clone(dict.value(c)))
-                        }
-                    })
-                    .collect()
-            }
-            ColumnData::Mixed(v) => v,
-            other => other.to_mixed(nulls.as_deref()),
-        }
-    }
-
-    /// Convert the typed payload to the `Mixed` fallback (type drift).
-    fn to_mixed(&self, nulls: Option<&[bool]>) -> Vec<Value> {
-        let null_at = |i: usize| nulls.is_some_and(|n| n[i]);
-        let get = |i: usize| -> Value {
-            if null_at(i) {
-                Value::Null
-            } else {
-                match self {
-                    ColumnData::Int(v) => Value::Int(v[i]),
-                    ColumnData::Float(v) => Value::Float(v[i]),
-                    ColumnData::Str(v) => Value::Str(v[i].clone()),
-                    ColumnData::Date(v) => Value::Date(v[i]),
-                    ColumnData::Bool(v) => Value::Bool(v[i]),
-                    ColumnData::Dict { codes, dict } => {
-                        Value::Str(Arc::clone(dict.value(codes[i])))
-                    }
-                    ColumnData::Mixed(v) => v[i].clone(),
-                }
-            }
-        };
-        (0..self.len()).map(get).collect()
     }
 }
 
@@ -327,15 +274,10 @@ impl Column {
     }
 
     /// Reassemble a column from its physical parts (the durability codec's
-    /// decode path). The mask, when present, must cover every position;
-    /// `Mixed` columns carry NULLs inline and never take a mask.
+    /// decode path). The mask, when present, must cover every position.
     pub fn from_parts(data: ColumnData, nulls: Option<Vec<bool>>) -> Column {
         if let Some(mask) = &nulls {
             assert_eq!(mask.len(), data.len(), "null mask length mismatch");
-            assert!(
-                !matches!(data, ColumnData::Mixed(_)),
-                "Mixed columns carry NULLs inline"
-            );
         }
         Column { data, nulls }
     }
@@ -354,23 +296,35 @@ impl Column {
         &self.data
     }
 
-    /// The null mask, if any position is NULL (`true` = NULL). `Mixed`
-    /// columns carry NULLs inline and report `None` here.
+    /// The null mask, if any position is NULL (`true` = NULL).
     pub fn null_mask(&self) -> Option<&[bool]> {
         self.nulls.as_deref()
     }
 
-    /// Consume the column into owned values (moves `Arc<str>`s out rather
-    /// than cloning them).
+    /// Consume the column into owned values (a plain string payload moves
+    /// its `Arc<str>`s out rather than cloning them).
     pub fn into_values(self) -> Vec<Value> {
-        self.data.into_values(self.nulls)
+        match self.data {
+            ColumnData::Str(v) => v
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| match &self.nulls {
+                    Some(n) if n[i] => Value::Null,
+                    _ => Value::Str(s),
+                })
+                .collect(),
+            data => {
+                let col = Column {
+                    data,
+                    nulls: self.nulls,
+                };
+                (0..col.len()).map(|i| col.value(i)).collect()
+            }
+        }
     }
 
     pub fn is_null(&self, i: usize) -> bool {
-        match &self.data {
-            ColumnData::Mixed(v) => v[i].is_null(),
-            _ => self.nulls.as_ref().is_some_and(|n| n[i]),
-        }
+        self.nulls.as_ref().is_some_and(|n| n[i])
     }
 
     fn set_null_tail(&mut self) {
@@ -381,8 +335,10 @@ impl Column {
         nulls[len - 1] = true;
     }
 
-    /// Append one value, demoting the column to `Mixed` if the value does
-    /// not fit the physical type.
+    /// Append one value. NULL fits every column; any other value must be
+    /// of the column's type. A value that does not fit is a bug in its
+    /// producer (ingest checks types at the door, the codec on decode,
+    /// operators build columns of their plan's types), so it panics.
     pub fn push(&mut self, v: &Value) {
         match (&mut self.data, v) {
             (ColumnData::Int(c), Value::Int(x)) => c.push(*x),
@@ -393,8 +349,7 @@ impl Column {
             (ColumnData::Dict { codes, dict }, Value::Str(x)) => {
                 codes.push(Dictionary::intern_shared(dict, x));
             }
-            (ColumnData::Mixed(c), v) => c.push(v.clone()),
-            (data, Value::Null) if !matches!(data, ColumnData::Mixed(_)) => {
+            (data, Value::Null) => {
                 // NULL in a typed column: default payload + mask bit.
                 match data {
                     ColumnData::Int(c) => c.push(0),
@@ -405,21 +360,11 @@ impl Column {
                     ColumnData::Dict { codes, dict } => {
                         codes.push(Dictionary::intern_shared(dict, ""));
                     }
-                    ColumnData::Mixed(_) => unreachable!(),
                 }
                 self.set_null_tail();
                 return;
             }
-            (data, v) => {
-                // Type drift: demote to Mixed and retry.
-                let mixed = data.to_mixed(self.nulls.as_deref());
-                *data = ColumnData::Mixed(mixed);
-                self.nulls = None;
-                if let ColumnData::Mixed(c) = data {
-                    c.push(v.clone());
-                }
-                return;
-            }
+            (data, v) => panic!("{v:?} does not fit a column of type {}", data.data_type()),
         }
         if let Some(n) = self.nulls.as_mut() {
             n.push(false);
@@ -438,7 +383,6 @@ impl Column {
             ColumnData::Date(v) => Value::Date(v[i]),
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Dict { codes, dict } => Value::Str(Arc::clone(dict.value(codes[i]))),
-            ColumnData::Mixed(v) => v[i].clone(),
         }
     }
 
@@ -478,14 +422,13 @@ impl Column {
             ColumnData::Dict { codes, dict } => cells(rows, sel, nulls, codes, |&c| {
                 Value::Str(Arc::clone(dict.value(c)))
             }),
-            // NULLs are inline values here; a Mixed column has no mask.
-            ColumnData::Mixed(v) => cells(rows, sel, None, v, Value::clone),
         }
     }
 
-    /// Hash the value at `i` exactly as [`Value::hash`] would (so `Int(2)`
-    /// and `Float(2.0)` collide, NULL has its own tag) — the contract the
-    /// borrowed-key hash join relies on. Strings hash through their
+    /// Hash the value at `i` exactly as [`Value`]'s
+    /// [`Hash`](std::hash::Hash) would (so `Int(2)` and `Float(2.0)`
+    /// collide, NULL has its own tag) — the contract the borrowed-key hash
+    /// join relies on. Strings hash through their
     /// canonical [`str_hash`] image, which `Dict` columns replay from the
     /// precomputed per-entry hash without touching string bytes.
     pub fn hash_value<H: Hasher>(&self, i: usize, state: &mut H) {
@@ -499,7 +442,6 @@ impl Column {
             ColumnData::Dict { codes, dict } => hash_str(dict.hash(codes[i]), state),
             ColumnData::Date(v) => hash_date(v[i], state),
             ColumnData::Bool(v) => hash_bool(v[i], state),
-            ColumnData::Mixed(v) => v[i].hash(state),
         }
     }
 
@@ -540,8 +482,6 @@ impl Column {
             }
             ColumnData::Date(v) => fold(states, sel, nulls, v, |&x, h| hash_date(x, h)),
             ColumnData::Bool(v) => fold(states, sel, nulls, v, |&x, h| hash_bool(x, h)),
-            // NULLs are inline values here; a Mixed column has no mask.
-            ColumnData::Mixed(v) => fold(states, sel, None, v, |x, h| x.hash(h)),
         }
     }
 
@@ -645,9 +585,6 @@ impl Column {
                     codes: idx.iter().map(|&i| codes[i as usize]).collect(),
                     dict: Arc::clone(dict),
                 },
-                ColumnData::Mixed(v) => {
-                    ColumnData::Mixed(idx.iter().map(|&i| v[i as usize].clone()).collect())
-                }
             },
             nulls: None,
         };
@@ -736,7 +673,6 @@ impl Column {
             ColumnData::Date(v) => Cells::Date(apply(v, moves, new_len)),
             ColumnData::Bool(v) => Cells::Bool(apply(v, moves, new_len)),
             ColumnData::Dict { codes, .. } => Cells::Codes(apply(codes, moves, new_len)),
-            ColumnData::Mixed(v) => Cells::Mixed(apply(v, moves, new_len)),
         };
         let nulls = self.nulls.as_mut().map(|n| apply(n, moves, new_len));
         undo::CutColumn { cells, nulls }
@@ -811,8 +747,8 @@ impl Column {
 /// Columns are reference-counted, so cloning a batch (e.g. serving a
 /// cached scan) and projecting are O(width), never O(cells).
 /// Logical equality: same length and the same [`Value`] at every position,
-/// regardless of physical representation (a `Mixed` column equals a typed
-/// one holding the same values). This is what the durability round-trip
+/// regardless of physical representation (a `Dict` column equals a `Str`
+/// one holding the same strings). This is what the durability round-trip
 /// tests pin the codec against.
 impl PartialEq for Column {
     fn eq(&self, other: &Column) -> bool {
@@ -867,11 +803,19 @@ impl Batch {
         }
     }
 
-    /// Build from already-columnar data (all columns the same length).
+    /// Build from already-columnar data (all columns the same length, each
+    /// of its attribute's type).
     pub fn from_columns(schema: Schema, columns: Vec<Column>) -> Batch {
         let rows = columns.first().map_or(0, Column::len);
         debug_assert!(columns.iter().all(|c| c.len() == rows));
         debug_assert_eq!(columns.len(), schema.len());
+        debug_assert!(
+            columns
+                .iter()
+                .zip(schema.attrs())
+                .all(|(c, a)| c.data.data_type() == a.data_type),
+            "a column does not hold its attribute's type"
+        );
         Batch {
             schema,
             columns: columns.into_iter().map(Arc::new).collect(),
@@ -1010,8 +954,8 @@ impl Batch {
     }
 
     /// Materialize, consuming the batch. Unlike [`Batch::to_rows`], dense
-    /// uniquely-owned columns are *drained*: values (including `Arc<str>`s
-    /// and `Mixed` payloads) move out instead of being cloned per cell.
+    /// uniquely-owned columns are *drained*: plain strings move out
+    /// instead of being cloned per cell.
     /// Shared or selection-bearing batches fall back to the copying path.
     pub fn into_rows(self) -> Vec<Tuple> {
         if self.sel.is_some() {
@@ -1239,8 +1183,8 @@ impl Batch {
     }
 
     /// Dictionary-encode every plain `Str` column, unconditionally.
-    /// Non-string, already-encoded, and `Mixed` columns are
-    /// reference-shared untouched. Stored images use
+    /// Non-string and already-encoded columns are reference-shared
+    /// untouched. Stored images use
     /// [`Batch::stored_encoding`], which applies the encoding rule.
     pub fn dict_encoded(&self) -> Batch {
         self.map_columns(|c| matches!(c.data(), ColumnData::Str(_)).then(|| c.dict_encode()))
@@ -1324,8 +1268,9 @@ impl Batch {
         (moves, cut)
     }
 
-    /// Hash the key columns of physical row `phys` ([`Value::hash`]
-    /// semantics, so cross-typed equal keys collide as required). Folded
+    /// Hash the key columns of physical row `phys` ([`Value`]'s
+    /// [`Hash`](std::hash::Hash) semantics, so cross-typed equal keys
+    /// collide as required). Folded
     /// with the internal fast hasher — every consumer pairs this with a
     /// column-wise equality check, so only within-operation consistency is
     /// required (see [`crate::hash`]).
@@ -1564,17 +1509,15 @@ mod tests {
         assert!(b.column(1).is_null(2));
     }
 
+    /// A value that does not fit its column is a producer's bug: `push`
+    /// names both types instead of storing it.
     #[test]
-    fn type_drift_demotes_to_mixed() {
-        let s = schema(&[(0, DataType::Int)]);
-        // Declared INT, but a FLOAT value flows through.
-        let rows = vec![
-            vec![Value::Int(1)],
-            vec![Value::Float(2.5)],
-            vec![Value::Null],
-        ];
-        let b = Batch::from_rows(s, &rows);
-        assert_eq!(b.to_rows(), rows);
+    #[should_panic(expected = "Float(2.5) does not fit a column of type INT")]
+    fn push_of_a_value_that_does_not_fit_panics() {
+        let mut c = Column::new(DataType::Int);
+        c.push(&Value::Int(1));
+        c.push(&Value::Null);
+        c.push(&Value::Float(2.5));
     }
 
     #[test]
@@ -1651,7 +1594,6 @@ mod tests {
             (3, DataType::Bool),
             (4, DataType::Str),
             (5, DataType::Str),
-            (6, DataType::Int),
         ]);
         let row = |i: i64, nulls: bool| -> Tuple {
             let cell = |v: Value| if nulls && i % 3 == 0 { Value::Null } else { v };
@@ -1662,29 +1604,21 @@ mod tests {
                 cell(Value::Bool(i % 2 == 0)),
                 cell(Value::str(format!("s{}", i % 4))),
                 cell(Value::str(format!("d{}", i % 3))),
-                // A Float in the Int slot demotes the column to Mixed,
-                // whose NULLs are inline.
-                match i % 5 {
-                    0 => Value::Float(i as f64),
-                    4 if nulls => Value::Null,
-                    _ => Value::Int(i),
-                },
             ]
         };
         for nulls in [false, true] {
             let rows: Vec<Tuple> = (0..30).map(|i| row(i, nulls)).collect();
             let plain = Batch::from_rows(s.clone(), &rows);
-            let mut columns: Vec<Column> = (0..7).map(|c| plain.column(c).clone()).collect();
+            let mut columns: Vec<Column> = (0..6).map(|c| plain.column(c).clone()).collect();
             columns[5] = columns[5].dict_encode();
             let dense = Batch::from_columns(s.clone(), columns);
             assert!(matches!(dense.column(4).data(), ColumnData::Str(_)));
             assert!(dense.column(5).dict().is_some());
-            assert!(matches!(dense.column(6).data(), ColumnData::Mixed(_)));
             assert_eq!(dense.column(0).null_mask().is_some(), nulls);
             let mut selected = dense.clone();
             selected.set_selection(vec![29, 3, 3, 0, 17, 8]);
             for b in [&dense, &selected] {
-                let key_sets: [&[usize]; 5] = [&[0, 1, 2, 3, 4, 5, 6], &[5], &[6, 0], &[4, 1], &[]];
+                let key_sets: [&[usize]; 5] = [&[0, 1, 2, 3, 4, 5], &[5], &[3, 0], &[4, 1], &[]];
                 for cols in key_sets {
                     let hashes = b.hash_rows(cols);
                     assert_eq!(hashes.len(), b.num_rows());

@@ -4,9 +4,8 @@
 //! is undone by truncating back to the [`AppendMark`] taken before it
 //! (the columns, the null masks and the dictionary tails), and a batched
 //! swap-remove by putting back the [`CutRows`] it split off the tail and
-//! reversing its moves. Both records are O(|δ| × width): neither holds a
-//! column or dictionary handle unless an append changes a column's
-//! representation, so keeping one forces no copy-on-write.
+//! reversing its moves. Both records are O(|δ| × width) and hold no
+//! column or dictionary handle, so keeping one forces no copy-on-write.
 //!
 //! The undo half runs while an aborted transaction rolls back, the one
 //! place a panic can no longer be contained, so this module is
@@ -20,22 +19,16 @@
 )]
 
 use super::{Batch, Column, ColumnData, Dictionary};
-use crate::types::Value;
 use std::sync::Arc;
 
-/// How to take one column back to where it stood before an append.
+/// How to take one column back to where it stood before an append: an
+/// append never changes a column's representation, so truncating to the
+/// mark's row count and dropping a null mask the append created and the
+/// dictionary entries it interned restores it.
 #[derive(Debug)]
-enum ColumnMark {
-    /// Truncate to the mark's row count, dropping a null mask the append
-    /// created and the dictionary entries it interned.
-    Truncate {
-        had_nulls: bool,
-        dict_len: Option<usize>,
-    },
-    /// The append may change the column's representation (type drift to
-    /// `Mixed`), which truncation cannot reverse: the pre-append handle,
-    /// put back whole.
-    Whole(Arc<Column>),
+struct ColumnMark {
+    had_nulls: bool,
+    dict_len: Option<usize>,
 }
 
 /// A dense batch's state before one append ([`Batch::append_mark`]).
@@ -62,7 +55,6 @@ pub(super) enum Cells {
     Bool(Vec<bool>),
     /// Dictionary codes: the dictionary stays on the column.
     Codes(Vec<u32>),
-    Mixed(Vec<Value>),
 }
 
 #[derive(Debug)]
@@ -101,24 +93,8 @@ impl Dictionary {
 }
 
 impl ColumnData {
-    /// Whether appending `other` keeps this representation: true for the
-    /// same type, either string encoding into the other, and anything into
-    /// `Mixed`. Otherwise a value may drift the column to `Mixed`.
-    fn keeps_repr(&self, other: &ColumnData) -> bool {
-        use ColumnData as D;
-        matches!(
-            (self, other),
-            (D::Mixed(_), _)
-                | (D::Int(_), D::Int(_))
-                | (D::Float(_), D::Float(_))
-                | (D::Date(_), D::Date(_))
-                | (D::Bool(_), D::Bool(_))
-                | (D::Str(_) | D::Dict { .. }, D::Str(_) | D::Dict { .. })
-        )
-    }
-
     /// Append the cells of a cut. They share this representation by
-    /// construction: rollback restores a column's representation (drift,
+    /// construction: rollback restores a column's representation (a
     /// dictionary rebuild) before it puts the column's cut back.
     fn extend_cells(&mut self, cells: Cells) {
         use ColumnData as D;
@@ -129,7 +105,6 @@ impl ColumnData {
             (D::Date(v), Cells::Date(c)) => v.extend(c),
             (D::Bool(v), Cells::Bool(c)) => v.extend(c),
             (D::Dict { codes, .. }, Cells::Codes(c)) => codes.extend(c),
-            (D::Mixed(v), Cells::Mixed(c)) => v.extend(c),
             _ => {}
         }
     }
@@ -143,7 +118,6 @@ impl ColumnData {
             D::Date(v) => swap_back(v, moves),
             D::Bool(v) => swap_back(v, moves),
             D::Dict { codes, .. } => swap_back(codes, moves),
-            D::Mixed(v) => swap_back(v, moves),
         }
     }
 
@@ -156,7 +130,6 @@ impl ColumnData {
             D::Date(v) => v.truncate(len),
             D::Bool(v) => v.truncate(len),
             D::Dict { codes, .. } => codes.truncate(len),
-            D::Mixed(v) => v.truncate(len),
         }
     }
 }
@@ -198,23 +171,15 @@ impl Column {
 }
 
 impl Batch {
-    /// Mark this dense batch's state before appending `other`, for
-    /// [`Batch::undo_append`]. O(width); it holds a column handle only
-    /// where `other` could drift the column's representation.
-    pub fn append_mark(&self, other: &Batch) -> AppendMark {
+    /// Mark this dense batch's state before an append, for
+    /// [`Batch::undo_append`]. O(width).
+    pub fn append_mark(&self) -> AppendMark {
         let cols = self
             .columns
             .iter()
-            .zip(&other.columns)
-            .map(|(mine, theirs)| {
-                if mine.data.keeps_repr(&theirs.data) {
-                    ColumnMark::Truncate {
-                        had_nulls: mine.nulls.is_some(),
-                        dict_len: mine.dict().map(|(_, d)| d.len()),
-                    }
-                } else {
-                    ColumnMark::Whole(Arc::clone(mine))
-                }
+            .map(|col| ColumnMark {
+                had_nulls: col.nulls.is_some(),
+                dict_len: col.dict().map(|(_, d)| d.len()),
             })
             .collect();
         AppendMark {
@@ -227,13 +192,7 @@ impl Batch {
     /// dictionaries go back to their state at the mark.
     pub fn undo_append(&mut self, mark: AppendMark) {
         for (col, m) in self.columns.iter_mut().zip(mark.cols) {
-            match m {
-                ColumnMark::Whole(old) => *col = old,
-                ColumnMark::Truncate {
-                    had_nulls,
-                    dict_len,
-                } => Arc::make_mut(col).undo_append(mark.rows, had_nulls, dict_len),
-            }
+            Arc::make_mut(col).undo_append(mark.rows, m.had_nulls, m.dict_len);
         }
         self.rows = mark.rows;
     }

@@ -305,8 +305,8 @@ pub fn decode_schema(d: &mut Dec) -> Result<Schema, CodecError> {
 // Columns and batches
 // ---------------------------------------------------------------------------
 
-/// Tag bytes for [`ColumnData`] variants (5 = the `Mixed` fallback,
-/// 6 = dictionary-encoded strings).
+/// Tag bytes for [`ColumnData`] variants (6 = dictionary-encoded strings;
+/// 5 is not a valid tag).
 fn column_tag(data: &ColumnData) -> u8 {
     match data {
         ColumnData::Int(_) => 0,
@@ -314,7 +314,6 @@ fn column_tag(data: &ColumnData) -> u8 {
         ColumnData::Str(_) => 2,
         ColumnData::Date(_) => 3,
         ColumnData::Bool(_) => 4,
-        ColumnData::Mixed(_) => 5,
         ColumnData::Dict { .. } => 6,
     }
 }
@@ -328,7 +327,6 @@ pub fn encode_column(e: &mut Enc, c: &Column) {
         ColumnData::Str(v) => v.iter().for_each(|s| e.str(s)),
         ColumnData::Date(v) => v.iter().for_each(|x| e.i32(*x)),
         ColumnData::Bool(v) => v.iter().for_each(|x| e.bool(*x)),
-        ColumnData::Mixed(v) => v.iter().for_each(|x| encode_value(e, x)),
         ColumnData::Dict { codes, dict } => {
             // Codes first (length `n` from the header), then the dictionary
             // entries. Hashes and the intern index are derived state and
@@ -347,7 +345,7 @@ pub fn encode_column(e: &mut Enc, c: &Column) {
     }
 }
 
-pub fn decode_column(d: &mut Dec) -> Result<Column, CodecError> {
+fn decode_column(d: &mut Dec) -> Result<Column, CodecError> {
     let tag = d.u8()?;
     let n = d.count(1)?;
     let data = match tag {
@@ -360,7 +358,6 @@ pub fn decode_column(d: &mut Dec) -> Result<Column, CodecError> {
         ),
         3 => ColumnData::Date((0..n).map(|_| d.i32()).collect::<Result<_, _>>()?),
         4 => ColumnData::Bool((0..n).map(|_| d.bool()).collect::<Result<_, _>>()?),
-        5 => ColumnData::Mixed((0..n).map(|_| decode_value(d)).collect::<Result<_, _>>()?),
         6 => {
             let raw_codes: Vec<u32> = (0..n).map(|_| d.u32()).collect::<Result<_, _>>()?;
             let entries = d.count(1)?;
@@ -393,9 +390,6 @@ pub fn decode_column(d: &mut Dec) -> Result<Column, CodecError> {
         1 => Some((0..n).map(|_| d.bool()).collect::<Result<Vec<_>, _>>()?),
         t => return Err(invalid(format!("null-mask flag {t}"))),
     };
-    if matches!(data, ColumnData::Mixed(_)) && nulls.is_some() {
-        return Err(invalid("Mixed column with a null mask"));
-    }
     Ok(Column::from_parts(data, nulls))
 }
 
@@ -411,6 +405,8 @@ pub fn encode_batch(e: &mut Enc, b: &Batch) {
     }
 }
 
+/// Decode a batch; a column whose payload does not hold its attribute's
+/// type is an error, so every decoded column is typed.
 pub fn decode_batch(d: &mut Dec) -> Result<Batch, CodecError> {
     let schema = decode_schema(d)?;
     let ncols = d.count(2)?;
@@ -421,8 +417,16 @@ pub fn decode_batch(d: &mut Dec) -> Result<Batch, CodecError> {
         )));
     }
     let mut columns = Vec::with_capacity(ncols);
-    for _ in 0..ncols {
-        columns.push(decode_column(d)?);
+    for a in schema.attrs() {
+        let column = decode_column(d)?;
+        let got = column.data().data_type();
+        if got != a.data_type {
+            return Err(invalid(format!(
+                "column {} holds {got} values but is declared {}",
+                a.name, a.data_type
+            )));
+        }
+        columns.push(column);
     }
     let rows = columns.first().map_or(0, Column::len);
     if columns.iter().any(|c| c.len() != rows) {
@@ -885,37 +889,72 @@ mod tests {
         roundtrip_value(Value::Bool(true));
     }
 
+    fn attrs(types: &[DataType]) -> Schema {
+        Schema::new(
+            types
+                .iter()
+                .enumerate()
+                .map(|(i, &data_type)| Attribute {
+                    id: AttrId(i as u32),
+                    name: format!("t.c{i}"),
+                    data_type,
+                })
+                .collect(),
+        )
+    }
+
+    fn encoded(b: &Batch) -> Vec<u8> {
+        let mut e = Enc::new();
+        encode_batch(&mut e, b);
+        e.into_bytes()
+    }
+
+    /// NULL masks and both string encodings, plain and dictionary, side by
+    /// side in one batch.
     #[test]
     fn batch_roundtrips_with_nulls_and_mixed() {
-        let schema = Schema::new(vec![
-            Attribute {
-                id: AttrId(0),
-                name: "t.i".into(),
-                data_type: DataType::Int,
-            },
-            Attribute {
-                id: AttrId(1),
-                name: "t.s".into(),
-                data_type: DataType::Str,
-            },
-            Attribute {
-                id: AttrId(2),
-                name: "t.f".into(),
-                data_type: DataType::Float,
-            },
-        ]);
+        let schema = attrs(&[DataType::Int, DataType::Str, DataType::Float, DataType::Str]);
         let rows: Vec<Tuple> = vec![
-            vec![Value::Int(1), Value::str("a"), Value::Float(1.5)],
-            vec![Value::Null, Value::str("b"), Value::Int(7)], // Int in Float slot → Mixed
-            vec![Value::Int(3), Value::Null, Value::Null],
+            vec![
+                Value::Int(1),
+                Value::str("a"),
+                Value::Float(1.5),
+                Value::str("x"),
+            ],
+            vec![Value::Null, Value::str("b"), Value::Float(7.0), Value::Null],
+            vec![Value::Int(3), Value::Null, Value::Null, Value::str("x")],
         ];
-        let b = Batch::from_rows(schema, &rows);
-        let mut e = Enc::new();
-        encode_batch(&mut e, &b);
-        let bytes = e.into_bytes();
-        let got = decode_batch(&mut Dec::new(&bytes)).unwrap();
+        let plain = Batch::from_rows(schema.clone(), &rows);
+        let mut columns: Vec<Column> = (0..4).map(|c| plain.column(c).clone()).collect();
+        columns[3] = columns[3].dict_encode();
+        let b = Batch::from_columns(schema, columns);
+        let got = decode_batch(&mut Dec::new(&encoded(&b))).unwrap();
         assert_eq!(got, b);
         assert_eq!(got.to_rows(), rows);
+        assert!(matches!(got.column(1).data(), ColumnData::Str(_)));
+        assert!(got.column(3).dict().is_some());
+    }
+
+    /// A column whose payload does not hold its attribute's type is a
+    /// decode error, and so is tag byte 5.
+    #[test]
+    fn decode_rejects_a_column_that_does_not_fit_its_attribute() {
+        let rows = vec![vec![Value::Int(7)], vec![Value::Null]];
+        let mut bytes = encoded(&Batch::from_rows(attrs(&[DataType::Int]), &rows));
+        // The column tag follows the schema and the column count.
+        let mut e = Enc::new();
+        encode_schema(&mut e, &attrs(&[DataType::Int]));
+        let tag = e.len() + 4;
+        assert_eq!(bytes[tag], 0, "an Int column");
+        for bad in [1u8, 3, 5] {
+            bytes[tag] = bad;
+            let r = decode_batch(&mut Dec::new(&bytes));
+            assert!(matches!(r, Err(CodecError::Invalid(_))), "tag {bad}: {r:?}");
+        }
+        // The same Float payload decodes under a Float attribute.
+        let floats = vec![vec![Value::Float(1.0)]];
+        let ok = encoded(&Batch::from_rows(attrs(&[DataType::Float]), &floats));
+        assert!(decode_batch(&mut Dec::new(&ok)).is_ok());
     }
 
     #[test]

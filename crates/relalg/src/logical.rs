@@ -4,7 +4,7 @@
 //! optimizer (Figure 1(a) of the paper); the AND-OR DAG is built from it.
 //! All operators use multiset semantics.
 
-use crate::agg::AggSpec;
+use crate::agg::{AggFunc, AggSpec};
 use crate::catalog::{Catalog, TableId};
 use crate::expr::Predicate;
 use crate::schema::{AttrId, Attribute, Schema};
@@ -277,12 +277,25 @@ impl LogicalExpr {
                 Ok(())
             }
             LogicalExpr::Aggregate {
-                input, group_by, ..
+                input,
+                group_by,
+                aggs,
             } => {
                 input.validate(catalog)?;
                 let schema = input.schema(catalog);
                 if !schema.contains_all(group_by) {
                     return Err("group-by attributes missing from input".into());
+                }
+                for a in aggs {
+                    match a.input.result_type(&schema) {
+                        None => return Err(format!("aggregate {a} has an ill-typed input")),
+                        Some(t)
+                            if matches!(a.func, AggFunc::Sum | AggFunc::Avg) && !t.is_numeric() =>
+                        {
+                            return Err(format!("aggregate {a} over a {t} input"))
+                        }
+                        Some(_) => {}
+                    }
                 }
                 Ok(())
             }

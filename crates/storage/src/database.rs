@@ -57,18 +57,28 @@ impl Database {
         self.base.contains_key(&id)
     }
 
-    /// Check that every tuple in `delta` matches the stored table's arity.
-    /// A bad batch must be rejected before any of it is applied.
+    /// Check that every tuple in `delta` matches the stored table's arity
+    /// and every value its column's type (NULL fits any type). A bad batch
+    /// must be rejected before any of it is applied.
     pub fn validate_delta(&self, id: TableId, delta: &DeltaBatch) -> Result<(), StorageError> {
-        let table = self.base(id)?;
-        let expected = table.schema().len();
+        let attrs = self.base(id)?.schema().attrs();
         for row in delta.inserts.iter().chain(&delta.deletes) {
-            if row.len() != expected {
+            if row.len() != attrs.len() {
                 return Err(StorageError::ArityMismatch {
                     table: id,
-                    expected,
+                    expected: attrs.len(),
                     got: row.len(),
                 });
+            }
+            for (v, a) in row.iter().zip(attrs) {
+                if let Some(got) = v.data_type().filter(|&t| t != a.data_type) {
+                    return Err(StorageError::TypeMismatch {
+                        table: id,
+                        column: a.name.clone(),
+                        expected: a.data_type,
+                        got,
+                    });
+                }
             }
         }
         Ok(())
@@ -209,5 +219,28 @@ mod tests {
         ));
         let good = DeltaBatch::new(vec![vec![Value::Int(1)]], vec![]);
         assert!(db.validate_delta(t, &good).is_ok());
+    }
+
+    #[test]
+    fn validate_delta_rejects_a_value_of_another_type() {
+        let (_, t, db) = setup();
+        // An Int column takes neither a Float nor a string, on either side;
+        // NULL fits.
+        for bad in [Value::Float(1.0), Value::str("1")] {
+            for batch in [
+                DeltaBatch::new(vec![vec![Value::Int(1)], vec![bad.clone()]], vec![]),
+                DeltaBatch::new(vec![], vec![vec![bad.clone()]]),
+            ] {
+                assert!(matches!(
+                    db.validate_delta(t, &batch),
+                    Err(crate::error::StorageError::TypeMismatch {
+                        expected: DataType::Int,
+                        ..
+                    })
+                ));
+            }
+        }
+        let nulls = DeltaBatch::new(vec![vec![Value::Null]], vec![vec![Value::Null]]);
+        assert!(db.validate_delta(t, &nulls).is_ok());
     }
 }

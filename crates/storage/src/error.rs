@@ -7,6 +7,7 @@
 //! [`StorageError`].
 
 use mvmqo_relalg::catalog::TableId;
+use mvmqo_relalg::types::DataType;
 use std::fmt;
 
 /// Errors raised by the storage layer.
@@ -19,6 +20,14 @@ pub enum StorageError {
         table: TableId,
         expected: usize,
         got: usize,
+    },
+    /// A delta value is not of its column's type (NULL fits every type;
+    /// an `Int` does not fit a `Float` column).
+    TypeMismatch {
+        table: TableId,
+        column: String,
+        expected: DataType,
+        got: DataType,
     },
     /// A delete batch removes a tuple more times than it will occur
     /// (stored occurrences plus queued inserts). Applying it would
@@ -39,6 +48,15 @@ impl fmt::Display for StorageError {
                 f,
                 "delta tuple for table {table} has {got} values, schema expects {expected}"
             ),
+            StorageError::TypeMismatch {
+                table,
+                column,
+                expected,
+                got,
+            } => write!(
+                f,
+                "delta value for table {table} column {column} is {got}, schema expects {expected}"
+            ),
             StorageError::PhantomDelete { table } => write!(
                 f,
                 "delete batch for table {table} removes a tuple more times than it occurs"
@@ -52,8 +70,8 @@ impl std::error::Error for StorageError {}
 /// Errors raised while loading durable state. A torn WAL tail is *not* an
 /// error (prefix recovery handles it, see [`crate::wal::scan_wal`]); these
 /// are the failures recovery cannot proceed past — a missing manifest, an
-/// unreadable file, or a snapshot whose framing or contents fail
-/// verification.
+/// unreadable file, a snapshot whose framing or contents fail
+/// verification, or a CRC-valid WAL record that does not decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RecoveryError {
     /// Filesystem failure while reading durable state.

@@ -222,7 +222,7 @@ impl StoredTable {
         if let Some(inserts) = inserts.filter(|i| i.num_rows() > 0) {
             debug_assert_eq!(inserts.schema().ids(), self.schema.ids());
             let start = self.batch.num_rows();
-            journal.push(TableUndo::Append(self.batch.append_mark(inserts)));
+            journal.push(TableUndo::Append(self.batch.append_mark()));
             self.batch.append(inserts);
             for idx in self.indices.values_mut() {
                 let idx = Arc::make_mut(idx);
@@ -486,8 +486,8 @@ impl Candidates {
     /// Keep, in order, the pairs whose cells are equal in one column —
     /// `stored` of the table, `deleted` of the delete batch — under
     /// [`Column::eq_at`]'s semantics (`Value` equality; NULL equals only
-    /// NULL). One typed loop per representation pair; cross-typed and
-    /// `Mixed` cells take `eq_at` itself.
+    /// NULL). One typed loop per representation pair; cross-typed cells
+    /// take `eq_at` itself.
     fn retain_equal(&mut self, stored: &Column, deleted: &Column) {
         use ColumnData::*;
         let (sn, dn) = (stored.null_mask(), deleted.null_mask());

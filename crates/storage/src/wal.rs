@@ -225,7 +225,9 @@ pub enum WalStop {
     /// Length prefix beyond [`MAX_RECORD_BYTES`] (corrupt header).
     Oversized { offset: u64, len: u32 },
     /// CRC matched but the payload does not decode — only possible when
-    /// the writer and reader disagree about the format.
+    /// the writer and reader disagree about the format. Unlike the other
+    /// stops this is no torn tail: recovery refuses the log rather than
+    /// truncate it here.
     BadRecord { offset: u64, why: String },
 }
 

@@ -36,7 +36,7 @@ use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::error::{RecoveryError, StorageError};
 use mvmqo_storage::faults::{FaultMode, FaultRegistry};
 use mvmqo_storage::snapshot::{self, Manifest};
-use mvmqo_storage::wal::{scan_wal, WalRecord, WalWriter};
+use mvmqo_storage::wal::{scan_wal, WalRecord, WalStop, WalWriter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -356,9 +356,9 @@ impl Warehouse {
     /// Accept an arbitrary insert/delete batch for one relation. The batch
     /// is validated up front and queued; epoch execution maps all queued
     /// batches onto the paper's 2n δ⁺/δ⁻ update numbering (§5.2). A bad
-    /// batch — wrong arity, or deletes exceeding the multiplicity that
-    /// will exist once queued inserts land — is rejected whole; the engine
-    /// state is untouched.
+    /// batch — wrong arity, a value not of its column's type, or deletes
+    /// exceeding the multiplicity that will exist once queued inserts land
+    /// — is rejected whole; the engine state is untouched.
     pub fn ingest(&mut self, table: TableId, batch: DeltaBatch) -> Result<usize, WarehouseError> {
         self.db.validate_delta(table, &batch)?;
         let n = batch.inserts.len() + batch.deletes.len();
@@ -963,7 +963,10 @@ impl Warehouse {
     /// then replay the WAL tail through the ordinary ingest, epoch and
     /// view-DDL calls, in log order.
     /// A torn or corrupt WAL tail is absorbed by prefix recovery; the
-    /// engine resumes logging at the end of the surviving prefix.
+    /// engine resumes logging at the end of the surviving prefix. A record
+    /// whose CRC matches but whose payload does not decode (a column that
+    /// does not hold its attribute's type, say) is no torn tail, and is
+    /// a [`RecoveryError::Corrupt`] rather than a silent truncation.
     pub fn recover(dir: impl AsRef<Path>) -> Result<Warehouse, WarehouseError> {
         let dir = dir.as_ref().to_path_buf();
         let manifest = Manifest::load(&dir)?;
@@ -1046,6 +1049,13 @@ impl Warehouse {
         // Durability is still detached, so replay does not re-log itself.
         let wal_path = dir.join(&manifest.wal_file);
         let scan = scan_wal(&wal_path)?;
+        if let WalStop::BadRecord { .. } = scan.stop {
+            return Err(RecoveryError::Corrupt {
+                file: wal_path.display().to_string(),
+                why: scan.stop.to_string(),
+            }
+            .into());
+        }
         let replayed = scan.records.len();
         for rec in scan.records {
             match rec {

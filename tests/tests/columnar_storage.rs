@@ -3,9 +3,7 @@
 //! Batch-native storage means every merge path runs a columnar kernel
 //! where the row-at-a-time code used to run. These proptests pin each
 //! kernel to its row reference on random multisets with NULLs and
-//! duplicates, for **every** `DataType` — including the `Mixed` physical
-//! fallback (a declared-INT column through which floats and strings
-//! flow):
+//! duplicates, for **every** `DataType`:
 //!
 //! * `StoredTable::apply_delta` / `apply_batch_delta` (the `merge_plain`
 //!   kernel) ≡ append + `bag_minus`, with index consistency through the
@@ -18,7 +16,8 @@
 //! * `Batch::minus` / `Batch::counts` ≡ `tuple::bag_minus` /
 //!   `tuple::bag_counts`;
 //! * the typed aggregation kernels of the vectorized executor ≡ the
-//!   reference evaluator, per input type.
+//!   reference evaluator, per input type, and over expressions, with
+//!   every output column of its plan type.
 
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::Dag;
@@ -28,7 +27,7 @@ use mvmqo_integration_tests::eval_logical;
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec};
-use mvmqo_relalg::expr::ScalarExpr;
+use mvmqo_relalg::expr::{ArithOp, ScalarExpr};
 use mvmqo_relalg::logical::LogicalExpr;
 use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
 use mvmqo_relalg::tuple::{bag_counts, bag_eq, bag_minus, bag_union, Tuple};
@@ -41,8 +40,7 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::collections::HashMap;
 
-/// The physical layouts under test: each declared `DataType` plus the
-/// `Mixed` fallback (declared INT, heterogeneous values at runtime).
+/// The physical layouts under test: one per declared `DataType`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Layout {
     Int,
@@ -50,22 +48,20 @@ enum Layout {
     Str,
     Date,
     Bool,
-    Mixed,
 }
 
-const LAYOUTS: [Layout; 6] = [
+const LAYOUTS: [Layout; 5] = [
     Layout::Int,
     Layout::Float,
     Layout::Str,
     Layout::Date,
     Layout::Bool,
-    Layout::Mixed,
 ];
 
 impl Layout {
     fn declared(self) -> DataType {
         match self {
-            Layout::Int | Layout::Mixed => DataType::Int,
+            Layout::Int => DataType::Int,
             Layout::Float => DataType::Float,
             Layout::Str => DataType::Str,
             Layout::Date => DataType::Date,
@@ -86,14 +82,17 @@ impl Layout {
             Layout::Str => Value::str(format!("s{v}")),
             Layout::Date => Value::Date(v as i32),
             Layout::Bool => Value::Bool(v % 2 == 0),
-            // Type drift: ints, floats, and strings through one column.
-            Layout::Mixed => match v {
-                0 => Value::Int(7),
-                1 => Value::Float(2.5),
-                2 => Value::str("m"),
-                _ => Value::Int(v),
-            },
         }
+    }
+
+    /// The aggregates a view over this layout may take: SUM and AVG need
+    /// a numeric input.
+    fn funcs(self) -> Vec<AggFunc> {
+        let mut funcs = vec![AggFunc::Count, AggFunc::Min, AggFunc::Max];
+        if self.declared().is_numeric() {
+            funcs.extend([AggFunc::Sum, AggFunc::Avg]);
+        }
+        funcs
     }
 }
 
@@ -254,18 +253,13 @@ proptest! {
     ) {
         let layout = LAYOUTS[layout_pick];
         let schema = schema_for(layout);
-        let specs: Vec<AggSpec> = {
-            let mut s = vec![
-                AggSpec::new(AggFunc::Count, ScalarExpr::Col(AttrId(1)), AttrId(10)),
-                AggSpec::new(AggFunc::Sum, ScalarExpr::Col(AttrId(1)), AttrId(11)),
-                AggSpec::new(AggFunc::Avg, ScalarExpr::Col(AttrId(1)), AttrId(12)),
-            ];
-            if !removable_only {
-                s.push(AggSpec::new(AggFunc::Min, ScalarExpr::Col(AttrId(1)), AttrId(13)));
-                s.push(AggSpec::new(AggFunc::Max, ScalarExpr::Col(AttrId(1)), AttrId(14)));
-            }
-            s
-        };
+        let specs: Vec<AggSpec> = layout
+            .funcs()
+            .into_iter()
+            .filter(|f| f.removable() || !removable_only)
+            .zip(10..)
+            .map(|(f, out)| AggSpec::new(f, ScalarExpr::Col(AttrId(1)), AttrId(out)))
+            .collect();
         let out_schema = Schema::new(
             std::iter::once(Attribute {
                 id: AttrId(0),
@@ -352,52 +346,128 @@ proptest! {
         let mut db = Database::new();
         db.put_base(t, StoredTable::with_rows(catalog.table(t).schema.clone(), data));
 
-        let funcs = [AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max];
-        let specs: Vec<AggSpec> = funcs
-            .iter()
-            .map(|&f| AggSpec::new(f, ScalarExpr::Col(v), catalog.fresh_attr()))
+        let specs: Vec<AggSpec> = layout
+            .funcs()
+            .into_iter()
+            .map(|f| AggSpec::new(f, ScalarExpr::Col(v), catalog.fresh_attr()))
             .collect();
-        let out_schema = Schema::new(
-            std::iter::once(catalog.table(t).schema.attr(k).unwrap().clone())
-                .chain(specs.iter().map(|s| Attribute {
-                    id: s.out,
-                    name: format!("agg{}", s.out),
-                    data_type: s.func.result_type(layout.declared()),
-                }))
-                .collect(),
-        );
-        let phys = PhysPlan {
-            schema: out_schema,
-            node: PlanNode::HashAggregate {
-                input: Box::new(PhysPlan {
-                    schema: catalog.table(t).schema.clone(),
-                    node: PlanNode::ScanBase(t),
-                }),
-                group_by: vec![k],
-                aggs: specs.clone(),
-            },
-        };
-        let dag = Dag::new();
-        let deltas = DeltaSet::new();
-        let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
-        let mut rt = Runtime::with_state(
-            &dag,
-            &catalog,
-            CostModel::default(),
-            &mut db,
-            &deltas,
-            BTreeMap::new(),
-            HashMap::new(),
-            &mut state,
-            &mut journal,
-        );
-        let got = rt.eval_batch(&phys).expect("plan evaluation").into_rows();
-        drop(rt);
-        let oracle = LogicalExpr::aggregate(LogicalExpr::scan(t), vec![k], specs);
-        let expected = eval_logical(&oracle, &catalog, &db);
+        let view = LogicalExpr::aggregate(LogicalExpr::scan(t), vec![k], specs);
+        let got = eval_aggregate(&catalog, &mut db, &view);
+        let expected = eval_logical(&view, &catalog, &db);
         prop_assert!(
             bag_eq(&got, &expected),
             "layout {layout:?}: got {got:?} expected {expected:?}"
         );
     }
+}
+
+/// Evaluate an aggregate view's `HashAggregate` over a base scan through
+/// the batch executor, with the plan schema the view derives. Every output
+/// column must hold its plan type.
+fn eval_aggregate(catalog: &Catalog, db: &mut Database, view: &LogicalExpr) -> Vec<Tuple> {
+    let LogicalExpr::Aggregate {
+        input,
+        group_by,
+        aggs,
+    } = view
+    else {
+        panic!("not an aggregate: {view}");
+    };
+    let phys = PhysPlan {
+        schema: view.schema(catalog),
+        node: PlanNode::HashAggregate {
+            input: Box::new(PhysPlan {
+                schema: input.schema(catalog),
+                node: PlanNode::ScanBase(input.base_tables()[0]),
+            }),
+            group_by: group_by.clone(),
+            aggs: aggs.clone(),
+        },
+    };
+    let dag = Dag::new();
+    let deltas = DeltaSet::new();
+    let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
+    let mut rt = Runtime::with_state(
+        &dag,
+        catalog,
+        CostModel::default(),
+        db,
+        &deltas,
+        BTreeMap::new(),
+        HashMap::new(),
+        &mut state,
+        &mut journal,
+    );
+    let got = rt.eval_batch(&phys).expect("plan evaluation");
+    for (i, a) in phys.schema.attrs().iter().enumerate() {
+        assert_eq!(
+            got.column(i).data().data_type(),
+            a.data_type,
+            "column {}",
+            a.name
+        );
+    }
+    got.into_rows()
+}
+
+/// Aggregates over an `Int` and over a `Float` expression: each output
+/// column holds the type the plan gives it (`Int` for COUNT and for SUM,
+/// MIN and MAX of an `Int` expression), and the values are the
+/// reference's.
+#[test]
+fn expression_aggregates_are_typed_by_the_plan() {
+    let mut catalog = Catalog::new();
+    let t = catalog.add_table(
+        "t",
+        vec![
+            ColumnSpec::with_distinct("k", DataType::Int, 3.0),
+            ColumnSpec::with_distinct("a", DataType::Int, 5.0),
+            ColumnSpec::with_distinct("f", DataType::Float, 5.0),
+        ],
+        12.0,
+        &["k"],
+    );
+    let attr = |n: &str| catalog.table(t).attr(n);
+    let (k, a, f) = (attr("k"), attr("a"), attr("f"));
+    let rows: Vec<Tuple> = (0..12i64)
+        .map(|i| {
+            let a = if i % 5 == 4 {
+                Value::Null
+            } else {
+                Value::Int(i - 4)
+            };
+            vec![Value::Int(i % 3), a, Value::Float(i as f64 / 4.0)]
+        })
+        .collect();
+    let mut db = Database::new();
+    db.put_base(
+        t,
+        StoredTable::with_rows(catalog.table(t).schema.clone(), rows),
+    );
+    let int_expr = ScalarExpr::arith(ArithOp::Mul, ScalarExpr::col(a), ScalarExpr::lit(3i64));
+    let float_expr = ScalarExpr::arith(ArithOp::Add, ScalarExpr::col(a), ScalarExpr::col(f));
+    let funcs = [
+        AggFunc::Count,
+        AggFunc::Sum,
+        AggFunc::Min,
+        AggFunc::Max,
+        AggFunc::Avg,
+    ];
+    let mut specs = Vec::new();
+    for input in [int_expr, float_expr] {
+        for func in funcs {
+            specs.push(AggSpec::new(func, input.clone(), catalog.fresh_attr()));
+        }
+    }
+    let view = LogicalExpr::aggregate(LogicalExpr::scan(t), vec![k], specs);
+    view.validate(&catalog).unwrap();
+    let types: Vec<DataType> = view.schema(&catalog).attrs()[1..]
+        .iter()
+        .map(|a| a.data_type)
+        .collect();
+    use DataType::{Float as F, Int as I};
+    assert_eq!(types, [I, I, I, I, F, I, F, F, F, F]);
+    let got = eval_aggregate(&catalog, &mut db, &view);
+    let expected = eval_logical(&view, &catalog, &db);
+    assert!(bag_eq(&got, &expected), "got {got:?} expected {expected:?}");
 }

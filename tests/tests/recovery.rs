@@ -16,15 +16,19 @@
 
 use mvmqo_integration_tests::{generate_deltas, null_group_engine, small_world, SmallWorld};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
+use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::TableId;
+use mvmqo_relalg::codec::{self, Enc};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
 use mvmqo_relalg::logical::{LogicalExpr, ViewDef};
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::{bag_eq_approx, Tuple};
-use mvmqo_relalg::types::Value;
+use mvmqo_relalg::types::{DataType, Value};
+use mvmqo_storage::crc::crc32;
 use mvmqo_storage::delta::DeltaBatch;
-use mvmqo_storage::error::RecoveryError;
-use mvmqo_storage::wal::{scan_wal_bytes, WalRecord};
+use mvmqo_storage::error::{RecoveryError, StorageError};
+use mvmqo_storage::snapshot::Manifest;
+use mvmqo_storage::wal::{scan_wal_bytes, WalRecord, WalStop};
 use mvmqo_warehouse::{PlanMode, ReoptTrigger, Warehouse, WarehouseError};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
@@ -877,15 +881,115 @@ fn mixed_string_encodings_survive_snapshot_and_recovery() {
 }
 
 // ======================================================================
+// Types at the door: ingest and WAL replay
+// ======================================================================
+
+/// Types are checked at the door: a batch holding one value not of its
+/// column's type is rejected whole, on either side, and the queue, the
+/// stored table and the WAL stay as they were.
+#[test]
+fn a_mistyped_ingest_is_rejected_whole() {
+    let tmp = TempDir::new("mistyped-ingest");
+    let (mut wh, t) = null_group_engine();
+    wh.enable_wal(tmp.path()).unwrap();
+    let good = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    wh.ingest(t, DeltaBatch::new(vec![good.clone()], vec![]))
+        .unwrap();
+    let wal = tmp
+        .path()
+        .join(Manifest::load(tmp.path()).unwrap().wal_file);
+    let state = |wh: &Warehouse| {
+        let rows = wh.database().base(t).unwrap().rows().to_vec();
+        (wh.pending_tuples(), rows, std::fs::read(&wal).unwrap())
+    };
+    let before = state(&wh);
+    // An Int column takes no Float.
+    let bad = vec![Value::Int(6), Value::Float(2.0), Value::Int(1)];
+    for batch in [
+        DeltaBatch::new(vec![good.clone(), bad.clone()], vec![]),
+        DeltaBatch::new(vec![], vec![bad.clone()]),
+    ] {
+        let err = wh.ingest(t, batch).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WarehouseError::Storage(StorageError::TypeMismatch {
+                    expected: DataType::Int,
+                    got: DataType::Float,
+                    ..
+                })
+            ),
+            "{err}"
+        );
+        assert!(state(&wh) == before, "a rejected ingest left a trace");
+    }
+    // The engine goes on: the queued row lands and the view is exact.
+    wh.run_epoch().unwrap();
+    assert!(wh.verify("per_k").unwrap());
+}
+
+/// A CRC-valid `Ingest` record whose column does not hold its attribute's
+/// type is no torn tail: recovery stops with a typed error, without a
+/// panic, and leaves the log as it found it.
+#[test]
+fn a_wal_record_whose_column_does_not_fit_is_a_recovery_error() {
+    let tmp = TempDir::new("mistyped-wal");
+    let (mut wh, t) = null_group_engine();
+    wh.enable_wal(tmp.path()).unwrap();
+    let schema = wh.database().base(t).unwrap().schema().clone();
+    drop(wh);
+    let row = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    let mut payload = WalRecord::Ingest {
+        epoch: 1,
+        table: t,
+        inserts: Batch::from_rows(schema.clone(), &[row]),
+        deletes: Batch::empty(schema.clone()),
+    }
+    .encode();
+    // Kind byte, epoch, table id, schema and column count precede the
+    // first column's tag: make that Int column a Float one of the same
+    // width.
+    let mut e = Enc::new();
+    codec::encode_schema(&mut e, &schema);
+    let tag = 1 + 8 + 4 + e.len() + 4;
+    assert_eq!(payload[tag], 0, "an Int column tag");
+    payload[tag] = 1;
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend(crc32(&payload).to_le_bytes());
+    frame.extend(&payload);
+    let wal = tmp
+        .path()
+        .join(Manifest::load(tmp.path()).unwrap().wal_file);
+    let mut log = std::fs::read(&wal).unwrap();
+    log.extend(&frame);
+    std::fs::write(&wal, &log).unwrap();
+    assert!(matches!(
+        scan_wal_bytes(&log).stop,
+        WalStop::BadRecord { .. }
+    ));
+
+    match Warehouse::recover(tmp.path()) {
+        Err(WarehouseError::Recovery(RecoveryError::Corrupt { why, .. })) => {
+            assert!(why.contains("declared"), "{why}")
+        }
+        Err(e) => panic!("unexpected error {e}"),
+        Ok(_) => panic!("a mistyped record recovered"),
+    }
+    assert_eq!(
+        std::fs::read(&wal).unwrap(),
+        log,
+        "recovery truncated the log"
+    );
+}
+
+// ======================================================================
 // Column codec: round trips pinned on logical Batch equality
 // ======================================================================
 
 mod codec_roundtrip {
     use super::*;
-    use mvmqo_relalg::batch::Batch;
-    use mvmqo_relalg::codec::{self, Dec, Enc};
+    use mvmqo_relalg::codec::Dec;
     use mvmqo_relalg::schema::{Attribute, Schema};
-    use mvmqo_relalg::types::DataType;
 
     fn schema(types: &[DataType]) -> Schema {
         Schema::new(
@@ -911,8 +1015,9 @@ mod codec_roundtrip {
         back
     }
 
-    /// Every `DataType`, NULLs in every column, and a `Mixed` fallback
-    /// column (type-mismatched values), pinned on logical `Batch` equality.
+    /// Every `DataType`, NULLs in every column, and both string
+    /// encodings (plain and dictionary) side by side, pinned on logical
+    /// `Batch` equality.
     #[test]
     fn every_datatype_with_nulls_and_mixed_round_trips() {
         let s = schema(&[
@@ -921,7 +1026,7 @@ mod codec_roundtrip {
             DataType::Str,
             DataType::Date,
             DataType::Bool,
-            DataType::Int, // receives mixed values → Mixed fallback column
+            DataType::Str, // dictionary-encoded below
         ]);
         let rows: Vec<Tuple> = vec![
             vec![
@@ -930,7 +1035,7 @@ mod codec_roundtrip {
                 Value::str("alpha"),
                 Value::Date(730),
                 Value::Bool(true),
-                Value::Int(1),
+                Value::str("beta"),
             ],
             vec![
                 Value::Null,
@@ -938,7 +1043,7 @@ mod codec_roundtrip {
                 Value::Null,
                 Value::Null,
                 Value::Null,
-                Value::str("not an int"),
+                Value::Null,
             ],
             vec![
                 Value::Int(i64::MAX),
@@ -946,11 +1051,15 @@ mod codec_roundtrip {
                 Value::str(""),
                 Value::Date(-1),
                 Value::Bool(false),
-                Value::Float(2.25),
+                Value::str("beta"),
             ],
         ];
-        let batch = Batch::from_rows(s, &rows);
+        let plain = Batch::from_rows(s.clone(), &rows);
+        let mut columns: Vec<_> = (0..6).map(|c| plain.column(c).clone()).collect();
+        columns[5] = columns[5].dict_encode();
+        let batch = Batch::from_columns(s, columns);
         assert_eq!(roundtrip(&batch), batch);
+        assert!(roundtrip(&batch).column(5).dict().is_some());
         // And the decoded image yields the original tuples.
         assert_eq!(roundtrip(&batch).to_rows(), rows);
     }
@@ -993,34 +1102,144 @@ mod codec_roundtrip {
         );
     }
 
-    fn value_strategy() -> impl Strategy<Value = Value> {
-        (0i64..1000).prop_map(|n| {
-            let v = n / 5 - 100;
-            match n % 5 {
-                0 => Value::Null,
-                1 => Value::Int(v),
-                2 => Value::Float(v as f64 / 4.0),
-                3 => Value::str(format!("s{v}")),
-                _ => Value::Bool(v % 2 == 0),
+    const TYPES: [DataType; 5] = [
+        DataType::Int,
+        DataType::Float,
+        DataType::Str,
+        DataType::Date,
+        DataType::Bool,
+    ];
+
+    /// A cell of column type `dt` from a raw pick, one in five NULL.
+    fn cell(dt: DataType, n: i64) -> Value {
+        let v = n / 5 - 100;
+        match (n % 5, dt) {
+            (0, _) => Value::Null,
+            (_, DataType::Int) => Value::Int(v),
+            (_, DataType::Float) => Value::Float(v as f64 / 4.0),
+            (_, DataType::Str) => Value::str(format!("s{v}")),
+            (_, DataType::Date) => Value::Date(v as i32),
+            (_, DataType::Bool) => Value::Bool(v % 2 == 0),
+        }
+    }
+
+    /// Cases for the hostile-bytes property (`CODEC_CASES`, default 48).
+    fn codec_cases() -> u32 {
+        std::env::var("CODEC_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(48)
+    }
+
+    /// Tiny deterministic generator for the hostile-bytes property.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Column bytes for one attribute of type `dt`: half the time a tag
+    /// that fits it, else any tag byte 0..=7 (5 and 7 are not tags, and
+    /// most kinds do not fit). Payloads are well-formed for their tag
+    /// apart from invalid bool bytes and out-of-range dictionary codes,
+    /// and the null-mask flag is 0, 1 or the invalid 2.
+    fn hostile_column(e: &mut Enc, dt: DataType, rows: usize, rng: &mut Rng) {
+        let tag = match (rng.below(2), dt) {
+            (0, DataType::Int) => 0,
+            (0, DataType::Float) => 1,
+            (0, DataType::Str) => [2, 6][rng.below(2)],
+            (0, DataType::Date) => 3,
+            (0, DataType::Bool) => 4,
+            _ => rng.below(8) as u8,
+        };
+        e.u8(tag);
+        e.u32(rows as u32);
+        for _ in 0..rows {
+            // Now and then one past the valid bools or dictionary codes.
+            let past = if rng.below(8) == 0 { 3 } else { 2 };
+            match tag {
+                0 => e.i64(rng.below(100) as i64 - 50),
+                1 => e.f64(rng.below(100) as f64 / 8.0),
+                2 => e.str("s"),
+                3 => e.i32(rng.below(100) as i32),
+                4 => e.u8(rng.below(past) as u8),
+                5 => codec::encode_value(e, &cell(TYPES[rng.below(5)], rng.below(1000) as i64)),
+                6 => e.u32(rng.below(past) as u32),
+                _ => e.u8(rng.below(256) as u8),
             }
-        })
+        }
+        if tag == 6 {
+            e.u32(2);
+            e.str("a");
+            e.str("b");
+        }
+        let flag = [0, 0, 1, 1, 2][rng.below(5)];
+        e.u8(flag);
+        if flag == 1 {
+            (0..rows).for_each(|_| e.bool(rng.below(2) == 0));
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Random tuples (random types per cell, so columns degrade to
-        /// masks or `Mixed` as needed) survive the codec logically intact.
+        /// Random typed cells, NULLs included, survive the codec logically
+        /// intact.
         #[test]
         fn random_batches_round_trip(cells in proptest::collection::vec(
-            proptest::collection::vec(value_strategy(), 3),
+            proptest::collection::vec(0i64..1000, 3),
             0..20,
         )) {
-            let s = schema(&[DataType::Int, DataType::Float, DataType::Str]);
-            let batch = Batch::from_rows(s, &cells);
+            let types = [DataType::Int, DataType::Float, DataType::Str];
+            let s = schema(&types);
+            let rows: Vec<Tuple> = cells
+                .iter()
+                .map(|r| r.iter().zip(types).map(|(&n, dt)| cell(dt, n)).collect())
+                .collect();
+            let batch = Batch::from_rows(s, &rows);
             let back = roundtrip(&batch);
             prop_assert_eq!(&back, &batch);
-            prop_assert_eq!(back.to_rows(), cells);
+            prop_assert_eq!(back.to_rows(), rows);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(codec_cases()))]
+
+        /// Hostile bytes never panic the decoder: a random schema over
+        /// random column tags, payloads and null-mask flags, now and then
+        /// with a flipped bit or a cut tail, decodes either to a batch in
+        /// which every column holds its attribute's type or to a
+        /// `CodecError`.
+        #[test]
+        fn hostile_column_bytes_decode_typed_or_error(seed in 1u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let types: Vec<DataType> = (0..1 + rng.below(4)).map(|_| TYPES[rng.below(5)]).collect();
+            let rows = rng.below(4);
+            let mut e = Enc::new();
+            codec::encode_schema(&mut e, &schema(&types));
+            e.u32(types.len() as u32);
+            for &dt in &types {
+                hostile_column(&mut e, dt, rows, &mut rng);
+            }
+            let mut bytes = e.into_bytes();
+            if rng.below(4) == 0 {
+                let i = rng.below(bytes.len());
+                bytes[i] ^= 1 << rng.below(8);
+            }
+            if rng.below(4) == 0 {
+                bytes.truncate(rng.below(bytes.len() + 1));
+            }
+            if let Ok(batch) = codec::decode_batch(&mut Dec::new(&bytes)) {
+                for (i, a) in batch.schema().attrs().iter().enumerate() {
+                    prop_assert_eq!(batch.column(i).data().data_type(), a.data_type);
+                }
+            }
         }
     }
 }

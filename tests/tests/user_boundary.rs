@@ -340,10 +340,9 @@ proptest! {
 // ======================================================================
 
 /// Physical column representations under test.
-const LAYOUTS: [&str; 7] = ["int", "float", "str", "dict", "date", "bool", "mixed"];
+const LAYOUTS: [&str; 6] = ["int", "float", "str", "dict", "date", "bool"];
 
-/// A column of `n` cells (one in five NULL) in the given representation;
-/// `mixed` is declared INT with ints, floats and strings flowing through.
+/// A column of `n` cells (one in five NULL) in the given representation.
 fn column(layout: &str, n: usize, rng: &mut Xorshift) -> (DataType, Column) {
     let dt = match layout {
         "float" => DataType::Float,
@@ -358,17 +357,12 @@ fn column(layout: &str, n: usize, rng: &mut Xorshift) -> (DataType, Column) {
         let v = if pick >= 8 {
             Value::Null
         } else {
-            match layout {
-                "int" => Value::Int(pick),
-                "float" => Value::Float(pick as f64 + 0.5),
-                "str" | "dict" => Value::str(format!("s{}", pick % 4)),
-                "date" => Value::Date(pick as i32),
-                "bool" => Value::Bool(pick % 2 == 0),
-                _ => match pick % 3 {
-                    0 => Value::Int(pick),
-                    1 => Value::Float(pick as f64),
-                    _ => Value::str("m"),
-                },
+            match dt {
+                DataType::Int => Value::Int(pick),
+                DataType::Float => Value::Float(pick as f64 + 0.5),
+                DataType::Str => Value::str(format!("s{}", pick % 4)),
+                DataType::Date => Value::Date(pick as i32),
+                DataType::Bool => Value::Bool(pick % 2 == 0),
             }
         };
         col.push(&v);

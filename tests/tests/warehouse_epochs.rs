@@ -264,6 +264,49 @@ fn bad_batches_do_not_abort_the_engine() {
     verify_all(&wh);
 }
 
+/// An aggregate's input must be well-typed, and SUM and AVG need a
+/// numeric one: a view summing a string column, or aggregating arithmetic
+/// on one, fails registration with a typed error and leaves the view set
+/// as it was.
+#[test]
+fn sum_over_a_string_column_fails_registration() {
+    use mvmqo_relalg::agg::{AggFunc, AggSpec};
+    use mvmqo_relalg::expr::{ArithOp, ScalarExpr};
+    use mvmqo_relalg::logical::{LogicalExpr, ViewDef};
+    let (tpcd, mut wh) = setup(5);
+    wh.register_view(five_join_views(&tpcd).remove(0)).unwrap();
+    let names =
+        |wh: &Warehouse| -> Vec<String> { wh.views().iter().map(|v| v.name.clone()).collect() };
+    let before = names(&wh);
+    let nation = wh.catalog().table(tpcd.t.nation);
+    let (key, name) = (nation.attr("n_regionkey"), nation.attr("n_name"));
+    let doubled = ScalarExpr::arith(ArithOp::Mul, ScalarExpr::col(name), ScalarExpr::lit(2i64));
+    for (func, input) in [
+        (AggFunc::Sum, ScalarExpr::col(name)),
+        (AggFunc::Avg, ScalarExpr::col(name)),
+        (AggFunc::Min, doubled),
+    ] {
+        let out = wh.fresh_attr();
+        let view = ViewDef::new(
+            format!("bad_{func}"),
+            LogicalExpr::aggregate(
+                LogicalExpr::scan(tpcd.t.nation),
+                vec![key],
+                vec![AggSpec::new(func, input, out)],
+            ),
+        );
+        let err = wh.register_view(view).unwrap_err();
+        assert!(matches!(err, WarehouseError::InvalidView { .. }), "{err}");
+        assert_eq!(names(&wh), before);
+    }
+    // MIN over the string column itself is fine.
+    let out = wh.fresh_attr();
+    let min = AggSpec::new(AggFunc::Min, ScalarExpr::col(name), out);
+    let view = LogicalExpr::aggregate(LogicalExpr::scan(tpcd.t.nation), vec![key], vec![min]);
+    wh.register_view(ViewDef::new("min_name", view)).unwrap();
+    assert!(wh.verify("min_name").unwrap());
+}
+
 /// Deletes beyond the available multiplicity (phantom deletes, or the
 /// same row deleted by two queued batches) must be rejected at ingest:
 /// base application would saturate while incremental aggregate state
