@@ -3,8 +3,8 @@
 //! Every operator evaluation, materialization, and merge in this crate
 //! returns `Result<_, ExecError>` instead of unwinding: schema drift, a
 //! plan referencing state that was never prepared, a storage-level failure,
-//! an injected fault, or a panicking morsel worker all surface as values
-//! the warehouse can catch, abort the epoch on, and retry.
+//! or an injected fault all surface as values the warehouse can catch,
+//! abort the epoch on, and retry.
 
 use mvmqo_core::dag::EqId;
 use mvmqo_storage::error::StorageError;
@@ -32,8 +32,6 @@ pub enum ExecError {
     MissingIndex { target: String },
     /// A maintained-state invariant did not hold at merge time.
     Invariant(String),
-    /// A parallel worker panicked; the message is the panic payload.
-    WorkerPanic { message: String },
 }
 
 impl ExecError {
@@ -59,7 +57,6 @@ impl ExecError {
             ExecError::MissingDelta { .. } => "exec:read-delta".to_string(),
             ExecError::MissingIndex { .. } => "exec:index-nl-join".to_string(),
             ExecError::Invariant(_) => "exec:merge".to_string(),
-            ExecError::WorkerPanic { .. } => "exec:worker".to_string(),
         }
     }
 }
@@ -81,9 +78,6 @@ impl fmt::Display for ExecError {
                 write!(f, "no index on inner relation {target} of index join")
             }
             ExecError::Invariant(msg) => write!(f, "executor invariant violated: {msg}"),
-            ExecError::WorkerPanic { message } => {
-                write!(f, "parallel worker panicked: {message}")
-            }
         }
     }
 }

@@ -13,16 +13,14 @@
 //!   materializations with on-demand recomputation, aggregate/distinct
 //!   merge with hidden support state;
 //! * [`run`] — drives a [`mvmqo_core::plan::Program`] through one refresh
-//!   cycle with the one-relation-one-kind-at-a-time semantics of §3.2.2;
-//!   under [`ExecOptions::parallel`], one update step's merge-delta plans
-//!   run on scoped threads and large operator inputs split into morsels,
-//!   with results identical to serial execution;
+//!   cycle with the one-relation-one-kind-at-a-time semantics of §3.2.2,
+//!   on one thread, in program order;
 //! * [`journal`] — the epoch's undo journal: an epoch writes database and
 //!   state in place, and an abort replays the journal to put them back;
 //! * [`mod@error`] — typed executor errors ([`ExecError`]): operator
-//!   failures, schema drift, injected faults, and forwarded worker panics
-//!   all surface as values, so a long-lived engine can abort the epoch
-//!   that hit them and retry instead of crashing;
+//!   failures, schema drift and injected faults all surface as values, so
+//!   a long-lived engine can abort the epoch that hit them and retry
+//!   instead of crashing;
 //! * [`meter`] — simulated I/O/CPU accounting in the same units as the
 //!   optimizer's cost model, so executed and estimated costs are
 //!   comparable.
@@ -42,7 +40,7 @@ pub use error::{panic_message, ExecError};
 pub use journal::Journal;
 pub use meter::Meter;
 pub use run::{
-    execute_epoch_faults, execute_epoch_opts, index_plan_from_report, scheduler_description,
-    view_root, ExecOptions, ExecReport, IndexPlan,
+    execute_epoch_faults, execute_epoch_opts, index_plan_from_report, view_root, ExecOptions,
+    ExecReport, IndexPlan,
 };
 pub use runtime::{AggState, DistinctState, Runtime, RuntimeState};

@@ -8,10 +8,7 @@
 //! delta, and invalidating stale temporaries — and finally refreshing
 //! recompute-strategy views.
 //!
-//! Everything runs in program order on the caller's thread except one
-//! step's merge-delta plans: they are independent by construction, so
-//! under a worker budget ([`ExecOptions::threads`]) they split it between
-//! them, and each operator spends what reaches it on morsels.
+//! Everything runs in program order on the caller's thread.
 //!
 //! The caller owns a [`RuntimeState`] that carries the materialized results
 //! (and their hidden aggregate/distinct support state and indices) from one
@@ -67,40 +64,20 @@ pub struct ExecReport {
     pub total_builds: usize,
 }
 
-/// Executor scheduling options.
+/// Executor options.
 #[derive(Debug, Clone, Copy)]
 pub struct ExecOptions {
-    /// Give the epoch a worker budget ([`ExecOptions::threads`]): one
-    /// update step's merge-delta plans are evaluated concurrently (scoped
-    /// threads), and operators over more than one morsel split their input.
-    /// Results are identical to serial execution: the merge-delta plans all
-    /// read the same pre-step state, and every merge, store and setup or
-    /// final build runs serially in program order.
-    ///
-    /// On a single-hardware-thread host the request is ignored unless
-    /// `force_parallel` is set: extra workers cannot be repaid without a
-    /// second core.
+    /// Does nothing: every epoch runs serially. Kept so the benchmark
+    /// harness (`wbench`) builds unchanged until ROADMAP item 3.
     pub parallel: bool,
     /// Materialize every view's rows into [`ExecReport::view_rows`] at the
     /// end of the epoch. Long-lived engines that serve reads on demand
     /// (the warehouse `answer` path) turn this off — view state then stays
     /// columnar across epochs and rows are only built when a user asks.
     pub collect_view_rows: bool,
-    /// Honour `parallel` even on a 1-thread host, bypassing the
-    /// single-core auto-disable. For tests and benchmarks that must
-    /// exercise the merge fan-out and the morsel paths regardless of the
-    /// machine — without it, the parallel≡serial property test is vacuous
-    /// on single-core CI.
+    /// Does nothing; kept for `wbench` until ROADMAP item 3.
     pub force_parallel: bool,
-    /// Worker-thread budget for the epoch when `parallel` is on. One update
-    /// step's merge-delta plans take up to one worker each, and the rest of
-    /// the budget flows into morsel-level workers inside their operators
-    /// (partitioned join build/probe, partition-parallel grouped
-    /// aggregation, parallel filters and delta scans); every other plan
-    /// gets the whole budget for its morsels. `0` means "auto" —
-    /// use [`std::thread::available_parallelism`]. Ignored when `parallel`
-    /// is off; the serial path always runs with one thread and is the
-    /// reference the parallel path is property-tested against.
+    /// Does nothing; kept for `wbench` until ROADMAP item 3.
     pub threads: usize,
 }
 
@@ -116,41 +93,10 @@ impl Default for ExecOptions {
 }
 
 impl ExecOptions {
-    /// Resolve this option set to a concrete worker count for one epoch:
-    /// `1` when the scheduler is serial (or auto-disabled on a 1-thread
-    /// host and not forced), otherwise the explicit `threads` value or the
-    /// host's available parallelism for `0`/auto.
+    /// Does nothing but return 1, the one worker every epoch runs on;
+    /// kept for `wbench` until ROADMAP item 3.
     pub fn resolved_threads(&self) -> usize {
-        if !self.parallel {
-            return 1;
-        }
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        // With one hardware thread a parallel request runs serially unless
-        // forced: workers cannot be repaid without a second core.
-        if host == 1 && !self.force_parallel {
-            1
-        } else if self.threads > 0 {
-            self.threads
-        } else {
-            host
-        }
-    }
-}
-
-/// One-line scheduler description for `explain`/CLI output, naming the
-/// worker count the epoch will actually run with and the auto-disable when
-/// it bites.
-pub fn scheduler_description(options: ExecOptions) -> String {
-    if !options.parallel {
-        return "serial".to_string();
-    }
-    let threads = options.resolved_threads();
-    if threads > 1 {
-        format!("parallel ({threads} threads)")
-    } else if options.threads == 1 {
-        "parallel (1 thread)".to_string()
-    } else {
-        "parallel requested, 1 thread available, running serial".to_string()
+        1
     }
 }
 
@@ -256,8 +202,6 @@ pub fn execute_epoch_faults(
         state,
         journal,
     );
-    // The worker budget is resolved once and pinned for the whole epoch.
-    rt.set_threads(options.resolved_threads());
     rt.set_faults(faults);
 
     // ------------------------------------------------------------------

@@ -15,10 +15,9 @@
 //!    stored result the plan reads and creates any index it probes;
 //! 2. `EvalCtx::eval` — a read-only vectorized evaluator over columnar
 //!    [`Batch`]es. Because it only holds shared references, one update
-//!    step's merge-delta plans can run on separate threads against one
-//!    prepared state, and operators can split their input into morsels.
+//!    step's merge-delta plans all evaluate against one prepared state.
 
-use crate::error::{panic_message, ExecError};
+use crate::error::ExecError;
 use crate::journal::Journal;
 use crate::meter::Meter;
 use mvmqo_core::cost::CostModel;
@@ -41,8 +40,6 @@ use mvmqo_storage::index::IndexKind;
 use mvmqo_storage::journal::TableJournal;
 use mvmqo_storage::table::StoredTable;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrder};
 use std::sync::Arc;
 
 /// Hidden per-group accumulator state for a maintained aggregate view
@@ -464,10 +461,6 @@ pub struct Runtime<'a> {
     /// and a rolled-back epoch leaves nothing behind to realize.
     deferred: HashSet<EqId>,
     delta_store: HashMap<(EqId, UpdateId), Batch>,
-    /// Worker-thread budget for plan evaluation: one update step's
-    /// merge-delta plans split it, and the rest flows into morsels inside
-    /// operators. `1` — the default — is the serial reference path.
-    threads: usize,
     /// Full results actually (re)computed this cycle — stays at zero for
     /// results served from a persisted [`RuntimeState`].
     pub full_builds: usize,
@@ -508,7 +501,6 @@ impl<'a> Runtime<'a> {
             journal,
             deferred: HashSet::new(),
             delta_store: HashMap::new(),
-            threads: 1,
             full_builds: 0,
             meter: Meter::new(),
             faults: FaultRegistry::none(),
@@ -519,15 +511,6 @@ impl<'a> Runtime<'a> {
     /// check it and surface armed faults as [`ExecError::Fault`].
     pub fn set_faults(&mut self, faults: &'a FaultRegistry) {
         self.faults = faults;
-    }
-
-    /// Set the worker-thread budget for plan evaluation. `1` (the default)
-    /// runs every operator on its serial reference path; larger budgets
-    /// enable morsel-level parallelism inside scans, filters, hash joins,
-    /// and grouped aggregation, plus one worker per merge-delta plan of an
-    /// update step (see `Runtime::eval_merge_deltas`).
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
     }
 
     /// Realize every deferred aggregate/distinct rebuild (the end of an
@@ -852,11 +835,10 @@ impl<'a> Runtime<'a> {
     }
 
     /// Evaluate one update step's merge-delta plans. They all read the
-    /// state with updates `< u`, so they are independent by construction:
-    /// root workers take the plans and the rest of the thread budget flows
-    /// into their operators as morsels. Batches and meter charges come back
-    /// in plan order, and so does the error: the first `Err` by plan, not
-    /// by which worker finished first.
+    /// state with updates `< u`, so every plan is prepared first and then
+    /// evaluated, in plan order, against that one state. Batches and meter
+    /// charges come back in plan order, and so does the error: the first
+    /// `Err` by plan.
     pub(crate) fn eval_merge_deltas(
         &mut self,
         plans: &[&PhysPlan],
@@ -864,15 +846,14 @@ impl<'a> Runtime<'a> {
         for plan in plans {
             self.prepare(plan)?;
         }
-        let workers = plans.len().clamp(1, self.threads);
-        let ctx = EvalCtx {
-            threads: self.threads / workers,
-            ..self.eval_ctx()
-        };
-        let results = run_indexed(plans.len(), workers, |i| {
-            let mut meter = Meter::new();
-            ctx.eval(plans[i], &mut meter).map(|batch| (batch, meter))
-        })?;
+        let ctx = self.eval_ctx();
+        let results: Vec<_> = plans
+            .iter()
+            .map(|plan| {
+                let mut meter = Meter::new();
+                ctx.eval(plan, &mut meter).map(|batch| (batch, meter))
+            })
+            .collect();
         let mut batches = Vec::with_capacity(plans.len());
         for result in results {
             let (batch, meter) = result?;
@@ -883,7 +864,6 @@ impl<'a> Runtime<'a> {
     }
 
     /// Read-only evaluation context over the runtime's current state.
-    /// `Copy`, so the merge fan-out can hand one to each worker thread.
     pub(crate) fn eval_ctx(&self) -> EvalCtx<'_> {
         EvalCtx {
             model: &self.model,
@@ -891,16 +871,14 @@ impl<'a> Runtime<'a> {
             deltas: self.deltas,
             mats: &self.state.mats,
             delta_store: &self.delta_store,
-            threads: self.threads,
             faults: self.faults,
         }
     }
 
     /// Mutable pre-pass: materialize every stored result the plan reads
     /// and create any index it probes, so that evaluation itself is
-    /// read-only (and therefore shareable across worker threads). This
-    /// is also what lets the index nested-loop join probe the stored inner
-    /// relation in place instead of cloning it.
+    /// read-only. This is also what lets the index nested-loop join probe
+    /// the stored inner relation in place instead of cloning it.
     pub(crate) fn prepare(&mut self, plan: &PhysPlan) -> Result<(), ExecError> {
         match &plan.node {
             PlanNode::ScanBase(_) | PlanNode::ScanDelta { .. } | PlanNode::ReadDelta(..) => {}
@@ -967,111 +945,15 @@ impl<'a> Runtime<'a> {
 /// plan can touch after [`Runtime::prepare`] ran. All operators fold over
 /// [`Batch`]es — filters/projections are selection/column updates, joins
 /// build borrowed-key hash tables over column positions and emit row-id
-/// pairs that are gathered into output columns once, at the end. One
-/// context serves one plan at a time; the merge fan-out hands a copy to
-/// each of its workers.
-#[derive(Clone, Copy)]
+/// pairs that are gathered into output columns once, at the end.
 pub(crate) struct EvalCtx<'r> {
     pub model: &'r CostModel,
     pub db: &'r Database,
     pub deltas: &'r DeltaSet,
     pub mats: &'r HashMap<EqId, StoredTable>,
     pub delta_store: &'r HashMap<(EqId, UpdateId), Batch>,
-    /// Worker-thread budget for morsel-level parallelism inside operators:
-    /// the runtime's whole budget, or a merge worker's share of it.
-    /// `1` is the serial reference path; parallel paths only engage past
-    /// [`MORSEL_ROWS`] input rows, and always produce results identical to
-    /// serial evaluation (morsel-order concatenation, hash-disjoint
-    /// partitions, key-sorted group output).
-    pub threads: usize,
     /// Fault-injection registry, checked once per operator evaluation.
     pub faults: &'r FaultRegistry,
-}
-
-/// Rows per morsel: the unit of intra-operator work distribution. Inputs at
-/// or below one morsel always run serially — below this size the scoped
-/// thread spawn costs more than the scan.
-pub(crate) const MORSEL_ROWS: usize = 1024;
-
-/// Split `0..n` into contiguous morsel ranges of at most [`MORSEL_ROWS`].
-fn morsel_ranges(n: usize) -> Vec<std::ops::Range<usize>> {
-    (0..n.div_ceil(MORSEL_ROWS))
-        .map(|m| m * MORSEL_ROWS..((m + 1) * MORSEL_ROWS).min(n))
-        .collect()
-}
-
-/// Run `task` over `count` independent work items on up to `workers` scoped
-/// threads — the executor's one thread fan-out. Results come back in item
-/// order, so callers concatenating them get output independent of thread
-/// scheduling.
-///
-/// A panicking task does not tear the process down: the worker catches it,
-/// flags cancellation so the remaining items are skipped, and the first
-/// panic (in join order) comes back as [`ExecError::WorkerPanic`]. The
-/// serial path runs uncaught — a panic there unwinds to the epoch boundary,
-/// where the warehouse catches it and aborts the epoch.
-fn run_indexed<T: Send>(
-    count: usize,
-    workers: usize,
-    task: impl Fn(usize) -> T + Sync,
-) -> Result<Vec<T>, ExecError> {
-    let workers = workers.min(count).max(1);
-    if workers <= 1 {
-        return Ok((0..count).map(task).collect());
-    }
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    let task = &task;
-    let cancel = &AtomicBool::new(false);
-    let mut first_panic: Option<String> = None;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                s.spawn(move || -> Result<Vec<(usize, T)>, String> {
-                    let mut out = Vec::new();
-                    let mut i = w;
-                    while i < count {
-                        if cancel.load(AtomicOrder::Relaxed) {
-                            break;
-                        }
-                        match catch_unwind(AssertUnwindSafe(|| task(i))) {
-                            Ok(v) => out.push((i, v)),
-                            Err(payload) => {
-                                cancel.store(true, AtomicOrder::Relaxed);
-                                return Err(panic_message(payload.as_ref()));
-                            }
-                        }
-                        i += workers;
-                    }
-                    Ok(out)
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(Ok(chunk)) => {
-                    for (i, v) in chunk {
-                        slots[i] = Some(v);
-                    }
-                }
-                Ok(Err(msg)) => {
-                    first_panic.get_or_insert(msg);
-                }
-                // Defensive: the worker catches its own panics, but drop
-                // glue could still unwind.
-                Err(payload) => {
-                    first_panic.get_or_insert(panic_message(payload.as_ref()));
-                }
-            }
-        }
-    });
-    if let Some(message) = first_panic {
-        return Err(ExecError::WorkerPanic { message });
-    }
-    // Without a panic nothing is cancelled, so every slot is filled.
-    slots
-        .into_iter()
-        .collect::<Option<Vec<T>>>()
-        .ok_or_else(|| ExecError::invariant("a fan-out item was not evaluated"))
 }
 
 /// Fault-injection site label for one operator evaluation — every operator
@@ -1114,21 +996,7 @@ impl EvalCtx<'_> {
             PlanNode::ScanDelta { table, kind } => {
                 let rows = self.deltas.side(*table, *kind);
                 meter.charge_seq(self.model, rows.len(), plan.schema.row_width());
-                if self.threads > 1 && rows.len() > MORSEL_ROWS {
-                    // Morsel-parallel row→column conversion; morsel-order
-                    // concatenation reproduces the serial batch exactly.
-                    let ranges = morsel_ranges(rows.len());
-                    let chunks = run_indexed(ranges.len(), self.threads, |m| {
-                        Batch::from_rows(plan.schema.clone(), &rows[ranges[m].clone()])
-                    })?;
-                    let mut out = Batch::empty(plan.schema.clone());
-                    for chunk in chunks {
-                        out.append(&chunk);
-                    }
-                    Ok(out)
-                } else {
-                    Ok(Batch::from_rows(plan.schema.clone(), rows))
-                }
+                Ok(Batch::from_rows(plan.schema.clone(), rows))
             }
             PlanNode::ReadMat(e) => {
                 let table = self.mats.get(e).ok_or(ExecError::MissingMat(*e))?;
@@ -1158,29 +1026,8 @@ impl EvalCtx<'_> {
                 let mut batch = self.eval(input, meter)?;
                 meter.charge_cpu(self.model, batch.num_rows());
                 let compiled = CompiledPredicate::compile(pred, batch.schema());
-                let n = batch.num_rows();
-                if self.threads > 1 && n > MORSEL_ROWS {
-                    // Each morsel evaluates the predicate over its logical
-                    // row range; concatenating the kept physical positions
-                    // in morsel order rebuilds the exact serial selection.
-                    let ranges = morsel_ranges(n);
-                    let kept = run_indexed(ranges.len(), self.threads, |m| {
-                        let mut scratch = Vec::new();
-                        let mut keep = Vec::new();
-                        for i in ranges[m].clone() {
-                            let phys = batch.physical(i);
-                            if compiled.matches_at(&batch, phys, &mut scratch) {
-                                keep.push(phys);
-                            }
-                        }
-                        keep
-                    })?;
-                    let sel: Vec<u32> = kept.into_iter().flatten().collect();
-                    batch.set_selection(sel);
-                } else {
-                    let mut scratch = Vec::new();
-                    batch.filter(&compiled, &mut scratch);
-                }
+                let mut scratch = Vec::new();
+                batch.filter(&compiled, &mut scratch);
                 Ok(batch)
             }
             PlanNode::Project { input, attrs } => {
@@ -1338,19 +1185,7 @@ impl EvalCtx<'_> {
             .collect::<Result<_, _>>()?;
         let combined = build.schema.concat(&probe.schema);
         let out_positions = positions_for(&combined, &plan.schema);
-        let pairs = if self.threads > 1 && build_b.num_rows() + probe_b.num_rows() > MORSEL_ROWS {
-            hash_join_pairs_parallel(
-                &build_b,
-                &bcols,
-                &probe_b,
-                &pcols,
-                residual,
-                &combined,
-                self.threads,
-            )?
-        } else {
-            hash_join_pairs(&build_b, &bcols, &probe_b, &pcols, residual, &combined)
-        };
+        let pairs = hash_join_pairs(&build_b, &bcols, &probe_b, &pcols, residual, &combined);
         meter.charge_cpu(
             self.model,
             build_b.num_rows() + probe_b.num_rows() + pairs.len(),
@@ -1622,16 +1457,6 @@ impl EvalCtx<'_> {
             })
             .collect::<Result<_, _>>()?;
         let n = in_b.num_rows();
-        if self.threads > 1 && n > MORSEL_ROWS {
-            return hash_aggregate_parallel(
-                plan,
-                &input.schema,
-                &in_b,
-                &key_cols,
-                aggs,
-                self.threads,
-            );
-        }
         let rows: Vec<u32> = (0..n).map(|i| in_b.physical(i)).collect();
         // Pass 1: group ids, assigned in first-occurrence order.
         let (reps, gids) = group_ids(&in_b, &key_cols, &rows);
@@ -1709,7 +1534,7 @@ impl EvalCtx<'_> {
     }
 }
 
-/// Serial hash-join pair computation: hash table over the build side keyed
+/// Hash-join pair computation: hash table over the build side keyed
 /// by the *hash* of the key columns at each position — hash once per row,
 /// no per-row key vector is ever allocated; candidate collisions are
 /// resolved by comparing key columns position-to-position.
@@ -1754,86 +1579,6 @@ fn hash_join_pairs(
         });
     }
     pairs
-}
-
-/// Morsel-parallel hash-join pair computation, identical output to
-/// [`hash_join_pairs`]:
-///
-/// 1. build-side key hashes are computed in parallel by morsel;
-/// 2. the build table is hash-partitioned — one worker per partition
-///    inserts its rows in global scan order, so per-bucket candidate order
-///    matches the serial build (equal keys share a hash, hence a partition);
-/// 3. probe morsels run in parallel, each probing the partition its row's
-///    hash selects; concatenating emitted pairs in morsel order reproduces
-///    the serial probe order exactly.
-fn hash_join_pairs_parallel(
-    build_b: &Batch,
-    bcols: &[usize],
-    probe_b: &Batch,
-    pcols: &[usize],
-    residual: &Predicate,
-    combined: &Schema,
-    threads: usize,
-) -> Result<Vec<(u32, u32)>, ExecError> {
-    let nb = build_b.num_rows();
-    // Phase 1: per-row build hashes (NULL keys flagged; they match nothing).
-    let branges = morsel_ranges(nb);
-    let bh_chunks = run_indexed(branges.len(), threads, |m| {
-        branges[m]
-            .clone()
-            .map(|i| {
-                let phys = build_b.physical(i);
-                if build_b.any_null(phys, bcols) {
-                    (phys, 0u64, true)
-                } else {
-                    (phys, build_b.hash_keys(phys, bcols), false)
-                }
-            })
-            .collect::<Vec<_>>()
-    })?;
-    let bh: Vec<(u32, u64, bool)> = bh_chunks.into_iter().flatten().collect();
-    // Phase 2: hash-partitioned build, one worker per partition. Each
-    // partition walks the precomputed hashes in scan order, so within any
-    // bucket the candidate order equals the serial build's.
-    let nparts = threads.max(1);
-    let tables: Vec<U64Map<Vec<u32>>> = run_indexed(nparts, threads, |p| {
-        let mut t: U64Map<Vec<u32>> = u64_map_with_capacity(nb / nparts + 1);
-        for &(phys, h, null) in &bh {
-            if !null && (h % nparts as u64) as usize == p {
-                t.entry(h).or_default().push(phys);
-            }
-        }
-        t
-    })?;
-    // Phase 3: parallel probe by morsel; morsel-order concatenation.
-    let pranges = morsel_ranges(probe_b.num_rows());
-    let residual_live = !residual.is_true();
-    let chunks = run_indexed(pranges.len(), threads, |m| {
-        let mut pairs: Vec<(u32, u32)> = Vec::new();
-        let mut joined = Vec::with_capacity(combined.len());
-        for i in pranges[m].clone() {
-            let pphys = probe_b.physical(i);
-            if probe_b.any_null(pphys, pcols) {
-                continue;
-            }
-            let h = probe_b.hash_keys(pphys, pcols);
-            if let Some(cands) = tables[(h % nparts as u64) as usize].get(&h) {
-                for &bphys in cands {
-                    if build_b.keys_eq(bphys, bcols, probe_b, pphys, pcols) {
-                        if residual_live {
-                            concat_row(build_b, bphys, probe_b, pphys, &mut joined);
-                            if !residual.matches(&joined, combined) {
-                                continue;
-                            }
-                        }
-                        pairs.push((bphys, pphys));
-                    }
-                }
-            }
-        }
-        pairs
-    })?;
-    Ok(chunks.into_iter().flatten().collect())
 }
 
 /// Group-id assignment over an explicit physical row list: one id per row,
@@ -1888,86 +1633,6 @@ fn group_ids(in_b: &Batch, key_cols: &[usize], rows: &[u32]) -> (Vec<u32>, Vec<u
         gids.push(gid);
     }
     (reps, gids)
-}
-
-/// Partition-parallel grouped aggregation, output identical to the serial
-/// path: rows are hash-partitioned by group key (equal keys land in one
-/// partition, so groups never straddle workers), each partition groups and
-/// runs the typed kernels over its rows in global scan order, and the final
-/// merge sorts all groups by key — the same unique-key sort the serial path
-/// emits.
-fn hash_aggregate_parallel(
-    plan: &PhysPlan,
-    input_schema: &Schema,
-    in_b: &Batch,
-    key_cols: &[usize],
-    aggs: &[AggSpec],
-    threads: usize,
-) -> Result<Batch, ExecError> {
-    let n = in_b.num_rows();
-    // Phase 1: per-row key hashes, parallel by morsel.
-    let ranges = morsel_ranges(n);
-    let hashed = run_indexed(ranges.len(), threads, |m| {
-        ranges[m]
-            .clone()
-            .map(|i| {
-                let phys = in_b.physical(i);
-                (phys, in_b.hash_keys(phys, key_cols))
-            })
-            .collect::<Vec<_>>()
-    })?;
-    let hashed: Vec<(u32, u64)> = hashed.into_iter().flatten().collect();
-    // Phase 2: one worker per hash partition — group assignment plus every
-    // aggregate kernel over that partition's rows (in global scan order, so
-    // per-group accumulation order matches serial exactly).
-    let nparts = threads.max(1);
-    let parts: Vec<(Vec<u32>, Vec<Column>)> = run_indexed(nparts, threads, |p| {
-        let rows: Vec<u32> = hashed
-            .iter()
-            .filter(|&&(_, h)| (h % nparts as u64) as usize == p)
-            .map(|&(phys, _)| phys)
-            .collect();
-        let (reps, gids) = group_ids(in_b, key_cols, &rows);
-        let ngroups = reps.len();
-        let cols: Vec<Column> = aggs
-            .iter()
-            .zip(&plan.schema.attrs()[key_cols.len()..])
-            .map(|(spec, a)| {
-                agg_kernel(in_b, input_schema, spec, &rows, &gids, ngroups, a.data_type)
-            })
-            .collect();
-        (reps, cols)
-    })?;
-    // Merge: groups are disjoint across partitions; sort them all by key.
-    let mut order: Vec<(usize, u32)> = parts
-        .iter()
-        .enumerate()
-        .flat_map(|(p, (reps, _))| (0..reps.len() as u32).map(move |g| (p, g)))
-        .collect();
-    order.sort_by(|&(pa, ga), &(pb, gb)| {
-        in_b.cmp_keys(
-            parts[pa].0[ga as usize],
-            key_cols,
-            in_b,
-            parts[pb].0[gb as usize],
-            key_cols,
-        )
-    });
-    let rep_order: Vec<u32> = order.iter().map(|&(p, g)| parts[p].0[g as usize]).collect();
-    let nkeys = key_cols.len();
-    debug_assert_eq!(plan.schema.len(), nkeys + aggs.len());
-    let mut columns: Vec<Column> = key_cols
-        .iter()
-        .map(|&c| in_b.column(c).gather(&rep_order))
-        .collect();
-    for (k, attr) in plan.schema.attrs().iter().enumerate().skip(nkeys) {
-        let mut out = Column::with_capacity(attr.data_type, order.len());
-        for &(p, g) in &order {
-            out.push(&parts[p].1[k - nkeys].value(g as usize));
-        }
-        columns.push(out);
-    }
-    Ok(Batch::from_columns(plan.schema.clone(), columns))
 }
 
 /// One aggregate's columnar update kernel: walk the input column once,
@@ -2214,43 +1879,6 @@ mod tests {
                 })
                 .collect(),
         )
-    }
-
-    #[test]
-    fn run_indexed_returns_items_in_item_order() {
-        for workers in [1, 2, 3, 8] {
-            // Each worker's first item waits until every worker has one,
-            // so the items really run on `min(workers, 7)` threads at once.
-            let barrier = std::sync::Barrier::new(workers.min(7));
-            let out = run_indexed(7, workers, |i| {
-                if i < workers {
-                    barrier.wait();
-                }
-                i * 10
-            })
-            .unwrap();
-            assert_eq!(out, vec![0, 10, 20, 30, 40, 50, 60], "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn run_indexed_turns_a_worker_panic_into_an_error() {
-        for workers in [2, 3, 8] {
-            let out = catch_unwind(|| {
-                run_indexed(7, workers, |i| {
-                    assert!(i != 4, "task {i} failed");
-                    i
-                })
-            });
-            let err = out.expect("the panic unwound out of run_indexed");
-            assert_eq!(
-                err,
-                Err(ExecError::WorkerPanic {
-                    message: "task 4 failed".to_string()
-                }),
-                "{workers} workers"
-            );
-        }
     }
 
     #[test]

@@ -176,24 +176,6 @@ impl Accumulator {
         }
     }
 
-    /// Merge another accumulator (insert-side delta merge).
-    pub fn merge(&mut self, other: &Accumulator) {
-        debug_assert_eq!(self.func, other.func);
-        self.count += other.count;
-        self.sum += other.sum;
-        self.all_int &= other.all_int;
-        if let Some(m) = &other.min {
-            if self.min.as_ref().map(|s| m < s).unwrap_or(true) {
-                self.min = Some(m.clone());
-            }
-        }
-        if let Some(m) = &other.max {
-            if self.max.as_ref().map(|s| m > s).unwrap_or(true) {
-                self.max = Some(m.clone());
-            }
-        }
-    }
-
     /// Decompose into raw state for persistence:
     /// `(func, count, sum, all_int, min, max)`.
     #[allow(clippy::type_complexity)]
@@ -225,15 +207,6 @@ impl Accumulator {
             min,
             max,
         }
-    }
-
-    /// Subtract another accumulator (delete-side delta merge); removable
-    /// aggregates only.
-    pub fn unmerge(&mut self, other: &Accumulator) {
-        debug_assert!(self.func.removable());
-        debug_assert_eq!(self.func, other.func);
-        self.count -= other.count;
-        self.sum -= other.sum;
     }
 }
 
@@ -294,19 +267,6 @@ mod tests {
         s.add(&Value::Int(1));
         s.add(&Value::Float(0.5));
         assert_eq!(s.finish(), Value::Float(1.5));
-    }
-
-    #[test]
-    fn merge_and_unmerge() {
-        let mut a = Accumulator::new(AggFunc::Sum);
-        a.add(&Value::Int(10));
-        let mut b = Accumulator::new(AggFunc::Sum);
-        b.add(&Value::Int(4));
-        b.add(&Value::Int(6));
-        a.merge(&b);
-        assert_eq!(a.finish(), Value::Int(20));
-        a.unmerge(&b);
-        assert_eq!(a.finish(), Value::Int(10));
     }
 
     #[test]

@@ -85,11 +85,6 @@ pub fn bag_eq_approx(a: &[Tuple], b: &[Tuple], rel_tol: f64) -> bool {
     })
 }
 
-/// Project a tuple onto the given positions.
-pub fn project_tuple(t: &[Value], positions: &[usize]) -> Tuple {
-    positions.iter().map(|&i| t[i].clone()).collect()
-}
-
 /// Concatenate two tuples (join output construction).
 pub fn concat_tuples(a: &[Value], b: &[Value]) -> Tuple {
     let mut out = Vec::with_capacity(a.len() + b.len());
@@ -153,9 +148,7 @@ mod tests {
     }
 
     #[test]
-    fn project_and_concat() {
-        let row = t(&[10, 20, 30]);
-        assert_eq!(project_tuple(&row, &[2, 0]), t(&[30, 10]));
+    fn concat_appends_in_order() {
         assert_eq!(concat_tuples(&t(&[1]), &t(&[2, 3])), t(&[1, 2, 3]));
     }
 }

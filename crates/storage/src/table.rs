@@ -412,10 +412,6 @@ impl StoredTable {
         self.indices.insert(attr, Arc::new(idx))
     }
 
-    pub fn drop_index(&mut self, attr: AttrId) {
-        self.indices.remove(&attr);
-    }
-
     pub fn index_on(&self, attr: AttrId) -> Option<&Index> {
         self.indices.get(&attr).map(|idx| idx.as_ref())
     }
@@ -642,15 +638,6 @@ mod tests {
         assert_eq!(idx.lookup_eq(&Value::Int(5)).len(), 1);
         assert!(idx.lookup_eq(&Value::Int(1)).is_empty());
         assert_eq!(idx.entries(), tab.len());
-    }
-
-    #[test]
-    fn drop_index_removes_it() {
-        let mut tab = StoredTable::with_rows(schema(), vec![t(1, 10)]);
-        tab.create_index(AttrId(1), IndexKind::Hash);
-        assert!(tab.index_on(AttrId(1)).is_some());
-        tab.drop_index(AttrId(1));
-        assert!(tab.index_on(AttrId(1)).is_none());
     }
 
     #[test]

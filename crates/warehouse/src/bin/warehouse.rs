@@ -1,7 +1,7 @@
 //! `warehouse` — script-driven REPL over the stateful warehouse engine.
 //!
 //! ```text
-//! cargo run -p mvmqo-warehouse --bin warehouse [SCRIPT] [--sf SF] [--seed SEED] [--parallel [N]]
+//! cargo run -p mvmqo-warehouse --bin warehouse [SCRIPT] [--sf SF] [--seed SEED]
 //! ```
 //!
 //! With a SCRIPT argument, executes its lines and exits non-zero on the
@@ -14,27 +14,14 @@ use std::io::{BufRead, Write};
 fn main() {
     let mut sf = 0.002;
     let mut seed = 42u64;
-    let mut parallel = false;
-    let mut threads = 0usize;
     let mut script: Option<String> = None;
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--sf" => sf = parse_or_die(args.next(), "--sf"),
             "--seed" => seed = parse_or_die(args.next(), "--seed"),
-            "--parallel" => {
-                parallel = true;
-                // Optional worker count: `--parallel 4`; bare `--parallel`
-                // auto-detects from the host.
-                if let Some(n) = args.peek().and_then(|a| a.parse::<usize>().ok()) {
-                    threads = n;
-                    args.next();
-                }
-            }
             "--help" | "-h" => {
-                println!("usage: warehouse [SCRIPT] [--sf SF] [--seed SEED] [--parallel [N]]\n");
-                println!("  --parallel [N]  run epochs under the parallel scheduler,");
-                println!("                  optionally pinned to N worker threads");
+                println!("usage: warehouse [SCRIPT] [--sf SF] [--seed SEED]\n");
                 println!("{}", mvmqo_warehouse::script::HELP);
                 return;
             }
@@ -49,8 +36,6 @@ fn main() {
     }
 
     let mut session = Session::new(sf, seed);
-    session.warehouse.set_parallel(parallel);
-    session.warehouse.set_threads(threads);
     match script {
         Some(path) => run_script(&mut session, &path),
         None => repl(&mut session),

@@ -26,8 +26,9 @@ use mvmqo_exec::{AggState, DistinctState};
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::codec::{self, CodecError, Dec, Enc};
 use mvmqo_relalg::logical::ViewDef;
+use mvmqo_relalg::schema::Schema;
 use mvmqo_relalg::tuple::Tuple;
-use mvmqo_relalg::types::Value;
+use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_relalg::Batch;
 use mvmqo_storage::snapshot::{decode_stored_table, encode_stored_table};
 use mvmqo_storage::StoredTable;
@@ -172,6 +173,76 @@ fn decode_distinct_state(d: &mut Dec) -> Result<DistinctState, CodecError> {
         .map(|_| Ok((decode_tuple(d)?, d.i64()?)))
         .collect::<Result<Vec<_>, CodecError>>()?;
     Ok(DistinctState::from_parts(entries))
+}
+
+/// `Err` naming `what` unless `v` fits `column`'s type `t` (NULL fits any
+/// type).
+fn check_fits(what: &str, v: &Value, column: &str, t: DataType) -> Result<(), String> {
+    match v.data_type() {
+        Some(got) if got != t => Err(format!(
+            "{what} {v} is {got}, but column {column} holds {t}"
+        )),
+        _ => Ok(()),
+    }
+}
+
+/// Check a decoded aggregate support state against `schema`, the layout of
+/// the view it maintains: its group keys, then one output per aggregate.
+/// Every group-key value and every finished aggregate must fit its output
+/// column, and every accumulator extreme the aggregate's input type.
+/// Recovery runs this before it installs the state, so a mistyped value in
+/// a CRC-valid snapshot fails `recover` instead of `Column::push` at the
+/// next epoch.
+pub(crate) fn check_agg_state(st: &AggState, schema: &Schema) -> Result<(), String> {
+    let attrs = schema.attrs();
+    let (nkeys, naggs) = (st.group_by.len(), st.specs.len());
+    if attrs.len() != nkeys + naggs {
+        return Err(format!(
+            "aggregate state of {nkeys} keys and {naggs} aggregates for {} columns",
+            attrs.len()
+        ));
+    }
+    let (key_attrs, out_attrs) = attrs.split_at(nkeys);
+    for (key, _, accs) in st.group_entries() {
+        if key.len() != nkeys || accs.len() != naggs {
+            return Err(format!(
+                "aggregate group of {} keys and {} accumulators",
+                key.len(),
+                accs.len()
+            ));
+        }
+        for (v, a) in key.iter().zip(key_attrs) {
+            check_fits("group key", v, &a.name, a.data_type)?;
+        }
+        for ((acc, spec), a) in accs.iter().zip(&st.specs).zip(out_attrs) {
+            check_fits("aggregate value", &acc.finish(), &a.name, a.data_type)?;
+            if let Some(input) = spec.input.result_type(&st.input_schema) {
+                let (_, _, _, _, min, max) = acc.to_parts();
+                for v in min.iter().chain(&max) {
+                    check_fits("accumulator extreme", v, &a.name, input)?;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Check a decoded DISTINCT support state against `schema`, the layout of
+/// the view it maintains (see [`check_agg_state`]).
+pub(crate) fn check_distinct_state(st: &DistinctState, schema: &Schema) -> Result<(), String> {
+    for (row, _) in st.count_entries() {
+        if row.len() != schema.len() {
+            return Err(format!(
+                "distinct row of {} values for {} columns",
+                row.len(),
+                schema.len()
+            ));
+        }
+        for (v, a) in row.iter().zip(schema.attrs()) {
+            check_fits("distinct value", v, &a.name, a.data_type)?;
+        }
+    }
+    Ok(())
 }
 
 impl SnapshotData {

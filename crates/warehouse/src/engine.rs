@@ -12,7 +12,7 @@
 //! ingested-delta volume, or the realized-vs-estimated cost drifts past
 //! thresholds.
 
-use crate::durability::{SnapshotData, ViewMatImage};
+use crate::durability::{check_agg_state, check_distinct_state, SnapshotData, ViewMatImage};
 use crate::error::WarehouseError;
 use crate::policy::{ReoptPolicy, ReoptTrigger};
 use mvmqo_core::api::OptimizerReport;
@@ -34,7 +34,7 @@ use mvmqo_relalg::Batch;
 use mvmqo_storage::database::Database;
 use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
 use mvmqo_storage::error::{RecoveryError, StorageError};
-use mvmqo_storage::faults::{FaultMode, FaultRegistry};
+use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::snapshot::{self, Manifest};
 use mvmqo_storage::wal::{scan_wal, WalRecord, WalStop, WalWriter};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -181,7 +181,6 @@ pub struct Warehouse {
     db: Database,
     views: Vec<ViewDef>,
     policy: ReoptPolicy,
-    exec_options: ExecOptions,
     /// The re-entrant optimizer session: owns the persistent AND-OR DAG,
     /// cost memo, and warm-start state. `ViewSetChanged`/`DeltaDrift`
     /// replans pay incremental cost; only the first plan is cold.
@@ -221,13 +220,6 @@ impl Warehouse {
             db,
             views: Vec::new(),
             policy: ReoptPolicy::default(),
-            // The engine serves reads from the maintained columnar state
-            // (`query` materializes rows on demand), so epochs skip the
-            // end-of-cycle row collection entirely.
-            exec_options: ExecOptions {
-                collect_view_rows: false,
-                ..ExecOptions::default()
-            },
             optimizer: Optimizer::default(),
             plan: None,
             pending: DeltaSet::new(),
@@ -250,34 +242,15 @@ impl Warehouse {
         self
     }
 
-    /// Select the epoch scheduler: `true` gives each epoch a worker budget,
-    /// spent on one update step's merge-delta plans and on morsels inside
-    /// operators (results are bag-identical to serial execution). Takes
-    /// effect from the next epoch; exposed on the CLI as `--parallel` and
-    /// the `parallel on|off` session command.
-    pub fn set_parallel(&mut self, parallel: bool) {
-        self.exec_options.parallel = parallel;
-    }
+    /// Does nothing: every epoch runs serially. Kept for `wbench` until
+    /// ROADMAP item 3.
+    pub fn set_parallel(&mut self, _parallel: bool) {}
 
-    /// Pin the parallel scheduler's worker budget (`0` = auto-detect from
-    /// the host). Only takes effect while the scheduler is `parallel`;
-    /// exposed on the CLI as `--parallel N` and `parallel on N`. Read it
-    /// back through [`Warehouse::exec_options`].
-    pub fn set_threads(&mut self, threads: usize) {
-        self.exec_options.threads = threads;
-    }
+    /// Does nothing; kept for `wbench` until ROADMAP item 3.
+    pub fn set_threads(&mut self, _threads: usize) {}
 
-    /// The scheduling options epochs currently run with.
-    pub fn exec_options(&self) -> ExecOptions {
-        self.exec_options
-    }
-
-    /// Run the parallel scheduler even on a 1-thread host (test/benchmark
-    /// hook — see `ExecOptions::force_parallel`). Without it, a parallel
-    /// run on a single-core machine measures the serial path.
-    pub fn set_force_parallel(&mut self, force: bool) {
-        self.exec_options.force_parallel = force;
-    }
+    /// Does nothing; kept for `wbench` until ROADMAP item 3.
+    pub fn set_force_parallel(&mut self, _force: bool) {}
 
     // ==================================================================
     // View registry
@@ -524,7 +497,12 @@ impl Warehouse {
                 program,
                 index_plan,
                 state,
-                self.exec_options,
+                // The engine serves reads from the maintained columnar
+                // state, so epochs skip the end-of-cycle row collection.
+                ExecOptions {
+                    collect_view_rows: false,
+                    ..ExecOptions::default()
+                },
                 &self.faults,
                 &mut journal,
             )
@@ -532,17 +510,8 @@ impl Warehouse {
         let exec = match caught {
             Ok(Ok(exec)) => exec,
             Ok(Err(e)) => {
-                // A panic caught in a worker names the fault that fired,
-                // as an unwound panic does below; `exec:worker` is left
-                // for real panics, where nothing fired.
-                let site = match (&e, self.faults.fired()) {
-                    (ExecError::WorkerPanic { .. }, Some(f)) if f.mode == FaultMode::Panic => {
-                        f.site
-                    }
-                    _ => e.site(),
-                };
                 self.roll_back(journal);
-                return Err(self.abort_epoch(site, e.to_string()));
+                return Err(self.abort_epoch(e.site(), e.to_string()));
             }
             Err(payload) => {
                 // A panicking operator (injected or real) unwinds only to
@@ -972,10 +941,11 @@ impl Warehouse {
         let manifest = Manifest::load(&dir)?;
         let snap_path = dir.join(&manifest.snapshot_file);
         let body = snapshot::read_framed(&snap_path, snapshot::SNAPSHOT_MAGIC)?;
-        let data = SnapshotData::decode(&body).map_err(|e| RecoveryError::Corrupt {
+        let corrupt = |why: String| RecoveryError::Corrupt {
             file: snap_path.display().to_string(),
-            why: e.to_string(),
-        })?;
+            why,
+        };
+        let data = SnapshotData::decode(&body).map_err(|e| corrupt(e.to_string()))?;
         if data.epoch != manifest.snapshot_epoch {
             return Err(RecoveryError::Inconsistent(format!(
                 "snapshot is at epoch {} but manifest says {}",
@@ -1001,7 +971,8 @@ impl Warehouse {
         // Re-install persisted root materializations. Keyed by view name —
         // node ids are not stable across sessions — and guarded by a
         // schema check: a root whose derived schema came out differently
-        // is skipped and rebuilds at the next epoch's setup.
+        // is skipped and rebuilds at the next epoch's setup. A support
+        // state holding a value its view's columns cannot take is corrupt.
         {
             let Warehouse {
                 plan, optimizer, ..
@@ -1013,6 +984,12 @@ impl Warehouse {
                     };
                     if &optimizer.dag().eq(root).schema != m.table.schema() {
                         continue;
+                    }
+                    if let Some(st) = &m.agg {
+                        check_agg_state(st, m.table.schema()).map_err(corrupt)?;
+                    }
+                    if let Some(st) = &m.distinct {
+                        check_distinct_state(st, m.table.schema()).map_err(corrupt)?;
                     }
                     plan.state.install_mat(root, m.table, m.fresh);
                     if let Some(st) = m.agg {
@@ -1030,18 +1007,20 @@ impl Warehouse {
             .into_iter()
             .map(|(t, ins, del)| (t, (ins, del)))
             .collect();
-        // Restore the queued-but-unapplied deltas directly: they were
-        // validated when first accepted and are already in the WAL of the
-        // segment *before* the snapshot's truncation point — the snapshot
-        // carries them so nothing is lost.
+        // Restore the queued-but-unapplied deltas directly: they are in the
+        // WAL of the segment *before* the snapshot's truncation point — the
+        // snapshot carries them so nothing is lost. They pass the ingest
+        // door's type check again, since a CRC-valid snapshot can still
+        // carry a row its table cannot hold.
         for (t, inserts, deletes) in data.pending {
-            wh.pending.insert(
-                t,
-                DeltaBatch {
-                    inserts: inserts.to_rows(),
-                    deletes: deletes.to_rows(),
-                },
-            );
+            let batch = DeltaBatch {
+                inserts: inserts.to_rows(),
+                deletes: deletes.to_rows(),
+            };
+            wh.db
+                .validate_delta(t, &batch)
+                .map_err(|e| corrupt(e.to_string()))?;
+            wh.pending.insert(t, batch);
         }
         wh.ingested_since_plan = data.ingested_since_plan as usize;
 
@@ -1264,10 +1243,6 @@ impl Warehouse {
             self.views.len(),
             self.pending.total_tuples(),
             self.replans.len()
-        ));
-        out.push_str(&format!(
-            "scheduler: {}\n",
-            mvmqo_exec::scheduler_description(self.exec_options)
         ));
         match self.plan.as_ref() {
             None => out.push_str("no plan (no views registered)\n"),
@@ -1519,7 +1494,7 @@ fn prune_segments(dir: &Path, keep_seq: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvmqo_storage::faults::FaultPlan;
+    use mvmqo_storage::faults::{FaultMode, FaultPlan};
     use mvmqo_storage::table::StoredTable;
     use mvmqo_tpcd::{five_join_views, generate_database, generate_updates, tpcd_catalog, Tpcd};
 

@@ -83,7 +83,6 @@ impl Session {
             "drop" => self.cmd_drop(&words),
             "explain" => Ok(self.warehouse.explain()),
             "tables" => Ok(self.cmd_tables()),
-            "parallel" => self.cmd_parallel(&words),
             "wal" => self.cmd_wal(&words),
             "save" => self.cmd_save(),
             "recover" => self.cmd_recover(&words),
@@ -247,34 +246,6 @@ impl Session {
         Ok(format!(
             "dropped {name}; {} views remain",
             self.warehouse.views().len()
-        ))
-    }
-
-    /// `parallel on [N] | off` — switch the epoch scheduler, optionally
-    /// pinning the worker budget to `N` threads (`on` alone auto-detects);
-    /// bare `parallel` reports the current setting.
-    fn cmd_parallel(&mut self, words: &[&str]) -> Result<String, String> {
-        match words[1..] {
-            [] => {}
-            ["on"] => {
-                self.warehouse.set_parallel(true);
-                self.warehouse.set_threads(0);
-            }
-            ["on", n] => {
-                let threads: usize = n
-                    .parse()
-                    .ok()
-                    .filter(|&t| t > 0)
-                    .ok_or_else(|| format!("usage: parallel [on [N]|off] (bad count {n:?})"))?;
-                self.warehouse.set_parallel(true);
-                self.warehouse.set_threads(threads);
-            }
-            ["off"] => self.warehouse.set_parallel(false),
-            _ => return Err(format!("usage: parallel [on [N]|off] (got {:?})", words[1])),
-        }
-        Ok(format!(
-            "epoch scheduler: {}",
-            mvmqo_exec::scheduler_description(self.warehouse.exec_options())
         ))
     }
 
@@ -553,8 +524,6 @@ commands:
   verify NAME               check materialization against recomputation
   explain                   current plan, costs, re-optimization history
   tables                    stored relations and row counts
-  parallel [on [N]|off]     switch the epoch scheduler (default serial);
-                            `on N` pins the worker budget to N threads
   wal [on DIR]              enable durability (snapshot + WAL) / show status
   save                      checkpoint: new snapshot, truncate the WAL
   recover DIR               rebuild the session from durable state
@@ -658,47 +627,6 @@ mod tests {
         s.exec_line("epoch").unwrap();
         let out = s.exec_line("verify rev").unwrap();
         assert!(out.contains("consistent"), "{out}");
-    }
-
-    #[test]
-    fn parallel_scheduler_epochs_stay_consistent() {
-        let mut s = session();
-        assert!(s.exec_line("parallel").unwrap().contains("serial"));
-        assert!(s.exec_line("parallel on").unwrap().contains("parallel"));
-        s.exec_line("view locs = lineitem * orders * customer")
-            .unwrap();
-        s.exec_line("view rev = lineitem * orders group o_custkey sum l_extendedprice")
-            .unwrap();
-        s.exec_line("ingest all 10").unwrap();
-        s.exec_line("epoch").unwrap();
-        assert!(s.exec_line("verify locs").unwrap().contains("consistent"));
-        assert!(s.exec_line("verify rev").unwrap().contains("consistent"));
-        assert!(s.exec_line("parallel off").unwrap().contains("serial"));
-        assert!(s.exec_line("parallel bogus").is_err());
-    }
-
-    #[test]
-    fn parallel_thread_count_round_trips() {
-        let mut s = session();
-        let out = s.exec_line("parallel on 2").unwrap();
-        // An explicit count survives the 1-core auto-disable reporting:
-        // either the pinned count shows up, or the host has one thread and
-        // the scheduler says so.
-        assert!(
-            out.contains("2 threads") || out.contains("1 thread"),
-            "{out}"
-        );
-        assert_eq!(s.warehouse.exec_options().threads, 2);
-        s.exec_line("view rev = lineitem * orders group o_custkey sum l_extendedprice")
-            .unwrap();
-        s.exec_line("ingest all 5").unwrap();
-        s.exec_line("epoch").unwrap();
-        assert!(s.exec_line("verify rev").unwrap().contains("consistent"));
-        assert!(s.exec_line("parallel on 0").is_err());
-        assert!(s.exec_line("parallel on two").is_err());
-        // `parallel on` resets to auto.
-        s.exec_line("parallel on").unwrap();
-        assert_eq!(s.warehouse.exec_options().threads, 0);
     }
 
     #[test]

@@ -4,7 +4,6 @@
 
 use mvmqo_core::api::{pk_indices_for, OptimizerReport};
 use mvmqo_core::cost::CostModel;
-use mvmqo_core::plan::{PhysPlan, PlanNode, Program};
 use mvmqo_core::session::Optimizer;
 use mvmqo_core::update::UpdateModel;
 use mvmqo_exec::{
@@ -244,56 +243,6 @@ pub fn update_model_for(deltas: &DeltaSet) -> UpdateModel {
         let b = deltas.get(t).unwrap();
         (t, b.inserts.len() as f64, b.deletes.len() as f64)
     }))
-}
-
-/// What a program gives a parallel≡serial check to bite on: the most merges
-/// one update step evaluates (the merge fan-out needs two), and the most
-/// rows of any base table a plan scans in full (an operator fed by it runs
-/// on morsels past 1024 rows). Both are 0 for an empty program.
-pub fn parallel_coverage(program: &Program, db: &Database) -> (usize, usize) {
-    let max_merges = program.steps.iter().map(|s| s.merges.len()).max();
-    let plans = program
-        .full_plans
-        .values()
-        .chain(program.steps.iter().flat_map(|s| {
-            s.temp_deltas
-                .iter()
-                .map(|(_, p)| p)
-                .chain(s.merges.iter().map(|m| &m.delta_plan))
-        }));
-    let mut largest_scan = 0;
-    let mut stack: Vec<&PhysPlan> = plans.collect();
-    while let Some(plan) = stack.pop() {
-        match &plan.node {
-            PlanNode::ScanBase(t) => {
-                largest_scan = largest_scan.max(db.base(*t).map_or(0, |b| b.len()));
-            }
-            PlanNode::ScanDelta { .. }
-            | PlanNode::ReadMat(_)
-            | PlanNode::ReadDelta(..)
-            | PlanNode::IndexScan { .. } => {}
-            PlanNode::Filter { input, .. }
-            | PlanNode::Project { input, .. }
-            | PlanNode::HashAggregate { input, .. }
-            | PlanNode::Distinct { input }
-            | PlanNode::IndexNlJoin { outer: input, .. } => stack.push(input),
-            PlanNode::HashJoin {
-                build: l, probe: r, ..
-            }
-            | PlanNode::MergeJoin {
-                left: l, right: r, ..
-            }
-            | PlanNode::NlJoin {
-                left: l, right: r, ..
-            }
-            | PlanNode::Minus { left: l, right: r } => {
-                stack.push(l);
-                stack.push(r);
-            }
-            PlanNode::UnionAll(inputs) => stack.extend(inputs),
-        }
-    }
-    (max_merges.unwrap_or(0), largest_scan)
 }
 
 /// Run the full pipeline and verify every view, **as a multiset**, against

@@ -14,6 +14,7 @@
 //! `recover` re-plans incrementally against its rebuilt memo, not from a
 //! cold start.
 
+use mvmqo_exec::AggState;
 use mvmqo_integration_tests::{generate_deltas, null_group_engine, small_world, SmallWorld};
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::batch::Batch;
@@ -21,15 +22,15 @@ use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::codec::{self, Enc};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
 use mvmqo_relalg::logical::{LogicalExpr, ViewDef};
-use mvmqo_relalg::schema::AttrId;
+use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::{bag_eq_approx, Tuple};
 use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_storage::crc::crc32;
 use mvmqo_storage::delta::DeltaBatch;
 use mvmqo_storage::error::{RecoveryError, StorageError};
-use mvmqo_storage::snapshot::Manifest;
+use mvmqo_storage::snapshot::{self, Manifest};
 use mvmqo_storage::wal::{scan_wal_bytes, WalRecord, WalStop};
-use mvmqo_warehouse::{PlanMode, ReoptTrigger, Warehouse, WarehouseError};
+use mvmqo_warehouse::{PlanMode, ReoptTrigger, SnapshotData, Warehouse, WarehouseError};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -980,6 +981,89 @@ fn a_wal_record_whose_column_does_not_fit_is_a_recovery_error() {
         log,
         "recovery truncated the log"
     );
+}
+
+// ======================================================================
+// Types at the door: snapshot restore
+// ======================================================================
+
+/// Rewrite the snapshot at `path` through the public [`SnapshotData`]
+/// codec, keeping its framing (magic and CRC) valid.
+fn rewrite_snapshot(path: &Path, edit: impl FnOnce(&mut SnapshotData)) {
+    let body = snapshot::read_framed(path, snapshot::SNAPSHOT_MAGIC).unwrap();
+    let mut data = SnapshotData::decode(&body).unwrap();
+    edit(&mut data);
+    snapshot::write_framed_atomic(path, snapshot::SNAPSHOT_MAGIC, &data.encode(Vec::new()))
+        .unwrap();
+}
+
+/// `recover` of `dir` must stop with a typed `Corrupt` error whose reason
+/// contains `reason`.
+fn assert_corrupt_snapshot(dir: &Path, reason: &str) {
+    match Warehouse::recover(dir) {
+        Err(WarehouseError::Recovery(RecoveryError::Corrupt { why, .. })) => {
+            assert!(why.contains(reason), "{why}")
+        }
+        Err(e) => panic!("unexpected error {e}"),
+        Ok(_) => panic!("a snapshot with a mistyped value recovered"),
+    }
+}
+
+/// A CRC-valid snapshot whose aggregate support state holds a group key
+/// not of its column's type fails `recover` cleanly, instead of reaching
+/// `Column::push` at the next epoch.
+#[test]
+fn a_snapshot_group_key_that_does_not_fit_is_a_recovery_error() {
+    let tmp = TempDir::new("mistyped-group");
+    let (mut wh, t) = null_group_engine();
+    wh.enable_wal(tmp.path()).unwrap();
+    let row = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    wh.ingest(t, DeltaBatch::new(vec![row], vec![])).unwrap();
+    wh.run_epoch().unwrap();
+    let snap = wh.save().unwrap();
+    drop(wh);
+    rewrite_snapshot(&snap, |data| {
+        let m = &mut data.view_mats[0];
+        let st = m.agg.take().expect("per_k keeps aggregate support state");
+        // `k` is an Int column: give one group a string key.
+        let mut groups: Vec<_> = st
+            .group_entries()
+            .map(|(key, rows, accs)| (key.clone(), rows, accs.to_vec()))
+            .collect();
+        groups[0].0[0] = Value::str("two");
+        m.agg = Some(AggState::from_parts(
+            st.group_by.clone(),
+            st.specs.clone(),
+            st.input_schema.clone(),
+            groups,
+        ));
+    });
+    assert_corrupt_snapshot(tmp.path(), "group key");
+}
+
+/// A CRC-valid snapshot whose pending queue holds a row its table cannot
+/// hold fails `recover` cleanly: restored batches pass the ingest door's
+/// type check.
+#[test]
+fn a_snapshot_pending_row_that_does_not_fit_is_a_recovery_error() {
+    let tmp = TempDir::new("mistyped-pending");
+    let (mut wh, t) = null_group_engine();
+    wh.enable_wal(tmp.path()).unwrap();
+    let row = vec![Value::Int(5), Value::Int(2), Value::Int(1)];
+    wh.ingest(t, DeltaBatch::new(vec![row], vec![])).unwrap();
+    let schema = wh.database().base(t).unwrap().schema().clone();
+    let snap = wh.save().unwrap();
+    drop(wh);
+    rewrite_snapshot(&snap, |data| {
+        // A batch that is well-formed on its own, with `k` declared Str.
+        let mut attrs = schema.attrs().to_vec();
+        attrs[1].data_type = DataType::Str;
+        let row = vec![Value::Int(5), Value::str("two"), Value::Int(1)];
+        let inserts = Batch::from_rows(Schema::new(attrs), &[row]);
+        assert_eq!(data.pending.len(), 1);
+        data.pending[0].1 = inserts;
+    });
+    assert_corrupt_snapshot(tmp.path(), "schema expects");
 }
 
 // ======================================================================

