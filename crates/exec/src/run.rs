@@ -10,6 +10,12 @@
 //!
 //! Everything runs in program order on the caller's thread.
 //!
+//! The deltas arrive as a columnar [`DeltaQueue`], one `(inserts,
+//! deletes)` pair of batches per relation in its stored layout, and are
+//! read in place: a `ScanDelta` serves a handle copy of the queued side,
+//! and the base-delta step hands storage the queued batch itself. No delta
+//! changes representation during an epoch.
+//!
 //! The caller owns a [`RuntimeState`] that carries the materialized results
 //! (and their hidden aggregate/distinct support state and indices) from one
 //! epoch to the next, so permanent materializations are maintained in place
@@ -17,7 +23,8 @@
 //! refresh. The epoch writes database and state in place under a
 //! [`Journal`], so a failed epoch is undone rather than staged.
 //! [`execute_epoch_opts`] is the same call with faults disarmed, rolling
-//! itself back on error.
+//! itself back on error; it takes a row-shaped [`DeltaSet`] and encodes
+//! it into a queue once, at entry.
 
 use crate::error::ExecError;
 use crate::journal::Journal;
@@ -27,11 +34,12 @@ use mvmqo_core::cost::CostModel;
 use mvmqo_core::dag::{Dag, EqId};
 use mvmqo_core::opt::StoredRef;
 use mvmqo_core::plan::{MergeKind, PhysPlan, Program};
+use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::Catalog;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::Tuple;
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::DeltaSet;
+use mvmqo_storage::delta::{DeltaQueue, DeltaSet};
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::index::IndexKind;
 use mvmqo_storage::journal::TableJournal;
@@ -112,6 +120,10 @@ pub struct IndexPlan {
 /// Execute one maintenance epoch against `db`, applying `deltas`, resuming
 /// from (and persisting back into) `state`, with no faults armed.
 ///
+/// `deltas` is row-shaped (a [`DeltaSet`], as the TPC-D generator makes
+/// it); each side is encoded once here, at entry, in its base table's
+/// layout, and the epoch runs on that columnar queue.
+///
 /// On `Ok`, `db` holds the post-update base tables and every view has
 /// been refreshed (incrementally or by recomputation, per the program).
 /// On `Err`, the epoch's writes are rolled back: `db` and `state` are
@@ -131,13 +143,19 @@ pub fn execute_epoch_opts(
     state: &mut RuntimeState,
     options: ExecOptions,
 ) -> Result<ExecReport, ExecError> {
+    let mut queue = DeltaQueue::new();
+    for (t, batch) in deltas.tables().filter_map(|t| Some((t, deltas.get(t)?))) {
+        let schema = db.base(t)?.schema();
+        let encode = |rows| Batch::from_rows(schema.clone(), rows);
+        queue.extend(t, encode(&batch.inserts), encode(&batch.deletes));
+    }
     let mut journal = Journal::new();
     let report = execute_epoch_faults(
         dag,
         catalog,
         model,
         db,
-        deltas,
+        &queue,
         program,
         indices,
         state,
@@ -151,10 +169,14 @@ pub fn execute_epoch_opts(
     report
 }
 
-/// [`execute_epoch_opts`] with a live fault-injection registry — every
-/// operator evaluation, merge, and base-delta application checks it, so
-/// the chaos tests can fail the epoch at any site — and a caller-owned
-/// undo journal.
+/// [`execute_epoch_opts`] over a columnar [`DeltaQueue`], with a live
+/// fault-injection registry — every operator evaluation, merge, and
+/// base-delta application checks it, so the chaos tests can fail the epoch
+/// at any site — and a caller-owned undo journal.
+///
+/// The queue's batches are read in place: every δ scan serves a handle
+/// copy of the queued side, and each base-delta step hands storage the
+/// queued batch itself, so no delta is converted during the epoch.
 ///
 /// The epoch writes `db` and `state` in place and records the inverse of
 /// every write in `journal`. On `Err` — or when a panic unwinds out of
@@ -168,7 +190,7 @@ pub fn execute_epoch_faults(
     catalog: &Catalog,
     model: CostModel,
     db: &mut Database,
-    deltas: &DeltaSet,
+    deltas: &DeltaQueue,
     program: &Program,
     indices: &IndexPlan,
     state: &mut RuntimeState,
@@ -261,12 +283,13 @@ pub fn execute_epoch_faults(
             }
         }
 
-        // 3. Apply the base delta for this (relation, kind).
-        let rows = deltas.side(table, kind);
+        // 3. Apply the base delta for this (relation, kind): the queued
+        // batch itself, merged column by column.
         let width = catalog.table(table).schema.row_width();
         faults.hit("exec:apply-base-delta")?;
-        rt.apply_base_side(table, kind, rows)?;
-        rt.meter.charge_seq(&model, rows.len(), width);
+        let applied = rt.apply_base_side(table, kind)?;
+        rt.meter
+            .charge_seq(&model, applied.map_or(0, Batch::num_rows), width);
 
         // 4. Invalidate stale temporaries; maintained results stay fresh.
         rt.invalidate_depending(table, &maintained);

@@ -34,7 +34,7 @@ use mvmqo_relalg::schema::{AttrId, Schema};
 use mvmqo_relalg::tuple::Tuple;
 use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::{DeltaKind, DeltaSet};
+use mvmqo_storage::delta::{DeltaKind, DeltaQueue};
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::index::IndexKind;
 use mvmqo_storage::journal::TableJournal;
@@ -444,7 +444,7 @@ pub struct Runtime<'a> {
     pub catalog: &'a Catalog,
     pub model: CostModel,
     pub db: &'a mut Database,
-    pub deltas: &'a DeltaSet,
+    pub deltas: &'a DeltaQueue,
     full_plans: BTreeMap<EqId, PhysPlan>,
     /// Indices to maintain on materialized nodes (chosen by the optimizer).
     mat_indices: HashMap<EqId, Vec<AttrId>>,
@@ -483,7 +483,7 @@ impl<'a> Runtime<'a> {
         catalog: &'a Catalog,
         model: CostModel,
         db: &'a mut Database,
-        deltas: &'a DeltaSet,
+        deltas: &'a DeltaQueue,
         full_plans: BTreeMap<EqId, PhysPlan>,
         mat_indices: HashMap<EqId, Vec<AttrId>>,
         state: &'a mut RuntimeState,
@@ -742,20 +742,28 @@ impl<'a> Runtime<'a> {
         Ok(())
     }
 
-    /// Apply one side of a base relation's delta in place (§3.2.2's
-    /// per-update step).
+    /// Apply one side of a base relation's queued delta in place
+    /// (§3.2.2's per-update step). The queued batch goes to storage as it
+    /// is, and comes back to the caller: it is the batch that was applied
+    /// (`None` when the relation has nothing queued on that side).
     pub(crate) fn apply_base_side(
         &mut self,
         t: mvmqo_relalg::catalog::TableId,
         kind: DeltaKind,
-        rows: &[Tuple],
-    ) -> Result<(), ExecError> {
+    ) -> Result<Option<&'a Batch>, ExecError> {
+        let Some(delta) = self.deltas.side(t, kind) else {
+            return Ok(None);
+        };
+        let (ins, del) = match kind {
+            DeltaKind::Insert => (Some(delta), None),
+            DeltaKind::Delete => (None, Some(delta)),
+        };
         let mut undo = TableJournal::new();
         self.db
             .base_mut(t)?
-            .apply_side_journaled(kind, rows, &mut undo);
+            .apply_batch_delta_journaled(ins, del, &mut undo);
         self.record(StoredRef::Base(t), undo);
-        Ok(())
+        Ok(Some(delta))
     }
 
     /// Merge a raw input differential batch into a maintained aggregate.
@@ -949,7 +957,7 @@ impl<'a> Runtime<'a> {
 pub(crate) struct EvalCtx<'r> {
     pub model: &'r CostModel,
     pub db: &'r Database,
-    pub deltas: &'r DeltaSet,
+    pub deltas: &'r DeltaQueue,
     pub mats: &'r HashMap<EqId, StoredTable>,
     pub delta_store: &'r HashMap<(EqId, UpdateId), Batch>,
     /// Fault-injection registry, checked once per operator evaluation.
@@ -994,9 +1002,15 @@ impl EvalCtx<'_> {
                 Ok(batch)
             }
             PlanNode::ScanDelta { table, kind } => {
-                let rows = self.deltas.side(*table, *kind);
-                meter.charge_seq(self.model, rows.len(), plan.schema.row_width());
-                Ok(Batch::from_rows(plan.schema.clone(), rows))
+                // O(width): the queued side is columnar already, in the
+                // stored table's layout, and its columns are Arc-shared
+                // with the clone.
+                let batch = match self.deltas.side(*table, *kind) {
+                    Some(queued) => queued.clone().align(&plan.schema),
+                    None => Batch::empty(plan.schema.clone()),
+                };
+                meter.charge_seq(self.model, batch.num_rows(), plan.schema.row_width());
+                Ok(batch)
             }
             PlanNode::ReadMat(e) => {
                 let table = self.mats.get(e).ok_or(ExecError::MissingMat(*e))?;
@@ -1456,27 +1470,15 @@ impl EvalCtx<'_> {
                     .ok_or_else(|| ExecError::missing_attr(*g, "hash-aggregate"))
             })
             .collect::<Result<_, _>>()?;
-        let n = in_b.num_rows();
-        let rows: Vec<u32> = (0..n).map(|i| in_b.physical(i)).collect();
         // Pass 1: group ids, assigned in first-occurrence order.
-        let (reps, gids) = group_ids(&in_b, &key_cols, &rows);
+        let (reps, gids) = group_ids(&in_b, &key_cols);
         let ngroups = reps.len();
         // Pass 2: one typed kernel per aggregate, typed by the plan.
         let out_types = &plan.schema.attrs()[key_cols.len()..];
         let agg_columns: Vec<Column> = aggs
             .iter()
             .zip(out_types)
-            .map(|(spec, a)| {
-                agg_kernel(
-                    &in_b,
-                    &input.schema,
-                    spec,
-                    &rows,
-                    &gids,
-                    ngroups,
-                    a.data_type,
-                )
-            })
+            .map(|(spec, a)| agg_kernel(&in_b, &input.schema, spec, &gids, ngroups, a.data_type))
             .collect();
         // Deterministic output order: groups sorted by key (keys are unique
         // per group, so this matches the old full-row sort).
@@ -1581,23 +1583,30 @@ fn hash_join_pairs(
     pairs
 }
 
-/// Group-id assignment over an explicit physical row list: one id per row,
-/// ids issued in first-occurrence order; returns `(reps, gids)` with one
+/// The physical positions of `b`'s logical rows, in order: its selection
+/// walked in place, or the dense range — no position list is built.
+fn physical_rows(b: &Batch) -> impl Iterator<Item = u32> + '_ {
+    (0..b.num_rows()).map(|i| b.physical(i))
+}
+
+/// Group-id assignment over the batch's logical rows: one id per row, ids
+/// issued in first-occurrence order; returns `(reps, gids)` with one
 /// representative physical position per group.
 ///
 /// A single dict-encoded key column short-circuits the hash table entirely:
 /// dictionary entries are unique, so code equality *is* key equality and a
 /// flat `code → gid` array replaces hashing and collision probing (NULLs —
 /// masked rows — form their own group, exactly as `keys_eq` groups them).
-fn group_ids(in_b: &Batch, key_cols: &[usize], rows: &[u32]) -> (Vec<u32>, Vec<u32>) {
+fn group_ids(in_b: &Batch, key_cols: &[usize]) -> (Vec<u32>, Vec<u32>) {
+    let n = in_b.num_rows();
     let mut reps: Vec<u32> = Vec::new();
-    let mut gids: Vec<u32> = Vec::with_capacity(rows.len());
+    let mut gids: Vec<u32> = Vec::with_capacity(n);
     if let [kc] = key_cols {
         let col = in_b.column(*kc);
         if let Some((codes, dict)) = col.dict() {
             let mut code_gid: Vec<u32> = vec![u32::MAX; dict.len()];
             let mut null_gid = u32::MAX;
-            for &phys in rows {
+            for phys in physical_rows(in_b) {
                 let p = phys as usize;
                 let slot = if col.is_null(p) {
                     &mut null_gid
@@ -1613,8 +1622,8 @@ fn group_ids(in_b: &Batch, key_cols: &[usize], rows: &[u32]) -> (Vec<u32>, Vec<u
             return (reps, gids);
         }
     }
-    let mut buckets: U64Map<Vec<u32>> = u64_map_with_capacity(rows.len().min(1 << 16));
-    for &phys in rows {
+    let mut buckets: U64Map<Vec<u32>> = u64_map_with_capacity(n.min(1 << 16));
+    for phys in physical_rows(in_b) {
         let h = in_b.hash_keys(phys, key_cols);
         let ids = buckets.entry(h).or_default();
         let gid = match ids
@@ -1645,28 +1654,27 @@ fn agg_kernel(
     in_b: &Batch,
     schema: &Schema,
     spec: &AggSpec,
-    rows: &[u32],
     gids: &[u32],
     ngroups: usize,
     out: DataType,
 ) -> Column {
     use mvmqo_relalg::agg::AggFunc;
-    debug_assert_eq!(rows.len(), gids.len());
+    debug_assert_eq!(in_b.num_rows(), gids.len());
     let col_pos = match &spec.input {
         ScalarExpr::Col(id) => schema.position_of(*id),
         _ => None,
     };
     let Some(pos) = col_pos else {
-        return agg_fallback(in_b, schema, spec, rows, gids, ngroups, out);
+        return agg_fallback(in_b, schema, spec, gids, ngroups, out);
     };
     let col = in_b.column(pos);
     let is_min = spec.func == AggFunc::Min;
-    let groups = (rows, gids, ngroups);
+    let groups = (in_b, gids, ngroups);
     match (spec.func, col.data()) {
         (AggFunc::Count, _) => {
             // COUNT is nullness-only: typed for every physical layout.
             let mut counts = vec![0i64; ngroups];
-            for (&phys, &g) in rows.iter().zip(gids) {
+            for (phys, &g) in physical_rows(in_b).zip(gids) {
                 if !col.is_null(phys as usize) {
                     counts[g as usize] += 1;
                 }
@@ -1717,7 +1725,7 @@ fn agg_kernel(
                     _ => unreachable!("guarded by the match arm"),
                 }
             };
-            for (&phys, &g) in rows.iter().zip(gids) {
+            for (phys, &g) in physical_rows(in_b).zip(gids) {
                 let phys = phys as usize;
                 if col.is_null(phys) {
                     continue;
@@ -1751,14 +1759,14 @@ fn agg_kernel(
 /// Int sums agree bit-for-bit, including the > 2^53 regime.
 fn sum_avg(
     col: &Column,
-    (rows, gids, ngroups): (&[u32], &[u32], usize),
+    (in_b, gids, ngroups): (&Batch, &[u32], usize),
     func: mvmqo_relalg::agg::AggFunc,
     out: DataType,
     get: impl Fn(usize) -> f64,
 ) -> Column {
     let mut sums = vec![0f64; ngroups];
     let mut counts = vec![0i64; ngroups];
-    for (&phys, &g) in rows.iter().zip(gids) {
+    for (phys, &g) in physical_rows(in_b).zip(gids) {
         let p = phys as usize;
         if !col.is_null(p) {
             sums[g as usize] += get(p);
@@ -1779,10 +1787,11 @@ fn sum_avg(
 }
 
 /// Shared typed MIN/MAX loop over a primitive payload: `groups` is the
-/// `(rows, gids, ngroups)` assignment, `get` reads the cell at a position.
+/// `(batch, gids, ngroups)` assignment (one group id per logical row of
+/// the batch), `get` reads the cell at a physical position.
 fn min_max_prim<T: Copy + Default>(
     col: &Column,
-    (rows, gids, ngroups): (&[u32], &[u32], usize),
+    (in_b, gids, ngroups): (&Batch, &[u32], usize),
     is_min: bool,
     out: DataType,
     get: impl Fn(usize) -> T,
@@ -1791,7 +1800,7 @@ fn min_max_prim<T: Copy + Default>(
 ) -> Column {
     let mut best = vec![T::default(); ngroups];
     let mut has = vec![false; ngroups];
-    for (&phys, &g) in rows.iter().zip(gids) {
+    for (phys, &g) in physical_rows(in_b).zip(gids) {
         let phys = phys as usize;
         if col.is_null(phys) {
             continue;
@@ -1823,14 +1832,13 @@ fn agg_fallback(
     in_b: &Batch,
     schema: &Schema,
     spec: &AggSpec,
-    rows: &[u32],
     gids: &[u32],
     ngroups: usize,
     out: DataType,
 ) -> Column {
     let mut accs: Vec<Accumulator> = (0..ngroups).map(|_| Accumulator::new(spec.func)).collect();
     let mut scratch = Vec::new();
-    for (&phys, &g) in rows.iter().zip(gids) {
+    for (phys, &g) in physical_rows(in_b).zip(gids) {
         in_b.write_row(phys, &mut scratch);
         accs[g as usize].add(&spec.input.eval(&scratch, schema));
     }
@@ -1898,6 +1906,85 @@ mod tests {
         assert_eq!(state.total_tuples(), 1);
         assert!(state.is_fresh(e));
         assert_eq!(state.mat(e).unwrap().len(), 1);
+    }
+
+    /// The queued delta is read in place: a δ scan serves the queued
+    /// columns themselves (a handle copy, aligned to the plan's layout),
+    /// and the base-delta step hands storage the queued batch itself. The
+    /// pointer checks fail if either path re-encodes the delta.
+    #[test]
+    fn delta_scans_and_the_base_step_read_the_queued_columns() {
+        use mvmqo_relalg::catalog::ColumnSpec;
+        let mut catalog = Catalog::new();
+        let t = catalog.add_table(
+            "t",
+            vec![
+                ColumnSpec::key("k", DataType::Int),
+                ColumnSpec::with_distinct("s", DataType::Str, 2.0),
+            ],
+            2.0,
+            &["k"],
+        );
+        let schema = catalog.table(t).schema.clone();
+        let row = |k: i64| vec![Value::Int(k), Value::str(format!("s{}", k % 2))];
+        let mut db = Database::new();
+        db.put_base(
+            t,
+            StoredTable::with_rows(schema.clone(), vec![row(1), row(2)]),
+        );
+        let mut deltas = DeltaQueue::new();
+        let inserts = Batch::from_tuples(schema.clone(), vec![row(3), row(4)]);
+        deltas.extend(t, inserts, Batch::empty(schema.clone()));
+        let queued = deltas.side(t, DeltaKind::Insert).unwrap();
+
+        let (dag, mut state, mut journal) =
+            (Dag::default(), RuntimeState::new(), crate::Journal::new());
+        let mut rt = Runtime::with_state(
+            &dag,
+            &catalog,
+            CostModel::default(),
+            &mut db,
+            &deltas,
+            BTreeMap::new(),
+            HashMap::new(),
+            &mut state,
+            &mut journal,
+        );
+        // The plan reads the columns in the other order.
+        let reversed = Schema::new(schema.attrs().iter().rev().cloned().collect());
+        let scan = PhysPlan {
+            schema: reversed,
+            node: PlanNode::ScanDelta {
+                table: t,
+                kind: DeltaKind::Insert,
+            },
+        };
+        let served = rt.eval_batch(&scan).unwrap();
+        assert_eq!(served.num_rows(), 2);
+        for (c, q) in [(0, 1), (1, 0)] {
+            assert!(
+                std::ptr::eq(served.column(c), queued.column(q)),
+                "scan column {c}"
+            );
+        }
+        let applied = rt.apply_base_side(t, DeltaKind::Insert).unwrap().unwrap();
+        for c in 0..2 {
+            assert!(
+                std::ptr::eq(applied.column(c), queued.column(c)),
+                "base column {c}"
+            );
+        }
+        assert!(
+            rt.apply_base_side(t, DeltaKind::Delete)
+                .unwrap()
+                .unwrap()
+                .num_rows()
+                == 0
+        );
+        drop(rt);
+        let mut stored = db.base(t).unwrap().batch().to_rows();
+        stored.sort();
+        assert_eq!(stored, vec![row(1), row(2), row(3), row(4)]);
     }
 
     /// Everything rollback must restore, in comparable form: each stored
@@ -1972,7 +2059,7 @@ mod tests {
         state.fresh.insert(et);
         let before = summary(&state);
 
-        let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaSet::new());
+        let (dag, catalog, deltas) = (Dag::default(), Catalog::default(), DeltaQueue::new());
         let mut db = Database::new();
         let mut journal = crate::Journal::new();
         let mut rt = Runtime::with_state(

@@ -340,14 +340,20 @@ impl Column {
     /// producer (ingest checks types at the door, the codec on decode,
     /// operators build columns of their plan's types), so it panics.
     pub fn push(&mut self, v: &Value) {
+        self.push_owned(v.clone());
+    }
+
+    /// [`Column::push`], consuming the value: a string moves its `Arc`
+    /// into a plain string column instead of cloning it.
+    pub fn push_owned(&mut self, v: Value) {
         match (&mut self.data, v) {
-            (ColumnData::Int(c), Value::Int(x)) => c.push(*x),
-            (ColumnData::Float(c), Value::Float(x)) => c.push(*x),
-            (ColumnData::Str(c), Value::Str(x)) => c.push(x.clone()),
-            (ColumnData::Date(c), Value::Date(x)) => c.push(*x),
-            (ColumnData::Bool(c), Value::Bool(x)) => c.push(*x),
+            (ColumnData::Int(c), Value::Int(x)) => c.push(x),
+            (ColumnData::Float(c), Value::Float(x)) => c.push(x),
+            (ColumnData::Str(c), Value::Str(x)) => c.push(x),
+            (ColumnData::Date(c), Value::Date(x)) => c.push(x),
+            (ColumnData::Bool(c), Value::Bool(x)) => c.push(x),
             (ColumnData::Dict { codes, dict }, Value::Str(x)) => {
-                codes.push(Dictionary::intern_shared(dict, x));
+                codes.push(Dictionary::intern_shared(dict, &x));
             }
             (data, Value::Null) => {
                 // NULL in a typed column: default payload + mask bit.
@@ -799,6 +805,31 @@ impl Batch {
             schema,
             columns: columns.into_iter().map(Arc::new).collect(),
             rows: rows.len(),
+            sel: None,
+        }
+    }
+
+    /// Build from owned row-major tuples, consuming them: each value moves
+    /// into its column (a string moves its `Arc`), and each row is freed
+    /// as soon as its values are taken. Every value must fit its column's
+    /// type ([`Column::push`]).
+    pub fn from_tuples(schema: Schema, rows: Vec<Tuple>) -> Batch {
+        let n = rows.len();
+        let mut columns: Vec<Column> = schema
+            .attrs()
+            .iter()
+            .map(|a| Column::with_capacity(a.data_type, n))
+            .collect();
+        for row in rows {
+            debug_assert_eq!(row.len(), schema.len());
+            for (c, v) in columns.iter_mut().zip(row) {
+                c.push_owned(v);
+            }
+        }
+        Batch {
+            schema,
+            columns: columns.into_iter().map(Arc::new).collect(),
+            rows: n,
             sel: None,
         }
     }
@@ -1518,6 +1549,27 @@ mod tests {
         c.push(&Value::Int(1));
         c.push(&Value::Null);
         c.push(&Value::Float(2.5));
+    }
+
+    /// The consuming encoder builds what `from_rows` builds; a plain
+    /// string column takes the rows' string allocations, copying no bytes.
+    #[test]
+    fn from_tuples_moves_values_into_columns() {
+        let s = schema(&[(0, DataType::Int), (1, DataType::Str), (2, DataType::Float)]);
+        let word: Arc<str> = Arc::from("moved");
+        let rows = vec![
+            vec![Value::Int(1), Value::Str(Arc::clone(&word)), Value::Null],
+            vec![Value::Null, Value::Null, Value::Float(2.5)],
+            vec![Value::Int(3), Value::str("b"), Value::Float(-1.0)],
+        ];
+        let expected = Batch::from_rows(s.clone(), &rows);
+        let batch = Batch::from_tuples(s, rows);
+        assert_eq!(batch, expected);
+        assert_eq!(batch.to_rows(), expected.to_rows());
+        let ColumnData::Str(cells) = batch.column(1).data() else {
+            panic!("plain strings stay plain");
+        };
+        assert!(Arc::ptr_eq(&cells[0], &word));
     }
 
     #[test]

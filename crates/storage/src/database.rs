@@ -10,6 +10,7 @@ use crate::delta::{DeltaBatch, DeltaSet};
 use crate::error::StorageError;
 use crate::index::IndexKind;
 use crate::table::StoredTable;
+use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::stats::RelStats;
@@ -82,6 +83,36 @@ impl Database {
             }
         }
         Ok(())
+    }
+
+    /// The columnar door for a batch that arrives already encoded (a
+    /// recovered snapshot's queue, a replayed WAL record): it must have
+    /// one column per stored attribute, each of that attribute's type (a
+    /// decoded column holds its declared type, so checking the schema
+    /// checks the cells). The batch comes back relabelled with the stored
+    /// table's schema, an O(width) handle copy that touches no cell.
+    pub fn conform_batch(&self, id: TableId, batch: Batch) -> Result<Batch, StorageError> {
+        let schema = self.base(id)?.schema();
+        let got = batch.schema().attrs();
+        if got.len() != schema.len() {
+            return Err(StorageError::ArityMismatch {
+                table: id,
+                expected: schema.len(),
+                got: got.len(),
+            });
+        }
+        for (g, a) in got.iter().zip(schema.attrs()) {
+            if g.data_type != a.data_type {
+                return Err(StorageError::TypeMismatch {
+                    table: id,
+                    column: a.name.clone(),
+                    expected: a.data_type,
+                    got: g.data_type,
+                });
+            }
+        }
+        let positions: Vec<usize> = (0..schema.len()).collect();
+        Ok(batch.project(schema.clone(), &positions))
     }
 
     /// Apply one relation's delta batch to the base table.
@@ -203,6 +234,44 @@ mod tests {
         assert!(db
             .apply_base_delta(TableId(3), &DeltaBatch::default())
             .is_err());
+    }
+
+    /// An encoded batch of the table's shape is relabelled with the
+    /// table's schema and keeps its columns; one of another width or with
+    /// a column of another type is a typed error.
+    #[test]
+    fn conform_batch_checks_the_schema_and_relabels() {
+        use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
+        let (c, t, db) = setup();
+        let foreign = |types: &[DataType]| {
+            Schema::new(
+                types
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &data_type)| Attribute {
+                        id: AttrId(100 + i as u32),
+                        name: format!("x{i}"),
+                        data_type,
+                    })
+                    .collect(),
+            )
+        };
+        let batch = Batch::from_rows(foreign(&[DataType::Int]), &[vec![Value::Int(3)]]);
+        let conformed = db.conform_batch(t, batch.clone()).unwrap();
+        assert_eq!(conformed.schema(), &c.table(t).schema);
+        assert!(std::ptr::eq(conformed.column(0), batch.column(0)));
+        let wide = Batch::empty(foreign(&[DataType::Int, DataType::Int]));
+        assert!(matches!(
+            db.conform_batch(t, wide),
+            Err(crate::error::StorageError::ArityMismatch {
+                expected: 1,
+                got: 2,
+                ..
+            })
+        ));
+        let mistyped = Batch::empty(foreign(&[DataType::Str]));
+        let err = db.conform_batch(t, mistyped).unwrap_err();
+        assert!(err.to_string().contains("schema expects"), "{err}");
     }
 
     #[test]

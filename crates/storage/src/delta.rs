@@ -2,9 +2,22 @@
 //!
 //! §3 of the paper: "for each relation r, there are two relations δ⁺r and
 //! δ⁻r denoting, respectively, the (multiset of) tuples inserted into and
-//! deleted from the relation r". A [`DeltaBatch`] is that pair for one
-//! relation; a [`DeltaSet`] collects the batches of one refresh cycle.
+//! deleted from the relation r".
+//!
+//! Two shapes carry that pair:
+//!
+//! - [`DeltaQueue`] is the engine's pending queue: per relation one
+//!   [`QueuedDelta`], two columnar [`Batch`]es in the stored table's
+//!   layout. The warehouse encodes each ingested side once, at the door;
+//!   from then on the delete check, the WAL record, the snapshot, every
+//!   δ scan of the maintenance plans and the base-delta merge share those
+//!   batches' columns, and nothing converts them again.
+//! - [`DeltaBatch`] and [`DeltaSet`] are the row-shaped pair and cycle:
+//!   what a caller hands `ingest`, what the TPC-D update generator
+//!   produces, and what the one-shot `execute_epoch_opts` converts once
+//!   at entry.
 
+use mvmqo_relalg::batch::Batch;
 use mvmqo_relalg::catalog::TableId;
 use mvmqo_relalg::tuple::Tuple;
 use std::collections::BTreeMap;
@@ -43,14 +56,6 @@ impl DeltaBatch {
     pub fn is_empty(&self) -> bool {
         self.inserts.is_empty() && self.deletes.is_empty()
     }
-
-    /// The tuples of one side.
-    pub fn side(&self, kind: DeltaKind) -> &[Tuple] {
-        match kind {
-            DeltaKind::Insert => &self.inserts,
-            DeltaKind::Delete => &self.deletes,
-        }
-    }
 }
 
 /// All deltas of one refresh cycle, keyed by relation.
@@ -88,14 +93,6 @@ impl DeltaSet {
         self.batches.get(&table)
     }
 
-    /// The delta tuples of one (relation, side) pair; empty if none.
-    pub fn side(&self, table: TableId, kind: DeltaKind) -> &[Tuple] {
-        self.batches
-            .get(&table)
-            .map(|b| b.side(kind))
-            .unwrap_or(&[])
-    }
-
     /// Relations with pending updates, in deterministic order.
     pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
         self.batches.keys().copied()
@@ -118,10 +115,103 @@ impl DeltaSet {
     }
 }
 
+/// One relation's queued δ⁺/δ⁻ pair, columnar, in the stored table's
+/// layout (both batches carry the table's schema).
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueuedDelta {
+    pub inserts: Batch,
+    pub deletes: Batch,
+}
+
+impl QueuedDelta {
+    /// The batch of one side.
+    pub fn side(&self, kind: DeltaKind) -> &Batch {
+        match kind {
+            DeltaKind::Insert => &self.inserts,
+            DeltaKind::Delete => &self.deletes,
+        }
+    }
+
+    /// Rows on both sides.
+    pub fn num_rows(&self) -> usize {
+        self.inserts.num_rows() + self.deletes.num_rows()
+    }
+}
+
+/// The engine's pending queue: every relation's queued [`QueuedDelta`].
+///
+/// A `BTreeMap` keeps iteration (and so §5.2's update numbering) in
+/// table order, as [`DeltaSet`] does.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DeltaQueue {
+    batches: BTreeMap<TableId, QueuedDelta>,
+}
+
+impl DeltaQueue {
+    pub fn new() -> Self {
+        DeltaQueue::default()
+    }
+
+    /// Queue a pair for `table` (an empty pair queues nothing). The first
+    /// pair is kept as-is, its columns still shared with whoever else holds
+    /// them; a later one is appended column by column ([`Batch::append`]).
+    /// Both must carry the table's schema.
+    pub fn extend(&mut self, table: TableId, inserts: Batch, deletes: Batch) {
+        if inserts.num_rows() + deletes.num_rows() == 0 {
+            return;
+        }
+        match self.batches.get_mut(&table) {
+            None => {
+                self.batches.insert(table, QueuedDelta { inserts, deletes });
+            }
+            Some(queued) => {
+                for (mine, theirs) in [
+                    (&mut queued.inserts, inserts),
+                    (&mut queued.deletes, deletes),
+                ] {
+                    if theirs.num_rows() > 0 {
+                        mine.append(&theirs);
+                    }
+                }
+            }
+        }
+    }
+
+    pub fn get(&self, table: TableId) -> Option<&QueuedDelta> {
+        self.batches.get(&table)
+    }
+
+    /// The queued batch of one (relation, side) pair, if the relation has
+    /// one.
+    pub fn side(&self, table: TableId, kind: DeltaKind) -> Option<&Batch> {
+        self.batches.get(&table).map(|q| q.side(kind))
+    }
+
+    /// Every queued pair, in table order.
+    pub fn iter(&self) -> impl Iterator<Item = (TableId, &QueuedDelta)> {
+        self.batches.iter().map(|(t, q)| (*t, q))
+    }
+
+    /// Relations with pending updates, in deterministic order.
+    pub fn tables(&self) -> impl Iterator<Item = TableId> + '_ {
+        self.batches.keys().copied()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.batches.is_empty()
+    }
+
+    /// Total rows across all batches (both sides).
+    pub fn total_tuples(&self) -> usize {
+        self.batches.values().map(QueuedDelta::num_rows).sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mvmqo_relalg::types::Value;
+    use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
+    use mvmqo_relalg::types::{DataType, Value};
 
     fn t(v: i64) -> Tuple {
         vec![Value::Int(v)]
@@ -149,10 +239,47 @@ mod tests {
         );
     }
 
+    fn schema() -> Schema {
+        Schema::new(vec![Attribute {
+            id: AttrId(0),
+            name: "t.k".into(),
+            data_type: DataType::Int,
+        }])
+    }
+
+    fn b(vs: &[i64]) -> Batch {
+        Batch::from_tuples(schema(), vs.iter().map(|&v| t(v)).collect())
+    }
+
     #[test]
     fn side_returns_empty_for_missing_table() {
-        let ds = DeltaSet::new();
-        assert!(ds.side(TableId(7), DeltaKind::Insert).is_empty());
+        let q = DeltaQueue::new();
+        assert!(q.side(TableId(7), DeltaKind::Insert).is_none());
+        assert!(q.get(TableId(7)).is_none());
+    }
+
+    #[test]
+    fn queue_extend_appends_column_by_column() {
+        let mut q = DeltaQueue::new();
+        q.extend(TableId(0), b(&[]), b(&[]));
+        assert!(q.is_empty());
+        let first = b(&[1]);
+        q.extend(TableId(0), first.clone(), b(&[]));
+        // The first pair is queued as-is: its columns are the caller's.
+        let queued = q.side(TableId(0), DeltaKind::Insert).unwrap();
+        assert!(std::ptr::eq(queued.column(0), first.column(0)));
+        drop(first);
+        q.extend(TableId(0), b(&[2]), b(&[1]));
+        q.extend(TableId(3), b(&[]), b(&[5, 6]));
+        assert_eq!(
+            q.get(TableId(0)),
+            Some(&QueuedDelta {
+                inserts: b(&[1, 2]),
+                deletes: b(&[1]),
+            })
+        );
+        assert_eq!(q.tables().collect::<Vec<_>>(), vec![TableId(0), TableId(3)]);
+        assert_eq!(q.total_tuples(), 5);
     }
 
     #[test]
@@ -173,8 +300,12 @@ mod tests {
 
     #[test]
     fn batch_side_selection() {
-        let b = DeltaBatch::new(vec![t(1)], vec![t(2), t(3)]);
-        assert_eq!(b.side(DeltaKind::Insert).len(), 1);
-        assert_eq!(b.side(DeltaKind::Delete).len(), 2);
+        let q = QueuedDelta {
+            inserts: b(&[1]),
+            deletes: b(&[2, 3]),
+        };
+        assert_eq!(q.side(DeltaKind::Insert).num_rows(), 1);
+        assert_eq!(q.side(DeltaKind::Delete).num_rows(), 2);
+        assert_eq!(q.num_rows(), 3);
     }
 }

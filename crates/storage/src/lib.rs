@@ -8,7 +8,8 @@
 //!   executor's simulated I/O meter (4 KB blocks, 8000-block buffer as in
 //!   §7.1 of the paper),
 //! * [`table`] — stored multiset relations with secondary indices,
-//! * [`delta`] — δ⁺/δ⁻ delta relations and per-refresh delta sets (§3),
+//! * [`delta`] — δ⁺/δ⁻ delta relations (§3): the engine's columnar pending
+//!   queue, and the row-shaped batches callers hand in,
 //! * [`index`] — hash and B-tree secondary indices (§4.3 physical
 //!   properties),
 //! * [`database`] — the runtime database: base tables + materialized
@@ -43,7 +44,7 @@ pub mod wal;
 
 pub use blocks::BlockConfig;
 pub use database::Database;
-pub use delta::{DeltaBatch, DeltaKind, DeltaSet};
+pub use delta::{DeltaBatch, DeltaKind, DeltaQueue, DeltaSet, QueuedDelta};
 pub use error::{RecoveryError, StorageError};
 pub use faults::{FaultError, FaultMode, FaultPlan, FaultRegistry, FaultTrigger, FiredFault};
 pub use index::{Index, IndexKind};

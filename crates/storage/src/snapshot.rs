@@ -31,8 +31,10 @@ use mvmqo_relalg::schema::AttrId;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-/// Magic prefix of snapshot image files.
-pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MVMQOSN2";
+/// Magic prefix of snapshot image files. The digit is the body format's
+/// version; a body change bumps it, so an image of another version fails
+/// cleanly at the magic check instead of misdecoding.
+pub const SNAPSHOT_MAGIC: &[u8; 8] = b"MVMQOSN3";
 /// Magic prefix of the manifest.
 pub const MANIFEST_MAGIC: &[u8; 8] = b"MVMQOMF1";
 /// Manifest file name inside a durability directory.

@@ -63,7 +63,7 @@
 //! empty crosses over once it is both long and near-unique.
 
 use crate::blocks::BlockConfig;
-use crate::delta::{DeltaBatch, DeltaKind};
+use crate::delta::DeltaBatch;
 use crate::index::{Index, IndexKind};
 use crate::journal::{TableJournal, TableUndo};
 use mvmqo_relalg::batch::{Batch, Column, ColumnData};
@@ -166,40 +166,16 @@ impl StoredTable {
         self.len() == 0
     }
 
-    /// Apply a delta batch: append the inserts, then remove one occurrence
-    /// per delete (multiset semantics; a delete with no stored occurrence
-    /// left is a no-op), keeping indices in sync — §5.2's δ⁺ before δ⁻, the
-    /// executor's step order, so a delete of a row the same batch inserts
-    /// finds it. Both sides cost in proportion to the batch (module docs);
-    /// the table is never materialized as rows on either path.
+    /// Apply a row-shaped delta batch: append the inserts, then remove one
+    /// occurrence per delete (multiset semantics; a delete with no stored
+    /// occurrence left is a no-op), keeping indices in sync — §5.2's δ⁺
+    /// before δ⁻, the executor's step order, so a delete of a row the same
+    /// batch inserts finds it. Each side is encoded once in this table's
+    /// layout and goes through [`StoredTable::apply_batch_delta`].
     pub fn apply_delta(&mut self, delta: &DeltaBatch) {
-        self.apply_side(DeltaKind::Insert, &delta.inserts);
-        self.apply_side(DeltaKind::Delete, &delta.deletes);
-    }
-
-    /// Apply one side of a delta, borrowed: `rows` are appended
-    /// ([`DeltaKind::Insert`]) or removed one occurrence each
-    /// ([`DeltaKind::Delete`]).
-    pub fn apply_side(&mut self, kind: DeltaKind, rows: &[Tuple]) {
-        self.apply_side_journaled(kind, rows, &mut TableJournal::new());
-    }
-
-    /// [`StoredTable::apply_side`] under an undo journal (see
-    /// [`StoredTable::apply_batch_delta_journaled`]).
-    pub fn apply_side_journaled(
-        &mut self,
-        kind: DeltaKind,
-        rows: &[Tuple],
-        journal: &mut TableJournal,
-    ) {
-        if rows.is_empty() {
-            return; // nothing changed: keep the image and the row cache
-        }
-        let delta = Batch::from_rows(self.schema.clone(), rows);
-        match kind {
-            DeltaKind::Insert => self.apply_batch_delta_journaled(Some(&delta), None, journal),
-            DeltaKind::Delete => self.apply_batch_delta_journaled(None, Some(&delta), journal),
-        }
+        let inserts = Batch::from_rows(self.schema.clone(), &delta.inserts);
+        let deletes = Batch::from_rows(self.schema.clone(), &delta.deletes);
+        self.apply_batch_delta(Some(&inserts), Some(&deletes));
     }
 
     /// Columnar-side delta application: the maintained-result merge path.

@@ -1,6 +1,7 @@
 //! The engine's snapshot image: what a `save` persists and `recover` reloads.
 //!
-//! A snapshot is a full columnar image of the engine at one epoch: the
+//! A snapshot is a full columnar image of the engine at one epoch: its
+//! reoptimization policy, the
 //! catalog (with fitted statistics and the attribute-allocator position),
 //! the view definitions in registration order, every base [`StoredTable`],
 //! the pending delta queue, and — per view — the maintained root
@@ -22,6 +23,7 @@
 //! permanent materializations rebuild at the first post-recovery epoch's
 //! setup (correct, at the cost of one rebuild).
 
+use crate::policy::ReoptPolicy;
 use mvmqo_exec::{AggState, DistinctState};
 use mvmqo_relalg::catalog::{Catalog, TableId};
 use mvmqo_relalg::codec::{self, CodecError, Dec, Enc};
@@ -52,6 +54,9 @@ pub struct SnapshotData {
     pub epoch: u64,
     /// Drift counter at snapshot time (tuples ingested since last re-plan).
     pub ingested_since_plan: u64,
+    /// The engine's reoptimization thresholds (`with_policy`), so a
+    /// recovered engine replans when the saved one would have.
+    pub policy: ReoptPolicy,
     pub catalog: Catalog,
     /// Views in registration order — recovery re-registers them in this
     /// order so the rebuilt DAG unifies identically.
@@ -252,6 +257,8 @@ impl SnapshotData {
         let mut e = Enc::with_buffer(buf);
         e.u64(self.epoch);
         e.u64(self.ingested_since_plan);
+        e.f64(self.policy.delta_fraction);
+        e.f64(self.policy.cost_ratio);
         codec::encode_catalog(&mut e, &self.catalog);
 
         e.u32(self.views.len() as u32);
@@ -309,6 +316,10 @@ impl SnapshotData {
         let mut d = Dec::new(body);
         let epoch = d.u64()?;
         let ingested_since_plan = d.u64()?;
+        let policy = ReoptPolicy {
+            delta_fraction: d.f64()?,
+            cost_ratio: d.f64()?,
+        };
         let catalog = codec::decode_catalog(&mut d)?;
 
         let nv = d.count(4)?;
@@ -374,6 +385,7 @@ impl SnapshotData {
         Ok(SnapshotData {
             epoch,
             ingested_since_plan,
+            policy,
             catalog,
             views,
             base_tables,
@@ -394,6 +406,7 @@ mod tests {
         SnapshotData {
             epoch: 3,
             ingested_since_plan: 0,
+            policy: ReoptPolicy::default(),
             catalog: Catalog::new(),
             views: Vec::new(),
             base_tables: Vec::new(),
@@ -409,6 +422,18 @@ mod tests {
         let got = SnapshotData::decode(&empty_snapshot().encode(Vec::new())).unwrap();
         assert_eq!(got.epoch, 3);
         assert!(got.view_mats.is_empty());
+    }
+
+    #[test]
+    fn the_policy_roundtrips() {
+        let mut data = empty_snapshot();
+        data.policy = ReoptPolicy {
+            delta_fraction: 0.05,
+            cost_ratio: f64::INFINITY,
+        };
+        let got = SnapshotData::decode(&data.encode(Vec::new())).unwrap();
+        assert_eq!(got.policy.delta_fraction, 0.05);
+        assert_eq!(got.policy.cost_ratio, f64::INFINITY);
     }
 
     /// Every count prefix in the body is bounded by the bytes left, so a

@@ -26,13 +26,14 @@ use mvmqo_exec::{
     IndexPlan, Journal, Runtime, RuntimeState,
 };
 use mvmqo_relalg::catalog::{Catalog, TableId};
-use mvmqo_relalg::hash::FxHashMap;
+use mvmqo_relalg::hash::{u64_map_with_capacity, U64Map};
 use mvmqo_relalg::logical::ViewDef;
 use mvmqo_relalg::schema::AttrId;
 use mvmqo_relalg::tuple::{bag_eq_approx, Tuple};
+use mvmqo_relalg::types::DataType;
 use mvmqo_relalg::Batch;
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::{DeltaBatch, DeltaSet};
+use mvmqo_storage::delta::{DeltaBatch, DeltaKind, DeltaQueue, QueuedDelta};
 use mvmqo_storage::error::{RecoveryError, StorageError};
 use mvmqo_storage::faults::FaultRegistry;
 use mvmqo_storage::snapshot::{self, Manifest};
@@ -186,7 +187,7 @@ pub struct Warehouse {
     /// replans pay incremental cost; only the first plan is cold.
     optimizer: Optimizer,
     plan: Option<PlanState>,
-    pending: DeltaSet,
+    pending: DeltaQueue,
     /// Tuples ingested since the last re-optimization (drift measure).
     ingested_since_plan: usize,
     view_set_dirty: bool,
@@ -222,7 +223,7 @@ impl Warehouse {
             policy: ReoptPolicy::default(),
             optimizer: Optimizer::default(),
             plan: None,
-            pending: DeltaSet::new(),
+            pending: DeltaQueue::new(),
             ingested_since_plan: 0,
             view_set_dirty: false,
             epoch: 0,
@@ -327,35 +328,54 @@ impl Warehouse {
     // ==================================================================
 
     /// Accept an arbitrary insert/delete batch for one relation. The batch
-    /// is validated up front and queued; epoch execution maps all queued
-    /// batches onto the paper's 2n δ⁺/δ⁻ update numbering (§5.2). A bad
-    /// batch — wrong arity, a value not of its column's type, or deletes
-    /// exceeding the multiplicity that will exist once queued inserts land
-    /// — is rejected whole; the engine state is untouched.
+    /// is validated up front, encoded and queued; epoch execution maps all
+    /// queued batches onto the paper's 2n δ⁺/δ⁻ update numbering (§5.2). A
+    /// bad batch — wrong arity, a value not of its column's type, or
+    /// deletes exceeding the multiplicity that will exist once queued
+    /// inserts land — is rejected whole; the engine state is untouched.
+    ///
+    /// This is the one place a delta changes representation: each side is
+    /// encoded once, in the stored table's layout, consuming the rows
+    /// (values move into the columns, and each row is freed as it is
+    /// taken). The delete check, the WAL record, the snapshot, every δ
+    /// scan of the epoch and the base-delta merge all share those columns.
     pub fn ingest(&mut self, table: TableId, batch: DeltaBatch) -> Result<usize, WarehouseError> {
         self.db.validate_delta(table, &batch)?;
-        let n = batch.inserts.len() + batch.deletes.len();
+        let schema = self.db.base(table)?.schema().clone();
+        let DeltaBatch { inserts, deletes } = batch;
+        let inserts = Batch::from_tuples(schema.clone(), inserts);
+        let deletes = Batch::from_tuples(schema, deletes);
+        self.queue_ingest(table, inserts, deletes)
+    }
+
+    /// The columnar half of [`Warehouse::ingest`], shared with recovery's
+    /// replay: check the deletes, log the pair write-ahead, queue it. Both
+    /// batches are in the stored table's layout.
+    fn queue_ingest(
+        &mut self,
+        table: TableId,
+        inserts: Batch,
+        deletes: Batch,
+    ) -> Result<usize, WarehouseError> {
+        let n = inserts.num_rows() + deletes.num_rows();
         if n == 0 {
             return Ok(0);
         }
-        // The delete side is encoded once, in the stored table's layout:
-        // the check probes it and the WAL record carries it.
-        let schema = self.db.base(table)?.schema().clone();
-        let deletes = Batch::from_rows(schema.clone(), &batch.deletes);
-        self.check_deletes(table, &batch, &deletes)?;
+        self.check_deletes(table, &inserts, &deletes)?;
         // Write-ahead: the batch must be durable before the engine commits
         // it to any in-memory state. An append failure rejects the ingest
-        // whole, leaving both the log and the engine unchanged.
+        // whole, leaving both the log and the engine unchanged. The record
+        // holds handle copies of the two batches.
         if self.durability.is_some() {
             let rec = WalRecord::Ingest {
                 epoch: self.epoch + 1,
                 table,
-                inserts: Batch::from_rows(schema, &batch.inserts),
-                deletes,
+                inserts: inserts.clone(),
+                deletes: deletes.clone(),
             };
             self.wal_append(&rec)?;
         }
-        self.pending.extend(table, batch);
+        self.pending.extend(table, inserts, deletes);
         self.ingested_since_plan += n;
         Ok(n)
     }
@@ -369,45 +389,78 @@ impl Warehouse {
     /// so rejection leaves no trace.
     ///
     /// Each distinct deleted row is first netted against this batch's
-    /// inserts and the table's queued batch — O(|batch| + |queued|); what
+    /// inserts and the table's queued pair, all columnar: rows are bucketed
+    /// by [`Batch::hash_rows`] and matched by [`Batch::keys_eq`] (NULL
+    /// equals NULL, as in `Tuple` equality) — O(|batch| + |queued|). What
     /// is still owed must be found in the stored table, counted in one
     /// call by the delete kernel's own locator (`StoredTable::present`),
     /// so the check and the epoch's delete agree by construction.
     fn check_deletes(
         &self,
         table: TableId,
-        batch: &DeltaBatch,
+        inserts: &Batch,
         deletes: &Batch,
     ) -> Result<(), WarehouseError> {
-        if batch.deletes.is_empty() {
+        if deletes.num_rows() == 0 {
             return Ok(());
         }
-        // Distinct deleted row → (a position holding it, occurrences owed
-        // to the stored table).
-        let mut owed: FxHashMap<&Tuple, (u32, i64)> = FxHashMap::default();
-        for (pos, row) in (0u32..).zip(&batch.deletes) {
-            owed.entry(row).or_insert((pos, 0)).1 += 1;
-        }
-        let mut settle = |row: &Tuple, by: i64| {
-            if let Some((_, n)) = owed.get_mut(row) {
-                *n -= by;
+        let cols: Vec<usize> = (0..deletes.schema().len()).collect();
+        // Bucket on the non-string columns when there are any (string
+        // hashing dominates wide rows); matches compare every column.
+        let hash_cols: Vec<usize> = {
+            let attrs = deletes.schema().attrs();
+            let cheap: Vec<usize> = cols
+                .iter()
+                .copied()
+                .filter(|&c| attrs[c].data_type != DataType::Str)
+                .collect();
+            if cheap.is_empty() {
+                cols.clone()
+            } else {
+                cheap
             }
         };
-        for row in &batch.inserts {
-            settle(row, 1);
+        // Distinct deleted row → (a position holding it, occurrences owed
+        // to the stored table), bucketed by hash.
+        let mut owed: Vec<(u32, i64)> = Vec::new();
+        let mut buckets: U64Map<Vec<usize>> = u64_map_with_capacity(deletes.num_rows());
+        for (i, h) in deletes.hash_rows(&hash_cols).into_iter().enumerate() {
+            let phys = deletes.physical(i);
+            let ids = buckets.entry(h).or_default();
+            match ids
+                .iter()
+                .find(|&&g| deletes.keys_eq(owed[g].0, &cols, deletes, phys, &cols))
+            {
+                Some(&g) => owed[g].1 += 1,
+                None => {
+                    ids.push(owed.len());
+                    owed.push((phys, 1));
+                }
+            }
         }
+        let mut settle = |side: &Batch, by: i64| {
+            for (i, h) in side.hash_rows(&hash_cols).into_iter().enumerate() {
+                let Some(ids) = buckets.get(&h) else {
+                    continue;
+                };
+                let phys = side.physical(i);
+                if let Some(&g) = ids
+                    .iter()
+                    .find(|&&g| deletes.keys_eq(owed[g].0, &cols, side, phys, &cols))
+                {
+                    owed[g].1 -= by;
+                }
+            }
+        };
+        settle(inserts, 1);
         if let Some(queued) = self.pending.get(table) {
-            for row in &queued.inserts {
-                settle(row, 1);
-            }
-            for row in &queued.deletes {
-                settle(row, -1);
-            }
+            settle(&queued.inserts, 1);
+            settle(&queued.deletes, -1);
         }
         // One selected position per owed occurrence (a row owed k times
         // repeats its position k times).
         let needed: Vec<u32> = owed
-            .into_values()
+            .into_iter()
             .flat_map(|(pos, n)| std::iter::repeat_n(pos, n.max(0) as usize))
             .collect();
         if needed.is_empty() {
@@ -611,17 +664,15 @@ impl Warehouse {
                 entry.1 *= 0.5;
             }
         }
-        for &t in &present {
-            let Some(batch) = self.pending.get(t) else {
-                continue;
-            };
-            let (ins, del) = (batch.inserts.len() as f64, batch.deletes.len() as f64);
+        for (t, queued) in self.pending.iter() {
+            let ins = queued.inserts.num_rows() as f64;
+            let del = queued.deletes.num_rows() as f64;
             let entry = self.observed.entry(t).or_insert((ins, del));
             entry.0 = 0.5 * entry.0 + 0.5 * ins;
             entry.1 = 0.5 * entry.1 + 0.5 * del;
         }
         self.observed.retain(|_, (i, d)| *i >= 0.25 || *d >= 0.25);
-        self.pending = DeltaSet::new();
+        self.pending = DeltaQueue::new();
         self.epoch += 1;
         self.history.push(report);
     }
@@ -640,8 +691,8 @@ impl Warehouse {
         {
             return Some(t);
         }
-        // The plan must have propagation steps for every pending relation;
-        // otherwise executing it would drop those deltas on the floor.
+        // The plan must propagate every pending delta; otherwise executing
+        // it would drop deltas on the floor (see `plan_covers_pending`).
         if !self.plan_covers_pending() {
             return Some(ReoptTrigger::UpdateShapeChanged);
         }
@@ -658,18 +709,32 @@ impl Warehouse {
         None
     }
 
+    /// Does the current program propagate every pending delta? It needs a
+    /// step for every pending relation, or the base delta is never
+    /// applied. And a pending side that a view reads must have been
+    /// planned as non-empty: the planner drops the merges of a step whose
+    /// estimated differentials are empty, so a side planned with zero rows
+    /// would reach the base table but none of the views over it.
     fn plan_covers_pending(&self) -> bool {
         let Some(plan) = self.plan.as_ref() else {
             return false;
         };
-        let covered: Vec<TableId> = plan
-            .report
-            .program
-            .steps
-            .iter()
-            .map(|s| s.update.table)
-            .collect();
-        self.pending.tables().all(|t| covered.contains(&t))
+        let steps = &plan.report.program.steps;
+        let read = |t: TableId| self.views.iter().any(|v| v.expr.base_tables().contains(&t));
+        self.pending.iter().all(|(t, queued)| {
+            let planned = |kind: DeltaKind| {
+                let step = steps
+                    .iter()
+                    .find(|s| s.update.table == t && s.update.kind == kind);
+                step.map(|s| s.update.rows > 0.0)
+            };
+            [DeltaKind::Insert, DeltaKind::Delete]
+                .into_iter()
+                .all(|kind| match planned(kind) {
+                    None => false,
+                    Some(non_empty) => non_empty || queued.side(kind).num_rows() == 0 || !read(t),
+                })
+        })
     }
 
     /// Re-run the MQO selection over the whole current view set, with
@@ -744,10 +809,9 @@ impl Warehouse {
     /// batch sizes where available, otherwise the observed EMA.
     fn update_model(&self) -> UpdateModel {
         let mut per_table: BTreeMap<TableId, (f64, f64)> = self.observed.clone();
-        for t in self.pending.tables() {
-            if let Some(b) = self.pending.get(t) {
-                per_table.insert(t, (b.inserts.len() as f64, b.deletes.len() as f64));
-            }
+        for (t, q) in self.pending.iter() {
+            let sizes = (q.inserts.num_rows() as f64, q.deletes.num_rows() as f64);
+            per_table.insert(t, sizes);
         }
         UpdateModel::new(per_table.into_iter().map(|(t, (i, d))| (t, i, d)))
     }
@@ -857,18 +921,11 @@ impl Warehouse {
             .iter()
             .map(|(t, (ins, del))| (*t, *ins, *del))
             .collect();
+        // The queue is columnar already: the image takes handle copies.
         let pending = self
             .pending
-            .tables()
-            .filter_map(|t| {
-                let b = self.pending.get(t)?;
-                let schema = self.catalog.table(t).schema.clone();
-                Some((
-                    t,
-                    Batch::from_rows(schema.clone(), &b.inserts),
-                    Batch::from_rows(schema, &b.deletes),
-                ))
-            })
+            .iter()
+            .map(|(t, q)| (t, q.inserts.clone(), q.deletes.clone()))
             .collect();
         let mut view_mats = Vec::new();
         if let Some(plan) = self.plan.as_ref() {
@@ -888,6 +945,7 @@ impl Warehouse {
         SnapshotData {
             epoch: self.epoch,
             ingested_since_plan: self.ingested_since_plan as u64,
+            policy: self.policy,
             catalog: self.catalog.clone(),
             views: self.views.clone(),
             base_tables,
@@ -958,7 +1016,9 @@ impl Warehouse {
         for (t, table) in data.base_tables {
             db.put_base(t, table);
         }
-        let mut wh = Warehouse::new(data.catalog, db);
+        // The policy comes back before anything replans, so the WAL tail
+        // replays the drift replans the live engine ran.
+        let mut wh = Warehouse::new(data.catalog, db).with_policy(data.policy);
         wh.epoch = data.epoch;
         // Re-register views in their original order: the DAG unifies the
         // same way it did in the old session, and the memo is warm for
@@ -1007,20 +1067,15 @@ impl Warehouse {
             .into_iter()
             .map(|(t, ins, del)| (t, (ins, del)))
             .collect();
-        // Restore the queued-but-unapplied deltas directly: they are in the
-        // WAL of the segment *before* the snapshot's truncation point — the
-        // snapshot carries them so nothing is lost. They pass the ingest
-        // door's type check again, since a CRC-valid snapshot can still
-        // carry a row its table cannot hold.
+        // Restore the queued-but-unapplied deltas: they are in the WAL of
+        // the segment *before* the snapshot's truncation point — the
+        // snapshot carries them so nothing is lost. They are columnar
+        // already, and take the ingest door's columnar path (schema check,
+        // delete check, queue), since a CRC-valid snapshot can still carry
+        // a batch its table cannot hold.
         for (t, inserts, deletes) in data.pending {
-            let batch = DeltaBatch {
-                inserts: inserts.to_rows(),
-                deletes: deletes.to_rows(),
-            };
-            wh.db
-                .validate_delta(t, &batch)
+            wh.replay_ingest(t, inserts, deletes)
                 .map_err(|e| corrupt(e.to_string()))?;
-            wh.pending.insert(t, batch);
         }
         wh.ingested_since_plan = data.ingested_since_plan as usize;
 
@@ -1051,13 +1106,7 @@ impl Warehouse {
                         ))
                         .into());
                     }
-                    wh.ingest(
-                        table,
-                        DeltaBatch {
-                            inserts: inserts.to_rows(),
-                            deletes: deletes.to_rows(),
-                        },
-                    )?;
+                    wh.replay_ingest(table, inserts, deletes)?;
                 }
                 WalRecord::EpochCommit { epoch } => {
                     let report = wh.run_epoch()?;
@@ -1096,6 +1145,21 @@ impl Warehouse {
             snapshot_buf: body,
         });
         Ok(wh)
+    }
+
+    /// Queue a recovered pair of decoded batches through the ingest
+    /// door's columnar path: each must fit its table's schema
+    /// ([`Database::conform_batch`]), then it is checked and queued like
+    /// any ingest, with no row round trip.
+    fn replay_ingest(
+        &mut self,
+        table: TableId,
+        inserts: Batch,
+        deletes: Batch,
+    ) -> Result<usize, WarehouseError> {
+        let inserts = self.db.conform_batch(table, inserts)?;
+        let deletes = self.db.conform_batch(table, deletes)?;
+        self.queue_ingest(table, inserts, deletes)
     }
 
     /// True once `enable_wal` ran (or the engine was built by `recover`).
@@ -1219,7 +1283,7 @@ impl Warehouse {
         let full = program.full_plans.get(&root).ok_or_else(missing)?;
         let (mut db, mut state, mut journal) =
             (self.db.clone(), RuntimeState::new(), Journal::new());
-        let no_deltas = DeltaSet::new();
+        let no_deltas = DeltaQueue::new();
         let mut rt = Runtime::with_state(
             self.optimizer.dag(),
             &self.catalog,
@@ -1373,10 +1437,10 @@ impl Warehouse {
         self.pending.total_tuples()
     }
 
-    /// The queued (not yet applied) batch for one relation, if any.
-    /// Frontends that *generate* batches use this to avoid sampling
+    /// The queued (not yet applied) columnar pair for one relation, if
+    /// any. Frontends that *generate* batches use this to avoid sampling
     /// deletes or reissuing keys that are already queued.
-    pub fn pending_for(&self, table: TableId) -> Option<&DeltaBatch> {
+    pub fn pending_for(&self, table: TableId) -> Option<&QueuedDelta> {
         self.pending.get(table)
     }
 
@@ -1446,10 +1510,10 @@ impl Warehouse {
 /// The program of an epoch with no views (§3.2.2 with nothing to
 /// maintain): one step per update of the pending batch sizes, in the
 /// paper's numbering order, each only applying its base delta.
-fn base_only_program(pending: &DeltaSet) -> Program {
-    let sizes = pending.tables().filter_map(|t| {
-        let b = pending.get(t)?;
-        Some((t, b.inserts.len() as f64, b.deletes.len() as f64))
+fn base_only_program(pending: &DeltaQueue) -> Program {
+    let sizes = pending.iter().map(|(t, q)| {
+        let (ins, del) = (q.inserts.num_rows(), q.deletes.num_rows());
+        (t, ins as f64, del as f64)
     });
     Program {
         steps: UpdateModel::new(sizes)
@@ -1564,7 +1628,7 @@ mod tests {
         let tpcd = tpcd_catalog(SF);
         let mut wh = Warehouse::new(tpcd_catalog(SF).catalog, generate_database(&tpcd, 1));
         ingest_updates(&mut wh, &tpcd, 3);
-        let queued = |wh: &Warehouse| -> Vec<(TableId, DeltaBatch)> {
+        let queued = |wh: &Warehouse| -> Vec<(TableId, QueuedDelta)> {
             wh.catalog()
                 .tables()
                 .iter()
@@ -1590,14 +1654,50 @@ mod tests {
             assert_eq!((wh.epoch(), wh.history().len()), (0, 0), "{fault:?}");
         }
         let report = wh.run_epoch().unwrap();
-        let queued_tuples: usize = queue
-            .iter()
-            .map(|(_, b)| b.inserts.len() + b.deletes.len())
-            .sum();
+        let queued_tuples: usize = queue.iter().map(|(_, q)| q.num_rows()).sum();
         assert_eq!(report.ingested_tuples, queued_tuples);
         assert_eq!(wh.pending_tuples(), 0);
         assert!(base_images(&wh) != tables, "the retry applied the queue");
         assert!(wh.replans().is_empty(), "a view-less epoch plans nothing");
+    }
+
+    /// The snapshot carries the reoptimization policy: an engine built
+    /// `with_policy` and recovered replays its WAL tail under the same
+    /// thresholds, so the drift replan the live engine ran fires again on
+    /// the same ingest.
+    #[test]
+    fn recover_restores_the_reoptimization_policy() {
+        let dir = std::env::temp_dir().join(format!("mvmqo-policy-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (wh, tpcd) = engine();
+        let policy = ReoptPolicy {
+            delta_fraction: 0.05,
+            ..ReoptPolicy::default()
+        };
+        let mut wh = wh.with_policy(policy);
+        ingest_updates(&mut wh, &tpcd, 1);
+        wh.run_epoch().unwrap();
+        wh.enable_wal(&dir).unwrap();
+        // About 7.5 % of the base rows: past 0.05, short of the default.
+        ingest_updates(&mut wh, &tpcd, 2);
+        let report = wh.run_epoch().unwrap();
+        assert!(
+            matches!(report.replanned, Some(ReoptTrigger::DeltaDrift { .. })),
+            "{:?}",
+            report.replanned
+        );
+        let live = *wh.replans().last().unwrap();
+        drop(wh);
+
+        let recovered = Warehouse::recover(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(recovered.epoch(), 2);
+        let replayed = *recovered.replans().last().unwrap();
+        assert_eq!(
+            (replayed.epoch, replayed.trigger),
+            (live.epoch, live.trigger)
+        );
+        assert_eq!(recovered.policy.delta_fraction, policy.delta_fraction);
     }
 
     #[test]

@@ -169,13 +169,12 @@ impl Session {
             // ingests before an epoch must not re-delete queued deletes or
             // reissue queued primary keys.
             if let Some(pending) = self.warehouse.pending_for(t) {
-                let queued: std::collections::HashSet<&[Value]> =
-                    pending.deletes.iter().map(Vec::as_slice).collect();
-                batch.deletes.retain(|r| !queued.contains(r.as_slice()));
-                if let Some(next_key) = pending
-                    .inserts
-                    .iter()
-                    .filter_map(|r| r.first().and_then(Value::as_i64))
+                let queued: std::collections::HashSet<Vec<Value>> =
+                    pending.deletes.to_rows().into_iter().collect();
+                batch.deletes.retain(|r| !queued.contains(r));
+                let (inserts, key) = (&pending.inserts, pending.inserts.column(0));
+                if let Some(next_key) = (0..inserts.num_rows())
+                    .filter_map(|i| key.value(inserts.physical(i) as usize).as_i64())
                     .max()
                     .map(|m| m + 1)
                 {

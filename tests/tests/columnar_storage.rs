@@ -33,7 +33,7 @@ use mvmqo_relalg::schema::{AttrId, Attribute, Schema};
 use mvmqo_relalg::tuple::{bag_counts, bag_eq, bag_minus, bag_union, Tuple};
 use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::{DeltaBatch, DeltaKind, DeltaSet};
+use mvmqo_storage::delta::{DeltaBatch, DeltaKind, DeltaQueue};
 use mvmqo_storage::index::IndexKind;
 use mvmqo_storage::table::StoredTable;
 use proptest::prelude::*;
@@ -385,7 +385,7 @@ fn eval_aggregate(catalog: &Catalog, db: &mut Database, view: &LogicalExpr) -> V
         },
     };
     let dag = Dag::new();
-    let deltas = DeltaSet::new();
+    let deltas = DeltaQueue::new();
     let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
     let mut rt = Runtime::with_state(
         &dag,

@@ -12,7 +12,9 @@
 //!   view, under random ingest sequences interleaved with epochs. A
 //!   rejected ingest must leave the queue and the WAL byte for byte as
 //!   they were, and after each epoch the base table must hold the model's
-//!   stored + queued rows — with or without views to maintain.
+//!   stored + queued rows — with or without views to maintain. The check
+//!   nets columnar batches by row hash, so this is its row-model oracle;
+//!   `DELETE_CHECK_CASES` sets the case count (default 24).
 //! * **Query kernel.** What `query` serves — the stored batch's column
 //!   handles reordered into the declared schema (`Batch::align`), then
 //!   `Batch::to_rows` — must equal the old path (row-major conversion, then
@@ -245,8 +247,16 @@ fn sorted_debug(rows: &[Tuple]) -> Vec<String> {
     out
 }
 
+/// Cases for the delete-check oracle (`DELETE_CHECK_CASES`, default 24).
+fn delete_check_cases() -> u32 {
+    std::env::var("DELETE_CHECK_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(24)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(delete_check_cases()))]
 
     #[test]
     fn delete_check_matches_the_row_model(

@@ -19,7 +19,7 @@ use mvmqo_relalg::schema::{Attribute, Schema};
 use mvmqo_relalg::tuple::{bag_eq, Tuple};
 use mvmqo_relalg::types::{DataType, Value};
 use mvmqo_storage::database::Database;
-use mvmqo_storage::delta::DeltaSet;
+use mvmqo_storage::delta::DeltaQueue;
 use mvmqo_storage::index::IndexKind;
 use mvmqo_storage::table::StoredTable;
 use proptest::prelude::*;
@@ -80,7 +80,7 @@ fn two_tables(t_rows: &[Tuple], u_rows: &[Tuple]) -> (Catalog, Database, TableId
 
 /// Evaluate a physical plan through the vectorized runtime.
 fn eval_phys(catalog: &Catalog, db: &mut Database, plan: &PhysPlan) -> Vec<Tuple> {
-    let deltas = DeltaSet::new();
+    let deltas = DeltaQueue::new();
     let dag = Dag::new();
     let (mut state, mut journal) = (RuntimeState::new(), Journal::new());
     let mut rt = Runtime::with_state(
